@@ -194,6 +194,11 @@ def _format_profile(profiler, top: int = 20) -> str:
     return "--- cProfile (top by internal time) ---\n" + stream.getvalue().rstrip()
 
 
+def _require_workers(args: argparse.Namespace) -> None:
+    if args.jobs < 1:
+        raise SystemExit("error: --jobs requires at least one worker")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.evalx.checkpoint import CheckpointLog, CheckpointMismatch
     from repro.evalx.export import run_to_csv, run_to_json
@@ -204,6 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # `--quick 0` must be rejected, not silently treated as "all 211 loops"
     if args.quick is not None and args.quick <= 0:
         raise SystemExit("error: --quick requires a positive number of loops")
+    _require_workers(args)
     n = args.quick if args.quick is not None else 211
     loops = spec95_corpus(n=n)
     pipeline_config = PipelineConfig(
@@ -321,6 +327,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
     if args.quick <= 0:
         raise SystemExit("error: --quick requires a positive number of loops")
+    _require_workers(args)
     loops = spec95_corpus(n=args.quick)
     labels = [config_label(nc, m) for nc, m in PAPER_CONFIG_ORDER]
     store = _open_store(args.store) if args.store else None
@@ -497,8 +504,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import serve_forever
 
-    if args.jobs < 1:
-        raise SystemExit("error: --jobs requires at least one worker")
+    _require_workers(args)
     if args.queue < 1:
         raise SystemExit("error: --queue requires a positive cell bound")
     pipeline_config = PipelineConfig(

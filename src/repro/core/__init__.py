@@ -8,7 +8,7 @@ register component graph partitioning" (Section 1).
 Modules
 -------
 * :mod:`repro.core.rcg` -- the weighted undirected graph over symbolic
-  registers,
+  registers (a mutable builder and its frozen, shareable form),
 * :mod:`repro.core.weights` -- heuristic node/edge weighting drawn from the
   ideal schedule (Section 5),
 * :mod:`repro.core.greedy` -- the Figure-4 greedy bank assignment,
@@ -26,7 +26,7 @@ Modules
   harness.
 """
 
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG, RegisterComponentGraph
 from repro.core.weights import HeuristicConfig, build_rcg_from_kernel, build_rcg_from_linear
 from repro.core.greedy import Partition, greedy_partition
 from repro.core.components import connected_components, component_summary
@@ -54,6 +54,7 @@ from repro.core.results import LoopMetrics
 
 __all__ = [
     "RegisterComponentGraph",
+    "FrozenRCG",
     "HeuristicConfig",
     "build_rcg_from_kernel",
     "build_rcg_from_linear",

@@ -8,6 +8,14 @@ loop under six clustered configurations that share all three, so an
 :class:`ArtifactCache` computes the pair once per loop and serves the
 other five configurations from memory.
 
+The register component graph is built from that ideal schedule (Section
+4, step 3) and the weighting heuristic alone, so it is machine-independent
+too: each entry also holds the loop's :class:`~repro.core.rcg.FrozenRCG`
+per :class:`~repro.core.weights.HeuristicConfig`, built on first use.
+The frozen form is array-backed and a few KB per loop, so keeping one per
+loop costs little memory.  RCG reuse rides on the ideal-schedule lookup
+the cell already made and does not touch :class:`CacheStats`.
+
 Keys are ``(loop fingerprint, latency fingerprint, scheduler
 fingerprint)``.  Because cached DDGs and schedules hold references to the
 loop's actual :class:`~repro.ir.operations.Operation` objects, a hit is
@@ -33,6 +41,8 @@ from repro.machine.latency import LatencyTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import PipelineConfig
+    from repro.core.rcg import FrozenRCG
+    from repro.core.weights import HeuristicConfig
     from repro.ddg.graph import DDG
     from repro.sched.schedule import KernelSchedule
 
@@ -64,6 +74,8 @@ class _IdealEntry:
     loop: Loop  # identity guard; also keeps the ops the artifacts reference alive
     ddg: "DDG"
     ideal: "KernelSchedule"
+    #: frozen RCG of ``ideal`` per weighting heuristic, built on first use
+    rcgs: "dict[HeuristicConfig, FrozenRCG]" = field(default_factory=dict)
 
 
 #: default entry cap — generous (a full corpus evaluation touches one
@@ -74,7 +86,8 @@ DEFAULT_CAPACITY = 4096
 
 @dataclass
 class ArtifactCache:
-    """Memo for (DDG, ideal schedule) pairs shared across configurations.
+    """Memo for (DDG, ideal schedule) pairs — and the frozen RCGs built
+    from them — shared across configurations.
 
     Bounded: at most ``capacity`` entries are retained, least-recently
     used first out (``capacity=None`` disables eviction).  Every hit
@@ -156,3 +169,28 @@ class ArtifactCache:
         ddg, ideal = build()
         self._insert(key, _IdealEntry(loop=loop, ddg=ddg, ideal=ideal))
         return ddg, ideal
+
+    def rcg_for(
+        self,
+        loop: Loop,
+        latencies: LatencyTable,
+        config: "PipelineConfig",
+        width: int,
+        ideal: "KernelSchedule",
+        build: Callable[[], "FrozenRCG"],
+    ) -> "FrozenRCG":
+        """Return the frozen RCG of ``ideal`` under ``config.heuristic``,
+        building it on first use.
+
+        The RCG is memoized only on the entry that produced ``ideal`` (a
+        schedule from elsewhere, or an evicted entry, just builds).
+        Neither path touches ``stats`` or recency: the cell already paid
+        its one lookup in :meth:`ideal_for`.
+        """
+        entry = self._entries.get(self.key_for(loop, latencies, config, width))
+        if entry is None or entry.loop is not loop or entry.ideal is not ideal:
+            return build()
+        rcg = entry.rcgs.get(config.heuristic)
+        if rcg is None:
+            rcg = entry.rcgs[config.heuristic] = build()
+        return rcg

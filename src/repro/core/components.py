@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG, RegisterComponentGraph, csr_components
 from repro.ir.registers import SymbolicRegister
 
 
 def connected_components(
-    rcg: RegisterComponentGraph, positive_only: bool = False
+    rcg: RegisterComponentGraph | FrozenRCG, positive_only: bool = False
 ) -> list[list[SymbolicRegister]]:
     """Components of the RCG, each sorted by rid; components ordered by
     descending total node weight then by smallest rid.
@@ -31,31 +31,16 @@ def connected_components(
     *not* same-bank candidates, so component analysis for seeding uses the
     positive skeleton.
     """
-    # Flood-fill over the CSR adjacency (shared with the partitioner);
-    # traversal order cannot affect the result — membership is symmetric
-    # and every component is sorted before it is reported.
-    _index_of, rids, offsets, nbr, wgt = rcg.flat_adjacency()
-    nodes = rcg.nodes()  # ascending rid, aligned with ``rids``
-    seen = bytearray(len(rids))
-    components: list[list[SymbolicRegister]] = []
-    for root in range(len(rids)):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [root]
-        comp_idx: list[int] = []
-        while stack:
-            i = stack.pop()
-            comp_idx.append(i)
-            for k in range(offsets[i], offsets[i + 1]):
-                if positive_only and wgt[k] <= 0:
-                    continue
-                n = nbr[k]
-                if not seen[n]:
-                    seen[n] = 1
-                    stack.append(n)
-        comp_idx.sort()
-        components.append([nodes[i] for i in comp_idx])
+    # Flood-fill over the frozen CSR adjacency (shared with the
+    # partitioner); traversal order cannot affect the result — membership
+    # is symmetric and every component is sorted before it is reported.
+    g = rcg.freeze()
+    _index_of, _rids, offsets, nbr, wgt = g.flat_adjacency()
+    nodes = g.nodes()  # ascending rid, aligned with the CSR indices
+    components = [
+        [nodes[i] for i in sorted(comp)]
+        for comp in csr_components(offsets, nbr, wgt, positive_only)
+    ]
 
     def total_weight(comp: list[SymbolicRegister]) -> float:
         return sum(rcg.node_weight(r) for r in comp)
@@ -80,7 +65,9 @@ class ComponentSummary:
         return self.n_components == 1
 
 
-def component_summary(rcg: RegisterComponentGraph, positive_only: bool = True) -> ComponentSummary:
+def component_summary(
+    rcg: RegisterComponentGraph | FrozenRCG, positive_only: bool = True
+) -> ComponentSummary:
     comps = connected_components(rcg, positive_only=positive_only)
     sizes = [len(c) for c in comps] or [0]
     return ComponentSummary(

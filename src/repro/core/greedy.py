@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG, RegisterComponentGraph
 from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
 from repro.ir.registers import SymbolicRegister
 
@@ -73,7 +73,7 @@ class Partition:
 
 
 def greedy_partition(
-    rcg: RegisterComponentGraph,
+    rcg: RegisterComponentGraph | FrozenRCG,
     n_banks: int,
     config: HeuristicConfig = DEFAULT_HEURISTIC,
     precolored: dict[SymbolicRegister, int] | None = None,
@@ -104,10 +104,11 @@ def greedy_partition(
     bank sizes, plus placement counters.  Both default to None and cost
     nothing disabled; neither influences the assignment.
     """
+    rcg = rcg.freeze()
     if tracer is not None:
         with tracer.span(
             "greedy_partition", cat="substep",
-            nodes=len(rcg.nodes()), banks=n_banks,
+            nodes=len(rcg), banks=n_banks,
         ) as sp:
             partition = greedy_partition(
                 rcg, n_banks, config, precolored=precolored,
@@ -121,27 +122,10 @@ def greedy_partition(
 
     # The balance penalty competes with edge weights, whose magnitude
     # scales with DDD density and nesting depth; normalizing by the mean
-    # positive (affinity) edge weight makes the "spread somewhat evenly"
-    # pressure meaningful for every loop rather than only for sparse ones.
-    # One unsorted pass collects both the positive mean and its
-    # absolute-value fallback.
-    pos_sum = 0.0
-    pos_n = 0
-    abs_sum = 0.0
-    abs_n = 0
-    for w in rcg.edge_weight_values():
-        if w > 0:
-            pos_sum += w
-            pos_n += 1
-        abs_sum += abs(w)
-        abs_n += 1
-    if pos_n:
-        weight_scale = pos_sum / pos_n
-    elif abs_n:
-        weight_scale = abs_sum / abs_n
-    else:
-        weight_scale = 1.0
-    penalty = config.balance_penalty * weight_scale
+    # positive (affinity) edge weight (precomputed by the frozen graph)
+    # makes the "spread somewhat evenly" pressure meaningful for every
+    # loop rather than only for sparse ones.
+    penalty = config.balance_penalty * rcg.weight_scale
 
     if precolored:
         for reg, bank in precolored.items():
@@ -154,24 +138,24 @@ def greedy_partition(
         capacity = config.capacity_alpha * slots_per_bank
 
     # CSR adjacency + dense bank array: the inner benefit loop indexes two
-    # flat lists instead of hashing rids, and the per-node visit order
+    # flat arrays instead of hashing rids, and the per-node visit order
     # (ascending neighbor rid) matches adjacency(), so every benefit sum
     # accumulates bit-identically to the reference
     index_of, _rids, offsets, nbr, wgt = rcg.flat_adjacency()
-    bank_arr = [-1] * len(_rids)
+    regs = rcg.nodes()
+    bank_arr = [-1] * len(regs)
     for rid, bank in partition.assignment.items():  # precolored
         bank_arr[index_of[rid]] = bank
     sizes = partition.bank_sizes()  # then maintained incrementally
     placed = 0
-    for node in rcg.nodes_by_weight():
-        i = index_of[node.rid]
+    for i in rcg.placement_order:
         if bank_arr[i] >= 0:
             continue
         bank = _choose_best_bank_flat(
             nbr, wgt, offsets[i], offsets[i + 1], bank_arr, sizes, n_banks,
             penalty, capacity, config,
         )
-        partition.assign(node, bank)
+        partition.assign(regs[i], bank)
         bank_arr[i] = bank
         sizes[bank] += 1
         placed += 1
@@ -182,8 +166,8 @@ def greedy_partition(
 
 
 def _choose_best_bank_flat(
-    nbr: list[int],
-    wgt: list[float],
+    nbr,
+    wgt,
     lo: int,
     hi: int,
     bank_arr: list[int],

@@ -24,10 +24,10 @@ one; both are no-ops without an attached :class:`~repro.store
 6. :class:`ComputeMetrics`  — distill a :class:`~repro.core.results
    .LoopMetrics` for the evaluation harness.
 
-Steps 1-2 consult the context's :class:`~repro.core.cache.ArtifactCache`
-(when one is attached): the DDG and the 16-wide ideal schedule are the
-same for all cluster arrangements, so the evaluation runner shares them
-across the six paper configurations.
+Steps 1-3 consult the context's :class:`~repro.core.cache.ArtifactCache`
+(when one is attached): the DDG, the 16-wide ideal schedule and the RCG
+built from it are the same for all cluster arrangements, so the
+evaluation runner shares them across the six paper configurations.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from repro.core.baselines import (
     round_robin_partition,
     single_bank_partition,
 )
-from repro.core.components import component_summary
 from repro.core.context import CompilationContext
 from repro.core.copies import insert_copies
 from repro.core.greedy import Partition, greedy_partition
+from repro.core.rcg import FrozenRCG
 from repro.core.results import LoopMetrics
 from repro.core.weights import build_rcg_from_kernel
 from repro.ddg.analysis import min_ii, recurrence_ii, resource_ii
@@ -121,31 +121,58 @@ def register_partitioner(name: str):
     return decorator
 
 
+def shared_rcg(ctx: CompilationContext) -> FrozenRCG:
+    """Set ``ctx.rcg`` to the frozen RCG of the context's ideal schedule.
+
+    With a cache attached the graph is built once per (loop, heuristic)
+    and shared by every configuration (see
+    :meth:`~repro.core.cache.ArtifactCache.rcg_for`).  One ``build_rcg``
+    span is recorded per call, built or reused, so traces do not depend
+    on which configuration of a loop ran first.
+    """
+
+    def build():
+        return build_rcg_from_kernel(ctx.ideal, ctx.ddg, ctx.config.heuristic).freeze()
+
+    def lookup():
+        if ctx.cache is None:
+            return build()
+        return ctx.cache.rcg_for(
+            ctx.loop, ctx.machine.latencies, ctx.config, ctx.machine.width,
+            ctx.ideal, build,
+        )
+
+    if ctx.tracer.enabled:
+        with ctx.tracer.span("build_rcg", cat="substep") as sp:
+            ctx.rcg = lookup()
+            sp.set(nodes=len(ctx.rcg), edges=ctx.rcg.n_edges)
+    else:
+        ctx.rcg = lookup()
+    return ctx.rcg
+
+
+def record_rcg_gauges(ctx: CompilationContext, partition: Partition) -> None:
+    """The ``rcg.*`` gauges of a partitioner that ran on ``ctx.rcg``."""
+    registry = ctx.metrics_registry
+    if registry is not None:
+        registry.gauge("rcg.nodes").set(len(ctx.rcg))
+        registry.gauge("rcg.edges").set(ctx.rcg.n_edges)
+        registry.gauge("rcg.cut_weight").set(ctx.rcg.cut_weight(partition.assignment))
+
+
 @register_partitioner("greedy")
 def _greedy(ctx: CompilationContext) -> Partition:
-    tracer = ctx.tracer if ctx.tracer.enabled else None
-    registry = ctx.metrics_registry
-    if tracer is not None:
-        with tracer.span("build_rcg", cat="substep") as sp:
-            ctx.rcg = build_rcg_from_kernel(ctx.ideal, ctx.ddg, ctx.config.heuristic)
-            sp.set(nodes=len(ctx.rcg.nodes()), edges=ctx.rcg.n_edges)
-    else:
-        ctx.rcg = build_rcg_from_kernel(ctx.ideal, ctx.ddg, ctx.config.heuristic)
+    rcg = shared_rcg(ctx)
     partition = greedy_partition(
-        ctx.rcg,
+        rcg,
         ctx.machine.n_clusters,
         ctx.config.heuristic,
         precolored=ctx.config.precolored,
         slots_per_bank=ctx.machine.fus_per_cluster * ctx.ideal.ii,
-        tracer=tracer,
-        metrics=registry,
+        tracer=ctx.tracer if ctx.tracer.enabled else None,
+        metrics=ctx.metrics_registry,
     )
-    if registry is not None:
-        registry.gauge("rcg.nodes").set(len(ctx.rcg.nodes()))
-        registry.gauge("rcg.edges").set(ctx.rcg.n_edges)
-        registry.gauge("rcg.cut_weight").set(
-            ctx.rcg.cut_weight(partition.assignment)
-        )
+    record_rcg_gauges(ctx, partition)
     return partition
 
 
@@ -551,7 +578,7 @@ class ComputeMetrics:
     def run(self, ctx: CompilationContext) -> None:
         ideal_for_width = ctx.ideal_target
         n_components = (
-            component_summary(ctx.rcg).n_components if ctx.rcg is not None else 0
+            ctx.rcg.freeze().n_positive_components if ctx.rcg is not None else 0
         )
         max_pressure = (
             ctx.bank_assignment.max_pressure if ctx.bank_assignment is not None else 0

@@ -34,7 +34,7 @@ from repro.core.copies import PartitionedLoop
 from repro.core.greedy import Partition
 from repro.core.passes import PassPipeline, default_passes
 from repro.core.results import LoopMetrics
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG, RegisterComponentGraph
 from repro.ddg.graph import DDG
 from repro.ir.block import Loop
 from repro.machine.machine import MachineDescription
@@ -65,7 +65,7 @@ class CompilationResult:
     machine: MachineDescription
     ideal: KernelSchedule
     ddg: DDG
-    rcg: RegisterComponentGraph | None
+    rcg: FrozenRCG | RegisterComponentGraph | None
     partition: Partition
     partitioned: PartitionedLoop
     kernel: KernelSchedule

@@ -121,7 +121,7 @@ def _ingest_schedule(
     # same dict-insertion and float-accumulation order, hence the same
     # bytes everywhere downstream.  Self-edges never reach the edge
     # writes: both passes skip equal-rid pairs first.
-    nodes, node_weight, edges, adj = rcg.ingest_tables()
+    nodes, node_weight, edges = rcg.ingest_tables()
     edges_get = edges.get
 
     for instr in instructions:
@@ -144,15 +144,11 @@ def _ingest_schedule(
                     if drid not in nodes:
                         nodes[drid] = d
                         node_weight[drid] = 0.0
-                        adj[drid] = set()
                     if urid not in nodes:
                         nodes[urid] = u
                         node_weight[urid] = 0.0
-                        adj[urid] = set()
                     key = (drid, urid) if drid <= urid else (urid, drid)
                     edges[key] = edges_get(key, 0.0) + w
-                    adj[drid].add(urid)
-                    adj[urid].add(drid)
                     node_weight[drid] += w
                     node_weight[urid] += w
             # ensure every register is an RCG node even if isolated
@@ -161,13 +157,11 @@ def _ingest_schedule(
                 if rid not in nodes:
                     nodes[rid] = r
                     node_weight[rid] = 0.0
-                    adj[rid] = set()
             for r in used:
                 rid = r.rid
                 if rid not in nodes:
                     nodes[rid] = r
                     node_weight[rid] = 0.0
-                    adj[rid] = set()
 
         # negative: def-def pairs across distinct operations of the same
         # instruction (they proved co-issuable in the ideal schedule)
@@ -183,15 +177,11 @@ def _ingest_schedule(
                     if arid not in nodes:
                         nodes[arid] = d1
                         node_weight[arid] = 0.0
-                        adj[arid] = set()
                     if brid not in nodes:
                         nodes[brid] = d2
                         node_weight[brid] = 0.0
-                        adj[brid] = set()
                     key = (arid, brid) if arid <= brid else (brid, arid)
                     edges[key] = edges_get(key, 0.0) + w
-                    adj[arid].add(brid)
-                    adj[brid].add(arid)
 
 
 # ----------------------------------------------------------------------

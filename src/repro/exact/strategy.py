@@ -4,8 +4,10 @@ Registered in :data:`repro.core.passes.PARTITIONERS` under ``"exact"``
 (selectable via ``PipelineConfig(partitioner="exact")`` and
 ``--partitioner exact``), this strategy:
 
-1. builds the RCG exactly like the greedy strategy does (same kernel,
-   same heuristic config), so variable order and benefit signals match;
+1. takes the RCG from the same shared helper as the greedy strategy
+   (:func:`repro.core.passes.shared_rcg`: same kernel, same heuristic
+   config, built once per loop under a cache), so variable order and
+   benefit signals match;
 2. runs the Figure-4 greedy for the warm-start incumbent — the exact
    result is therefore never worse than the heuristic, even if a
    surrounding :func:`repro.core.faults.deadline` interrupts the search;
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from repro.core.context import CompilationContext
 from repro.core.greedy import Partition, greedy_partition
-from repro.core.weights import build_rcg_from_kernel
+from repro.core.passes import record_rcg_gauges, shared_rcg
 from repro.exact.bnb import solve_exact
 from repro.exact.cost import build_problem
 
@@ -35,16 +37,10 @@ def exact_partition_context(ctx: CompilationContext) -> Partition:
     """Partition ``ctx``'s loop to proven optimality (pipeline entry)."""
     tracer = ctx.tracer if ctx.tracer.enabled else None
     registry = ctx.metrics_registry
-    if tracer is not None:
-        with tracer.span("build_rcg", cat="substep") as sp:
-            ctx.rcg = build_rcg_from_kernel(ctx.ideal, ctx.ddg, ctx.config.heuristic)
-            sp.set(nodes=len(ctx.rcg.nodes()), edges=ctx.rcg.n_edges)
-    else:
-        ctx.rcg = build_rcg_from_kernel(ctx.ideal, ctx.ddg, ctx.config.heuristic)
-
+    rcg = shared_rcg(ctx)
     slots_per_bank = ctx.machine.fus_per_cluster * ctx.ideal.ii
     warm = greedy_partition(
-        ctx.rcg,
+        rcg,
         ctx.machine.n_clusters,
         ctx.config.heuristic,
         precolored=ctx.config.precolored,
@@ -66,10 +62,10 @@ def exact_partition_context(ctx: CompilationContext) -> Partition:
             "exact_bnb", cat="substep", regs=problem.n_regs,
             banks=problem.n_banks,
         ) as sp:
-            partition, proof = solve_exact(problem, warm=warm, rcg=ctx.rcg)
+            partition, proof = solve_exact(problem, warm=warm, rcg=rcg)
             sp.set(nodes=proof.nodes, cost=proof.cost, proven=proof.proven)
     else:
-        partition, proof = solve_exact(problem, warm=warm, rcg=ctx.rcg)
+        partition, proof = solve_exact(problem, warm=warm, rcg=rcg)
 
     solved = set(partition.assignment)
     for bank in range(warm.n_banks):
@@ -78,10 +74,8 @@ def exact_partition_context(ctx: CompilationContext) -> Partition:
                 partition.assign(reg, bank)
 
     ctx.exact_proof = proof
+    record_rcg_gauges(ctx, partition)
     if registry is not None:
-        registry.gauge("rcg.nodes").set(len(ctx.rcg.nodes()))
-        registry.gauge("rcg.edges").set(ctx.rcg.n_edges)
-        registry.gauge("rcg.cut_weight").set(ctx.rcg.cut_weight(partition.assignment))
         registry.gauge("exact.cost").set(proof.cost)
         registry.gauge("exact.bound").set(proof.bound)
         registry.gauge("exact.nodes").set(proof.nodes)

@@ -62,6 +62,20 @@ class TestEvaluateCommand:
         assert "Figure 5" in out and "Figure 7" in out
 
 
+class TestJobsValidation:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--quick", "2"],
+        ["gap", "--quick", "2"],
+        ["serve", "--store", "unused-store"],
+    ])
+    def test_jobs_below_one_is_rejected(self, command, jobs, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="--jobs requires at least one worker"):
+            main([*command, "--jobs", jobs])
+        assert not (tmp_path / "unused-store").exists()
+
+
 class TestObservabilityFlags:
     def test_evaluate_trace_and_metrics_out(self, tmp_path, capsys):
         import json
