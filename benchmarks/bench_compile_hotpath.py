@@ -76,10 +76,10 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
 
     Measures raw modulo-reservation-table throughput (placements/sec:
     one ``first_free`` probe + ``place`` + eventual ``remove``) for every
-    importable MRT backend on the same op mix the clustered scheduler
+    MRT backend on the same op mix the clustered scheduler
     sees (ALU ops plus copy-unit copies), and greedy-partitioner
     throughput (nodes/sec over a seeded dense RCG).  Best-of-N rates;
-    absolute numbers are host-dependent, but the packed/NumPy/reference
+    absolute numbers are host-dependent, but the packed/reference
     ratios are in-process and comparable across runs.
     """
     import random
@@ -91,7 +91,7 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
     from repro.ir.types import DataType
     from repro.machine.machine import CopyModel
     from repro.machine.presets import paper_machine
-    from repro.sched.resources import MRT_BACKENDS, make_mrt, numpy_available
+    from repro.sched.resources import MRT_BACKENDS, make_mrt
 
     machine = paper_machine(4, CopyModel.COPY_UNIT)
     rng = random.Random(2026)
@@ -109,8 +109,7 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
             ops.append(op)
 
     ii = 16
-    backends = [b for b in MRT_BACKENDS
-                if b != "numpy" or numpy_available()]
+    backends = MRT_BACKENDS
     best_rates: dict[str, float] = {}
     # interleave backends within each repeat: host speed drifts on the
     # scale of seconds, so only adjacent measurements produce meaningful

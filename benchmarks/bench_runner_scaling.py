@@ -4,10 +4,9 @@ Times the full six-configuration evaluation serially and with 2 and 4
 worker processes, checks the acceptance properties of the pass-manager
 refactor — byte-identical tables/figures across execution strategies and
 an ideal-schedule cache profile of >= 5 hits per loop — and writes a JSON
-summary artifact.  A second bench exercises the fault-tolerant layer:
-checkpointing the parallel run costs little, and resuming from the
-complete checkpoint reproduces the run byte-identically with zero
-compilations.
+summary artifact.  A second bench checks the resume path: rerunning a
+parallel store-backed run over its now-complete store reproduces it
+byte-identically with zero compilations.
 """
 
 from __future__ import annotations
@@ -16,13 +15,13 @@ import json
 import time
 
 from repro.core.pipeline import PipelineConfig
-from repro.evalx.checkpoint import CheckpointLog
-from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label
+from repro.evalx.runner import PAPER_CONFIG_ORDER
 from repro.evalx.export import run_to_csv
 from repro.evalx.figures import compute_figure
 from repro.evalx.runner import run_evaluation
 from repro.evalx.table1 import compute_table1
 from repro.evalx.table2 import compute_table2
+from repro.store import ArtifactStore
 
 from .conftest import write_artifact
 
@@ -76,42 +75,41 @@ def test_runner_scaling(corpus, results_dir):
     write_artifact(results_dir, "runner_scaling.json", json.dumps(summary, indent=2))
 
 
-def test_checkpoint_resume_overhead(corpus, results_dir, tmp_path):
-    """Checkpointed run == plain run; resume needs zero compilations."""
-    labels = [config_label(n, m) for n, m in PAPER_CONFIG_ORDER]
+def test_warm_store_rerun(corpus, results_dir, tmp_path):
+    """Store-backed run == plain run; a rerun needs zero compilations."""
     loops = corpus[:40]  # a representative slice keeps the bench quick
-    path = tmp_path / "eval.jsonl"
+    n_cells = len(loops) * len(PAPER_CONFIG_ORDER)
+    path = tmp_path / "store"
 
     t0 = time.perf_counter()
     plain = run_evaluation(loops=loops, config=CONFIG, jobs=2)
     plain_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with CheckpointLog.fresh(path, loops, labels, CONFIG) as log:
-        checkpointed = run_evaluation(loops=loops, config=CONFIG, jobs=2,
-                                      checkpoint=log)
-    checkpointed_seconds = time.perf_counter() - t0
+    cold = run_evaluation(loops=loops, config=CONFIG, jobs=2,
+                          store=ArtifactStore.open(path))
+    cold_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with CheckpointLog.resume(path, loops, labels, CONFIG) as log:
-        resumed = run_evaluation(loops=loops, config=CONFIG, checkpoint=log)
-    resume_seconds = time.perf_counter() - t0
+    rerun = run_evaluation(loops=loops, config=CONFIG,
+                           store=ArtifactStore.open(path))
+    rerun_seconds = time.perf_counter() - t0
 
-    assert _rendered(checkpointed) == _rendered(plain)
-    assert _rendered(resumed) == _rendered(plain)
-    assert resumed.resumed_cells == len(loops) * len(labels)
-    assert resumed.cache_hits == resumed.cache_misses == 0  # nothing compiled
+    assert _rendered(cold) == _rendered(plain)
+    assert _rendered(rerun) == _rendered(plain)
+    assert rerun.store_hits == n_cells
+    assert rerun.store_misses == 0
+    assert rerun.cache_hits == rerun.cache_misses == 0  # nothing compiled
 
     summary = {
         "loops": len(loops),
-        "cells": len(loops) * len(labels),
+        "cells": n_cells,
         "plain_jobs2_seconds": round(plain_seconds, 3),
-        "checkpointed_jobs2_seconds": round(checkpointed_seconds, 3),
-        "checkpoint_overhead_pct": round(
-            100.0 * (checkpointed_seconds - plain_seconds) / plain_seconds, 1
+        "cold_store_jobs2_seconds": round(cold_seconds, 3),
+        "store_write_overhead_pct": round(
+            100.0 * (cold_seconds - plain_seconds) / plain_seconds, 1
         ),
-        "resume_of_complete_run_seconds": round(resume_seconds, 3),
-        "checkpoint_bytes": path.stat().st_size,
+        "warm_rerun_seconds": round(rerun_seconds, 3),
     }
-    write_artifact(results_dir, "runner_checkpoint.json",
+    write_artifact(results_dir, "runner_store_rerun.json",
                    json.dumps(summary, indent=2))

@@ -200,10 +200,9 @@ def _require_workers(args: argparse.Namespace) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.evalx.checkpoint import CheckpointLog, CheckpointMismatch
     from repro.evalx.export import run_to_csv, run_to_json
     from repro.evalx.report import render_full_report
-    from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label, run_evaluation
+    from repro.evalx.runner import run_evaluation
     from repro.workloads.corpus import spec95_corpus
 
     # `--quick 0` must be rejected, not silently treated as "all 211 loops"
@@ -217,22 +216,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         run_regalloc=args.regalloc, run_check=args.check,
         mrt_backend=args.mrt_backend,
     )
-
-    checkpoint = None
-    if args.checkpoint and args.resume:
-        raise SystemExit("error: --checkpoint and --resume are mutually exclusive")
-    labels = [config_label(nc, m) for nc, m in PAPER_CONFIG_ORDER]
-    try:
-        if args.checkpoint:
-            checkpoint = CheckpointLog.fresh(
-                args.checkpoint, loops, labels, pipeline_config
-            )
-        elif args.resume:
-            checkpoint = CheckpointLog.resume(
-                args.resume, loops, labels, pipeline_config
-            )
-    except CheckpointMismatch as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
     tracer = trace_fh = None
     if args.trace:
@@ -263,7 +246,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             progress=args.progress,
             jobs=args.jobs,
             timeout=args.timeout,
-            checkpoint=checkpoint,
             tracer=tracer,
             collect_metrics=bool(args.metrics_out),
             store=store,
@@ -271,11 +253,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     finally:
         if profiler is not None:
             profiler.disable()
-        if checkpoint is not None:
-            checkpoint.close()
-    if run.resumed_cells:
-        print(f"resumed {run.resumed_cells} completed cells from "
-              f"{args.resume}", file=sys.stderr)
     if store is not None:
         print(f"artifact store {store.path}: {run.store_hits} hits, "
               f"{run.store_misses} misses ({run.store_writes} written, "
@@ -320,58 +297,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    from repro.evalx.checkpoint import CheckpointLog, CheckpointMismatch
     from repro.evalx.gap import compute_gap, gap_to_csv
-    from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label, run_evaluation
+    from repro.evalx.runner import run_evaluation
     from repro.workloads.corpus import spec95_corpus
 
     if args.quick <= 0:
         raise SystemExit("error: --quick requires a positive number of loops")
     _require_workers(args)
     loops = spec95_corpus(n=args.quick)
-    labels = [config_label(nc, m) for nc, m in PAPER_CONFIG_ORDER]
     store = _open_store(args.store) if args.store else None
-    if args.checkpoint and args.resume:
-        raise SystemExit("error: --checkpoint and --resume are mutually exclusive")
 
-    report = None
     runs = {}
     for leg in ("greedy", "exact"):
         pipeline_config = PipelineConfig(
             partitioner=leg, run_regalloc=False, mrt_backend=args.mrt_backend
         )
-        checkpoint = None
-        try:
-            if args.checkpoint:
-                checkpoint = CheckpointLog.fresh(
-                    f"{args.checkpoint}.{leg}.jsonl", loops, labels,
-                    pipeline_config,
-                )
-            elif args.resume:
-                checkpoint = CheckpointLog.resume(
-                    f"{args.resume}.{leg}.jsonl", loops, labels,
-                    pipeline_config,
-                )
-        except CheckpointMismatch as exc:
-            raise SystemExit(f"error: {exc}") from exc
         if args.progress:
             print(f"--- {leg} leg ---", file=sys.stderr)
-        try:
-            runs[leg] = run_evaluation(
-                loops=loops,
-                config=pipeline_config,
-                progress=args.progress,
-                jobs=args.jobs,
-                timeout=args.timeout,
-                checkpoint=checkpoint,
-                store=store,
-            )
-        finally:
-            if checkpoint is not None:
-                checkpoint.close()
-        if runs[leg].resumed_cells:
-            print(f"[{leg}] resumed {runs[leg].resumed_cells} completed "
-                  f"cells", file=sys.stderr)
+        runs[leg] = run_evaluation(
+            loops=loops,
+            config=pipeline_config,
+            progress=args.progress,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            store=store,
+        )
     if store is not None:
         hits = sum(r.store_hits for r in runs.values())
         misses = sum(r.store_misses for r in runs.values())
@@ -608,12 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unroll the loop U times before compiling")
     c.add_argument(
         "--mrt-backend",
-        choices=("packed", "numpy", "reference"),
+        choices=("packed", "reference"),
         default="packed",
         help="modulo-reservation-table backend: packed occupancy words "
-             "(default), NumPy vectors (errors if numpy is missing), or "
-             "the reference dict-of-pools oracle; all three produce "
-             "byte-identical schedules",
+             "(default) or the reference dict-of-pools oracle; both "
+             "produce byte-identical schedules",
     )
     c.add_argument("--sim", action="store_true", help="validate via simulation")
     c.add_argument("--check", action="store_true",
@@ -656,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument(
         "--mrt-backend",
-        choices=("packed", "numpy", "reference"),
+        choices=("packed", "reference"),
         default="packed",
         help="modulo-reservation-table backend (see `compile --help`); "
              "the report is byte-identical across backends",
@@ -673,12 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-loop wall-clock budget; a loop exceeding it is "
                         "recorded as a timeout failure instead of hanging "
                         "the run")
-    e.add_argument("--checkpoint", metavar="PATH",
-                   help="record completed (loop, config) cells to a JSONL "
-                        "checkpoint (overwrites PATH)")
-    e.add_argument("--resume", metavar="PATH",
-                   help="resume from a JSONL checkpoint written by an "
-                        "interrupted run (and keep appending to it)")
     e.add_argument("--timing", action="store_true",
                    help="print per-pass wall times and cache statistics")
     e.add_argument("--profile", action="store_true",
@@ -696,7 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--store", metavar="DIR",
                    help="durable artifact store: answer unchanged "
                         "(loop, config) cells from DIR and store fresh "
-                        "compilations, making re-evaluation incremental")
+                        "compilations, making re-evaluation incremental; "
+                        "rerunning an interrupted run with the same DIR "
+                        "resumes it")
     e.set_defaults(func=cmd_evaluate)
 
     g = sub.add_parser(
@@ -717,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "report is byte-identical to a serial run's")
     g.add_argument(
         "--mrt-backend",
-        choices=("packed", "numpy", "reference"),
+        choices=("packed", "reference"),
         default="packed",
         help="modulo-reservation-table backend (see `compile --help`)",
     )
@@ -726,13 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the per-(config, loop) gap rows as CSV")
     g.add_argument("--store", metavar="DIR",
                    help="durable artifact store shared by both legs "
-                        "(partitioner choice is part of the store key)")
-    g.add_argument("--checkpoint", metavar="PREFIX",
-                   help="record completed cells of each leg to "
-                        "PREFIX.greedy.jsonl / PREFIX.exact.jsonl")
-    g.add_argument("--resume", metavar="PREFIX",
-                   help="resume both legs from checkpoints written by an "
-                        "interrupted `repro gap --checkpoint PREFIX` run")
+                        "(partitioner choice is part of the store key); "
+                        "rerunning with the same DIR resumes an interrupted "
+                        "run, recomputing failed and timed-out cells")
     g.set_defaults(func=cmd_gap)
 
     k = sub.add_parser(
@@ -826,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--regalloc", action="store_true",
                    help="run register allocation (same default as evaluate)")
     v.add_argument(
-        "--mrt-backend", choices=("packed", "numpy", "reference"),
+        "--mrt-backend", choices=("packed", "reference"),
         default="packed",
     )
     v.add_argument("--metrics-out", metavar="PATH",

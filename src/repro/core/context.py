@@ -61,8 +61,8 @@ class PipelineConfig:
     seed: int = 0
     max_spill_rounds: int = 3
     precolored: dict[SymbolicRegister, int] | None = None
-    #: modulo-reservation-table backend for both schedulers ("packed",
-    #: "numpy" or "reference"); see :func:`repro.sched.resources.make_mrt`
+    #: modulo-reservation-table backend for both schedulers ("packed" or
+    #: "reference"); see :func:`repro.sched.resources.make_mrt`
     mrt_backend: str = "packed"
 
 

@@ -1,11 +1,11 @@
-"""Input fingerprints for caching, checkpointing and the artifact store.
+"""Input fingerprints for the artifact cache and the artifact store.
 
-Every persistence layer in the system keys on *content*, never on
-identity: the per-process :class:`~repro.core.cache.ArtifactCache`, the
-evaluation checkpoints (:mod:`repro.evalx.checkpoint`) and the durable
-:mod:`repro.store` all derive their keys from the fingerprints defined
-here.  Historically the helpers were split between ``core/cache.py`` and
-``checkpoint.run_fingerprint``; this module is their single home.
+Both persistence layers key on *content*, never on identity: the
+per-process :class:`~repro.core.cache.ArtifactCache` and the durable
+:mod:`repro.store` derive their keys from the fingerprints defined
+here.  Because the store is content-addressed, it is also what resumes
+an interrupted evaluation: rerunning with the same store answers every
+finished cell from disk.
 
 The full identity of one compilation — what Section 6.2's observation
 makes cacheable — is the five-part :class:`StoreKey`::
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.ir.block import Loop
 from repro.ir.printer import format_loop
@@ -84,32 +84,6 @@ def pipeline_fingerprint(config: "PipelineConfig") -> str:
     validation-only flags like ``run_check`` — keys a fresh compilation
     rather than risking a stale artifact."""
     return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
-
-
-def run_fingerprint(
-    loops: Iterable[Loop], labels: Iterable[str], config: "PipelineConfig"
-) -> dict:
-    """Identity of one evaluation: corpus content, configs, pipeline.
-
-    The corpus digest chains each loop's content fingerprint in corpus
-    order, so reordering, dropping or editing any loop changes it.
-    ``version`` is the checkpoint schema version (see
-    :mod:`repro.evalx.checkpoint`, which owns the format).
-    """
-    from repro.evalx.checkpoint import CHECKPOINT_VERSION
-
-    corpus = hashlib.sha256()
-    n_loops = 0
-    for loop in loops:
-        corpus.update(loop_fingerprint(loop).encode("ascii"))
-        n_loops += 1
-    return {
-        "version": CHECKPOINT_VERSION,
-        "corpus": corpus.hexdigest(),
-        "n_loops": n_loops,
-        "configs": list(labels),
-        "pipeline": pipeline_fingerprint(config),
-    }
 
 
 # ----------------------------------------------------------------------

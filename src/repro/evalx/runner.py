@@ -19,6 +19,10 @@ Two execution strategies fill the grid:
   requested configurations with a worker-local cache (preserving the
   cross-configuration reuse).
 
+Both go through one per-cell loop, :func:`_compile_cells`; they differ
+only in cell order (configuration-major serially, loop-major per chunk)
+and in which cache they hand it.
+
 Both strategies are **fault-tolerant** (see :mod:`repro.core.faults`):
 
 * a per-cell wall-clock ``timeout`` degrades a hung schedule to a
@@ -27,12 +31,16 @@ Both strategies are **fault-tolerant** (see :mod:`repro.core.faults`):
 * a crashed or unpicklable worker poisons only its chunk: the chunk is
   retried once at chunk-size 1 to isolate the bad loop, which is then
   recorded as a ``crash`` failure while every other loop's metrics
-  survive;
-* an optional :class:`~repro.evalx.checkpoint.CheckpointLog` persists
-  each completed cell, so an interrupted run resumes from where it died.
+  survive.
 
-However the grid was filled — serially, in parallel, resumed, or any
-mix — the assembly step orders cells configuration-major/loop-minor,
+Resuming an interrupted run means rerunning it with the same artifact
+store (``store=``): every cell finished before the interruption is a
+store hit, the rest compile.  Failed cells are never stored, so a rerun
+recomputes them; a ``timeout`` is a property of the budget, not of the
+cell's content key.
+
+However the grid was filled — serially, in parallel, from a warm store,
+or any mix — the assembly step orders cells configuration-major/loop-minor,
 exactly the order a clean serial run produces, so tables, figures, CSV
 and the failure list are byte-identical across strategies.
 """
@@ -52,7 +60,6 @@ from repro.core.faults import DeadlineExceeded, deadline, maybe_inject_fault
 from repro.core.fingerprint import StoreKeyPrefix, key_prefix
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.results import LoopFailure, LoopMetrics
-from repro.evalx.checkpoint import Cell, CellKey, CheckpointLog, CheckpointMismatch
 from repro.ir.block import Loop
 from repro.machine.machine import CopyModel, MachineDescription
 from repro.machine.presets import paper_machine
@@ -75,6 +82,32 @@ PAPER_CONFIG_ORDER: tuple[tuple[int, CopyModel], ...] = (
 def config_label(n_clusters: int, model: CopyModel) -> str:
     kind = "Embedded" if model is CopyModel.EMBEDDED else "Copy Unit"
     return f"{n_clusters} Clusters / {kind}"
+
+
+#: a cell's identity within one run: (loop index, configuration label)
+CellKey = tuple[int, str]
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One completed (loop, configuration) compilation outcome."""
+
+    loop_index: int
+    config: str
+    metrics: LoopMetrics | None = None
+    failure: LoopFailure | None = None
+
+    def __post_init__(self) -> None:
+        if (self.metrics is None) == (self.failure is None):
+            raise ValueError("a cell holds exactly one of metrics/failure")
+
+    @property
+    def ok(self) -> bool:
+        return self.metrics is not None
+
+    @property
+    def key(self) -> CellKey:
+        return (self.loop_index, self.config)
 
 
 @dataclass
@@ -101,11 +134,8 @@ class EvalRun:
     pass_seconds: dict[str, float] = field(default_factory=dict)
     #: per-cell wall-clock budget (None = unbounded)
     timeout_seconds: float | None = None
-    #: cells served from a resume checkpoint instead of compiled
-    resumed_cells: int = 0
-    #: per-cell MetricsRegistry snapshots (``collect_metrics=True``);
-    #: keyed like the checkpoint grid, ``{"loop": name, **snapshot}``.
-    #: Covers only cells compiled by this run, never resumed ones.
+    #: per-cell MetricsRegistry snapshots (``collect_metrics=True``),
+    #: keyed by :data:`CellKey`: ``{"loop": name, **snapshot}``
     cell_metrics: dict[CellKey, dict] = field(default_factory=dict)
 
     def config_labels(self) -> list[str]:
@@ -194,6 +224,57 @@ def _failure_cell(
     )
 
 
+def _compile_cells(
+    cells: list[tuple[int, Loop, str]],
+    machines: dict[str, MachineDescription],
+    pipeline_config: PipelineConfig,
+    cache: ArtifactCache,
+    timeout: float | None,
+    attempt: int,
+    tracer: Tracer | None,
+    collect_metrics: bool,
+    store: ArtifactStore | None,
+) -> tuple[list[Cell], dict[str, float], list[tuple[CellKey, dict]]]:
+    """Compile ``(loop index, loop, label)`` cells in the given order.
+
+    The one per-cell loop of the runner: each cell compiles under its
+    own tracer scope and (``collect_metrics``) its own
+    :class:`~repro.obs.MetricsRegistry`; an exception becomes a failure
+    cell stamped with ``attempt``.  Returns the cells, their summed pass
+    wall times and their metric snapshots.  The store key's
+    loop-independent prefix is derived once per label, so warm cells
+    hash only the (memoized) loop.
+    """
+    prefixes = {
+        label: key_prefix(machines[label], pipeline_config)
+        for label in {label for _, _, label in cells}
+    } if store is not None else {}
+    done: list[Cell] = []
+    pass_seconds: dict[str, float] = {}
+    snapshots: list[tuple[CellKey, dict]] = []
+    for idx, loop, label in cells:
+        registry = MetricsRegistry() if collect_metrics else None
+        scope = (
+            tracer.cell(idx, label, loop_name=loop.name)
+            if tracer is not None else nullcontext()
+        )
+        with scope:
+            try:
+                result = _compile_cell(
+                    loop, machines[label], pipeline_config, cache, timeout,
+                    tracer=tracer, metrics=registry,
+                    store=store, store_prefix=prefixes.get(label),
+                )
+            except Exception as exc:
+                done.append(_failure_cell(idx, label, loop, exc, attempt))
+            else:
+                done.append(Cell(loop_index=idx, config=label, metrics=result.metrics))
+                _merge_pass_seconds(pass_seconds, result.pass_seconds)
+        if registry is not None:
+            snapshots.append(((idx, label), {"loop": loop.name, **registry.snapshot()}))
+    return done, pass_seconds, snapshots
+
+
 def run_evaluation(
     loops: list[Loop] | None = None,
     config: PipelineConfig | None = None,
@@ -202,7 +283,6 @@ def run_evaluation(
     jobs: int = 1,
     cache: ArtifactCache | None = None,
     timeout: float | None = None,
-    checkpoint: CheckpointLog | None = None,
     tracer: Tracer | None = None,
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
@@ -220,18 +300,12 @@ def run_evaluation(
     identical to the serial run's.  ``cache`` lets callers share one
     :class:`ArtifactCache` across several serial evaluations; the
     parallel path always uses worker-local caches and only merges their
-    stats.  ``checkpoint`` persists every completed cell and seeds the
-    run with cells already recorded (see :mod:`repro.evalx.checkpoint`);
-    timing, pass and cache statistics then cover only the work actually
-    performed, while metrics and failures merge byte-identically with an
-    uninterrupted run's.
+    stats.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records one span tree per
-    compiled cell; the parallel path records spans in worker-local
-    tracers and merges them back keyed by (loop id, configuration), so
-    serial and parallel runs yield the same span identities.  Cells
-    already present in a resume checkpoint are never recompiled, hence
-    emit no spans — a resumed run never duplicates a cell's trace.
+    cell; the parallel path records spans in worker-local tracers and
+    merges them back keyed by (loop id, configuration), so serial and
+    parallel runs yield the same span identities.
     ``collect_metrics=True`` attaches a fresh
     :class:`~repro.obs.MetricsRegistry` to each compilation and stores
     the snapshots in ``run.cell_metrics``.  Neither affects metrics,
@@ -245,39 +319,31 @@ def run_evaluation(
     on-disk store independently (atomic entry writes make that safe) and
     their outcome counters are merged into the run.  Stored metrics are
     the same objects a compilation produces, so reports from warm runs
-    are identical to cold and store-less ones.
+    are identical to cold and store-less ones.  This is also how an
+    interrupted run resumes: rerun it with the same store, and only the
+    cells it had not finished (plus any failed ones, which are never
+    stored) compile.
     """
     loops = loops if loops is not None else spec95_corpus()
     pipeline_config = config if config is not None else PipelineConfig(run_regalloc=False)
     labels = [config_label(n, m) for n, m in configs]
 
-    cells: dict[CellKey, Cell] = {}
-    if checkpoint is not None:
-        if checkpoint.header.get("configs") != labels or checkpoint.header.get(
-            "n_loops"
-        ) != len(loops):
-            raise CheckpointMismatch(
-                f"checkpoint {checkpoint.path} does not describe this run "
-                f"(configs/corpus size differ)"
-            )
-        cells.update(checkpoint.cells)
-
-    run = EvalRun(jobs=max(1, jobs), timeout_seconds=timeout,
-                  resumed_cells=len(cells))
+    run = EvalRun(jobs=max(1, jobs), timeout_seconds=timeout)
     for (n_clusters, model), label in zip(configs, labels):
         run.machines[label] = paper_machine(n_clusters, model)
 
+    cells: dict[CellKey, Cell] = {}
     obs_tracer = tracer if tracer is not None and tracer.enabled else None
     t0 = time.time()
     if jobs > 1:
         _fill_parallel(
             run, cells, loops, pipeline_config, configs, jobs, progress,
-            timeout, checkpoint, obs_tracer, collect_metrics, store,
+            timeout, obs_tracer, collect_metrics, store,
         )
     else:
         _fill_serial(
-            run, cells, loops, pipeline_config, configs, progress, cache,
-            timeout, checkpoint, obs_tracer, collect_metrics, store,
+            run, cells, loops, pipeline_config, labels, progress, cache,
+            timeout, obs_tracer, collect_metrics, store,
         )
 
     # deterministic assembly: configuration-major, loop-minor — the order
@@ -298,12 +364,25 @@ def run_evaluation(
     return run
 
 
-def _record(
-    run_cells: dict[CellKey, Cell], checkpoint: CheckpointLog | None, cell: Cell
+def _absorb_cells(
+    run: EvalRun,
+    grid: dict[CellKey, Cell],
+    done: list[Cell],
+    pass_seconds: dict[str, float],
+    snapshots: list[tuple[CellKey, dict]],
 ) -> None:
-    run_cells[cell.key] = cell
-    if checkpoint is not None:
-        checkpoint.record(cell)
+    for cell in done:
+        grid[cell.key] = cell
+    _merge_pass_seconds(run.pass_seconds, pass_seconds)
+    run.cell_metrics.update(snapshots)
+
+
+def _since(before, now):
+    """The counters a stats dataclass accumulated since ``before``."""
+    return type(now)(**{
+        f.name: getattr(now, f.name) - getattr(before, f.name)
+        for f in dataclasses.fields(now)
+    })
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +395,10 @@ def _fill_serial(
     cells: dict[CellKey, Cell],
     loops: list[Loop],
     pipeline_config: PipelineConfig,
-    configs: tuple[tuple[int, CopyModel], ...],
+    labels: list[str],
     progress: bool,
     cache: ArtifactCache | None,
     timeout: float | None,
-    checkpoint: CheckpointLog | None,
     tracer: Tracer | None = None,
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
@@ -328,58 +406,18 @@ def _fill_serial(
     shared_cache = cache if cache is not None else ArtifactCache()
     cache0 = dataclasses.replace(shared_cache.stats)
     store0 = dataclasses.replace(store.stats) if store is not None else None
-    for n_clusters, model in configs:
-        label = config_label(n_clusters, model)
-        # the loop-independent four fifths of the store key, once per
-        # configuration — warm cells then hash only the (memoized) loop
-        prefix = (
-            key_prefix(run.machines[label], pipeline_config)
-            if store is not None else None
+    for label in labels:
+        done, pass_seconds, snapshots = _compile_cells(
+            [(i, loop, label) for i, loop in enumerate(loops)], run.machines,
+            pipeline_config, shared_cache, timeout, 1, tracer,
+            collect_metrics, store,
         )
-        compiled = 0
-        for i, loop in enumerate(loops):
-            if (i, label) in cells:
-                continue
-            registry = MetricsRegistry() if collect_metrics else None
-            scope = (
-                tracer.cell(i, label, loop_name=loop.name)
-                if tracer is not None else nullcontext()
-            )
-            with scope:
-                try:
-                    result = _compile_cell(
-                        loop, run.machines[label], pipeline_config,
-                        shared_cache, timeout, tracer=tracer, metrics=registry,
-                        store=store, store_prefix=prefix,
-                    )
-                except Exception as exc:
-                    cell = _failure_cell(i, label, loop, exc, attempts=1)
-                else:
-                    cell = Cell(loop_index=i, config=label, metrics=result.metrics)
-                    _merge_pass_seconds(run.pass_seconds, result.pass_seconds)
-            if registry is not None:
-                run.cell_metrics[(i, label)] = {
-                    "loop": loop.name, **registry.snapshot()
-                }
-            _record(cells, checkpoint, cell)
-            compiled += 1
-            if progress and compiled % 50 == 0:
-                print(f"  [{label}] {compiled}/{len(loops)}", file=sys.stderr)
+        _absorb_cells(run, cells, done, pass_seconds, snapshots)
         if progress:
-            print(f"[{label}] done: {compiled} compiled", file=sys.stderr)
-    delta = dataclasses.replace(shared_cache.stats)
-    delta.hits -= cache0.hits
-    delta.misses -= cache0.misses
-    delta.evictions -= cache0.evictions
-    run.absorb_cache_stats(delta)
+            print(f"[{label}] done: {len(done)} compiled", file=sys.stderr)
+    run.absorb_cache_stats(_since(cache0, shared_cache.stats))
     if store is not None:
-        sdelta = dataclasses.replace(store.stats)
-        sdelta.hits_l1 -= store0.hits_l1
-        sdelta.hits_l2 -= store0.hits_l2
-        sdelta.misses -= store0.misses
-        sdelta.invalid -= store0.invalid
-        sdelta.writes -= store0.writes
-        run.absorb_store_stats(sdelta)
+        run.absorb_store_stats(_since(store0, store.stats))
 
 
 # ----------------------------------------------------------------------
@@ -387,16 +425,15 @@ def _fill_serial(
 # ----------------------------------------------------------------------
 
 #: one unit of pool work: ([(loop index, loop), ...], configs, pipeline
-#: config, per-cell timeout, cell keys to skip, attempt number stamped
-#: into failures produced by this payload, the two observability flags
-#: (record spans / collect per-cell metrics), and the artifact-store
-#: path (workers open the on-disk store independently; None = no store).
+#: config, per-cell timeout, attempt number stamped into failures
+#: produced by this payload, the two observability flags (record spans /
+#: collect per-cell metrics), and the artifact-store path (workers open
+#: the on-disk store independently; None = no store).
 _Payload = tuple[
     list[tuple[int, Loop]],
     tuple[tuple[int, CopyModel], ...],
     PipelineConfig,
     float | None,
-    frozenset[CellKey],
     int,
     bool,
     bool,
@@ -417,11 +454,11 @@ def _compile_chunk(payload: _Payload) -> _ChunkResult:
 
     Machines are rebuilt locally (a ``MachineDescription`` holds a
     mapping-proxy latency table and does not pickle); loops and configs
-    do pickle.  The worker-local cache gives each loop in the chunk the
-    same 1-miss/(n_configs - 1)-hit profile as the serial runner.  The
-    per-cell deadline runs *here*, in the worker's main thread, so a
-    hung compilation degrades to a ``timeout`` cell instead of stalling
-    the whole run.
+    do pickle.  Cells run loop-major through a worker-local cache, which
+    gives each loop in the chunk the same 1-miss/(n_configs - 1)-hit
+    profile as the serial runner.  The per-cell deadline runs *here*, in
+    the worker's main thread, so a hung compilation degrades to a
+    ``timeout`` cell instead of stalling the whole run.
 
     Observability rides along the same way: spans land in a worker-local
     :class:`~repro.obs.Tracer` whose plain-dataclass spans pickle back
@@ -435,49 +472,19 @@ def _compile_chunk(payload: _Payload) -> _ChunkResult:
     harmless, and the worker's outcome counters travel home in the
     result for merging.
     """
-    (chunk, configs, pipeline_config, timeout, skip, attempt, trace, metrics,
+    (chunk, configs, pipeline_config, timeout, attempt, trace, metrics,
      store_path) = payload
     cache = ArtifactCache()
     store = ArtifactStore.open(store_path) if store_path is not None else None
     machines = {
         config_label(n, model): paper_machine(n, model) for n, model in configs
     }
-    prefixes = {
-        label: key_prefix(machine, pipeline_config) if store is not None else None
-        for label, machine in machines.items()
-    }
     tracer = Tracer() if trace else None
-    cells: list[Cell] = []
-    pass_seconds: dict[str, float] = {}
-    cell_metrics: list[tuple[CellKey, dict]] = []
-    for idx, loop in chunk:
-        for n_clusters, model in configs:
-            label = config_label(n_clusters, model)
-            if (idx, label) in skip:
-                continue
-            registry = MetricsRegistry() if metrics else None
-            scope = (
-                tracer.cell(idx, label, loop_name=loop.name)
-                if tracer is not None else nullcontext()
-            )
-            with scope:
-                try:
-                    result = _compile_cell(
-                        loop, machines[label], pipeline_config, cache,
-                        timeout, tracer=tracer, metrics=registry,
-                        store=store, store_prefix=prefixes[label],
-                    )
-                except Exception as exc:
-                    cells.append(_failure_cell(idx, label, loop, exc, attempt))
-                    result = None
-            if registry is not None:
-                cell_metrics.append(
-                    ((idx, label), {"loop": loop.name, **registry.snapshot()})
-                )
-            if result is None:
-                continue
-            cells.append(Cell(loop_index=idx, config=label, metrics=result.metrics))
-            _merge_pass_seconds(pass_seconds, result.pass_seconds)
+    cells, pass_seconds, cell_metrics = _compile_cells(
+        [(idx, loop, label) for idx, loop in chunk for label in machines],
+        machines, pipeline_config, cache, timeout, attempt, tracer, metrics,
+        store,
+    )
     spans = tracer.spans if tracer is not None else []
     store_stats = store.stats if store is not None else None
     return cells, cache.stats, store_stats, pass_seconds, spans, cell_metrics
@@ -492,54 +499,42 @@ def _fill_parallel(
     jobs: int,
     progress: bool,
     timeout: float | None,
-    checkpoint: CheckpointLog | None,
     tracer: Tracer | None = None,
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
 ) -> None:
     store_path = store.path if store is not None else None
     labels = [config_label(n, m) for n, m in configs]
-    indexed = [
-        (i, loop)
-        for i, loop in enumerate(loops)
-        if any((i, label) not in cells for label in labels)
-    ]
+    indexed = list(enumerate(loops))
     if not indexed:
         return
-    done_keys = frozenset(cells)
-
-    def skip_for(chunk: list[tuple[int, Loop]]) -> frozenset[CellKey]:
-        ids = {i for i, _ in chunk}
-        return frozenset(k for k in done_keys if k[0] in ids)
-
     chunk_size = max(1, math.ceil(len(indexed) / (jobs * 4)))
     chunks = [indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)]
 
+    def payload(chunk: list[tuple[int, Loop]], attempt: int) -> _Payload:
+        return (
+            chunk, configs, pipeline_config, timeout, attempt,
+            tracer is not None, collect_metrics, store_path,
+        )
+
     def absorb(result: _ChunkResult) -> None:
         chunk_cells, cache_stats, store_stats, pass_seconds, spans, chunk_metrics = result
-        for cell in chunk_cells:
-            _record(cells, checkpoint, cell)
+        _absorb_cells(run, cells, chunk_cells, pass_seconds, chunk_metrics)
         run.absorb_cache_stats(cache_stats)
         if store_stats is not None:
             run.absorb_store_stats(store_stats)
-        _merge_pass_seconds(run.pass_seconds, pass_seconds)
         if tracer is not None:
             tracer.add_spans(spans)
-        for key, snapshot in chunk_metrics:
-            run.cell_metrics[key] = snapshot
 
     # Phase 1: every chunk as one future.  A worker death (or a payload/
     # result that will not pickle) fails the futures sharing its pool
     # fate; those chunks are set aside instead of aborting the run.
     poisoned: list[list[tuple[int, Loop]]] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures: dict[Future, list[tuple[int, Loop]]] = {}
-        for chunk in chunks:
-            payload: _Payload = (
-                chunk, configs, pipeline_config, timeout, skip_for(chunk), 1,
-                tracer is not None, collect_metrics, store_path,
-            )
-            futures[pool.submit(_compile_chunk, payload)] = chunk
+        futures: dict[Future, list[tuple[int, Loop]]] = {
+            pool.submit(_compile_chunk, payload(chunk, 1)): chunk
+            for chunk in chunks
+        }
         done = 0
         not_done = set(futures)
         while not_done:
@@ -567,8 +562,8 @@ def _fill_parallel(
 
     # Phase 2: isolate — retry each loop of a poisoned chunk alone in a
     # single-worker pool.  A loop that kills its worker again is the
-    # culprit: record a crash failure for each of its outstanding cells
-    # and replace the (now broken) pool for the remaining loops.
+    # culprit: record a crash failure for each of its cells and replace
+    # the (now broken) pool for the remaining loops.
     if progress:
         n_retry = sum(len(chunk) for chunk in poisoned)
         print(f"  retrying {n_retry} loop(s) from {len(poisoned)} "
@@ -577,19 +572,14 @@ def _fill_parallel(
     try:
         for chunk in poisoned:
             for idx, loop in chunk:
-                single = [(idx, loop)]
-                payload = (
-                    single, configs, pipeline_config, timeout, skip_for(single), 2,
-                    tracer is not None, collect_metrics, store_path,
-                )
                 # same split as phase 1: only the cross-process failure is
                 # a crash; absorb() errors propagate
                 try:
-                    result = pool.submit(_compile_chunk, payload).result()
+                    result = pool.submit(
+                        _compile_chunk, payload([(idx, loop)], 2)
+                    ).result()
                 except Exception as exc:
                     for label in labels:
-                        if (idx, label) in done_keys:
-                            continue
                         failure = LoopFailure(
                             config=label,
                             loop_name=loop.name,
@@ -597,9 +587,8 @@ def _fill_parallel(
                             kind="crash",
                             attempts=2,
                         )
-                        _record(
-                            cells, checkpoint,
-                            Cell(loop_index=idx, config=label, failure=failure),
+                        cells[(idx, label)] = Cell(
+                            loop_index=idx, config=label, failure=failure
                         )
                     # the pool is broken if the worker died; start fresh
                     pool.shutdown(wait=False, cancel_futures=True)

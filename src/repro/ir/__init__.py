@@ -21,7 +21,7 @@ partitioning, register allocation, simulation) consumes these objects.
 from repro.ir.types import DataType, Immediate, MemRef
 from repro.ir.registers import SymbolicRegister, RegisterFactory
 from repro.ir.operations import Opcode, OpClass, Operation, OPCODE_INFO
-from repro.ir.block import BasicBlock, Loop
+from repro.ir.block import BasicBlock, Loop, reserve_ids
 from repro.ir.function import Function
 from repro.ir.builder import LoopBuilder
 from repro.ir.printer import format_operation, format_loop
@@ -40,6 +40,7 @@ __all__ = [
     "OPCODE_INFO",
     "BasicBlock",
     "Loop",
+    "reserve_ids",
     "Function",
     "LoopBuilder",
     "format_operation",

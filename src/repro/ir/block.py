@@ -11,9 +11,10 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.ir.operations import Operation
-from repro.ir.registers import RegisterFactory, SymbolicRegister
+from repro.ir.operations import Operation, advance_op_ids_past
+from repro.ir.registers import RegisterFactory, SymbolicRegister, advance_rids_past
 
 
 @dataclass(slots=True)
@@ -128,3 +129,17 @@ class Loop:
             if op.dest is not None and op.dest == reg:
                 return op
         return None
+
+
+def reserve_ids(loops: Iterable[Loop]) -> None:
+    """Move the process-wide register and operation id counters past
+    every id that ``loops`` use.
+
+    Ids are unique within one process only.  A loop built in another
+    process (the compile daemon parses request loops after its workers
+    have forked) may carry ids this process has already handed out, and
+    copies minted for it here would then collide with its own registers.
+    """
+    loops = list(loops)
+    advance_rids_past(max((r.rid for lp in loops for r in lp.registers()), default=0))
+    advance_op_ids_past(max((op.op_id for lp in loops for op in lp.ops), default=0))

@@ -159,6 +159,12 @@ def _fresh_op_id() -> int:
     return _next_op_id
 
 
+def advance_op_ids_past(op_id: int) -> None:
+    """Make every operation created from now on get an id above ``op_id``."""
+    global _next_op_id
+    _next_op_id = max(_next_op_id, op_id)
+
+
 @dataclass(slots=True, eq=False)
 class Operation:
     """One three-address operation.

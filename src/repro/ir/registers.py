@@ -20,6 +20,12 @@ from repro.ir.types import DataType
 _GLOBAL_RID = itertools.count(1)
 
 
+def advance_rids_past(rid: int) -> None:
+    """Make every register minted from now on get an id above ``rid``."""
+    global _GLOBAL_RID
+    _GLOBAL_RID = itertools.count(max(next(_GLOBAL_RID), rid + 1))
+
+
 @dataclass(frozen=True, slots=True)
 class SymbolicRegister:
     """A virtual register with an identity, a name and a data type.

@@ -9,7 +9,7 @@ backtrack counts), the greedy partitioner, copy insertion and spill
 rewriting.  Spans carry monotonic ``perf_counter_ns`` timestamps plus a
 deterministic identity — ``(loop_index, config, seq, depth, name)`` —
 so traces from different execution strategies (serial, ``--jobs N``
-workers, checkpoint resume) can be compared and merged by loop id.
+workers, a rerun over a warm store) can be compared and merged by loop id.
 
 Tracing is **off by default and free when disabled**: every
 instrumentation site either holds the :data:`NULL_TRACER` singleton

@@ -13,7 +13,7 @@ port in their destination cluster and one bus.  Operations without a
 cluster assignment — the monolithic ideal machine — draw from cluster 0,
 whose FU count is the full machine width.
 
-Modulo reservation tables come in three interchangeable backends,
+Modulo reservation tables come in two interchangeable backends,
 selected by :func:`make_mrt`:
 
 ``packed`` (the default)
@@ -32,12 +32,6 @@ selected by :func:`make_mrt`:
       per-placement bookkeeping beyond the row word itself — iterative
       scheduling under pressure is eviction-heavy, so placement state
       must stay maintenance-free.
-
-``numpy``
-    The same pool model vectorized over NumPy arrays (one ``(II, pools)``
-    occupancy matrix per table).  Optional: requested explicitly at
-    runtime, never a hard dependency, and never a silent fallback — if
-    NumPy is missing, :func:`make_mrt` raises :class:`MRTBackendError`.
 
 ``reference``
     The original dict-of-:class:`SlotPool` bookkeeping, kept verbatim as
@@ -108,8 +102,8 @@ class ResourceGeometry:
     """
 
     __slots__ = (
-        "n_clusters", "n_pools", "caps", "bias", "guard", "copy_unit",
-        "_fu_words", "_copy_words", "_fu_pools", "_copy_pools",
+        "n_clusters", "bias", "guard", "copy_unit",
+        "_fu_words", "_copy_words",
     )
 
     def __init__(self, n_clusters: int, fus_per_cluster: int,
@@ -123,8 +117,6 @@ class ResourceGeometry:
                 f"limit {_FIELD_MAX}; widen _FIELD_BITS"
             )
         self.n_clusters = n_clusters
-        self.n_pools = 2 * n_clusters + 1
-        self.caps = caps
         self.copy_unit = copy_model is CopyModel.COPY_UNIT
         w = _FIELD_BITS
         self.guard = 0
@@ -137,10 +129,6 @@ class ResourceGeometry:
         self._copy_words = [
             (1 << ((n_clusters + c) * w)) | (1 << (bus_pool * w))
             for c in range(n_clusters)
-        ]
-        self._fu_pools = [(c,) for c in range(n_clusters)]
-        self._copy_pools = [
-            (n_clusters + c, bus_pool) for c in range(n_clusters)
         ]
 
     def demand_word(self, op: Operation, machine: MachineDescription) -> int:
@@ -156,19 +144,6 @@ class ResourceGeometry:
         if op.is_copy and self.copy_unit:
             return self._copy_words[cluster]
         return self._fu_words[cluster]
-
-    def demand_pools(self, op: Operation, machine: MachineDescription) -> tuple[int, ...]:
-        """Pool indices ``op`` consumes (for the vectorized backend)."""
-        cluster = op.cluster if op.cluster is not None else 0
-        machine.validate_cluster(cluster if machine.is_clustered else None)
-        if not (0 <= cluster < self.n_clusters):
-            raise IndexError(
-                f"cluster {cluster} out of range for {self.n_clusters}-pool "
-                f"geometry"
-            )
-        if op.is_copy and self.copy_unit:
-            return self._copy_pools[cluster]
-        return self._fu_pools[cluster]
 
 
 #: geometry cache — machines are few and geometries depend only on shape
@@ -399,100 +374,11 @@ class PackedModuloReservationTable:
         ]
 
 
-class NumpyModuloReservationTable:
-    """The pool model vectorized over NumPy (optional backend).
-
-    One ``(II, n_pools)`` int32 occupancy matrix; ``fits`` compares a row
-    plus the op's demand vector against the capacity vector, and
-    ``first_free`` evaluates the whole probe window in one vectorized
-    comparison.  Results are integer-exact and byte-identical to the
-    packed and reference backends.
-    """
-
-    __slots__ = (
-        "machine", "ii", "geom", "_np", "_occ", "_caps",
-        "_placed", "_row_ops", "_demands",
-    )
-
-    def __init__(self, machine: MachineDescription, ii: int,
-                 demands: dict | None = None):
-        if ii < 1:
-            raise ValueError("II must be positive")
-        import numpy as np
-
-        self._np = np
-        self.machine = machine
-        self.ii = ii
-        self.geom = resource_geometry(machine)
-        self._occ = np.zeros((ii, self.geom.n_pools), dtype=np.int32)
-        self._caps = np.asarray(self.geom.caps, dtype=np.int32)
-        self._placed: dict[int, tuple[int, object]] = {}
-        self._row_ops: list[dict[int, int]] = [dict() for _ in range(ii)]
-        #: op_id -> (demand vector, packed word for pool-sharing tests)
-        self._demands: dict[int, tuple] = demands if demands is not None else {}
-
-    def _demand(self, op: Operation):
-        entry = self._demands.get(op.op_id)
-        if entry is None:
-            vec = self._np.zeros(self.geom.n_pools, dtype=self._np.int32)
-            for pool in self.geom.demand_pools(op, self.machine):
-                vec[pool] = 1
-            entry = self._demands[op.op_id] = (
-                vec, self.geom.demand_word(op, self.machine)
-            )
-        return entry
-
-    def fits(self, op: Operation, time: int) -> bool:
-        vec, _word = self._demand(op)
-        row = time % self.ii
-        return bool(((self._occ[row] + vec) <= self._caps).all())
-
-    def first_free(self, op: Operation, estart: int) -> int | None:
-        vec, _word = self._demand(op)
-        ok = ((self._occ + vec) <= self._caps).all(axis=1)
-        s = estart % self.ii
-        order = self._np.concatenate((ok[s:], ok[:s]))
-        k = int(order.argmax())
-        if not order[k]:
-            return None
-        return estart + k
-
-    def place(self, op: Operation, time: int) -> None:
-        if op.op_id in self._placed:
-            raise ValueError(f"operation already placed: {op!r}")
-        vec, word = self._demand(op)
-        row = time % self.ii
-        if not ((self._occ[row] + vec) <= self._caps).all():
-            raise ValueError("resource over-subscription")
-        self._occ[row] += vec
-        self._placed[op.op_id] = (time, vec)
-        self._row_ops[row][op.op_id] = word
-
-    def remove(self, op: Operation) -> int:
-        time, vec = self._placed.pop(op.op_id)
-        row = time % self.ii
-        self._occ[row] -= vec
-        del self._row_ops[row][op.op_id]
-        return time
-
-    def is_placed(self, op: Operation) -> bool:
-        return op.op_id in self._placed
-
-    def time_of(self, op: Operation) -> int:
-        return self._placed[op.op_id][0]
-
-    def conflicting_ops(self, op: Operation, time: int) -> list[int]:
-        _vec, word = self._demand(op)
-        return [
-            oid for oid, w in self._row_ops[time % self.ii].items() if w & word
-        ]
-
-
 @dataclass
 class ReferenceModuloReservationTable:
     """Fixed-II modulo reservation table (Rau, Section 2) — the original
     dict-of-:class:`SlotPool` implementation, kept verbatim as the golden
-    oracle for the packed and NumPy backends.
+    oracle for the packed backend.
 
     Row ``t mod II`` must accommodate every operation issued at absolute
     time ``t``; placement and removal support the iterative scheduler's
@@ -585,20 +471,11 @@ ModuloReservationTable = PackedModuloReservationTable
 
 DEFAULT_MRT_BACKEND = "packed"
 
-MRT_BACKENDS = ("packed", "numpy", "reference")
+MRT_BACKENDS = ("packed", "reference")
 
 
 class MRTBackendError(RuntimeError):
-    """An unknown or unavailable MRT backend was requested."""
-
-
-def numpy_available() -> bool:
-    """Is the optional NumPy backend importable?"""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+    """An unknown MRT backend was requested."""
 
 
 def make_mrt(machine: MachineDescription, ii: int,
@@ -608,21 +485,12 @@ def make_mrt(machine: MachineDescription, ii: int,
     ``demands`` optionally shares a per-op demand cache across tables
     (the iterative scheduler passes one dict through all its II retries;
     values are backend-specific, so never share a dict across backends).
-    ``backend="numpy"`` raises :class:`MRTBackendError` when NumPy is not
-    importable — an explicit request never falls back silently.
     """
     name = backend or DEFAULT_MRT_BACKEND
     if name == "packed":
         return PackedModuloReservationTable(machine, ii, demands=demands)
     if name == "reference":
         return ReferenceModuloReservationTable(machine, ii, demands=demands)
-    if name == "numpy":
-        if not numpy_available():
-            raise MRTBackendError(
-                "mrt backend 'numpy' requested but numpy is not importable; "
-                "use the pure-python 'packed' backend instead"
-            )
-        return NumpyModuloReservationTable(machine, ii, demands=demands)
     raise MRTBackendError(
         f"unknown mrt backend {name!r}; available: {', '.join(MRT_BACKENDS)}"
     )

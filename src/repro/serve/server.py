@@ -45,8 +45,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from repro.core.fingerprint import StoreKeyPrefix, key_prefix, store_key
 from repro.core.pipeline import PipelineConfig
 from repro.core.results import LoopFailure, LoopMetrics
-from repro.evalx.checkpoint import Cell
-from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label
+from repro.evalx.runner import PAPER_CONFIG_ORDER, Cell, config_label
 from repro.ir.block import Loop
 from repro.ir.parser import parse_loop
 from repro.machine.machine import CopyModel, MachineDescription
@@ -132,6 +131,8 @@ class CompileService:
         self._pool_gate = asyncio.Semaphore(self.jobs)
         self._machines: dict[str, MachineDescription] = {}
         self._prefixes: dict[str, StoreKeyPrefix] = {}
+        #: open connections: handler task -> its writer
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -149,6 +150,15 @@ class CompileService:
     async def wait_drained(self) -> None:
         await self._drained.wait()
 
+    async def close_clients(self) -> None:
+        """End every open connection once drained: closing a connection
+        hands its handler end-of-input, so it returns normally instead of
+        being cancelled mid-read at interpreter shutdown.  A handler that
+        failed has already been reported by asyncio's stream callback."""
+        for writer in self._clients.values():
+            writer.close()
+        await asyncio.gather(*self._clients, return_exceptions=True)
+
     def close(self) -> None:
         self._pool.shutdown(wait=True)
 
@@ -159,6 +169,8 @@ class CompileService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One connection: serve line-JSON ops until the peer hangs up."""
+        task = asyncio.current_task()
+        self._clients[task] = writer
         try:
             while True:
                 line = await reader.readline()
@@ -190,6 +202,7 @@ class CompileService:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass  # peer went away; nothing left to tell it
         finally:
+            del self._clients[task]
             writer.close()
 
     async def _send(self, writer: asyncio.StreamWriter, doc: dict) -> None:
@@ -672,6 +685,7 @@ def serve_forever(
                 pass
         await service.wait_drained()
         server.close()
+        await service.close_clients()
         await server.wait_closed()
         service.close()
         if metrics_out:

@@ -5,7 +5,13 @@ request; the worker compiles them exactly the way the evaluation
 runner's workers do (worker-local :class:`ArtifactCache`, machines
 rebuilt locally, ``maybe_inject_fault`` honoured, artifacts written to
 the shared on-disk store) and returns picklable
-:class:`~repro.evalx.checkpoint.Cell` outcomes.
+:class:`~repro.evalx.runner.Cell` outcomes.
+
+The daemon parses request loops after its workers fork, so their
+register and operation ids come from the server's counters, not the
+worker's.  Each chunk first moves the worker's counters past the ids of
+its loops (:func:`repro.ir.reserve_ids`); otherwise copies minted here
+could reuse a register id of the loop they are inserted into.
 
 Fault budgets **stack** here: the whole chunk runs under the request's
 remaining ``budget`` and every cell under the service's per-cell
@@ -24,9 +30,8 @@ from repro.core.cache import ArtifactCache
 from repro.core.faults import DeadlineExceeded, deadline
 from repro.core.fingerprint import key_prefix
 from repro.core.pipeline import PipelineConfig
-from repro.evalx.checkpoint import Cell
-from repro.evalx.runner import _compile_cell, _failure_cell, config_label
-from repro.ir.block import Loop
+from repro.evalx.runner import Cell, _compile_cell, _failure_cell, config_label
+from repro.ir.block import Loop, reserve_ids
 from repro.machine.machine import CopyModel
 from repro.machine.presets import paper_machine
 from repro.store.tiered import ArtifactStore, StoreStats
@@ -47,6 +52,7 @@ ServeChunkResult = tuple[list[Cell], StoreStats | None]
 def compile_serve_chunk(payload: ServePayload) -> ServeChunkResult:
     """Compile one request chunk under stacked request/cell deadlines."""
     cells, pipeline_config, cell_timeout, budget, store_path = payload
+    reserve_ids(loop for _, loop, _, _ in cells)
     store = ArtifactStore.open(store_path) if store_path is not None else None
     cache = ArtifactCache()
     machines: dict[tuple[int, str], object] = {}

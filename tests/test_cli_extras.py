@@ -100,29 +100,38 @@ class TestEvaluateFaultSurfaces:
         assert "Table 1" in capsys.readouterr().out
 
 
-class TestEvaluateCheckpointFlags:
+class TestEvaluateStoreRerun:
+    """Resuming an evaluation is rerunning it with the same ``--store``."""
+
     @staticmethod
     def _stable(text):
         # drop the wall-time line; everything else must be reproducible
         return [ln for ln in text.splitlines() if not ln.startswith("corpus:")]
 
-    def test_checkpoint_then_resume_reproduces_report(self, tmp_path, capsys):
-        ckpt = tmp_path / "ck.jsonl"
-        assert main(["evaluate", "--quick", "4", "--checkpoint", str(ckpt)]) == 0
+    def test_store_rerun_reproduces_report(self, tmp_path, capsys):
+        store = str(tmp_path / "st")
+        assert main(["evaluate", "--quick", "4", "--store", store]) == 0
         first = capsys.readouterr().out
-        assert ckpt.exists()
-        assert main(["evaluate", "--quick", "4", "--resume", str(ckpt)]) == 0
-        second = capsys.readouterr().out
-        assert self._stable(second) == self._stable(first)
+        assert main(["evaluate", "--quick", "4", "--store", store]) == 0
+        second = capsys.readouterr()
+        assert "24 hits, 0 misses" in second.err
+        assert self._stable(second.out) == self._stable(first)
 
-    def test_checkpoint_and_resume_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["evaluate", "--quick", "2",
-                  "--checkpoint", str(tmp_path / "a"),
-                  "--resume", str(tmp_path / "b")])
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--resume", "x"],
+        ["evaluate", "--checkpoint", "x"],
+        ["gap", "--resume", "x"],
+        ["gap", "--checkpoint", "x"],
+    ], ids=["evaluate-resume", "evaluate-checkpoint", "gap-resume",
+            "gap-checkpoint"])
+    def test_resume_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # argparse: unrecognized arguments
 
-    def test_incompatible_resume_is_a_clean_error(self, tmp_path):
-        ckpt = tmp_path / "ck.jsonl"
-        assert main(["evaluate", "--quick", "3", "--checkpoint", str(ckpt)]) == 0
-        with pytest.raises(SystemExit, match="different run"):
-            main(["evaluate", "--quick", "4", "--resume", str(ckpt)])
+    def test_larger_corpus_compiles_only_new_loops(self, tmp_path, capsys):
+        store = str(tmp_path / "st")
+        assert main(["evaluate", "--quick", "3", "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--quick", "4", "--store", store]) == 0
+        assert "18 hits, 6 misses" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Detail tests for the evaluation runner's small surfaces."""
 
+import pytest
+
 from repro.core.pipeline import PipelineConfig
-from repro.core.results import DEGRADATION_BUCKETS
-from repro.evalx.runner import EvalRun, PAPER_CONFIG_ORDER, config_label, run_evaluation
+from repro.core.results import DEGRADATION_BUCKETS, LoopFailure
+from repro.evalx.runner import Cell, PAPER_CONFIG_ORDER, config_label, run_evaluation
 from repro.machine.machine import CopyModel
 from repro.workloads.corpus import spec95_corpus
 
@@ -38,6 +40,16 @@ class TestConfigLabels:
         )
         label = config_label(2, CopyModel.EMBEDDED)
         assert run.machines[label].n_clusters == 2
+
+
+class TestCellType:
+    def test_cell_holds_exactly_one_payload(self):
+        with pytest.raises(ValueError):
+            Cell(loop_index=0, config="c")
+
+    def test_unknown_failure_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown failure kind"):
+            LoopFailure(config="c", loop_name="lp", error="e", kind="meteor")
 
 
 class TestBucketsConstant:

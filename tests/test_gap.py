@@ -158,17 +158,18 @@ class TestGapCli:
                             "--csv", str(tmp_path / "parallel.csv"))
         assert parallel.returncode == 0, parallel.stderr
 
-        prefix = str(tmp_path / "ckpt")
+        # resume = rerun with the same store: every cell of both legs is
+        # answered from disk the second time
+        store = str(tmp_path / "store")
         first = _run_gap("--quick", self.N, "--timeout", "30",
-                         "--checkpoint", prefix)
+                         "--store", store)
         assert first.returncode == 0, first.stderr
-        assert (tmp_path / "ckpt.greedy.jsonl").exists()
-        assert (tmp_path / "ckpt.exact.jsonl").exists()
         resumed = _run_gap("--quick", self.N, "--timeout", "30",
-                           "--resume", prefix,
+                           "--store", store,
                            "--csv", str(tmp_path / "resumed.csv"))
         assert resumed.returncode == 0, resumed.stderr
-        assert "resumed" in resumed.stderr
+        n_cells = 2 * int(self.N) * 6
+        assert f"{n_cells} hits, 0 misses" in resumed.stderr
 
         # ---- acceptance: report bytes identical across all strategies --
         assert parallel.stdout.split("per-loop gap CSV")[0] == \

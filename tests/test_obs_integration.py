@@ -1,18 +1,17 @@
-"""Observability under the parallel runner and checkpoint resume.
+"""Observability under the parallel runner and a store-backed resume.
 
 Traces must merge deterministically across worker processes (same span
-identities as a serial run, keyed by loop id) and a resumed run must not
-re-emit spans for cells already served from the checkpoint."""
-
-import json
+identities as a serial run, keyed by loop id) and a rerun over a partly
+filled store must trace each cell exactly once and compile only the
+cells the store lacks."""
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig
-from repro.evalx.checkpoint import CheckpointLog
 from repro.evalx.report import render_full_report
 from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label, run_evaluation
 from repro.obs import Tracer
+from repro.store import ArtifactStore
 from repro.workloads.corpus import spec95_corpus
 
 CONFIG = PipelineConfig(run_regalloc=False)
@@ -55,40 +54,39 @@ class TestParallelTraceEquivalence:
 
 
 class TestCheckpointResumeTracing:
+    """The artifact store is the run's checkpoint: a rerun over a store
+    that an interrupted run partly filled answers the finished cells from
+    disk and compiles only the rest."""
+
     @pytest.fixture()
-    def truncated_checkpoint(self, tmp_path):
-        """A full checkpoint cut down to its first 10 cells, simulating a
+    def partial_store(self, tmp_path):
+        """A store holding only the first two loops' cells, simulating a
         run that died mid-flight."""
         loops = spec95_corpus(n=4)
-        full = tmp_path / "full.jsonl"
-        with CheckpointLog.fresh(full, loops, LABELS, CONFIG) as log:
-            run_evaluation(loops=loops, config=CONFIG, checkpoint=log)
-        lines = full.read_text().splitlines()
-        kept = lines[:1 + 10]  # header + 10 cells
-        partial = tmp_path / "partial.jsonl"
-        partial.write_text("\n".join(kept) + "\n")
-        done = [json.loads(line) for line in kept[1:]]
-        done_keys = {(d["loop_index"], d["config"]) for d in done}
-        return loops, partial, done_keys
+        run_evaluation(loops=loops[:2], config=CONFIG,
+                       store=ArtifactStore.open(tmp_path / "st"))
+        done_keys = {(i, label) for i in range(2) for label in LABELS}
+        return loops, tmp_path / "st", done_keys
 
-    def test_resume_emits_spans_only_for_missing_cells(self, truncated_checkpoint):
-        loops, partial, done_keys = truncated_checkpoint
+    def test_resume_emits_spans_only_for_missing_cells(self, partial_store):
+        loops, store_path, done_keys = partial_store
         tracer = Tracer()
-        with CheckpointLog.resume(partial, loops, LABELS, CONFIG) as log:
-            run = run_evaluation(loops=loops, config=CONFIG, checkpoint=log,
-                                 tracer=tracer)
-        assert run.resumed_cells == len(done_keys)
+        run = run_evaluation(loops=loops, config=CONFIG, tracer=tracer,
+                             store=ArtifactStore.open(store_path))
+        assert run.store_hits == len(done_keys)
         all_keys = {(i, label) for i in range(len(loops)) for label in LABELS}
         roots = root_cells(tracer)
         assert len(roots) == len(set(roots)), "duplicate cell spans"
-        assert set(roots) == all_keys - done_keys
+        assert set(roots) == all_keys
+        # a store hit traces only its lookup; compile passes run for the rest
+        compiled = {s.group_key() for s in tracer.spans if s.name == "BuildDDG"}
+        assert compiled == all_keys - done_keys
 
-    def test_resumed_tables_byte_identical_to_uninterrupted(self, truncated_checkpoint):
-        loops, partial, _done = truncated_checkpoint
+    def test_resumed_tables_byte_identical_to_uninterrupted(self, partial_store):
+        loops, store_path, _done = partial_store
         clean = run_evaluation(loops=loops, config=CONFIG)
-        with CheckpointLog.resume(partial, loops, LABELS, CONFIG) as log:
-            resumed = run_evaluation(loops=loops, config=CONFIG, checkpoint=log,
-                                     tracer=Tracer(), jobs=2)
+        resumed = run_evaluation(loops=loops, config=CONFIG, tracer=Tracer(),
+                                 jobs=2, store=ArtifactStore.open(store_path))
         clean_report = render_full_report(clean)
         resumed_report = render_full_report(resumed)
         # only the wall-time line may differ
@@ -98,21 +96,3 @@ class TestCheckpointResumeTracing:
             if a != b
         ]
         assert all("wall time" in a for a, _b in diff)
-
-
-class TestCheckpointMetrics:
-    def test_resume_collects_metrics_only_for_fresh_cells(self, tmp_path):
-        loops = spec95_corpus(n=3)
-        path = tmp_path / "ckpt.jsonl"
-        with CheckpointLog.fresh(path, loops, LABELS, CONFIG) as log:
-            first = run_evaluation(loops=loops[:3], config=CONFIG, checkpoint=log,
-                                   collect_metrics=True)
-        assert len(first.cell_metrics) == 3 * len(LABELS)
-        with CheckpointLog.resume(path, loops, LABELS, CONFIG) as log:
-            resumed = run_evaluation(loops=loops, config=CONFIG, checkpoint=log,
-                                     collect_metrics=True)
-        # everything was already recorded: no compilation, no snapshots
-        assert resumed.resumed_cells == 3 * len(LABELS)
-        assert resumed.cell_metrics == {}
-        assert render_full_report(resumed).splitlines()[5:] == \
-            render_full_report(first).splitlines()[5:]

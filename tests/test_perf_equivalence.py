@@ -5,7 +5,7 @@ The hot-path perf work rewrote ``recurrence_ii``, ``critical_cycle_ratio``,
 arrays) and ``greedy_partition`` (single-pass benefit accumulation with
 incrementally-maintained bank sizes), then reworked the scheduling and
 partitioning data layer around flat integer arrays: packed occupancy-word
-modulo reservation tables (with optional NumPy and reference backends),
+modulo reservation tables (with a reference backend),
 CSR adjacency for the partitioner and component analysis, and
 difference-array liveness/interference rows.  Each rewrite kept its
 direct transcription as a ``_reference_*`` function or backend; these
@@ -245,12 +245,7 @@ from repro.sched.resources import (  # noqa: E402
     MRT_BACKENDS,
     MRTBackendError,
     make_mrt,
-    numpy_available,
 )
-
-
-def _available_backends() -> list[str]:
-    return [b for b in MRT_BACKENDS if b != "numpy" or numpy_available()]
 
 
 def _mrt_fixture(seed: int):
@@ -296,7 +291,7 @@ def test_mrt_backends_agree_on_random_sequences(seed):
     the scheduler's eviction choice depends on it)."""
     rng, machine, new_op = _mrt_fixture(seed)
     ii = rng.randint(2, 10)
-    backends = _available_backends()
+    backends = MRT_BACKENDS
     tables = [make_mrt(machine, ii, backend=b) for b in backends]
 
     pool = [new_op() for _ in range(rng.randint(2, 12))]
@@ -345,8 +340,6 @@ def test_mrt_backends_agree_on_random_sequences(seed):
 @pytest.mark.parametrize("backend", MRT_BACKENDS)
 def test_mrt_backend_error_parity(backend):
     """Every backend rejects double placement and over-subscription."""
-    if backend == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable")
     machine = ideal_machine(width=1)
 
     def alu():
@@ -372,19 +365,6 @@ def test_make_mrt_rejects_unknown_backend():
         make_mrt(ideal_machine(), 2, backend="vectorized")
 
 
-def test_numpy_backend_never_falls_back_silently():
-    """With NumPy importable an explicit request must yield the NumPy
-    table; without it the request must raise, not degrade to packed."""
-    if numpy_available():
-        from repro.sched.resources import NumpyModuloReservationTable
-
-        mrt = make_mrt(ideal_machine(), 4, backend="numpy")
-        assert type(mrt) is NumpyModuloReservationTable
-    else:
-        with pytest.raises(MRTBackendError):
-            make_mrt(ideal_machine(), 4, backend="numpy")
-
-
 # ----------------------------------------------------------------------
 # scheduler parity across MRT backends
 # ----------------------------------------------------------------------
@@ -407,7 +387,7 @@ def test_scheduler_attempts_identical_across_backends(seed):
     rec = recurrence_ii(ddg)
     for ii in (rec, rec + 2, rec + 5):
         results = []
-        for backend in _available_backends():
+        for backend in MRT_BACKENDS:
             sched = ModuloScheduler(machine, mrt_backend=backend)
             sched._demand_cache = {}
             results.append(sched._try_ii(ddg, ii))
@@ -426,7 +406,7 @@ def test_corpus_schedules_identical_across_backends():
         ddg = build_loop_ddg(loop)
         kernels = [
             modulo_schedule(loop, ddg, machine, mrt_backend=b)
-            for b in _available_backends()
+            for b in MRT_BACKENDS
         ]
         for k in kernels[1:]:
             assert k.ii == kernels[0].ii

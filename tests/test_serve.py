@@ -245,6 +245,46 @@ class TestServeEndToEnd:
             client.shutdown()
         assert daemon.proc.wait(timeout=30) == 0
 
+    def test_drain_with_open_connection_exits_without_traceback(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory()
+        with daemon.client() as client:
+            client.submit(spec95_corpus(n=1))
+            client.shutdown()
+            # the connection is still open while the daemon drains
+            assert daemon.proc.wait(timeout=30) == 0
+        log = daemon.proc.stdout.read()  # stderr is merged into stdout
+        assert "drained, exiting" in log
+        assert "Traceback" not in log
+
+    def test_loop_parsed_after_worker_fork_compiles_like_local(
+        self, daemon_factory
+    ):
+        """The worker mints copies from its own id counters, which the
+        daemon's later parses know nothing of: a loop submitted after
+        another one compiled must still get the local compiler's
+        answer, cell for cell."""
+        from repro.core.pipeline import compile_loop
+        from repro.ir.parser import parse_loop
+        from repro.ir.printer import format_loop
+        from repro.workloads.kernels import make_kernel
+
+        daemon = daemon_factory("--jobs", "1")
+        loop = make_kernel("daxpy4")
+        with daemon.client(timeout=120.0) as client:
+            client.submit([make_kernel("daxpy")])
+            served = client.submit([loop])
+        assert daemon.stop() == 0
+
+        config = PipelineConfig(run_regalloc=False)
+        by_label = {cell.config: cell for cell in served.cells}
+        for n_clusters, model in PAPER_CONFIG_ORDER:
+            local = compile_loop(parse_loop(format_loop(loop)),
+                                 paper_machine(n_clusters, model), config)
+            label = config_label(n_clusters, model)
+            assert by_label[label].metrics == local.metrics, label
+
     def test_request_deadline_times_out(self, daemon_factory):
         daemon = daemon_factory("--jobs", "1")
         loops = spec95_corpus(n=4)
