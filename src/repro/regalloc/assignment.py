@@ -1,9 +1,10 @@
 """Per-bank register assignment driver.
 
-Runs cyclic liveness + MVE once per kernel, then colors each bank's
-interference graph independently with ``regs_per_bank`` colors — the
-banks are architecturally separate, so their assignments never interact
-(that separation is the entire point of the partitioned organization).
+Runs cyclic liveness + MVE once per kernel, sweeps the MVE plan once
+into every bank's interference graph, then colors each bank
+independently with ``regs_per_bank`` colors — the banks are
+architecturally separate, so their assignments never interact (that
+separation is the entire point of the partitioned organization).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.ddg.graph import DDG
 from repro.ir.registers import SymbolicRegister
 from repro.machine.machine import MachineDescription
 from repro.regalloc.coloring import ColoringResult, chaitin_briggs_color
-from repro.regalloc.interference import build_interference
+from repro.regalloc.interference import bank_interference
 from repro.regalloc.liveness import cyclic_liveness
 from repro.regalloc.mve import plan_mve
 from repro.sched.schedule import KernelSchedule
@@ -55,24 +56,15 @@ def assign_banks(
     plan = plan_mve(liveness)
     depth_weight = 10.0 ** kernel.loop.depth
 
+    def spill_cost(name: tuple[int, int]) -> float:
+        lr = liveness.ranges[name[0]]
+        if lr.invariant:
+            return float("inf")  # never choose an invariant
+        return (lr.n_uses + 1) * depth_weight
+
     result = BankAssignments(success=True, unroll=plan.unroll)
-    for bank in range(partition.n_banks):
-        rids = {
-            r.rid
-            for r in partition.registers_in_bank(bank)
-            if r.rid in liveness.ranges
-        }
-        if not rids:
-            continue
-        graph = build_interference(plan, rids)
-        result.max_pressure = max(result.max_pressure, graph.max_clique_lower_bound())
-
-        def spill_cost(name: tuple[int, int]) -> float:
-            lr = liveness.ranges[name[0]]
-            if lr.invariant:
-                return float("inf")  # never choose an invariant
-            return (lr.n_uses + 1) * depth_weight
-
+    for bank, graph in bank_interference(plan, partition.assignment).items():
+        result.max_pressure = max(result.max_pressure, graph.max_pressure)
         coloring = chaitin_briggs_color(graph, machine.regs_per_bank, spill_cost)
         coloring.verify(graph)
         result.per_bank[bank] = coloring

@@ -12,6 +12,13 @@ The classic discipline the paper cites ([9] Chaitin, [6] Briggs et al.):
 
 Costs follow Chaitin: ``spill_cost(v) / degree(v)``, with the cost
 supplied by the caller (use counts weighted by loop depth).
+
+Both phases run on the graph's neighbour bitsets over sorted node
+indices: degree is a popcount, simplify takes the lowest set bit of
+"remaining and degree < k" (the smallest such name), and select takes
+the lowest color whose class bitset misses the node's colored
+neighbours.  ``_reference_chaitin_briggs_color`` keeps the original
+set-based colourer as the parity-test oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.regalloc.interference import InterferenceGraph, Name
+from repro.regalloc.interference import InterferenceGraph, Name, set_bits
 
 
 @dataclass
@@ -36,15 +43,24 @@ class ColoringResult:
         return not self.spilled
 
     def verify(self, graph: InterferenceGraph) -> None:
-        """Assert the coloring is proper over the non-spilled subgraph."""
+        """Assert the colored and spilled names partition the graph's
+        nodes and the coloring is proper over the non-spilled subgraph."""
+        if sorted([*self.colors, *self.spilled]) != graph.nodes:
+            raise AssertionError(
+                "colored and spilled names do not partition the graph's nodes"
+            )
+        classes = [0] * self.k
         for node, color in self.colors.items():
             if not (0 <= color < self.k):
                 raise AssertionError(f"color {color} out of range for k={self.k}")
-            for nb in graph.neighbors(node):
-                if nb in self.colors and self.colors[nb] == color:
-                    raise AssertionError(
-                        f"improper coloring: {node} and {nb} share color {color}"
-                    )
+            classes[color] |= 1 << graph.index[node]
+        for node, color in self.colors.items():
+            clash = graph.adj[graph.index[node]] & classes[color]
+            if clash:
+                nb = graph.nodes[(clash & -clash).bit_length() - 1]
+                raise AssertionError(
+                    f"improper coloring: {node} and {nb} share color {color}"
+                )
 
 
 def chaitin_briggs_color(
@@ -58,6 +74,79 @@ def chaitin_briggs_color(
     in a register); defaults to uniform cost, so the highest-degree node
     is preferred for spilling.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
+    nodes = graph.nodes
+    adj = graph.adj
+    degrees = [row.bit_count() for row in adj]
+    remaining = (1 << len(nodes)) - 1
+    below_k = 0  # nodes whose current degree is < k
+    for i, d in enumerate(degrees):
+        if d < k:
+            below_k |= 1 << i
+    costs: list[float] | None = None
+    stack: list[tuple[int, bool]] = []  # (index, was_optimistic)
+
+    while remaining:
+        candidates = remaining & below_k
+        if candidates == remaining:
+            # degrees only fall, so every later pick is the lowest
+            # remaining node and no degree needs tracking any more
+            stack.extend((j, False) for j in set_bits(remaining))
+            break
+        optimistic = not candidates
+        if optimistic:
+            # Briggs: pick the cheapest spill candidate but keep going;
+            # ascending scan with a strict < keeps the smallest name on ties
+            if costs is None:
+                costs = (
+                    [spill_cost(name) for name in nodes]
+                    if spill_cost is not None
+                    else [1.0] * len(nodes)
+                )
+            best_key = 0.0
+            pick = -1
+            for j in set_bits(remaining):
+                key = costs[j] / max(1, degrees[j])
+                if pick < 0 or key < best_key:
+                    best_key, pick = key, j
+        else:
+            pick = (candidates & -candidates).bit_length() - 1
+        remaining ^= 1 << pick
+        for j in set_bits(adj[pick] & remaining):
+            degrees[j] -= 1
+            if degrees[j] == k - 1:
+                below_k |= 1 << j
+        stack.append((pick, optimistic))
+
+    result = ColoringResult(k=k)
+    classes = [0] * k  # color -> bitset of nodes holding it
+    colored = 0
+    for i, optimistic in reversed(stack):
+        blocked = adj[i] & colored
+        for color in range(k):
+            if not classes[color] & blocked:
+                break
+        else:
+            result.spilled.append(nodes[i])
+            continue
+        bit = 1 << i
+        classes[color] |= bit
+        colored |= bit
+        result.colors[nodes[i]] = color
+        if optimistic:
+            result.optimistic_saves += 1
+    return result
+
+
+def _reference_chaitin_briggs_color(
+    graph: InterferenceGraph,
+    k: int,
+    spill_cost: Callable[[Name], float] | None = None,
+) -> ColoringResult:
+    """The original set-based colourer, through the graph's name-level
+    API.  The parity-test oracle for :func:`chaitin_briggs_color`
+    (identical colors, spill order and optimistic saves)."""
     if k < 1:
         raise ValueError("k must be positive")
     cost = spill_cost if spill_cost is not None else (lambda _name: 1.0)

@@ -1,20 +1,25 @@
-"""Interference graphs over MVE names.
+"""Interference graphs over MVE names, on bank-local int bitsets.
 
 Two names interfere when their occupancy windows overlap anywhere on the
 cyclic timeline.  Each name's cyclic occupancy is packed into one Python
 int (bit ``c`` set = live at cycle ``c``), so a pair interferes iff the
-AND of their masks is nonzero, and the first common live cycle is the
-AND's lowest set bit.  Edges are inserted in exactly the order the
-cycle-by-cycle reference sweep produced them — ascending first-common
-cycle, then ascending name pair — because the adjacency sets' iteration
-order (and hence coloring order downstream) depends on insertion history.
-``_reference_build_interference`` keeps the original sweep as the
-parity-test oracle.
+AND of their masks is nonzero.  A graph numbers its names densely in
+sorted order and keeps each name's neighbours as one int (bit ``j`` set
+= interferes with ``nodes[j]``): degree is a popcount, and the colourer
+(:mod:`repro.regalloc.coloring`) simplifies and selects on these
+bitsets.  No consumer depends on the order edges were discovered in.
+
+:func:`bank_interference` sweeps an MVE plan once and returns the graph
+of every register bank; :func:`build_interference` is its one-bank
+form.  ``_reference_build_interference`` keeps the original
+cycle-by-cycle sweep as the parity-test oracle.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.regalloc.mve import MVEPlan
@@ -24,64 +29,98 @@ Name = tuple[int, int]  # (rid, replica)
 
 @dataclass
 class InterferenceGraph:
-    """Undirected interference graph over (rid, replica) names."""
+    """Undirected interference graph over (rid, replica) names.
+
+    ``nodes`` is kept sorted and ``adj[i]`` is the neighbour bitset of
+    ``nodes[i]``.  ``max_pressure`` is the most names live at once on the
+    cyclic timeline, set by the builders (0 for a hand-built graph).
+    """
 
     nodes: list[Name] = field(default_factory=list)
-    adj: dict[Name, set[Name]] = field(default_factory=dict)
+    adj: list[int] = field(default_factory=list)
+    max_pressure: int = 0
+    index: dict[Name, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.index = {name: i for i, name in enumerate(self.nodes)}
 
     def add_node(self, name: Name) -> None:
-        if name not in self.adj:
-            self.adj[name] = set()
-            self.nodes.append(name)
+        if name in self.index:
+            return
+        pos = bisect.bisect(self.nodes, name)
+        self.nodes.insert(pos, name)
+        if pos < len(self.adj):
+            # open a zero bit at ``pos`` in every row
+            low = (1 << pos) - 1
+            self.adj = [(row & low) | ((row >> pos) << (pos + 1)) for row in self.adj]
+            for i in range(pos, len(self.nodes)):
+                self.index[self.nodes[i]] = i
+        else:
+            self.index[name] = pos
+        self.adj.insert(pos, 0)
 
     def add_edge(self, a: Name, b: Name) -> None:
         if a == b:
             return
         self.add_node(a)
         self.add_node(b)
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        ia, ib = self.index[a], self.index[b]
+        self.adj[ia] |= 1 << ib
+        self.adj[ib] |= 1 << ia
 
     def degree(self, name: Name) -> int:
-        return len(self.adj[name])
+        return self.adj[self.index[name]].bit_count()
 
     def neighbors(self, name: Name) -> set[Name]:
-        return self.adj[name]
+        return {self.nodes[j] for j in set_bits(self.adj[self.index[name]])}
 
     def interferes(self, a: Name, b: Name) -> bool:
-        return b in self.adj.get(a, ())
+        ia, ib = self.index.get(a), self.index.get(b)
+        return ia is not None and ib is not None and bool(self.adj[ia] >> ib & 1)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def max_clique_lower_bound(self) -> int:
-        """Max simultaneous liveness observed during construction is
-        attached by :func:`build_interference` (0 if never set)."""
-        return getattr(self, "_max_pressure", 0)
+        """Max simultaneous liveness observed during construction."""
+        return self.max_pressure
 
 
-def build_interference(plan: MVEPlan, rids: set[int] | None = None) -> InterferenceGraph:
-    """Interference among the plan's names, optionally restricted to the
-    registers of one bank (``rids``)."""
-    graph = InterferenceGraph()
-    windows = [
-        w for w in plan.windows if rids is None or w.rid in rids
-    ]
-    for w in windows:
-        graph.add_node((w.rid, w.replica))
+def set_bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
+
+def bank_interference(
+    plan: MVEPlan, bank_of: Mapping[int, int]
+) -> dict[int, InterferenceGraph]:
+    """One sweep of ``plan``: the interference graph of every bank that
+    holds a name, in ascending bank order.  ``bank_of`` maps rid -> bank;
+    names of other rids are left out."""
     timeline = plan.timeline
     # Per-name cyclic occupancy masks: each window is one or two
     # contiguous bit runs (two when it wraps); a name with several windows
     # (replica count below the unroll factor) ORs them together.
-    masks: dict[Name, int] = {}
+    masks: dict[int, dict[Name, int]] = {}
     # Max pressure via a difference array over window endpoints.  Counting
     # windows per cycle equals counting *names* per cycle (what the
     # reference's per-cycle sets measured) because two windows of one name
     # never overlap: they sit q*II >= lifetime cycles apart by MVE
     # construction.
-    diff = [0] * (timeline + 1)
-    for w in windows:
+    diffs: dict[int, list[int]] = {}
+    for w in plan.windows:
+        bank = bank_of.get(w.rid)
+        if bank is None:
+            continue
+        bank_masks = masks.get(bank)
+        if bank_masks is None:
+            bank_masks = masks[bank] = {}
+            diff = diffs[bank] = [0] * (timeline + 1)
+        else:
+            diff = diffs[bank]
         length = min(w.length, timeline)
         s = w.start % timeline
         e = s + length
@@ -97,7 +136,30 @@ def build_interference(plan: MVEPlan, rids: set[int] | None = None) -> Interfere
             diff[0] += 1
             diff[e - timeline] -= 1
         name = (w.rid, w.replica)
-        masks[name] = masks.get(name, 0) | seg
+        bank_masks[name] = bank_masks.get(name, 0) | seg
+    return {
+        bank: _bank_graph(masks[bank], diffs[bank], timeline)
+        for bank in sorted(masks)
+    }
+
+
+def _bank_graph(
+    masks: dict[Name, int], diff: list[int], timeline: int
+) -> InterferenceGraph:
+    # Distinct replicas of the same register DO interfere: when a lifetime
+    # exceeds II, consecutive iterations' instances coexist and MVE gave
+    # them different names precisely so they can get different colors.
+    names = sorted(masks)
+    occupancy = [masks[name] for name in names]
+    adj = [0] * len(names)
+    for i, mi in enumerate(occupancy):
+        bit_i = 1 << i
+        row = adj[i]
+        for j in range(i + 1, len(occupancy)):
+            if mi & occupancy[j]:
+                row |= 1 << j
+                adj[j] |= bit_i
+        adj[i] = row
 
     max_pressure = 0
     acc = 0
@@ -105,25 +167,15 @@ def build_interference(plan: MVEPlan, rids: set[int] | None = None) -> Interfere
         acc += diff[c]
         if acc > max_pressure:
             max_pressure = acc
+    return InterferenceGraph(nodes=names, adj=adj, max_pressure=max_pressure)
 
-    # Distinct replicas of the same register DO interfere: when a lifetime
-    # exceeds II, consecutive iterations' instances coexist and MVE gave
-    # them different names precisely so they can get different colors
-    # here.  Pairs sort by (first common live cycle, name pair), which is
-    # the order the cycle sweep discovered them in.
-    names = sorted(masks)
-    pairs: list[tuple[int, Name, Name]] = []
-    for i, a in enumerate(names):
-        ma = masks[a]
-        for b in names[i + 1:]:
-            overlap = ma & masks[b]
-            if overlap:
-                pairs.append(((overlap & -overlap).bit_length() - 1, a, b))
-    pairs.sort()
-    for _cycle, a, b in pairs:
-        graph.add_edge(a, b)
-    graph._max_pressure = max_pressure  # type: ignore[attr-defined]
-    return graph
+
+def build_interference(plan: MVEPlan, rids: set[int] | None = None) -> InterferenceGraph:
+    """Interference among the plan's names, optionally restricted to the
+    registers of one bank (``rids``)."""
+    bank_of = dict.fromkeys(plan.replicas if rids is None else rids, 0)
+    graphs = bank_interference(plan, bank_of)
+    return graphs[0] if graphs else InterferenceGraph()
 
 
 def _reference_build_interference(
@@ -131,8 +183,8 @@ def _reference_build_interference(
 ) -> InterferenceGraph:
     """The original cycle-by-cycle sweep — builds per-cycle live sets and
     marks every co-live pair.  The parity-test oracle for
-    :func:`build_interference` (identical nodes, adjacency *and* edge
-    insertion order)."""
+    :func:`build_interference` (identical nodes, adjacency and max
+    pressure)."""
     graph = InterferenceGraph()
     windows = [
         w for w in plan.windows if rids is None or w.rid in rids
@@ -155,5 +207,5 @@ def _reference_build_interference(
                 continue
             seen_pairs.add((a, b))
             graph.add_edge(a, b)
-    graph._max_pressure = max_pressure  # type: ignore[attr-defined]
+    graph.max_pressure = max_pressure
     return graph

@@ -460,7 +460,7 @@ def test_pressure_rows_empty_liveness():
 # ----------------------------------------------------------------------
 def test_interference_matches_reference_over_corpus():
     """Bitmask-overlap interference vs the cycle-sweep oracle on real
-    pipelined loops: same nodes (in order), same adjacency, same
+    pipelined loops: same nodes (in order), same adjacency bitsets, same
     recorded max pressure."""
     from repro.ddg.builder import build_loop_ddg
     from repro.regalloc.interference import (
@@ -482,6 +482,6 @@ def test_interference_matches_reference_over_corpus():
         slow = _reference_build_interference(plan)
         assert fast.nodes == slow.nodes
         assert fast.adj == slow.adj
-        assert fast._max_pressure == slow._max_pressure
+        assert fast.max_pressure == slow.max_pressure
         checked += 1
     assert checked == 14

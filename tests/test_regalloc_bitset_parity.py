@@ -1,0 +1,210 @@
+"""Parity of the bitset register-assignment layer with its oracles.
+
+``assign_banks`` sweeps the MVE plan once into per-bank bitset graphs
+and colours them on bitsets; the whole ``BankAssignments`` must equal
+the composition of ``_reference_build_interference`` (one cycle sweep
+per bank) and ``_reference_chaitin_briggs_color`` (the set-based
+colourer) — every colour, every spill in order, not just the counts.
+The paper's 64-register banks never spill, so the same machines with
+6, 10 and 16 registers per bank carry the optimistic and spill paths.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import random
+
+import pytest
+
+from repro.core.pipeline import PipelineConfig, compile_loop
+from repro.evalx.runner import PAPER_CONFIG_ORDER
+from repro.machine.presets import paper_machine
+from repro.regalloc import assignment
+from repro.regalloc.assignment import BankAssignments
+from repro.regalloc.coloring import (
+    _reference_chaitin_briggs_color,
+    chaitin_briggs_color,
+)
+from repro.regalloc.interference import (
+    InterferenceGraph,
+    _reference_build_interference,
+)
+from repro.regalloc.liveness import cyclic_liveness
+from repro.regalloc.mve import plan_mve
+from repro.workloads.corpus import spec95_corpus
+
+N_LOOPS = 20
+
+
+def reference_assign_banks(kernel, ddg, partition, machine) -> BankAssignments:
+    """Per-bank assignment as composed before the bitset layer: one
+    reference interference sweep and one set-based colouring per bank."""
+    liveness = cyclic_liveness(kernel, ddg)
+    plan = plan_mve(liveness)
+    depth_weight = 10.0 ** kernel.loop.depth
+
+    result = BankAssignments(success=True, unroll=plan.unroll)
+    for bank in range(partition.n_banks):
+        rids = {
+            r.rid
+            for r in partition.registers_in_bank(bank)
+            if r.rid in liveness.ranges
+        }
+        if not rids:
+            continue
+        graph = _reference_build_interference(plan, rids)
+        result.max_pressure = max(result.max_pressure, graph.max_clique_lower_bound())
+
+        def spill_cost(name):
+            lr = liveness.ranges[name[0]]
+            if lr.invariant:
+                return float("inf")
+            return (lr.n_uses + 1) * depth_weight
+
+        coloring = _reference_chaitin_briggs_color(graph, machine.regs_per_bank, spill_cost)
+        coloring.verify(graph)
+        result.per_bank[bank] = coloring
+        for name, color in coloring.colors.items():
+            result.physical[name] = (bank, color)
+        if not coloring.success:
+            result.success = False
+            seen: set[int] = set()
+            for rid, _replica in coloring.spilled:
+                if rid in seen or liveness.ranges[rid].invariant:
+                    continue
+                seen.add(rid)
+                result.spill_candidates.append(liveness.ranges[rid].reg)
+    return result
+
+
+def fingerprint(out: BankAssignments) -> tuple:
+    """Every observable field, in order."""
+    return (
+        out.success,
+        out.unroll,
+        out.max_pressure,
+        list(out.physical.items()),
+        [
+            (bank, list(c.colors.items()), list(c.spilled), c.optimistic_saves)
+            for bank, c in out.per_bank.items()
+        ],
+        [r.rid for r in out.spill_candidates],
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus_slice():
+    return spec95_corpus(n=N_LOOPS)
+
+
+@pytest.mark.parametrize("regs_per_bank", [None, 6, 10, 16])
+def test_assign_banks_matches_reference_composition(
+    corpus_slice, regs_per_bank, monkeypatch
+):
+    """Every ``assign_banks`` call the pipeline makes (all spill rounds)
+    over a corpus slice x the six paper configurations."""
+    fast = assignment.assign_banks
+    stats = {"calls": 0, "failed": 0, "optimistic": 0, "spilled": 0}
+
+    def checked(kernel, ddg, partition, machine):
+        out = fast(kernel, ddg, partition, machine)
+        assert fingerprint(out) == fingerprint(
+            reference_assign_banks(kernel, ddg, partition, machine)
+        )
+        stats["calls"] += 1
+        stats["failed"] += not out.success
+        stats["optimistic"] += sum(c.optimistic_saves for c in out.per_bank.values())
+        stats["spilled"] += sum(len(c.spilled) for c in out.per_bank.values())
+        return out
+
+    monkeypatch.setattr(assignment, "assign_banks", checked)
+    config = PipelineConfig(run_regalloc=True)
+    for n_clusters, model in PAPER_CONFIG_ORDER:
+        machine = paper_machine(n_clusters, model)
+        if regs_per_bank is not None:
+            machine = dataclasses.replace(machine, regs_per_bank=regs_per_bank)
+        for loop in corpus_slice:
+            try:
+                compile_loop(loop, machine, config)
+            except RuntimeError:
+                pass  # spilling did not converge within the round limit
+
+    assert stats["calls"] >= N_LOOPS * len(PAPER_CONFIG_ORDER)
+    if regs_per_bank is None:
+        assert stats["failed"] == 0
+    else:
+        # the small banks must really reach the paths they are here for
+        assert stats["failed"] > 0
+        assert stats["spilled"] > 0
+        assert stats["optimistic"] > 0
+
+
+def random_graph(rng: random.Random, n: int, density: float) -> InterferenceGraph:
+    """Names inserted in random order, so the bitset graph must re-sort."""
+    names = [(rng.randrange(40), rng.randrange(3)) for _ in range(n)]
+    names = list(dict.fromkeys(names))
+    rng.shuffle(names)
+    graph = InterferenceGraph()
+    for name in names:
+        graph.add_node(name)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if rng.random() < density:
+                graph.add_edge(a, b)
+    return graph
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_colourers_agree_on_random_graphs(seed):
+    rng = random.Random(seed)
+    graph = random_graph(rng, rng.randrange(1, 30), rng.choice([0.1, 0.3, 0.6, 0.9]))
+    # few distinct costs, so ratio ties are common; inf marks invariants
+    costs = {
+        name: rng.choice([1.0, 2.0, 10.0, 20.0, math.inf]) for name in graph.nodes
+    }
+    for k in (1, 2, 3, 5, 8):
+        for spill_cost in (None, costs.__getitem__):
+            fast = chaitin_briggs_color(graph, k, spill_cost)
+            slow = _reference_chaitin_briggs_color(graph, k, spill_cost)
+            assert list(fast.colors.items()) == list(slow.colors.items())
+            assert fast.spilled == slow.spilled
+            assert fast.optimistic_saves == slow.optimistic_saves
+            fast.verify(graph)
+
+
+def test_hand_built_graph_keeps_sorted_bitsets():
+    graph = InterferenceGraph()
+    graph.add_edge((5, 0), (1, 0))
+    graph.add_edge((3, 1), (5, 0))
+    graph.add_node((0, 0))
+    assert graph.nodes == [(0, 0), (1, 0), (3, 1), (5, 0)]
+    assert graph.neighbors((5, 0)) == {(1, 0), (3, 1)}
+    assert graph.degree((5, 0)) == 2 and graph.degree((0, 0)) == 0
+    assert graph.interferes((1, 0), (5, 0))
+    assert not graph.interferes((1, 0), (3, 1))
+    assert not graph.interferes((1, 0), (9, 9))
+    assert graph.adj == [0b0000, 0b1000, 0b1000, 0b0110]
+
+
+def test_verify_requires_a_partition_of_the_nodes():
+    graph = InterferenceGraph()
+    graph.add_edge((1, 0), (2, 0))
+    graph.add_node((3, 0))
+    result = chaitin_briggs_color(graph, 2)
+    result.verify(graph)
+    missing = dataclasses.replace(result, colors=dict(result.colors))
+    del missing.colors[(3, 0)]
+    with pytest.raises(AssertionError, match="partition"):
+        missing.verify(graph)
+    both = dataclasses.replace(result, spilled=[(3, 0)])
+    with pytest.raises(AssertionError, match="partition"):
+        both.verify(graph)
+    twice = dataclasses.replace(
+        result, colors={(1, 0): 0, (2, 0): 1}, spilled=[(3, 0), (3, 0)]
+    )
+    with pytest.raises(AssertionError, match="partition"):
+        twice.verify(graph)
+    stranger = dataclasses.replace(result, spilled=[(9, 0)])
+    with pytest.raises(AssertionError, match="partition"):
+        stranger.verify(graph)
