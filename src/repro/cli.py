@@ -18,6 +18,7 @@ a textual IR file in the :mod:`repro.ir.parser` format.
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 
@@ -197,6 +198,25 @@ def _format_profile(profiler, top: int = 20) -> str:
 def _require_workers(args: argparse.Namespace) -> None:
     if args.jobs < 1:
         raise SystemExit("error: --jobs requires at least one worker")
+
+
+def _seconds(allow_zero: bool = False):
+    """argparse type: a finite number of seconds, above zero (or at
+    least zero with ``allow_zero``)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and (value > 0 or allow_zero and value == 0):
+            return value
+        bound = ">= 0" if allow_zero else "> 0"
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds {bound}, got {text!r}"
+        )
+
+    return parse
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -618,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--json", metavar="PATH", help="write aggregate + per-loop JSON")
     e.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="compile with N worker processes (default: serial)")
-    e.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    e.add_argument("--timeout", type=_seconds(), default=None, metavar="SECONDS",
                    help="per-loop wall-clock budget; a loop exceeding it is "
                         "recorded as a timeout failure instead of hanging "
                         "the run")
@@ -653,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--quick", type=int, default=40, metavar="N",
                    help="number of corpus loops per leg (default: 40; "
                         "pass 211 for the full corpus)")
-    g.add_argument("--timeout", type=float, default=5.0, metavar="SECONDS",
+    g.add_argument("--timeout", type=_seconds(), default=5.0, metavar="SECONDS",
                    help="per-loop wall-clock budget for each leg; exact "
                         "searches exceeding it degrade to typed timeout "
                         "cells in the report (default: 5.0)")
@@ -733,6 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_tune)
 
+    from repro.evalx.executor import DEFAULT_WATCHDOG_GRACE
     from repro.serve.protocol import DEFAULT_PORT, DEFAULT_QUEUE_LIMIT
 
     v = sub.add_parser(
@@ -750,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"ephemeral port, printed on startup)")
     v.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="compile worker processes (default: 1)")
-    v.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    v.add_argument("--timeout", type=_seconds(), default=None, metavar="SECONDS",
                    help="per-cell compile budget; an exceeding cell becomes "
                         "a timeout failure")
     v.add_argument("--queue", type=int, default=DEFAULT_QUEUE_LIMIT,
@@ -758,12 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound: refuse submissions that would "
                         "leave more than N cold cells pending "
                         f"(default: {DEFAULT_QUEUE_LIMIT})")
-    v.add_argument("--watchdog-grace", type=float, default=2.0,
-                   metavar="SECONDS",
+    v.add_argument("--watchdog-grace", type=_seconds(allow_zero=True),
+                   default=DEFAULT_WATCHDOG_GRACE, metavar="SECONDS",
                    help="extra seconds a running chunk may outlive its "
                         "worker-side deadline before the watchdog SIGKILLs "
                         "the stuck worker and degrades its cells to "
-                        "timeout failures (default: 2.0)")
+                        f"timeout failures (default: {DEFAULT_WATCHDOG_GRACE})")
     v.add_argument("--regalloc", action="store_true",
                    help="run register allocation (same default as evaluate)")
     v.add_argument(

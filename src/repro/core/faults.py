@@ -162,7 +162,8 @@ def maybe_inject_fault(name: str) -> None:
     * ``REPRO_FAULT_STUCK`` — block ``SIGALRM`` and *then* sleep: a hang
       that :func:`deadline` cannot interrupt, modelling a worker wedged
       in uninterruptible work (C extension, kernel wait).  Only the
-      serve watchdog's ``SIGKILL`` recovers from this one.
+      executor watchdog's ``SIGKILL`` recovers from this one (any
+      ``--jobs N`` run with a timeout: evaluate, gap or serve).
 
     Environment variables travel to pool workers for free, so one
     mechanism drives serial, parallel and subprocess (CLI) fault tests.

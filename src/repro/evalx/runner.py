@@ -13,11 +13,12 @@ Two execution strategies fill the grid:
   :class:`~repro.core.cache.ArtifactCache`, so each loop's DDG and
   16-wide ideal schedule are computed once and reused by the other five
   configurations;
-* **parallel** (``jobs=N``) — ``submit()``-based futures on a
-  :class:`~concurrent.futures.ProcessPoolExecutor` over chunks of
-  loops.  Each work item compiles a chunk of loops across *all*
-  requested configurations with a worker-local cache (preserving the
-  cross-configuration reuse).
+* **parallel** (``jobs=N``) — chunks of loops, each compiled across
+  *all* requested configurations by :func:`compile_chunk` with a
+  worker-local cache (preserving the cross-configuration reuse), run on
+  the :class:`~repro.evalx.executor.SupervisedPool` from ``jobs``
+  threads.  The compile daemon runs its chunks on the same pool through
+  the same entry point.
 
 Both go through one per-cell loop, :func:`_compile_cells`; they differ
 only in cell order (configuration-major serially, loop-major per chunk)
@@ -28,10 +29,12 @@ Both strategies are **fault-tolerant** (see :mod:`repro.core.faults`):
 * a per-cell wall-clock ``timeout`` degrades a hung schedule to a
   recorded ``timeout`` failure, enforced inside the (worker) process so
   even CPU-bound pure-Python loops are interrupted;
-* a crashed or unpicklable worker poisons only its chunk: the chunk is
-  retried once at chunk-size 1 to isolate the bad loop, which is then
-  recorded as a ``crash`` failure while every other loop's metrics
-  survive.
+* in parallel, the executor's failure rule applies: a crashed or
+  unpicklable worker poisons only its chunk, whose loops are retried
+  alone so the bad one is recorded as a ``crash`` failure while every
+  other loop's metrics survive; with a ``timeout``, a worker wedged past
+  every deadline is reaped by the watchdog and its loop recorded as a
+  ``timeout`` failure.
 
 Resuming an interrupted run means rerunning it with the same artifact
 store (``store=``): every cell finished before the interruption is a
@@ -51,16 +54,17 @@ import dataclasses
 import math
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.cache import ArtifactCache, CacheStats
 from repro.core.faults import DeadlineExceeded, deadline, maybe_inject_fault
-from repro.core.fingerprint import StoreKeyPrefix, key_prefix
+from repro.core.fingerprint import key_prefix
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.results import LoopFailure, LoopMetrics
-from repro.ir.block import Loop
+from repro.evalx.executor import SupervisedPool
+from repro.ir.block import Loop, reserve_ids
 from repro.machine.machine import CopyModel, MachineDescription
 from repro.machine.presets import paper_machine
 from repro.obs.metrics import MetricsRegistry
@@ -174,32 +178,6 @@ def _merge_pass_seconds(into: dict[str, float], new: dict[str, float]) -> None:
         into[name] = into.get(name, 0.0) + seconds
 
 
-def _compile_cell(
-    loop: Loop,
-    machine: MachineDescription,
-    pipeline_config: PipelineConfig,
-    cache: ArtifactCache,
-    timeout: float | None,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    store: ArtifactStore | None = None,
-    store_prefix: StoreKeyPrefix | None = None,
-):
-    """Compile one cell under the wall-clock budget (and fault fixture).
-
-    With a ``store``, hits hydrate metrics only — the runner never needs
-    the heavyweight artifacts, which is what keeps the warm path at a
-    two-line read per cell.
-    """
-    with deadline(timeout):
-        maybe_inject_fault(loop.name)
-        return compile_loop(
-            loop, machine, pipeline_config, cache=cache,
-            tracer=tracer, metrics=metrics,
-            store=store, store_hydrate="metrics", store_prefix=store_prefix,
-        )
-
-
 def _failure_cell(
     idx: int, label: str, loop: Loop, exc: BaseException, attempts: int
 ) -> Cell:
@@ -234,16 +212,19 @@ def _compile_cells(
     tracer: Tracer | None,
     collect_metrics: bool,
     store: ArtifactStore | None,
+    budget: float | None = None,
 ) -> tuple[list[Cell], dict[str, float], list[tuple[CellKey, dict]]]:
     """Compile ``(loop index, loop, label)`` cells in the given order.
 
-    The one per-cell loop of the runner: each cell compiles under its
-    own tracer scope and (``collect_metrics``) its own
+    The one per-cell loop: each cell compiles under its own ``timeout``,
+    its own tracer scope and (``collect_metrics``) its own
     :class:`~repro.obs.MetricsRegistry`; an exception becomes a failure
     cell stamped with ``attempt``.  Returns the cells, their summed pass
     wall times and their metric snapshots.  The store key's
     loop-independent prefix is derived once per label, so warm cells
-    hash only the (memoized) loop.
+    hash only the (memoized) loop.  ``budget`` bounds the whole loop;
+    when it expires, the cell it interrupted and every later cell become
+    ``timeout`` failures.
     """
     prefixes = {
         label: key_prefix(machines[label], pipeline_config)
@@ -252,26 +233,41 @@ def _compile_cells(
     done: list[Cell] = []
     pass_seconds: dict[str, float] = {}
     snapshots: list[tuple[CellKey, dict]] = []
-    for idx, loop, label in cells:
-        registry = MetricsRegistry() if collect_metrics else None
-        scope = (
-            tracer.cell(idx, label, loop_name=loop.name)
-            if tracer is not None else nullcontext()
-        )
-        with scope:
-            try:
-                result = _compile_cell(
-                    loop, machines[label], pipeline_config, cache, timeout,
-                    tracer=tracer, metrics=registry,
-                    store=store, store_prefix=prefixes.get(label),
+    try:
+        with deadline(budget):
+            for idx, loop, label in cells:
+                registry = MetricsRegistry() if collect_metrics else None
+                scope = (
+                    tracer.cell(idx, label, loop_name=loop.name)
+                    if tracer is not None else nullcontext()
                 )
-            except Exception as exc:
-                done.append(_failure_cell(idx, label, loop, exc, attempt))
-            else:
-                done.append(Cell(loop_index=idx, config=label, metrics=result.metrics))
-                _merge_pass_seconds(pass_seconds, result.pass_seconds)
-        if registry is not None:
-            snapshots.append(((idx, label), {"loop": loop.name, **registry.snapshot()}))
+                with scope:
+                    try:
+                        with deadline(timeout):
+                            maybe_inject_fault(loop.name)
+                            # store hits hydrate metrics only: a warm
+                            # cell is a two-line read
+                            result = compile_loop(
+                                loop, machines[label], pipeline_config,
+                                cache=cache, tracer=tracer, metrics=registry,
+                                store=store, store_hydrate="metrics",
+                                store_prefix=prefixes.get(label),
+                            )
+                    except Exception as exc:
+                        if isinstance(exc, DeadlineExceeded) and exc.seconds == budget:
+                            raise  # the chunk's budget, not this cell's
+                        done.append(_failure_cell(idx, label, loop, exc, attempt))
+                    else:
+                        done.append(Cell(loop_index=idx, config=label,
+                                         metrics=result.metrics))
+                        _merge_pass_seconds(pass_seconds, result.pass_seconds)
+                if registry is not None:
+                    snapshots.append(
+                        ((idx, label), {"loop": loop.name, **registry.snapshot()})
+                    )
+    except DeadlineExceeded as exc:
+        for idx, loop, label in cells[len(done):]:
+            done.append(_failure_cell(idx, label, loop, exc, attempt))
     return done, pass_seconds, snapshots
 
 
@@ -424,70 +420,119 @@ def _fill_serial(
 # Parallel execution
 # ----------------------------------------------------------------------
 
-#: one unit of pool work: ([(loop index, loop), ...], configs, pipeline
-#: config, per-cell timeout, attempt number stamped into failures
-#: produced by this payload, the two observability flags (record spans /
-#: collect per-cell metrics), and the artifact-store path (workers open
-#: the on-disk store independently; None = no store).
-_Payload = tuple[
-    list[tuple[int, Loop]],
-    tuple[tuple[int, CopyModel], ...],
-    PipelineConfig,
-    float | None,
-    int,
-    bool,
-    bool,
-    str | None,
-]
-
-#: what one worker returns: cells, the worker-local cache and store
-#: counters (plain picklable dataclasses; store counters None without a
-#: store), pass wall time, recorded spans and per-cell metric snapshots.
-_ChunkResult = tuple[
-    list[Cell], CacheStats, StoreStats | None, dict[str, float],
-    list[Span], list[tuple[CellKey, dict]],
-]
+#: one cell of pool work: (key, loop, cluster count, copy-model value)
+WorkCell = tuple[int, Loop, int, str]
 
 
-def _compile_chunk(payload: _Payload) -> _ChunkResult:
-    """Worker: compile a chunk of loops across every configuration.
+def _by_loop(cells: list[WorkCell]) -> list[list[WorkCell]]:
+    groups: dict[int, list[WorkCell]] = {}
+    for cell in cells:
+        groups.setdefault(id(cell[1]), []).append(cell)
+    return list(groups.values())
 
-    Machines are rebuilt locally (a ``MachineDescription`` holds a
-    mapping-proxy latency table and does not pickle); loops and configs
-    do pickle.  Cells run loop-major through a worker-local cache, which
-    gives each loop in the chunk the same 1-miss/(n_configs - 1)-hit
-    profile as the serial runner.  The per-cell deadline runs *here*, in
-    the worker's main thread, so a hung compilation degrades to a
-    ``timeout`` cell instead of stalling the whole run.
 
-    Observability rides along the same way: spans land in a worker-local
-    :class:`~repro.obs.Tracer` whose plain-dataclass spans pickle back
-    with the result, and each cell's metric snapshot is a plain dict.
-    Span identity is (loop id, config, seq)-based, so merging worker
-    traces reproduces the serial trace exactly.
+def chunk_cells(cells: list[WorkCell], jobs: int) -> list[list[WorkCell]]:
+    """~4 chunks per worker of whole loops: the cells of one loop stay
+    together, so a worker-local cache gives them the serial runner's
+    1-miss/(n_configs - 1)-hit profile."""
+    loops = _by_loop(cells)
+    size = max(1, math.ceil(len(loops) / (jobs * 4)))
+    return [
+        [cell for group in loops[i:i + size] for cell in group]
+        for i in range(0, len(loops), size)
+    ]
 
-    With a store path, the worker opens the shared on-disk store for
-    itself (stores hold open OS state and do not pickle); entry writes
-    are atomic and deterministic, so workers racing on the same key are
-    harmless, and the worker's outcome counters travel home in the
-    result for merging.
+
+@dataclass(frozen=True)
+class ChunkPayload:
+    """One unit of pool work for :func:`compile_chunk`.
+
+    A cell's key becomes its ``Cell.loop_index``: the loop index in an
+    evaluation, a position among one request's cold cells in the daemon.
+    ``cell_timeout`` bounds each cell and ``budget`` the whole chunk;
+    ``attempt`` is stamped into the failures the chunk produces.
     """
-    (chunk, configs, pipeline_config, timeout, attempt, trace, metrics,
-     store_path) = payload
-    cache = ArtifactCache()
-    store = ArtifactStore.open(store_path) if store_path is not None else None
-    machines = {
-        config_label(n, model): paper_machine(n, model) for n, model in configs
-    }
-    tracer = Tracer() if trace else None
-    cells, pass_seconds, cell_metrics = _compile_cells(
-        [(idx, loop, label) for idx, loop in chunk for label in machines],
-        machines, pipeline_config, cache, timeout, attempt, tracer, metrics,
-        store,
+
+    cells: list[WorkCell]
+    config: PipelineConfig
+    cell_timeout: float | None = None
+    budget: float | None = None
+    store_path: str | None = None
+    trace: bool = False
+    metrics: bool = False
+    attempt: int = 1
+
+    def labelled(self) -> list[tuple[int, Loop, str]]:
+        return [
+            (key, loop, config_label(n_clusters, CopyModel(model_value)))
+            for key, loop, n_clusters, model_value in self.cells
+        ]
+
+    def split(self) -> list[ChunkPayload]:
+        """One payload per loop, stamped as the second attempt."""
+        return [
+            dataclasses.replace(self, cells=cells, attempt=2)
+            for cells in _by_loop(self.cells)
+        ]
+
+    def failed(self, kind: str, error: str) -> ChunkResult:
+        """Every cell of the chunk as a ``kind`` failure."""
+        return ChunkResult([
+            Cell(loop_index=key, config=label, failure=LoopFailure(
+                config=label, loop_name=loop.name, error=error, kind=kind,
+                attempts=self.attempt,
+            ))
+            for key, loop, label in self.labelled()
+        ])
+
+
+@dataclass
+class ChunkResult:
+    """What a worker sends home: cells, the worker-local cache and store
+    counters (store counters None without a store), pass wall time,
+    recorded spans and per-cell metric snapshots."""
+
+    cells: list[Cell]
+    cache_stats: CacheStats = field(default_factory=CacheStats)
+    store_stats: StoreStats | None = None
+    pass_seconds: dict[str, float] = field(default_factory=dict)
+    spans: list[Span] = field(default_factory=list)
+    snapshots: list[tuple[CellKey, dict]] = field(default_factory=list)
+
+
+def compile_chunk(payload: ChunkPayload) -> ChunkResult:
+    """Worker: compile one chunk's cells, in order, through a
+    worker-local cache; the one worker entry point of the runner and the
+    compile daemon.  Deadlines run *here*, in the worker's main thread.
+
+    Machines are rebuilt here (a ``MachineDescription`` does not
+    pickle), and so is the store (it holds OS state; entry writes are
+    atomic, so racing workers are harmless).  The daemon parses request
+    loops after its workers fork, so the chunk first moves this worker's
+    id counters past its loops' ids (:func:`repro.ir.reserve_ids`), or
+    copies minted here could reuse a register id of their own loop.
+    Span identity is (loop id, config, seq)-based, so merged worker
+    traces reproduce the serial trace exactly.
+    """
+    reserve_ids(loop for _, loop, _, _ in payload.cells)
+    store = (
+        ArtifactStore.open(payload.store_path)
+        if payload.store_path is not None else None
     )
-    spans = tracer.spans if tracer is not None else []
-    store_stats = store.stats if store is not None else None
-    return cells, cache.stats, store_stats, pass_seconds, spans, cell_metrics
+    machines = {
+        config_label(n, CopyModel(model)): paper_machine(n, CopyModel(model))
+        for n, model in {(n, model) for _, _, n, model in payload.cells}
+    }
+    cache = ArtifactCache()
+    tracer = Tracer() if payload.trace else None
+    done, pass_seconds, snapshots = _compile_cells(
+        payload.labelled(), machines, payload.config, cache, payload.cell_timeout,
+        payload.attempt, tracer, payload.metrics, store, budget=payload.budget,
+    )
+    return ChunkResult(
+        done, cache.stats, store.stats if store is not None else None,
+        pass_seconds, tracer.spans if tracer is not None else [], snapshots,
+    )
 
 
 def _fill_parallel(
@@ -503,97 +548,39 @@ def _fill_parallel(
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
 ) -> None:
-    store_path = store.path if store is not None else None
-    labels = [config_label(n, m) for n, m in configs]
-    indexed = list(enumerate(loops))
-    if not indexed:
-        return
-    chunk_size = max(1, math.ceil(len(indexed) / (jobs * 4)))
-    chunks = [indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)]
-
-    def payload(chunk: list[tuple[int, Loop]], attempt: int) -> _Payload:
-        return (
-            chunk, configs, pipeline_config, timeout, attempt,
-            tracer is not None, collect_metrics, store_path,
+    work = [
+        (idx, loop, n, model.value)
+        for idx, loop in enumerate(loops) for n, model in configs
+    ]
+    payloads = [
+        ChunkPayload(
+            cells=chunk, config=pipeline_config, cell_timeout=timeout,
+            store_path=store.path if store is not None else None,
+            trace=tracer is not None, metrics=collect_metrics,
         )
-
-    def absorb(result: _ChunkResult) -> None:
-        chunk_cells, cache_stats, store_stats, pass_seconds, spans, chunk_metrics = result
-        _absorb_cells(run, cells, chunk_cells, pass_seconds, chunk_metrics)
-        run.absorb_cache_stats(cache_stats)
-        if store_stats is not None:
-            run.absorb_store_stats(store_stats)
-        if tracer is not None:
-            tracer.add_spans(spans)
-
-    # Phase 1: every chunk as one future.  A worker death (or a payload/
-    # result that will not pickle) fails the futures sharing its pool
-    # fate; those chunks are set aside instead of aborting the run.
-    poisoned: list[list[tuple[int, Loop]]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures: dict[Future, list[tuple[int, Loop]]] = {
-            pool.submit(_compile_chunk, payload(chunk, 1)): chunk
-            for chunk in chunks
-        }
-        done = 0
-        not_done = set(futures)
-        while not_done:
-            finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                # only failures that crossed the process boundary poison a
-                # chunk (a dead worker breaks the pool; an unpicklable
-                # payload/result surfaces here as the future's exception).
-                # absorb() runs outside the try: a merge/accounting bug in
-                # the coordinator is a real bug and must propagate, not be
-                # retried in isolation and misreported as a worker crash.
-                try:
-                    result = fut.result()
-                except Exception:
-                    poisoned.append(futures[fut])
-                    result = None
-                done += 1
+        for chunk in chunk_cells(work, jobs)
+    ]
+    # Absorbing happens here, in the calling thread: a merge/accounting
+    # bug is a real bug and propagates, instead of being retried in
+    # isolation and misreported as a worker crash.  On the way out,
+    # queued chunks are cancelled before the pool waits for running ones.
+    with SupervisedPool(jobs) as pool:
+        threads = ThreadPoolExecutor(max_workers=jobs)
+        try:
+            futures = [
+                threads.submit(pool.run, compile_chunk, payload)
+                for payload in payloads
+            ]
+            for done, fut in enumerate(as_completed(futures), 1):
+                for result in fut.result():
+                    _absorb_cells(run, cells, result.cells,
+                                  result.pass_seconds, result.snapshots)
+                    run.absorb_cache_stats(result.cache_stats)
+                    if result.store_stats is not None:
+                        run.absorb_store_stats(result.store_stats)
+                    if tracer is not None:
+                        tracer.add_spans(result.spans)
                 if progress:
-                    print(f"  chunk {done}/{len(chunks)} done", file=sys.stderr)
-                if result is not None:
-                    absorb(result)
-
-    if not poisoned:
-        return
-
-    # Phase 2: isolate — retry each loop of a poisoned chunk alone in a
-    # single-worker pool.  A loop that kills its worker again is the
-    # culprit: record a crash failure for each of its cells and replace
-    # the (now broken) pool for the remaining loops.
-    if progress:
-        n_retry = sum(len(chunk) for chunk in poisoned)
-        print(f"  retrying {n_retry} loop(s) from {len(poisoned)} "
-              f"poisoned chunk(s) in isolation", file=sys.stderr)
-    pool = ProcessPoolExecutor(max_workers=1)
-    try:
-        for chunk in poisoned:
-            for idx, loop in chunk:
-                # same split as phase 1: only the cross-process failure is
-                # a crash; absorb() errors propagate
-                try:
-                    result = pool.submit(
-                        _compile_chunk, payload([(idx, loop)], 2)
-                    ).result()
-                except Exception as exc:
-                    for label in labels:
-                        failure = LoopFailure(
-                            config=label,
-                            loop_name=loop.name,
-                            error=repr(exc),
-                            kind="crash",
-                            attempts=2,
-                        )
-                        cells[(idx, label)] = Cell(
-                            loop_index=idx, config=label, failure=failure
-                        )
-                    # the pool is broken if the worker died; start fresh
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=1)
-                else:
-                    absorb(result)
-    finally:
-        pool.shutdown()
+                    print(f"  chunk {done}/{len(payloads)} done", file=sys.stderr)
+        finally:
+            threads.shutdown(wait=False, cancel_futures=True)

@@ -11,15 +11,14 @@ configuration labels (:mod:`repro.serve.protocol`), and the
 * **deduplicates in-flight work** — cells whose store key is already
   being compiled (for any client) attach to the existing future instead
   of compiling twice;
-* shards the remaining **cold** cells across a
-  :class:`~concurrent.futures.ProcessPoolExecutor` using the evaluation
-  runner's chunking and poison-isolation discipline (a crashed worker
-  fails only its chunk, which is retried cell-by-cell on a fresh pool;
-  the repeat offender becomes a ``crash`` failure, everything else
-  survives);
+* shards the remaining **cold** cells in whole-loop chunks over the
+  :class:`~repro.evalx.executor.SupervisedPool` that also runs
+  ``evaluate`` and ``gap``, driven through ``asyncio.to_thread``: the
+  pool's watchdog and crash isolation turn every worker fault into
+  typed failure cells;
 * **streams** per-cell results as they land, in completion order, under
-  an optional per-request deadline enforced in the workers via nested
-  :func:`~repro.core.faults.deadline` budgets;
+  an optional per-request deadline that the workers enforce as the
+  chunk budget of :func:`~repro.evalx.runner.compile_chunk`;
 * applies **backpressure** through a bounded admission queue — pending
   cold cells beyond ``queue_limit`` refuse the submission instead of
   buffering without bound;
@@ -28,9 +27,8 @@ configuration labels (:mod:`repro.serve.protocol`), and the
   refused, and the process exits 0 once idle.
 
 Observability rides along: a :class:`~repro.obs.MetricsRegistry` counts
-requests, refusals and per-source cell outcomes (exposed by the
-``stats`` op and ``--metrics-out``), and an optional
-:class:`~repro.obs.Tracer` records one span tree per request.
+requests, refusals, per-source cell outcomes and the pool's watchdog
+reaps and breaks (exposed by the ``stats`` op and ``--metrics-out``).
 """
 
 from __future__ import annotations
@@ -40,18 +38,23 @@ import dataclasses
 import math
 import signal
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
 from repro.core.fingerprint import StoreKeyPrefix, key_prefix, store_key
 from repro.core.pipeline import PipelineConfig
 from repro.core.results import LoopFailure, LoopMetrics
-from repro.evalx.runner import PAPER_CONFIG_ORDER, Cell, config_label
+from repro.evalx.executor import DEFAULT_WATCHDOG_GRACE, SupervisedPool
+from repro.evalx.runner import (
+    PAPER_CONFIG_ORDER,
+    Cell,
+    ChunkPayload,
+    chunk_cells,
+    config_label,
+)
 from repro.ir.block import Loop
 from repro.ir.parser import parse_loop
 from repro.machine.machine import CopyModel, MachineDescription
 from repro.machine.presets import paper_machine
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 from repro.serve.protocol import (
     DEFAULT_QUEUE_LIMIT,
     PROTOCOL_VERSION,
@@ -65,25 +68,6 @@ from repro.store.entry import StoreEntryError
 from repro.store.tiered import ArtifactStore, StoreStats
 
 
-class _WatchdogReaped(Exception):
-    """Internal: a chunk's worker was reaped; its cells are settled."""
-
-
-class _ColdCell:
-    """One admitted cold cell: identity, dedup slot and worker inputs."""
-
-    __slots__ = ("slot", "digest", "loop", "n_clusters", "model_value", "label")
-
-    def __init__(self, slot: int, digest: str, loop: Loop,
-                 n_clusters: int, model_value: str, label: str):
-        self.slot = slot
-        self.digest = digest
-        self.loop = loop
-        self.n_clusters = n_clusters
-        self.model_value = model_value
-        self.label = label
-
-
 class CompileService:
     """State and request handling of one ``repro serve`` daemon."""
 
@@ -94,8 +78,7 @@ class CompileService:
         pipeline_config: PipelineConfig | None = None,
         cell_timeout: float | None = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        tracer: Tracer | None = None,
-        watchdog_grace: float = 2.0,
+        watchdog_grace: float = DEFAULT_WATCHDOG_GRACE,
     ):
         self.store_path = store_path
         self.store = ArtifactStore.open(store_path)
@@ -106,31 +89,21 @@ class CompileService:
         )
         self.cell_timeout = cell_timeout
         self.queue_limit = queue_limit
-        self.watchdog_grace = watchdog_grace
         self.metrics = MetricsRegistry()
-        self.tracer = tracer
         self.worker_store_stats = StoreStats()
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        #: store-key digest -> future resolving to the compiled Cell
+        self._pool = SupervisedPool(self.jobs, watchdog_grace)
+        #: the worker entry point, read when the service starts
+        self._entry = compile_serve_chunk
+        #: store-key digest -> future resolving to the compiled Cell; one
+        #: entry per pending cold cell, so its size is the queue depth
         self._inflight: dict[str, asyncio.Future] = {}
-        #: worker slot id -> digest (how outcomes find their future)
-        self._slot_digest: dict[int, str] = {}
-        self._next_slot = 0
-        self._pending_cells = 0
         self._active_requests = 0
-        self._req_seq = 0
         self._draining = False
         self._drained = asyncio.Event()
-        self._isolate_lock = asyncio.Lock()
-        #: at most ``jobs`` chunks may be submitted to the pool at once.
-        #: ProcessPoolExecutor marks queued work items RUNNING as soon as
-        #: they enter its call queue, so without this gate the watchdog
-        #: could not tell a stuck chunk from one parked behind it and
-        #: would reap innocents; gated, a submitted chunk is genuinely
-        #: executing and its running time is honest.
-        self._pool_gate = asyncio.Semaphore(self.jobs)
         self._machines: dict[str, MachineDescription] = {}
         self._prefixes: dict[str, StoreKeyPrefix] = {}
+        #: running chunk tasks (the event loop holds tasks weakly)
+        self._chunk_tasks: set[asyncio.Task] = set()
         #: open connections: handler task -> its writer
         self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
@@ -160,7 +133,7 @@ class CompileService:
         await asyncio.gather(*self._clients, return_exceptions=True)
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
+        self._pool.close()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -215,13 +188,18 @@ class CompileService:
             doc["hits"] = stats.hits
             return doc
 
+        # the pool counts its faults from driver threads; publish them
+        for name, total in (("serve.watchdog_reaps", self._pool.reaps),
+                            ("serve.pool_breaks", self._pool.breaks)):
+            if total:
+                self.metrics.counter(name).value = total
         return {
             "type": "stats",
             "protocol": PROTOCOL_VERSION,
             "draining": self._draining,
             "jobs": self.jobs,
             "store_path": self.store_path,
-            "queue_depth": self._pending_cells,
+            "queue_depth": len(self._inflight),
             "inflight_keys": len(self._inflight),
             "active_requests": self._active_requests,
             "metrics": self.metrics.snapshot(),
@@ -245,7 +223,6 @@ class CompileService:
     ) -> None:
         req_id = doc.get("id")
         t0 = time.perf_counter()
-        self._req_seq += 1
 
         async def refuse(message: str) -> None:
             self.metrics.counter("serve.refused").inc()
@@ -261,13 +238,22 @@ class CompileService:
         specs = doc.get("configs") or [
             config_label(n, m) for n, m in PAPER_CONFIG_ORDER
         ]
+        loop_docs = doc.get("loops") or []
+        budget = doc.get("deadline")
+        if not isinstance(specs, list) or not isinstance(loop_docs, list):
+            await refuse("configs and loops must be lists")
+            return
+        if budget is not None and (
+            type(budget) not in (int, float) or not math.isfinite(budget)
+        ):
+            await refuse(f"deadline must be a finite number, got {budget!r}")
+            return
         try:
             configs = [parse_config_spec(s) for s in specs]
         except ProtocolError as exc:
             await refuse(str(exc))
             return
         labels = [config_label(n, m) for n, m in configs]
-        loop_docs = doc.get("loops") or []
         loops: list[Loop] = []
         for i, ldoc in enumerate(loop_docs):
             text = ldoc.get("text") if isinstance(ldoc, dict) else None
@@ -282,39 +268,24 @@ class CompileService:
         if not loops:
             await refuse("empty submission (no loops)")
             return
-        budget = doc.get("deadline")
-        budget = float(budget) if budget else None
-        if budget is not None and budget <= 0:
-            budget = None
+        budget = float(budget) if budget is not None and budget > 0 else None
         n_cells = len(loops) * len(labels)
 
         # ---- admission (backpressure) -------------------------------
-        if self._pending_cells + n_cells > self.queue_limit:
+        if len(self._inflight) + n_cells > self.queue_limit:
             await refuse(
-                f"queue full ({self._pending_cells} cells pending, "
+                f"queue full ({len(self._inflight)} cells pending, "
                 f"limit {self.queue_limit}); retry later"
             )
             return
 
         self.metrics.counter("serve.requests").inc()
         self._active_requests += 1
-        req_tracer = Tracer() if self.tracer is not None else None
-        scope = (
-            req_tracer.cell(self._req_seq, "serve.request",
-                            loop_name=str(req_id) if req_id else None)
-            if req_tracer is not None else None
-        )
-        if scope is not None:
-            scope.__enter__()
         try:
             await self._submit_admitted(
-                req_id, loops, configs, labels, budget, writer, t0, req_tracer,
+                req_id, loops, configs, labels, budget, writer, t0,
             )
         finally:
-            if scope is not None:
-                scope.__exit__(None, None, None)
-            if req_tracer is not None:
-                self.tracer.add_spans(req_tracer.spans)
             self._active_requests -= 1
             if self._draining and self._active_requests == 0:
                 self._drained.set()
@@ -328,7 +299,6 @@ class CompileService:
         budget: float | None,
         writer: asyncio.StreamWriter,
         t0: float,
-        req_tracer: Tracer | None,
     ) -> None:
         await self._send(writer, {
             "type": "accepted", "id": req_id,
@@ -357,13 +327,10 @@ class CompileService:
             await self._send(writer, out)
 
         # ---- plan: warm cells answered now, cold cells admitted -----
-        lookup_span = (
-            req_tracer.span("serve.lookup", cat="serve")
-            if req_tracer is not None else None
-        )
         #: future -> [(loop_index, loop, label, source)] attached cells
         waiting: dict[asyncio.Future, list] = {}
-        cold: list[_ColdCell] = []
+        cold: list[tuple[int, Loop, int, str]] = []
+        cold_digests: list[str] = []
         warm: list[tuple] = []
         for loop_index, loop in enumerate(loops):
             for (n_clusters, model), label in zip(configs, labels):
@@ -384,40 +351,25 @@ class CompileService:
                     continue
                 fut = asyncio.get_running_loop().create_future()
                 self._inflight[key.digest] = fut
-                slot = self._next_slot
-                self._next_slot += 1
-                self._slot_digest[slot] = key.digest
-                self._pending_cells += 1
-                cold.append(_ColdCell(
-                    slot, key.digest, loop, n_clusters, model.value, label,
-                ))
+                # keyed by position: the digest comes back by index
+                cold.append((len(cold), loop, n_clusters, model.value))
+                cold_digests.append(key.digest)
                 waiting.setdefault(fut, []).append(
                     (loop_index, loop, label, "compiled")
                 )
-        self.metrics.gauge("serve.queue_depth").set(self._pending_cells)
-        if lookup_span is not None:
-            with lookup_span as s:
-                s.set(warm=len(warm), cold=len(cold),
-                      attached=sum(len(v) for v in waiting.values()) - len(cold))
+        self.metrics.gauge("serve.queue_depth").set(len(self._inflight))
 
         # warm cells stream first — the client sees store hits immediately
         for loop_index, loop, label, metrics in warm:
             await stream_cell(loop_index, loop, label, "store", metrics, None)
 
         # ---- shard cold cells over the pool, evalx-style ------------
-        # chunk whole loops (cells of one loop stay together so the
-        # worker-local cache gives them the 1-miss/(k-1)-hit profile),
-        # ~4 chunks per worker like the evaluation runner
-        groups: dict[int, list[_ColdCell]] = {}
-        for cell in cold:
-            groups.setdefault(id(cell.loop), []).append(cell)
-        loop_groups = list(groups.values())
-        per_chunk = max(1, math.ceil(len(loop_groups) / (self.jobs * 4)))
-        for i in range(0, len(loop_groups), per_chunk):
-            chunk = [c for g in loop_groups[i:i + per_chunk] for c in g]
-            asyncio.get_running_loop().create_task(
-                self._run_chunk(chunk, budget)
+        for chunk in chunk_cells(cold, self.jobs):
+            task = asyncio.get_running_loop().create_task(
+                self._run_chunk(chunk, cold_digests, budget)
             )
+            self._chunk_tasks.add(task)
+            task.add_done_callback(self._chunk_tasks.discard)
 
         # ---- stream the rest in completion order --------------------
         # workers enforce the request budget; the server-side cutoff is
@@ -478,169 +430,22 @@ class CompileService:
     # ------------------------------------------------------------------
     # worker-pool plumbing
     # ------------------------------------------------------------------
-    def _payload(self, cells: list[_ColdCell], budget: float | None):
-        return (
-            [(c.slot, c.loop, c.n_clusters, c.model_value) for c in cells],
-            self.pipeline_config, self.cell_timeout, budget, self.store_path,
-        )
-
-    def _watchdog_limit(
-        self, n_cells: int, budget: float | None
-    ) -> float | None:
-        """How long a *running* chunk may take before the watchdog reaps
-        its worker.  The worker's own deadlines bound it to
-        ``min(request budget, cell_timeout * n_cells)``; the grace on top
-        covers honest overhead (store writes, pickling).  ``None`` means
-        the chunk carries no deadline at all and runs unsupervised."""
-        bounds = []
-        if budget is not None:
-            bounds.append(budget)
-        if self.cell_timeout is not None:
-            bounds.append(self.cell_timeout * n_cells)
-        if not bounds:
-            return None
-        return min(bounds) + self.watchdog_grace
-
     async def _run_chunk(
-        self, cells: list[_ColdCell], budget: float | None
-    ) -> None:
-        """Compile one chunk; poison isolation mirrors the evalx runner."""
-        async with self._pool_gate:
-            # read the live pool only once a slot is free: a chunk that
-            # waited out a watchdog reap must land on the replacement
-            # pool, not the corpse
-            pool = self._pool
-            try:
-                outcomes, stats = await self._supervise(pool, cells, budget)
-            except _WatchdogReaped:
-                return  # cells already absorbed as timeout failures
-            except Exception as exc:
-                # the chunk poisoned its worker (or did not survive
-                # pickling): isolate cell-by-cell on a healthy pool
-                self.metrics.counter("serve.pool_breaks").inc()
-                if isinstance(exc, BrokenExecutor):
-                    self._pool_failed(pool)
-                await self._isolate(cells, budget)
-                return
-        self._absorb(outcomes, stats)
-
-    async def _supervise(
-        self, pool: ProcessPoolExecutor, cells: list[_ColdCell],
+        self, cells: list[tuple[int, Loop, int, str]], digests: list[str],
         budget: float | None,
-    ):
-        """Run one chunk on ``pool``, reaping a worker stuck past its
-        deadline.
-
-        The worker enforces its own budgets with ``SIGALRM`` deadlines —
-        which a worker wedged in uninterruptible work (C extension,
-        blocked signals; see ``REPRO_FAULT_STUCK``) never honours.
-        Without supervision such a worker occupies a pool slot forever
-        and its cells' futures never resolve, leaking ``_pending_cells``
-        until admission refuses everything.  The watchdog accumulates
-        time only while the chunk is actually *running* (a queued chunk
-        behind a slow one is not stuck) and, past the limit, ``SIGKILL``s
-        the pool's processes — the only signal a wedged worker cannot
-        block — swaps in a fresh pool and degrades the chunk's cells to
-        typed ``timeout`` failures.
-        """
-        cf = pool.submit(compile_serve_chunk, self._payload(cells, budget))
-        afut = asyncio.wrap_future(cf)
-        limit = self._watchdog_limit(len(cells), budget)
-        if limit is None:
-            return await afut
-        poll = min(0.1, limit / 4)
-        running_for = 0.0
-        while True:
-            try:
-                return await asyncio.wait_for(asyncio.shield(afut), poll)
-            except asyncio.TimeoutError:
-                if cf.running():
-                    running_for += poll
-                if running_for >= limit:
-                    break
-        # the chunk may have completed between the last poll and now
-        if afut.done() and not afut.cancelled() and afut.exception() is None:
-            return afut.result()
-        self.metrics.counter("serve.watchdog_reaps").inc()
-        # the abandoned future will fail once the pool dies; retrieve the
-        # exception so it is not logged as never-consumed
-        afut.add_done_callback(
-            lambda f: None if f.cancelled() else f.exception()
-        )
-        if not cf.cancel():
-            procs = list((pool._processes or {}).values())
-            for proc in procs:
-                proc.kill()
-        self._pool_failed(pool)
-        self._absorb([
-            Cell(
-                loop_index=cell.slot, config=cell.label,
-                failure=LoopFailure(
-                    config=cell.label, loop_name=cell.loop.name,
-                    error=f"worker stuck past its deadline; reaped by the "
-                          f"watchdog after {running_for:.1f}s",
-                    kind="timeout",
-                ),
-            )
-            for cell in cells
-        ], None)
-        raise _WatchdogReaped()
-
-    async def _isolate(
-        self, cells: list[_ColdCell], budget: float | None
     ) -> None:
-        loop = asyncio.get_running_loop()
-        for cell in cells:
-            # serialised: a retried cell runs alone on the pool, so a
-            # break during it convicts *this* cell — a concurrent chunk's
-            # crasher cannot take innocent retries down with it (the
-            # evalx runner gets the same guarantee from its serial
-            # phase-2 loop)
-            async with self._isolate_lock:
-                pool = self._pool
-                try:
-                    outcomes, stats = await loop.run_in_executor(
-                        pool, compile_serve_chunk,
-                        self._payload([cell], budget),
-                    )
-                except Exception as exc:
-                    # died alone: this cell is the culprit
-                    if isinstance(exc, BrokenExecutor):
-                        self._pool_failed(pool)
-                    outcomes, stats = None, None
-                    failure = exc
-            if outcomes is not None:
-                self._absorb(outcomes, stats)
-            else:
-                self._absorb([Cell(
-                    loop_index=cell.slot, config=cell.label,
-                    failure=LoopFailure(
-                        config=cell.label, loop_name=cell.loop.name,
-                        error=repr(failure), kind="crash", attempts=2,
-                    ),
-                )], None)
-
-    def _pool_failed(self, pool: ProcessPoolExecutor) -> None:
-        """Replace the pool iff ``pool`` is still the live one (several
-        chunk tasks may observe the same break; only the first swaps)."""
-        if self._pool is pool:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            pool.shutdown(wait=False)
-
-    def _absorb(self, outcomes: list[Cell], stats: StoreStats | None) -> None:
-        if stats is not None:
-            self.worker_store_stats.merge(stats)
-        for cell in outcomes:
-            digest = self._slot_digest.pop(cell.loop_index, None)
-            if digest is None:
-                # already settled (a reaped chunk that then raced its own
-                # completion): never double-count the queue depth
-                continue
-            self._pending_cells -= 1
-            fut = self._inflight.pop(digest, None)
-            if fut is not None and not fut.done():
-                fut.set_result(cell)
-        self.metrics.gauge("serve.queue_depth").set(self._pending_cells)
+        payload = ChunkPayload(
+            cells=cells, config=self.pipeline_config,
+            cell_timeout=self.cell_timeout, budget=budget,
+            store_path=self.store_path,
+        )
+        results = await asyncio.to_thread(self._pool.run, self._entry, payload)
+        for result in results:
+            if result.store_stats is not None:
+                self.worker_store_stats.merge(result.store_stats)
+            for cell in result.cells:
+                self._inflight.pop(digests[cell.loop_index]).set_result(cell)
+        self.metrics.gauge("serve.queue_depth").set(len(self._inflight))
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +462,7 @@ def serve_forever(
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
     pipeline_config: PipelineConfig | None = None,
     metrics_out: str | None = None,
-    watchdog_grace: float = 2.0,
+    watchdog_grace: float = DEFAULT_WATCHDOG_GRACE,
 ) -> int:
     """Run the daemon until a drain completes; returns the exit status.
 

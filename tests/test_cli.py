@@ -76,6 +76,34 @@ class TestJobsValidation:
         assert not (tmp_path / "unused-store").exists()
 
 
+class TestSecondsValidation:
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1", "abc"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--quick", "2"],
+        ["gap", "--quick", "2"],
+        ["serve", "--store", "unused-store"],
+    ])
+    def test_non_positive_or_non_finite_timeout_is_rejected(
+        self, command, timeout, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--timeout", timeout])
+        assert exc.value.code == 2
+        assert "finite number of seconds > 0" in capsys.readouterr().err
+        assert not (tmp_path / "unused-store").exists()
+
+    @pytest.mark.parametrize("grace", ["-1", "nan"])
+    def test_negative_watchdog_grace_is_rejected(
+        self, grace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store", "unused-store", "--watchdog-grace", grace])
+        assert exc.value.code == 2
+        assert "finite number of seconds >= 0" in capsys.readouterr().err
+
+
 class TestObservabilityFlags:
     def test_evaluate_trace_and_metrics_out(self, tmp_path, capsys):
         import json

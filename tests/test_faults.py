@@ -17,6 +17,7 @@ from repro.core.faults import (
     FAULT_CRASH_ENV,
     FAULT_HANG_ENV,
     FAULT_RAISE_ENV,
+    FAULT_STUCK_ENV,
     DeadlineExceeded,
     call_with_deadline,
     deadline,
@@ -211,6 +212,30 @@ class TestRunnerTimeout:
         )
         assert not timed.failures
         assert run_to_csv(timed) == run_to_csv(untimed)
+
+
+class TestRunnerStuckWorker:
+    def test_parallel_run_reaps_worker_wedged_past_its_deadline(
+        self, monkeypatch
+    ):
+        """A worker that blocks SIGALRM ignores its per-cell deadline;
+        the watchdog reaps it instead, within timeout + grace."""
+        loops = spec95_corpus(n=4)
+        clean = run_evaluation(loops=loops, config=CONFIG, configs=ONE_CONFIG)
+        monkeypatch.setenv(FAULT_STUCK_ENV, loops[1].name)
+        t0 = time.monotonic()
+        run = run_evaluation(
+            loops=loops, config=CONFIG, configs=ONE_CONFIG, timeout=0.5, jobs=2
+        )
+        assert time.monotonic() - t0 < 30.0
+        assert [(f.loop_name, f.kind) for f in run.failures] == [
+            (loops[1].name, "timeout")
+        ]
+        assert "watchdog" in run.failures[0].error
+        (label,) = run.per_config
+        survivors = [m for m in clean.per_config[label]
+                     if m.loop_name != loops[1].name]
+        assert run.per_config[label] == survivors
 
 
 class TestRunnerWorkerRaises:

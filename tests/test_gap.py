@@ -204,6 +204,22 @@ class TestGapCli:
         assert all(int(col) >= 1 for col in timed_out.split()[2:])
         assert "Other failures" in proc.stdout
 
+    def test_stuck_worker_is_reaped_into_timeout_rows(self, tmp_path):
+        from repro.core.faults import FAULT_STUCK_ENV
+        from repro.workloads.corpus import spec95_corpus
+
+        victim = spec95_corpus(n=2)[0].name
+        csv_path = tmp_path / "gap.csv"
+        proc = _run_gap("--quick", "2", "--jobs", "2", "--timeout", "0.5",
+                        "--csv", str(csv_path), env={FAULT_STUCK_ENV: victim})
+        # the wedged worker ignores its SIGALRM deadline: the watchdog
+        # reaps it in both legs instead of hanging the run
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in
+                csv_path.read_text().splitlines()[1:]]
+        assert {row[2] for row in rows if row[1] == victim} == {"timeout"}
+        assert len([row for row in rows if row[1] == victim]) == 6
+
     def test_rejects_bad_quick(self):
         proc = _run_gap("--quick", "0")
         assert proc.returncode != 0

@@ -364,23 +364,36 @@ class TestServeEndToEnd:
         assert stats["inflight_keys"] == 0
         assert daemon.stop() == 0
 
-    def test_watchdog_limit_composition(self, tmp_path):
-        from repro.serve.server import CompileService
+    def test_malformed_fields_are_refused_not_crashed(self, daemon_factory):
+        """A malformed deadline, loops or configs field gets an error
+        reply and counts as refused; the connection stays usable, and a
+        NaN deadline never reaches a worker."""
+        from repro.ir.printer import format_loop
 
-        svc = CompileService(str(tmp_path / "wd-store"), cell_timeout=2.0,
-                             watchdog_grace=1.0)
-        try:
-            assert svc._watchdog_limit(3, None) == 7.0
-            assert svc._watchdog_limit(3, 4.0) == 5.0
-            assert svc._watchdog_limit(1, 10.0) == 3.0
-        finally:
-            svc.close()
-        unbounded = CompileService(str(tmp_path / "wd-store2"))
-        try:
-            assert unbounded._watchdog_limit(5, None) is None
-            assert unbounded._watchdog_limit(5, 4.0) == 6.0
-        finally:
-            unbounded.close()
+        daemon = daemon_factory("--jobs", "1")
+        loop_docs = [{"text": format_loop(spec95_corpus(n=1)[0])}]
+        bad_fields = [
+            {"deadline": "abc"}, {"deadline": [1]}, {"deadline": "nan"},
+            {"deadline": float("nan")}, {"deadline": float("inf")},
+            {"loops": 5}, {"configs": 5},
+        ]
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=60) as sock:
+            replies = sock.makefile("rb")
+            for fields in bad_fields:
+                sock.sendall(encode_line(
+                    {"op": "submit", "loops": loop_docs, **fields}
+                ))
+                reply = decode_line(replies.readline())
+                assert reply["type"] == "error", fields
+            sock.sendall(encode_line({"op": "ping"}))
+            assert decode_line(replies.readline())["type"] == "pong"
+        with daemon.client(timeout=120.0) as client:
+            result = client.submit(spec95_corpus(n=1))
+            stats = client.stats()
+        assert result.failures == 0
+        assert stats["metrics"]["counters"]["serve.refused"] == len(bad_fields)
+        assert daemon.stop() == 0
 
     def test_malformed_loop_is_refused(self, daemon_factory):
         daemon = daemon_factory()
