@@ -75,12 +75,10 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
     """Scheduler/partitioner microbenchmark leg.
 
     Measures raw modulo-reservation-table throughput (placements/sec:
-    one ``first_free`` probe + ``place`` + eventual ``remove``) for every
-    MRT backend on the same op mix the clustered scheduler
-    sees (ALU ops plus copy-unit copies), and greedy-partitioner
-    throughput (nodes/sec over a seeded dense RCG).  Best-of-N rates;
-    absolute numbers are host-dependent, but the packed/reference
-    ratios are in-process and comparable across runs.
+    one ``first_free`` probe + ``place`` + eventual ``remove``) on the
+    same op mix the clustered scheduler sees (ALU ops plus copy-unit
+    copies), and greedy-partitioner throughput (nodes/sec over a seeded
+    dense RCG).  Best-of-N rates; absolute numbers are host-dependent.
     """
     import random
 
@@ -91,7 +89,7 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
     from repro.ir.types import DataType
     from repro.machine.machine import CopyModel
     from repro.machine.presets import paper_machine
-    from repro.sched.resources import MRT_BACKENDS, make_mrt
+    from repro.sched.resources import ModuloReservationTable
 
     machine = paper_machine(4, CopyModel.COPY_UNIT)
     rng = random.Random(2026)
@@ -109,30 +107,22 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
             ops.append(op)
 
     ii = 16
-    backends = MRT_BACKENDS
-    best_rates: dict[str, float] = {}
-    # interleave backends within each repeat: host speed drifts on the
-    # scale of seconds, so only adjacent measurements produce meaningful
-    # backend ratios
+    best_mrt = 0.0
     for _ in range(repeats):
-        for backend in backends:
-            mrt = make_mrt(machine, ii, backend=backend)
-            placements = 0
-            t0 = time.perf_counter()
-            for round_no in range(60):
-                placed = []
-                for op in ops:
-                    slot = mrt.first_free(op, (op.op_id + round_no) % ii)
-                    if slot is not None:
-                        mrt.place(op, slot)
-                        placed.append(op)
-                        placements += 1
-                for op in placed:
-                    mrt.remove(op)
-            rate = placements / (time.perf_counter() - t0)
-            if rate > best_rates.get(backend, 0.0):
-                best_rates[backend] = rate
-    rates = {backend: round(rate) for backend, rate in best_rates.items()}
+        mrt = ModuloReservationTable(machine, ii)
+        placements = 0
+        t0 = time.perf_counter()
+        for round_no in range(60):
+            placed = []
+            for op in ops:
+                slot = mrt.first_free(op, (op.op_id + round_no) % ii)
+                if slot is not None:
+                    mrt.place(op, slot)
+                    placed.append(op)
+                    placements += 1
+            for op in placed:
+                mrt.remove(op)
+        best_mrt = max(best_mrt, placements / (time.perf_counter() - t0))
 
     regs = [factory.new(DataType.INT) for _ in range(160)]
     rcg = RegisterComponentGraph()
@@ -186,7 +176,7 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
 
     return {
         "mrt_ii": ii,
-        "mrt_placements_per_sec": rates,
+        "mrt_placements_per_sec": round(best_mrt),
         "partition_nodes_per_sec": round(best),
         "exact_loop": exact_loop.name,
         "exact_search_nodes": exact_nodes,
@@ -283,12 +273,9 @@ def run_benchmark(quick_n: int = QUICK_N, repeats: int = REPEATS) -> dict:
     # that a served client actually pays.  Informational, not gated.
     serve_leg = serve_benchmark(quick_n=min(quick_n, 8), repeats=repeats)
 
-    from repro.sched.resources import DEFAULT_MRT_BACKEND
-
     return {
         "benchmark": "compile_hotpath",
-        "config": {"quick": quick_n, "repeats": repeats, "run_regalloc": False,
-                   "mrt_backend": DEFAULT_MRT_BACKEND},
+        "config": {"quick": quick_n, "repeats": repeats, "run_regalloc": False},
         "calibration_seconds": round(best_calibration, 4),
         "wall_seconds": round(best_wall, 4),
         "normalized_score": round(best_score, 3),

@@ -94,14 +94,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
         loop = unroll_loop(loop, args.unroll)
     model = CopyModel.EMBEDDED if args.model == "embedded" else CopyModel.COPY_UNIT
-    machine = paper_machine(args.clusters, model, width=args.width)
+    try:
+        machine = paper_machine(args.clusters, model, width=args.width)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = PipelineConfig(
         partitioner=args.partitioner,
         scheduler=args.scheduler,
         run_simulation=args.sim,
         run_regalloc=not args.no_regalloc,
         run_check=args.check,
-        mrt_backend=args.mrt_backend,
     )
     store = _open_store(args.store) if args.store else None
     tracer = trace_fh = None
@@ -200,8 +203,8 @@ def _require_workers(args: argparse.Namespace) -> None:
         raise SystemExit("error: --jobs requires at least one worker")
 
 
-def _seconds(allow_zero: bool = False):
-    """argparse type: a finite number of seconds, above zero (or at
+def _finite(unit: str, allow_zero: bool = False):
+    """argparse type: a finite number of ``unit``, above zero (or at
     least zero with ``allow_zero``)."""
 
     def parse(text: str) -> float:
@@ -213,7 +216,26 @@ def _seconds(allow_zero: bool = False):
             return value
         bound = ">= 0" if allow_zero else "> 0"
         raise argparse.ArgumentTypeError(
-            f"expected a finite number of seconds {bound}, got {text!r}"
+            f"expected a finite number of {unit} {bound}, got {text!r}"
+        )
+
+    return parse
+
+
+def _count(allow_zero: bool = False):
+    """argparse type: a whole number, at least one (or at least zero with
+    ``allow_zero``)."""
+    least = 0 if allow_zero else 1
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value >= least:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number >= {least}, got {text!r}"
         )
 
     return parse
@@ -234,7 +256,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pipeline_config = PipelineConfig(
         partitioner=args.partitioner,
         run_regalloc=args.regalloc, run_check=args.check,
-        mrt_backend=args.mrt_backend,
     )
 
     tracer = trace_fh = None
@@ -329,9 +350,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
     runs = {}
     for leg in ("greedy", "exact"):
-        pipeline_config = PipelineConfig(
-            partitioner=leg, run_regalloc=False, mrt_backend=args.mrt_backend
-        )
+        pipeline_config = PipelineConfig(partitioner=leg, run_regalloc=False)
         if args.progress:
             print(f"--- {leg} leg ---", file=sys.stderr)
         runs[leg] = run_evaluation(
@@ -477,9 +496,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     _require_workers(args)
     if args.queue < 1:
         raise SystemExit("error: --queue requires a positive cell bound")
-    pipeline_config = PipelineConfig(
-        run_regalloc=args.regalloc, mrt_backend=args.mrt_backend,
-    )
+    pipeline_config = PipelineConfig(run_regalloc=args.regalloc)
     _open_store(args.store)  # fail early on an unusable store directory
     return serve_forever(
         args.store,
@@ -559,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile one loop and show artifacts")
     c.add_argument("loop", help="named kernel or path to a textual IR file")
     c.add_argument("--clusters", type=int, default=4, choices=(2, 4, 8))
-    c.add_argument("--width", type=int, default=16)
+    c.add_argument("--width", type=_count(), default=16)
     c.add_argument("--model", choices=("embedded", "copy_unit"), default="embedded")
     c.add_argument(
         "--partitioner",
@@ -574,16 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="ims",
         help="modulo scheduler: Rau's IMS or Swing (lifetime-sensitive)",
     )
-    c.add_argument("--unroll", type=int, default=1, metavar="U",
+    c.add_argument("--unroll", type=_count(), default=1, metavar="U",
                    help="unroll the loop U times before compiling")
-    c.add_argument(
-        "--mrt-backend",
-        choices=("packed", "reference"),
-        default="packed",
-        help="modulo-reservation-table backend: packed occupancy words "
-             "(default) or the reference dict-of-pools oracle; both "
-             "produce byte-identical schedules",
-    )
     c.add_argument("--sim", action="store_true", help="validate via simulation")
     c.add_argument("--check", action="store_true",
                    help="run the cross-stage differential oracles on the "
@@ -596,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument(
         "--expand",
-        type=int,
+        type=_count(),
         metavar="T",
         help="print the pipeline fully expanded for T iterations",
     )
@@ -623,13 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
              "pair 'exact' with --timeout so intractable loops degrade "
              "to typed timeout failures",
     )
-    e.add_argument(
-        "--mrt-backend",
-        choices=("packed", "reference"),
-        default="packed",
-        help="modulo-reservation-table backend (see `compile --help`); "
-             "the report is byte-identical across backends",
-    )
     e.add_argument("--check", action="store_true",
                    help="run the cross-stage oracles on every cell; "
                         "violations become 'oracle' failures in the report")
@@ -638,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--json", metavar="PATH", help="write aggregate + per-loop JSON")
     e.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="compile with N worker processes (default: serial)")
-    e.add_argument("--timeout", type=_seconds(), default=None, metavar="SECONDS",
+    e.add_argument("--timeout", type=_finite("seconds"), default=None, metavar="SECONDS",
                    help="per-loop wall-clock budget; a loop exceeding it is "
                         "recorded as a timeout failure instead of hanging "
                         "the run")
@@ -673,19 +675,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--quick", type=int, default=40, metavar="N",
                    help="number of corpus loops per leg (default: 40; "
                         "pass 211 for the full corpus)")
-    g.add_argument("--timeout", type=_seconds(), default=5.0, metavar="SECONDS",
+    g.add_argument("--timeout", type=_finite("seconds"), default=5.0, metavar="SECONDS",
                    help="per-loop wall-clock budget for each leg; exact "
                         "searches exceeding it degrade to typed timeout "
                         "cells in the report (default: 5.0)")
     g.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="compile each leg with N worker processes; the "
                         "report is byte-identical to a serial run's")
-    g.add_argument(
-        "--mrt-backend",
-        choices=("packed", "reference"),
-        default="packed",
-        help="modulo-reservation-table backend (see `compile --help`)",
-    )
     g.add_argument("--progress", action="store_true")
     g.add_argument("--csv", metavar="PATH",
                    help="write the per-(config, loop) gap rows as CSV")
@@ -740,15 +736,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="remove entries that fail verification")
     sg = ssub.add_parser("gc", help="apply retention limits")
     sg.add_argument("dir", help="store directory")
-    sg.add_argument("--max-entries", type=int, metavar="N",
+    sg.add_argument("--max-entries", type=_count(allow_zero=True), metavar="N",
                     help="keep at most the N most recently written entries")
-    sg.add_argument("--max-age", type=float, metavar="DAYS",
+    sg.add_argument("--max-age", type=_finite("days", allow_zero=True),
+                    metavar="DAYS",
                     help="drop entries not rewritten in DAYS days")
     s.set_defaults(func=cmd_store)
 
     t = sub.add_parser("tune", help="stochastic heuristic tuning (Section 7)")
-    t.add_argument("--trials", type=int, default=10)
-    t.add_argument("--loops", type=int, default=12)
+    t.add_argument("--trials", type=_count(), default=10)
+    t.add_argument("--loops", type=_count(), default=12)
     t.add_argument("--clusters", type=int, default=4, choices=(2, 4, 8))
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_tune)
@@ -771,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"ephemeral port, printed on startup)")
     v.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="compile worker processes (default: 1)")
-    v.add_argument("--timeout", type=_seconds(), default=None, metavar="SECONDS",
+    v.add_argument("--timeout", type=_finite("seconds"), default=None, metavar="SECONDS",
                    help="per-cell compile budget; an exceeding cell becomes "
                         "a timeout failure")
     v.add_argument("--queue", type=int, default=DEFAULT_QUEUE_LIMIT,
@@ -779,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound: refuse submissions that would "
                         "leave more than N cold cells pending "
                         f"(default: {DEFAULT_QUEUE_LIMIT})")
-    v.add_argument("--watchdog-grace", type=_seconds(allow_zero=True),
+    v.add_argument("--watchdog-grace", type=_finite("seconds", allow_zero=True),
                    default=DEFAULT_WATCHDOG_GRACE, metavar="SECONDS",
                    help="extra seconds a running chunk may outlive its "
                         "worker-side deadline before the watchdog SIGKILLs "
@@ -787,10 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"timeout failures (default: {DEFAULT_WATCHDOG_GRACE})")
     v.add_argument("--regalloc", action="store_true",
                    help="run register allocation (same default as evaluate)")
-    v.add_argument(
-        "--mrt-backend", choices=("packed", "reference"),
-        default="packed",
-    )
     v.add_argument("--metrics-out", metavar="PATH",
                    help="write the final stats document (request counters, "
                         "store hit rates) as JSON on shutdown")

@@ -61,9 +61,6 @@ class PipelineConfig:
     seed: int = 0
     max_spill_rounds: int = 3
     precolored: dict[SymbolicRegister, int] | None = None
-    #: modulo-reservation-table backend for both schedulers ("packed" or
-    #: "reference"); see :func:`repro.sched.resources.make_mrt`
-    mrt_backend: str = "packed"
 
 
 @dataclass
@@ -162,18 +159,13 @@ class CompilationContext:
 
             if tracer is not None:
                 with tracer.span("swing_schedule", cat="substep") as sp:
-                    kernel = swing_modulo_schedule(
-                        loop, ddg, target, mrt_backend=self.config.mrt_backend
-                    )
+                    kernel = swing_modulo_schedule(loop, ddg, target)
                     sp.set(ii=kernel.ii)
                     return kernel
-            return swing_modulo_schedule(
-                loop, ddg, target, mrt_backend=self.config.mrt_backend
-            )
+            return swing_modulo_schedule(loop, ddg, target)
         return modulo_schedule(
             loop, ddg, target, budget_ratio=self.config.budget_ratio,
             tracer=tracer, metrics=self.metrics_registry,
-            mrt_backend=self.config.mrt_backend,
         )
 
     # ------------------------------------------------------------------

@@ -96,8 +96,8 @@ def greedy_partition(
     Each node is placed with a single pass over its adjacency list,
     accumulating per-bank benefit (instead of a banks x neighbors scan),
     against incrementally-maintained bank sizes — O(V log V + E) overall.
-    ``_reference_greedy_partition`` keeps the direct transcription for
-    the golden-equivalence property tests.
+    The direct transcription is the golden-equivalence oracle in
+    ``tests/golden.py``.
 
     ``tracer``/``metrics`` are the opt-in observability hooks
     (:mod:`repro.obs`): one span around the whole sweep with the final
@@ -213,89 +213,6 @@ def _choose_best_bank_flat(
 
     # Intent reading: argmax over banks (first bank wins ties), so the
     # balance penalty can steer isolated nodes toward emptier banks.
-    best_bank = 0
-    best_benefit = benefits[0]
-    for bank in range(1, n_banks):
-        if benefits[bank] > best_benefit:
-            best_benefit = benefits[bank]
-            best_bank = bank
-    return best_bank
-
-
-# ----------------------------------------------------------------------
-# Reference implementation (golden-equivalence tests)
-# ----------------------------------------------------------------------
-def _reference_greedy_partition(
-    rcg: RegisterComponentGraph,
-    n_banks: int,
-    config: HeuristicConfig = DEFAULT_HEURISTIC,
-    precolored: dict[SymbolicRegister, int] | None = None,
-    slots_per_bank: int | None = None,
-) -> Partition:
-    """The direct Figure-4 transcription: per-(node, bank) neighbor
-    rescans and full ``bank_sizes`` recomputation.  Value-identical to
-    :func:`greedy_partition`; kept as the property-test oracle."""
-    if n_banks < 1:
-        raise ValueError("need at least one bank")
-    partition = Partition(n_banks=n_banks)
-
-    positives = [w for _a, _b, w in rcg.edges() if w > 0]
-    if not positives:
-        positives = [abs(w) for _a, _b, w in rcg.edges()] or [1.0]
-    weight_scale = sum(positives) / len(positives)
-    penalty = config.balance_penalty * weight_scale
-
-    if precolored:
-        for reg, bank in precolored.items():
-            if reg not in rcg:
-                raise ValueError(f"precolored register {reg} is not an RCG node")
-            partition.assign(reg, bank)
-
-    capacity: float | None = None
-    if slots_per_bank is not None and config.capacity_alpha > 0:
-        capacity = config.capacity_alpha * slots_per_bank
-
-    for node in rcg.nodes_by_weight():
-        if node in partition:
-            continue
-        bank = _reference_choose_best_bank(
-            rcg, partition, node, n_banks, penalty, capacity, config
-        )
-        partition.assign(node, bank)
-    return partition
-
-
-def _reference_choose_best_bank(
-    rcg: RegisterComponentGraph,
-    partition: Partition,
-    node: SymbolicRegister,
-    n_banks: int,
-    penalty: float,
-    capacity: float | None,
-    config: HeuristicConfig = DEFAULT_HEURISTIC,
-) -> int:
-    sizes = partition.bank_sizes()
-    average = sum(sizes) / n_banks
-    benefits: list[float] = []
-    for bank in range(n_banks):
-        benefit = 0.0
-        for neighbor, weight in rcg.neighbors(node):
-            if neighbor in partition and partition.bank_of(neighbor) == bank:
-                benefit += weight
-        if capacity is not None:
-            benefit -= penalty * max(0.0, sizes[bank] + 1 - capacity)
-        else:
-            benefit -= penalty * max(0.0, sizes[bank] - average)
-        benefits.append(benefit)
-
-    if config.literal_figure4:
-        best_bank, best_benefit = 0, 0.0
-        for bank, benefit in enumerate(benefits):
-            if benefit > best_benefit:
-                best_benefit = benefit
-                best_bank = bank
-        return best_bank
-
     best_bank = 0
     best_benefit = benefits[0]
     for bank in range(1, n_banks):

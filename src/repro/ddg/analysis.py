@@ -15,8 +15,9 @@ with no relaxation at all).  The condensation — along with int-indexed
 edge arrays — is built once per DDG state and cached on the graph, keyed
 by its mutation counter, so all binary-search probes, II candidates and
 repeated metric queries reuse it.  The pre-condensation implementations
-are retained as ``_reference_*`` for the golden-equivalence property
-tests (``tests/test_perf_equivalence.py``).
+are the golden-equivalence oracles in ``tests/golden.py``, except
+``_reference_longest_path_heights``, which stays here as the fallback for
+distance-0-cyclic graphs.
 
 The module also provides the *Flexibility* quantity of Section 5 — the
 slack between an operation's earliest and latest position inside a given
@@ -297,30 +298,6 @@ def _index(ddg: DDG) -> _AnalysisIndex:
 # ----------------------------------------------------------------------
 # Recurrence bound
 # ----------------------------------------------------------------------
-def _has_positive_cycle(ddg: DDG, ii: int) -> bool:
-    """Bellman-Ford-style longest-path relaxation on edge weights
-    ``delay - ii * distance``; a relaxation still possible after |V|
-    rounds witnesses a positive cycle.  Reference implementation — the
-    optimized path probes per-SCC edge arrays instead."""
-    n = len(ddg)
-    if n == 0:
-        return False
-    dist = {op.op_id: 0 for op in ddg.ops}
-    edges = [
-        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance) for e in ddg.edges()
-    ]
-    for _ in range(n):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand > dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return False
-    return True
-
-
 def _scc_has_positive_cycle(scc: _SCC, ii: int) -> bool:
     """Bellman-Ford restricted to one cyclic SCC's internal edges."""
     n = len(scc.nodes)
@@ -373,27 +350,6 @@ def recurrence_ii(ddg: DDG) -> int:
     return rec
 
 
-def _reference_recurrence_ii(ddg: DDG) -> int:
-    """The pre-condensation search (kept for golden-equivalence tests)."""
-    if len(ddg) == 0 or ddg.n_edges == 0:
-        return 1
-    hi = max(1, sum(e.delay for e in ddg.edges()))
-    lo = 1
-    # tighten the lower bound with self-edges, which are common (accumulators)
-    for e in ddg.edges():
-        if e.src.op_id == e.dst.op_id and e.distance > 0:
-            lo = max(lo, math.ceil(e.delay / e.distance))
-    if _has_positive_cycle(ddg, hi):
-        raise ValueError("DDG has a positive cycle at maximal II; zero-distance cycle?")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_positive_cycle(ddg, mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def _scc_has_positive_cycle_real(scc: _SCC, ii: float) -> bool:
     n = len(scc.nodes)
     esrc, edst = scc.esrc, scc.edst
@@ -433,41 +389,6 @@ def critical_cycle_ratio(ddg: DDG, tolerance: float = 1e-6) -> float:
                 hi = mid
         best = max(best, hi)
     return best
-
-
-def _has_positive_cycle_real(ddg: DDG, ii: float) -> bool:
-    n = len(ddg)
-    dist = {op.op_id: 0.0 for op in ddg.ops}
-    edges = [
-        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance) for e in ddg.edges()
-    ]
-    eps = 1e-9
-    for _ in range(n):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand > dist[v] + eps:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return False
-    return True
-
-
-def _reference_critical_cycle_ratio(ddg: DDG, tolerance: float = 1e-6) -> float:
-    """Whole-graph bisection (kept for golden-equivalence tests)."""
-    if len(ddg) == 0 or ddg.n_edges == 0:
-        return 0.0
-    if not _has_positive_cycle_real(ddg, 0.0):
-        return 0.0
-    lo, hi = 0.0, float(max(1, sum(e.delay for e in ddg.edges())))
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if _has_positive_cycle_real(ddg, mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def min_ii(ddg: DDG, machine: MachineDescription) -> int:
@@ -569,8 +490,9 @@ def longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
 
 
 def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
-    """Arbitrary-order fixpoint iteration (kept for golden-equivalence
-    tests and as the fallback for distance-0-cyclic graphs)."""
+    """Arbitrary-order fixpoint iteration: the fallback for
+    distance-0-cyclic graphs, and the golden-equivalence oracle for
+    :func:`longest_path_heights`."""
     height = {op.op_id: 0 for op in ddg.ops}
     edges = list(ddg.edges())
     for _round_no in range(len(ddg.ops) + 1):

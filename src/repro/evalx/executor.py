@@ -21,6 +21,10 @@ DEFAULT_WATCHDOG_GRACE = 2.0
 
 _MAIN, _SOLO = 0, 1
 
+#: held around ``pool.submit``, the one call that forks workers, so no two
+#: forks from different calling threads overlap (see :class:`SupervisedPool`)
+_FORK_LOCK = threading.Lock()
+
 
 class _Reaped(Exception):
     """A chunk outlived its watchdog limit; its pool's workers are dead."""
@@ -38,6 +42,13 @@ class SupervisedPool:
     without the gate the watchdog could not tell a stuck chunk from one
     parked behind it.  ``reaps`` and ``breaks`` count watchdog reaps and
     chunks that failed on the main pool.
+
+    Workers are forked from several calling threads, for the main and the
+    isolation pool.  A child forked while another thread is inside
+    ``Popen`` inherits that thread's half-built worker's sentinel pipe,
+    so when that worker dies its sentinel never fires: its pool hangs,
+    or blames the break on an innocent loop.  Every submission therefore
+    holds the module-wide ``_FORK_LOCK``, so forks never overlap.
     """
 
     def __init__(self, jobs: int, grace: float = DEFAULT_WATCHDOG_GRACE):
@@ -109,7 +120,8 @@ class SupervisedPool:
         chunk runs; past the limit the pool's processes get ``SIGKILL``,
         the one signal a wedged worker cannot block.
         """
-        cf = pool.submit(entry, payload)
+        with _FORK_LOCK:
+            cf = pool.submit(entry, payload)
         limit = self.limit(len(payload.cells), payload.cell_timeout, payload.budget)
         if limit is None:
             return cf.result()

@@ -17,8 +17,8 @@ Both phases run on the graph's neighbour bitsets over sorted node
 indices: degree is a popcount, simplify takes the lowest set bit of
 "remaining and degree < k" (the smallest such name), and select takes
 the lowest color whose class bitset misses the node's colored
-neighbours.  ``_reference_chaitin_briggs_color`` keeps the original
-set-based colourer as the parity-test oracle.
+neighbours.  The original set-based colourer is the parity-test oracle
+in ``tests/golden.py``.
 """
 
 from __future__ import annotations
@@ -136,59 +136,4 @@ def chaitin_briggs_color(
         result.colors[nodes[i]] = color
         if optimistic:
             result.optimistic_saves += 1
-    return result
-
-
-def _reference_chaitin_briggs_color(
-    graph: InterferenceGraph,
-    k: int,
-    spill_cost: Callable[[Name], float] | None = None,
-) -> ColoringResult:
-    """The original set-based colourer, through the graph's name-level
-    API.  The parity-test oracle for :func:`chaitin_briggs_color`
-    (identical colors, spill order and optimistic saves)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    cost = spill_cost if spill_cost is not None else (lambda _name: 1.0)
-
-    degrees: dict[Name, int] = {n: graph.degree(n) for n in graph.nodes}
-    removed: set[Name] = set()
-    stack: list[tuple[Name, bool]] = []  # (name, was_optimistic)
-    remaining = set(graph.nodes)
-
-    while remaining:
-        # simplify: any node with degree < k
-        candidate = None
-        for name in sorted(remaining):
-            if degrees[name] < k:
-                candidate = name
-                break
-        optimistic = candidate is None
-        if optimistic:
-            # Briggs: pick the cheapest spill candidate but keep going
-            candidate = min(
-                sorted(remaining),
-                key=lambda n: (cost(n) / max(1, degrees[n]), n),
-            )
-        remaining.discard(candidate)
-        removed.add(candidate)
-        for nb in graph.neighbors(candidate):
-            if nb not in removed:
-                degrees[nb] -= 1
-        stack.append((candidate, optimistic))
-
-    result = ColoringResult(k=k)
-    for name, optimistic in reversed(stack):
-        used = {
-            result.colors[nb]
-            for nb in graph.neighbors(name)
-            if nb in result.colors
-        }
-        color = next((c for c in range(k) if c not in used), None)
-        if color is None:
-            result.spilled.append(name)
-        else:
-            result.colors[name] = color
-            if optimistic:
-                result.optimistic_saves += 1
     return result

@@ -11,14 +11,13 @@ bitsets.  No consumer depends on the order edges were discovered in.
 
 :func:`bank_interference` sweeps an MVE plan once and returns the graph
 of every register bank; :func:`build_interference` is its one-bank
-form.  ``_reference_build_interference`` keeps the original
-cycle-by-cycle sweep as the parity-test oracle.
+form.  The original cycle-by-cycle sweep is the parity-test oracle in
+``tests/golden.py``.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -176,36 +175,3 @@ def build_interference(plan: MVEPlan, rids: set[int] | None = None) -> Interfere
     bank_of = dict.fromkeys(plan.replicas if rids is None else rids, 0)
     graphs = bank_interference(plan, bank_of)
     return graphs[0] if graphs else InterferenceGraph()
-
-
-def _reference_build_interference(
-    plan: MVEPlan, rids: set[int] | None = None
-) -> InterferenceGraph:
-    """The original cycle-by-cycle sweep — builds per-cycle live sets and
-    marks every co-live pair.  The parity-test oracle for
-    :func:`build_interference` (identical nodes, adjacency and max
-    pressure)."""
-    graph = InterferenceGraph()
-    windows = [
-        w for w in plan.windows if rids is None or w.rid in rids
-    ]
-    for w in windows:
-        graph.add_node((w.rid, w.replica))
-
-    timeline = plan.timeline
-    live_at: list[set[Name]] = [set() for _ in range(timeline)]
-    for w in windows:
-        for off in range(min(w.length, timeline)):
-            live_at[(w.start + off) % timeline].add((w.rid, w.replica))
-
-    max_pressure = 0
-    seen_pairs: set[tuple[Name, Name]] = set()
-    for live in live_at:
-        max_pressure = max(max_pressure, len(live))
-        for a, b in itertools.combinations(sorted(live), 2):
-            if (a, b) in seen_pairs:
-                continue
-            seen_pairs.add((a, b))
-            graph.add_edge(a, b)
-    graph.max_pressure = max_pressure
-    return graph

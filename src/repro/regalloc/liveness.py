@@ -103,20 +103,6 @@ class CyclicLiveness:
         return max(self.pressure_rows(), default=0)
 
 
-def _reference_pressure_rows(
-    liveness: CyclicLiveness, include_invariant: bool = False
-) -> list[int]:
-    """Cycle-by-cycle transcription of the steady-state live count —
-    O(sum of lifetimes); the parity-test oracle for ``pressure_rows``."""
-    window = [0] * liveness.ii
-    for lr in liveness:
-        if lr.invariant and not include_invariant:
-            continue
-        for age in range(lr.lifetime):
-            window[(lr.start + age) % liveness.ii] += 1
-    return window
-
-
 def cyclic_liveness(kernel: KernelSchedule, ddg: DDG) -> CyclicLiveness:
     """Compute live ranges from a kernel schedule and its DDG.
 

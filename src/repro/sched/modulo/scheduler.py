@@ -26,7 +26,7 @@ from repro.ddg.analysis import longest_path_heights, min_ii, recurrence_ii, reso
 from repro.ddg.graph import DDG
 from repro.ir.block import Loop
 from repro.machine.machine import MachineDescription
-from repro.sched.resources import make_mrt
+from repro.sched.resources import ModuloReservationTable
 from repro.sched.schedule import KernelSchedule
 
 DEFAULT_BUDGET_RATIO = 12
@@ -51,9 +51,6 @@ class ModuloScheduler:
     #: the hot path pays nothing when disabled
     tracer: "object | None" = None
     metrics: "object | None" = None
-    #: modulo-reservation-table backend (see :func:`repro.sched.resources
-    #: .make_mrt`); None selects the packed default
-    mrt_backend: str | None = None
 
     #: filled by the last ``schedule`` call, for instrumentation/benches
     stats: dict = field(default_factory=dict)
@@ -154,10 +151,7 @@ class ModuloScheduler:
                 for dep in ddg.successors(op)
             ]
 
-        mrt = make_mrt(
-            self.machine, ii, backend=self.mrt_backend,
-            demands=self._demand_cache,
-        )
+        mrt = ModuloReservationTable(self.machine, ii, demands=self._demand_cache)
         times: dict[int, int] = {}
         times_get = times.get
         prev_time: dict[int, int] = {}
@@ -227,10 +221,9 @@ def modulo_schedule(
     max_ii: int | None = None,
     tracer: "object | None" = None,
     metrics: "object | None" = None,
-    mrt_backend: str | None = None,
 ) -> KernelSchedule:
     """Software-pipeline ``loop`` onto ``machine``; see :class:`ModuloScheduler`."""
     return ModuloScheduler(
         machine, budget_ratio=budget_ratio, max_ii=max_ii,
-        tracer=tracer, metrics=metrics, mrt_backend=mrt_backend,
+        tracer=tracer, metrics=metrics,
     ).schedule(loop, ddg)

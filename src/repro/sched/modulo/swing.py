@@ -32,7 +32,7 @@ from repro.ddg.graph import DDG
 from repro.ir.block import Loop
 from repro.machine.machine import MachineDescription
 from repro.sched.modulo.scheduler import SchedulingError
-from repro.sched.resources import make_mrt
+from repro.sched.resources import ModuloReservationTable
 from repro.sched.schedule import KernelSchedule
 
 
@@ -41,7 +41,6 @@ def swing_modulo_schedule(
     ddg: DDG,
     machine: MachineDescription,
     max_ii: int | None = None,
-    mrt_backend: str | None = None,
 ) -> KernelSchedule:
     """Software-pipeline ``loop`` with SMS; see module docs."""
     if len(ddg.ops) == 0:
@@ -54,7 +53,7 @@ def swing_modulo_schedule(
 
     demand_cache: dict = {}
     for ii in range(start_ii, cap + 1):
-        times = _try_ii(ddg, machine, ii, mrt_backend, demand_cache)
+        times = _try_ii(ddg, machine, ii, demand_cache)
         if times is not None:
             shift = min(times.values())
             times = {oid: t - shift for oid, t in times.items()}
@@ -127,13 +126,12 @@ def _try_ii(
     ddg: DDG,
     machine: MachineDescription,
     ii: int,
-    mrt_backend: str | None = None,
     demand_cache: dict | None = None,
 ) -> dict[int, int] | None:
     order = _order_nodes(ddg, ii)
     if order is None:
         return None
-    mrt = make_mrt(machine, ii, backend=mrt_backend, demands=demand_cache)
+    mrt = ModuloReservationTable(machine, ii, demands=demand_cache)
     times: dict[int, int] = {}
     by_id = {op.op_id: op for op in ddg.ops}
 

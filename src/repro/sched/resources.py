@@ -13,30 +13,25 @@ port in their destination cluster and one bus.  Operations without a
 cluster assignment — the monolithic ideal machine — draw from cluster 0,
 whose FU count is the full machine width.
 
-Modulo reservation tables come in two interchangeable backends,
-selected by :func:`make_mrt`:
+The modulo reservation table (Rau, Section 2) flattens a machine's
+per-cycle resources into *pools* (one per cluster FU file, one per
+cluster copy-port file, one for the bus set), and a row's occupancy is a
+single Python int with an 8-bit counter field per pool.  An operation's
+demand is a precomputed *demand word* (a 1 in the low bit of each pool it
+consumes), so
 
-``packed`` (the default)
-    A machine's per-cycle resources are flattened into *pools* (one per
-    cluster FU file, one per cluster copy-port file, one for the bus
-    set) and a row's occupancy is a single Python int with an 8-bit
-    counter field per pool.  An operation's demand is a precomputed
-    *demand word* (a 1 in the low bit of each pool it consumes), so
+* ``place``/``remove`` are one integer add/subtract,
+* ``fits`` is one carry-detect add against a precomputed bias word
+  (guard bit of a pool field sets iff that pool would overflow),
+* ``conflicting_ops`` is ``victim_word & demand_word`` per occupant,
+* the scheduler's whole ``[estart, estart + II)`` probe (``first_free``)
+  is one tight loop of add-and-mask tests, with no per-placement
+  bookkeeping beyond the row word itself — iterative scheduling under
+  pressure is eviction-heavy, so placement state must stay
+  maintenance-free.
 
-    * ``place``/``remove`` are one integer add/subtract,
-    * ``fits`` is one carry-detect add against a precomputed bias word
-      (guard bit of a pool field sets iff that pool would overflow),
-    * ``conflicting_ops`` is ``victim_word & demand_word`` per occupant,
-    * the scheduler's whole ``[estart, estart + II)`` probe
-      (``first_free``) is one tight loop of add-and-mask tests, with no
-      per-placement bookkeeping beyond the row word itself — iterative
-      scheduling under pressure is eviction-heavy, so placement state
-      must stay maintenance-free.
-
-``reference``
-    The original dict-of-:class:`SlotPool` bookkeeping, kept verbatim as
-    the golden oracle for the parity tests
-    (``tests/test_perf_equivalence.py``).
+The acyclic :class:`ReservationTable` keeps plain :class:`SlotPool`
+counters per cycle.
 """
 
 from __future__ import annotations
@@ -265,17 +260,16 @@ class ReservationTable:
 
 
 # ----------------------------------------------------------------------
-# Modulo reservation table backends
+# Modulo reservation table
 # ----------------------------------------------------------------------
 
 
-class PackedModuloReservationTable:
+class ModuloReservationTable:
     """Fixed-II modulo reservation table on packed occupancy words.
 
     Row ``t mod II`` must accommodate every operation issued at absolute
     time ``t``; placement and removal support the iterative scheduler's
-    eviction mechanism.  See the module docs for the encoding; the public
-    surface matches the reference backend exactly.
+    eviction mechanism.  See the module docs for the encoding.
     """
 
     __slots__ = (
@@ -297,7 +291,7 @@ class PackedModuloReservationTable:
         #: op_id -> (time, demand word)
         self._placed: dict[int, tuple[int, int]] = {}
         #: per-row op_id -> demand word; insertion order mirrors placement
-        #: order, so eviction-candidate order matches the reference
+        #: order, so eviction candidates come back oldest first
         self._row_ops: list[dict[int, int]] = [dict() for _ in range(ii)]
         #: per-op demand-word memo, shareable across II retries (the word
         #: depends only on the op and the machine, never the II)
@@ -372,125 +366,3 @@ class PackedModuloReservationTable:
         return [
             oid for oid, w in self._row_ops[time % self.ii].items() if w & word
         ]
-
-
-@dataclass
-class ReferenceModuloReservationTable:
-    """Fixed-II modulo reservation table (Rau, Section 2) — the original
-    dict-of-:class:`SlotPool` implementation, kept verbatim as the golden
-    oracle for the packed backend.
-
-    Row ``t mod II`` must accommodate every operation issued at absolute
-    time ``t``; placement and removal support the iterative scheduler's
-    eviction mechanism.
-    """
-
-    machine: MachineDescription
-    ii: int
-    demands: dict[int, ResourceDemand] | None = None
-    rows: list[SlotPool] = field(init=False)
-    _placed: dict[int, tuple[int, ResourceDemand]] = field(default_factory=dict)
-    #: per-row op_id -> demand occupancy index; insertion order mirrors
-    #: placement order, so eviction-candidate order matches a linear scan
-    #: of ``_placed``
-    _row_ops: list[dict[int, ResourceDemand]] = field(init=False)
-    #: per-op demand memo — the scheduler probes ``fits`` across a whole
-    #: ``[estart, estart + II)`` window for the same op
-    _demands: dict[int, ResourceDemand] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.ii < 1:
-            raise ValueError("II must be positive")
-        self.rows = [SlotPool(self.machine) for _ in range(self.ii)]
-        self._row_ops = [{} for _ in range(self.ii)]
-        self._demands = self.demands if self.demands is not None else {}
-
-    def row_of(self, time: int) -> SlotPool:
-        return self.rows[time % self.ii]
-
-    def _demand(self, op: Operation) -> ResourceDemand:
-        demand = self._demands.get(op.op_id)
-        if demand is None:
-            demand = self._demands[op.op_id] = op_resource_demand(op, self.machine)
-        return demand
-
-    def fits(self, op: Operation, time: int) -> bool:
-        return self.rows[time % self.ii].fits(self._demand(op))
-
-    def first_free(self, op: Operation, estart: int) -> int | None:
-        """First ``t`` in ``[estart, estart + II)`` where ``op`` fits."""
-        for t in range(estart, estart + self.ii):
-            if self.fits(op, t):
-                return t
-        return None
-
-    def place(self, op: Operation, time: int) -> None:
-        if op.op_id in self._placed:
-            raise ValueError(f"operation already placed: {op!r}")
-        demand = self._demand(op)
-        self.rows[time % self.ii].take(demand)
-        self._placed[op.op_id] = (time, demand)
-        self._row_ops[time % self.ii][op.op_id] = demand
-
-    def remove(self, op: Operation) -> int:
-        """Unplace ``op``; returns the time it had been scheduled at."""
-        time, demand = self._placed.pop(op.op_id)
-        self.row_of(time).release(demand)
-        del self._row_ops[time % self.ii][op.op_id]
-        return time
-
-    def is_placed(self, op: Operation) -> bool:
-        return op.op_id in self._placed
-
-    def time_of(self, op: Operation) -> int:
-        return self._placed[op.op_id][0]
-
-    def conflicting_ops(self, op: Operation, time: int) -> list[int]:
-        """Op-ids currently occupying the resource ``op`` needs in row
-        ``time mod II`` — candidates for eviction when placement is forced.
-        O(row occupancy) via the per-row index, not O(all placed)."""
-        demand = self._demand(op)
-        out: list[int] = []
-        for oid, d in self._row_ops[time % self.ii].items():
-            same_fu = (
-                demand.fu_cluster is not None and d.fu_cluster == demand.fu_cluster
-            )
-            same_copy = (
-                demand.copy_cluster is not None and d.copy_cluster == demand.copy_cluster
-            )
-            same_bus = demand.bus and d.bus
-            if same_fu or same_copy or same_bus:
-                out.append(oid)
-        return out
-
-
-#: the default backend is also exported under the historical name — every
-#: in-tree construction site that doesn't thread an explicit backend
-#: (validation, tests) gets the packed implementation transparently
-ModuloReservationTable = PackedModuloReservationTable
-
-DEFAULT_MRT_BACKEND = "packed"
-
-MRT_BACKENDS = ("packed", "reference")
-
-
-class MRTBackendError(RuntimeError):
-    """An unknown MRT backend was requested."""
-
-
-def make_mrt(machine: MachineDescription, ii: int,
-             backend: str | None = None, demands: dict | None = None):
-    """Construct a modulo reservation table with the selected backend.
-
-    ``demands`` optionally shares a per-op demand cache across tables
-    (the iterative scheduler passes one dict through all its II retries;
-    values are backend-specific, so never share a dict across backends).
-    """
-    name = backend or DEFAULT_MRT_BACKEND
-    if name == "packed":
-        return PackedModuloReservationTable(machine, ii, demands=demands)
-    if name == "reference":
-        return ReferenceModuloReservationTable(machine, ii, demands=demands)
-    raise MRTBackendError(
-        f"unknown mrt backend {name!r}; available: {', '.join(MRT_BACKENDS)}"
-    )

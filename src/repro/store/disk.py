@@ -23,6 +23,7 @@ than silently littered with objects.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import time
@@ -219,7 +220,19 @@ class DiskStore:
         between; each deletion therefore goes through
         :meth:`_remove_stale`, which recounts the entry's mtime and keeps
         anything rewritten since it was judged.
+
+        A negative ``max_entries``, or a ``max_age_days`` that is negative
+        or not finite, raises :class:`ValueError` before anything is
+        removed; ``max_entries=0`` drops every entry.
         """
+        if max_entries is not None and max_entries < 0:
+            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
+        if max_age_days is not None and not (
+            math.isfinite(max_age_days) and max_age_days >= 0
+        ):
+            raise ValueError(
+                f"max_age_days must be a finite number >= 0, got {max_age_days}"
+            )
         survivors: list[tuple[int, str]] = []
         removed: list[str] = []
         now = time.time()

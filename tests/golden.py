@@ -1,0 +1,416 @@
+"""Golden oracles for the parity tests.
+
+Every optimised kernel in ``repro`` was rewritten from a direct
+transcription of its algorithm.  Those transcriptions live here, outside
+the shipped package, so the parity tests (``test_perf_equivalence.py``,
+``test_regalloc_bitset_parity.py``) can compare the fast path against
+them value for value.  Each oracle uses only public ``repro`` APIs.
+
+``ReferenceModuloReservationTable`` is the original dict-of-
+:class:`~repro.sched.resources.SlotPool` modulo reservation table.  Tests
+inject it into the schedulers by monkeypatching the
+``ModuloReservationTable`` name of ``repro.sched.modulo.scheduler`` and
+``repro.sched.modulo.swing`` (see :func:`use_reference_mrt`).
+
+The module name matches neither ``test_*.py`` nor ``bench_*.py``, so
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+from typing import Callable
+
+from repro.core.greedy import Partition
+from repro.core.rcg import RegisterComponentGraph
+from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
+from repro.ddg.graph import DDG
+from repro.ir.operations import Operation
+from repro.ir.registers import SymbolicRegister
+from repro.machine.machine import MachineDescription
+from repro.regalloc.coloring import ColoringResult
+from repro.regalloc.interference import InterferenceGraph, Name
+from repro.regalloc.liveness import CyclicLiveness
+from repro.regalloc.mve import MVEPlan
+from repro.sched.resources import ResourceDemand, SlotPool, op_resource_demand
+
+
+# ----------------------------------------------------------------------
+# Modulo reservation table
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class ReferenceModuloReservationTable:
+    """Fixed-II modulo reservation table (Rau, Section 2) — the original
+    dict-of-:class:`SlotPool` implementation, the golden oracle for
+    :class:`repro.sched.resources.ModuloReservationTable`.
+
+    Row ``t mod II`` must accommodate every operation issued at absolute
+    time ``t``; placement and removal support the iterative scheduler's
+    eviction mechanism.
+    """
+
+    machine: MachineDescription
+    ii: int
+    demands: dict[int, ResourceDemand] | None = None
+    rows: list[SlotPool] = field(init=False)
+    _placed: dict[int, tuple[int, ResourceDemand]] = field(default_factory=dict)
+    #: per-row op_id -> demand occupancy index; insertion order mirrors
+    #: placement order, so eviction-candidate order matches a linear scan
+    #: of ``_placed``
+    _row_ops: list[dict[int, ResourceDemand]] = field(init=False)
+    #: per-op demand memo — the scheduler probes ``fits`` across a whole
+    #: ``[estart, estart + II)`` window for the same op
+    _demands: dict[int, ResourceDemand] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.ii < 1:
+            raise ValueError("II must be positive")
+        self.rows = [SlotPool(self.machine) for _ in range(self.ii)]
+        self._row_ops = [{} for _ in range(self.ii)]
+        self._demands = self.demands if self.demands is not None else {}
+
+    def row_of(self, time: int) -> SlotPool:
+        return self.rows[time % self.ii]
+
+    def _demand(self, op: Operation) -> ResourceDemand:
+        demand = self._demands.get(op.op_id)
+        if demand is None:
+            demand = self._demands[op.op_id] = op_resource_demand(op, self.machine)
+        return demand
+
+    def fits(self, op: Operation, time: int) -> bool:
+        return self.rows[time % self.ii].fits(self._demand(op))
+
+    def first_free(self, op: Operation, estart: int) -> int | None:
+        """First ``t`` in ``[estart, estart + II)`` where ``op`` fits."""
+        for t in range(estart, estart + self.ii):
+            if self.fits(op, t):
+                return t
+        return None
+
+    def place(self, op: Operation, time: int) -> None:
+        if op.op_id in self._placed:
+            raise ValueError(f"operation already placed: {op!r}")
+        demand = self._demand(op)
+        self.rows[time % self.ii].take(demand)
+        self._placed[op.op_id] = (time, demand)
+        self._row_ops[time % self.ii][op.op_id] = demand
+
+    def remove(self, op: Operation) -> int:
+        """Unplace ``op``; returns the time it had been scheduled at."""
+        time, demand = self._placed.pop(op.op_id)
+        self.row_of(time).release(demand)
+        del self._row_ops[time % self.ii][op.op_id]
+        return time
+
+    def is_placed(self, op: Operation) -> bool:
+        return op.op_id in self._placed
+
+    def time_of(self, op: Operation) -> int:
+        return self._placed[op.op_id][0]
+
+    def conflicting_ops(self, op: Operation, time: int) -> list[int]:
+        """Op-ids currently occupying the resource ``op`` needs in row
+        ``time mod II`` — candidates for eviction when placement is forced.
+        O(row occupancy) via the per-row index, not O(all placed)."""
+        demand = self._demand(op)
+        out: list[int] = []
+        for oid, d in self._row_ops[time % self.ii].items():
+            same_fu = (
+                demand.fu_cluster is not None and d.fu_cluster == demand.fu_cluster
+            )
+            same_copy = (
+                demand.copy_cluster is not None and d.copy_cluster == demand.copy_cluster
+            )
+            same_bus = demand.bus and d.bus
+            if same_fu or same_copy or same_bus:
+                out.append(oid)
+        return out
+
+
+#: the scheduler modules whose ``ModuloReservationTable`` name is the seam
+SCHEDULER_MODULES = ("repro.sched.modulo.scheduler", "repro.sched.modulo.swing")
+
+
+def use_reference_mrt(monkeypatch) -> None:
+    """Make both modulo schedulers build :class:`ReferenceModuloReservationTable`
+    for the rest of the test (undone by pytest's ``monkeypatch``)."""
+    for module in SCHEDULER_MODULES:
+        monkeypatch.setattr(
+            f"{module}.ModuloReservationTable", ReferenceModuloReservationTable
+        )
+
+
+# ----------------------------------------------------------------------
+# DDG analyses (repro.ddg.analysis)
+# ----------------------------------------------------------------------
+def _has_positive_cycle(ddg: DDG, ii: int) -> bool:
+    """Bellman-Ford-style longest-path relaxation on edge weights
+    ``delay - ii * distance``; a relaxation still possible after |V|
+    rounds witnesses a positive cycle.  Whole-graph form — the optimised
+    path probes per-SCC edge arrays instead."""
+    n = len(ddg)
+    if n == 0:
+        return False
+    dist = {op.op_id: 0 for op in ddg.ops}
+    edges = [
+        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance) for e in ddg.edges()
+    ]
+    for _ in range(n):
+        changed = False
+        for u, v, w in edges:
+            cand = dist[u] + w
+            if cand > dist[v]:
+                dist[v] = cand
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def _reference_recurrence_ii(ddg: DDG) -> int:
+    """The pre-condensation search (kept for golden-equivalence tests)."""
+    if len(ddg) == 0 or ddg.n_edges == 0:
+        return 1
+    hi = max(1, sum(e.delay for e in ddg.edges()))
+    lo = 1
+    # tighten the lower bound with self-edges, which are common (accumulators)
+    for e in ddg.edges():
+        if e.src.op_id == e.dst.op_id and e.distance > 0:
+            lo = max(lo, math.ceil(e.delay / e.distance))
+    if _has_positive_cycle(ddg, hi):
+        raise ValueError("DDG has a positive cycle at maximal II; zero-distance cycle?")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_positive_cycle(ddg, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _has_positive_cycle_real(ddg: DDG, ii: float) -> bool:
+    n = len(ddg)
+    dist = {op.op_id: 0.0 for op in ddg.ops}
+    edges = [
+        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance) for e in ddg.edges()
+    ]
+    eps = 1e-9
+    for _ in range(n):
+        changed = False
+        for u, v, w in edges:
+            cand = dist[u] + w
+            if cand > dist[v] + eps:
+                dist[v] = cand
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def _reference_critical_cycle_ratio(ddg: DDG, tolerance: float = 1e-6) -> float:
+    """Whole-graph bisection (kept for golden-equivalence tests)."""
+    if len(ddg) == 0 or ddg.n_edges == 0:
+        return 0.0
+    if not _has_positive_cycle_real(ddg, 0.0):
+        return 0.0
+    lo, hi = 0.0, float(max(1, sum(e.delay for e in ddg.edges())))
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2.0
+        if _has_positive_cycle_real(ddg, mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# ----------------------------------------------------------------------
+# Greedy partitioner (repro.core.greedy)
+# ----------------------------------------------------------------------
+def _reference_greedy_partition(
+    rcg: RegisterComponentGraph,
+    n_banks: int,
+    config: HeuristicConfig = DEFAULT_HEURISTIC,
+    precolored: dict[SymbolicRegister, int] | None = None,
+    slots_per_bank: int | None = None,
+) -> Partition:
+    """The direct Figure-4 transcription: per-(node, bank) neighbor
+    rescans and full ``bank_sizes`` recomputation.  Value-identical to
+    :func:`greedy_partition`; kept as the property-test oracle."""
+    if n_banks < 1:
+        raise ValueError("need at least one bank")
+    partition = Partition(n_banks=n_banks)
+
+    positives = [w for _a, _b, w in rcg.edges() if w > 0]
+    if not positives:
+        positives = [abs(w) for _a, _b, w in rcg.edges()] or [1.0]
+    weight_scale = sum(positives) / len(positives)
+    penalty = config.balance_penalty * weight_scale
+
+    if precolored:
+        for reg, bank in precolored.items():
+            if reg not in rcg:
+                raise ValueError(f"precolored register {reg} is not an RCG node")
+            partition.assign(reg, bank)
+
+    capacity: float | None = None
+    if slots_per_bank is not None and config.capacity_alpha > 0:
+        capacity = config.capacity_alpha * slots_per_bank
+
+    for node in rcg.nodes_by_weight():
+        if node in partition:
+            continue
+        bank = _reference_choose_best_bank(
+            rcg, partition, node, n_banks, penalty, capacity, config
+        )
+        partition.assign(node, bank)
+    return partition
+
+
+def _reference_choose_best_bank(
+    rcg: RegisterComponentGraph,
+    partition: Partition,
+    node: SymbolicRegister,
+    n_banks: int,
+    penalty: float,
+    capacity: float | None,
+    config: HeuristicConfig = DEFAULT_HEURISTIC,
+) -> int:
+    sizes = partition.bank_sizes()
+    average = sum(sizes) / n_banks
+    benefits: list[float] = []
+    for bank in range(n_banks):
+        benefit = 0.0
+        for neighbor, weight in rcg.neighbors(node):
+            if neighbor in partition and partition.bank_of(neighbor) == bank:
+                benefit += weight
+        if capacity is not None:
+            benefit -= penalty * max(0.0, sizes[bank] + 1 - capacity)
+        else:
+            benefit -= penalty * max(0.0, sizes[bank] - average)
+        benefits.append(benefit)
+
+    if config.literal_figure4:
+        best_bank, best_benefit = 0, 0.0
+        for bank, benefit in enumerate(benefits):
+            if benefit > best_benefit:
+                best_benefit = benefit
+                best_bank = bank
+        return best_bank
+
+    best_bank = 0
+    best_benefit = benefits[0]
+    for bank in range(1, n_banks):
+        if benefits[bank] > best_benefit:
+            best_benefit = benefits[bank]
+            best_bank = bank
+    return best_bank
+
+
+# ----------------------------------------------------------------------
+# Register allocation (repro.regalloc)
+# ----------------------------------------------------------------------
+def _reference_build_interference(
+    plan: MVEPlan, rids: set[int] | None = None
+) -> InterferenceGraph:
+    """The original cycle-by-cycle sweep — builds per-cycle live sets and
+    marks every co-live pair.  The parity-test oracle for
+    :func:`build_interference` (identical nodes, adjacency and max
+    pressure)."""
+    graph = InterferenceGraph()
+    windows = [
+        w for w in plan.windows if rids is None or w.rid in rids
+    ]
+    for w in windows:
+        graph.add_node((w.rid, w.replica))
+
+    timeline = plan.timeline
+    live_at: list[set[Name]] = [set() for _ in range(timeline)]
+    for w in windows:
+        for off in range(min(w.length, timeline)):
+            live_at[(w.start + off) % timeline].add((w.rid, w.replica))
+
+    max_pressure = 0
+    seen_pairs: set[tuple[Name, Name]] = set()
+    for live in live_at:
+        max_pressure = max(max_pressure, len(live))
+        for a, b in itertools.combinations(sorted(live), 2):
+            if (a, b) in seen_pairs:
+                continue
+            seen_pairs.add((a, b))
+            graph.add_edge(a, b)
+    graph.max_pressure = max_pressure
+    return graph
+
+
+def _reference_chaitin_briggs_color(
+    graph: InterferenceGraph,
+    k: int,
+    spill_cost: Callable[[Name], float] | None = None,
+) -> ColoringResult:
+    """The original set-based colourer, through the graph's name-level
+    API.  The parity-test oracle for :func:`chaitin_briggs_color`
+    (identical colors, spill order and optimistic saves)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    cost = spill_cost if spill_cost is not None else (lambda _name: 1.0)
+
+    degrees: dict[Name, int] = {n: graph.degree(n) for n in graph.nodes}
+    removed: set[Name] = set()
+    stack: list[tuple[Name, bool]] = []  # (name, was_optimistic)
+    remaining = set(graph.nodes)
+
+    while remaining:
+        # simplify: any node with degree < k
+        candidate = None
+        for name in sorted(remaining):
+            if degrees[name] < k:
+                candidate = name
+                break
+        optimistic = candidate is None
+        if optimistic:
+            # Briggs: pick the cheapest spill candidate but keep going
+            candidate = min(
+                sorted(remaining),
+                key=lambda n: (cost(n) / max(1, degrees[n]), n),
+            )
+        remaining.discard(candidate)
+        removed.add(candidate)
+        for nb in graph.neighbors(candidate):
+            if nb not in removed:
+                degrees[nb] -= 1
+        stack.append((candidate, optimistic))
+
+    result = ColoringResult(k=k)
+    for name, optimistic in reversed(stack):
+        used = {
+            result.colors[nb]
+            for nb in graph.neighbors(name)
+            if nb in result.colors
+        }
+        color = next((c for c in range(k) if c not in used), None)
+        if color is None:
+            result.spilled.append(name)
+        else:
+            result.colors[name] = color
+            if optimistic:
+                result.optimistic_saves += 1
+    return result
+
+
+def _reference_pressure_rows(
+    liveness: CyclicLiveness, include_invariant: bool = False
+) -> list[int]:
+    """Cycle-by-cycle transcription of the steady-state live count —
+    O(sum of lifetimes); the parity-test oracle for ``pressure_rows``."""
+    window = [0] * liveness.ii
+    for lr in liveness:
+        if lr.invariant and not include_invariant:
+            continue
+        for age in range(lr.lifetime):
+            window[(lr.start + age) % liveness.ii] += 1
+    return window

@@ -104,6 +104,30 @@ class TestSecondsValidation:
         assert "finite number of seconds >= 0" in capsys.readouterr().err
 
 
+class TestCountValidation:
+    @pytest.mark.parametrize("argv", [
+        ["compile", "daxpy", "--unroll", "0"],
+        ["compile", "daxpy", "--unroll", "-2"],
+        ["compile", "daxpy", "--expand", "0"],
+        ["compile", "daxpy", "--expand", "-1"],
+        ["compile", "daxpy", "--width", "0"],
+        ["compile", "daxpy", "--width", "-4"],
+        ["tune", "--trials", "0"],
+        ["tune", "--loops", "0"],
+    ], ids=lambda argv: "_".join(argv[-2:]))
+    def test_count_below_one_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a whole number >= 1" in capsys.readouterr().err
+
+    def test_width_the_clusters_do_not_divide_is_rejected(self, capsys):
+        assert main(["compile", "daxpy", "--clusters", "4", "--width", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: 4 clusters do not evenly divide width 6\n"
+        assert captured.out == ""
+
+
 class TestObservabilityFlags:
     def test_evaluate_trace_and_metrics_out(self, tmp_path, capsys):
         import json

@@ -11,7 +11,10 @@ from repro.ddg.analysis import (
     resource_ii,
     schedule_slack,
 )
+from repro.ddg import analysis
 from repro.ddg.builder import build_loop_ddg
+from repro.ddg.dependence import DepKind, Dependence
+from repro.ddg.graph import DDG
 from repro.ir.builder import LoopBuilder
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
@@ -130,3 +133,44 @@ class TestHeightsAndSlack:
         for op in daxpy_loop.ops:
             assert estart[op.op_id] <= ks.times[op.op_id]
             assert lstart[op.op_id] >= estart[op.op_id]
+
+
+class TestDistanceZeroCycleFallback:
+    """A distance-0 cycle (a malformed body) has no topological order, so
+    ``longest_path_heights`` falls back to the arbitrary-order fixpoint."""
+
+    @staticmethod
+    def two_op_cycle(delay: int) -> DDG:
+        # the two-op cycle of tests/test_ddg_graph.py's
+        # test_distance_zero_cycle_detected, with a chosen edge delay
+        b = LoopBuilder("two")
+        b.fload("f1", "x")
+        b.fstore("f1", "y")
+        loop = b.build()
+        ddg = DDG(ops=list(loop.ops))
+        first, second = loop.ops
+        ddg.add_edge(Dependence(first, second, DepKind.MEM_ANTI, delay, 0))
+        ddg.add_edge(Dependence(second, first, DepKind.MEM_ANTI, delay, 0))
+        return ddg
+
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        calls = []
+        fallback = analysis._reference_longest_path_heights
+
+        def spy(ddg, ii=0):
+            calls.append(ii)
+            return fallback(ddg, ii)
+
+        monkeypatch.setattr(analysis, "_reference_longest_path_heights", spy)
+        return calls
+
+    def test_positive_cycle_diverges(self, fallback_calls):
+        with pytest.raises(ValueError, match="heights diverge"):
+            longest_path_heights(self.two_op_cycle(delay=1))
+        assert fallback_calls == [0]
+
+    def test_zero_delay_cycle_has_zero_heights(self, fallback_calls):
+        ddg = self.two_op_cycle(delay=0)
+        assert longest_path_heights(ddg) == {op.op_id: 0 for op in ddg.ops}
+        assert fallback_calls == [0]

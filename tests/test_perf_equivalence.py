@@ -4,15 +4,18 @@ The hot-path perf work rewrote ``recurrence_ii``, ``critical_cycle_ratio``,
 ``longest_path_heights`` (SCC condensation + cached int-indexed edge
 arrays) and ``greedy_partition`` (single-pass benefit accumulation with
 incrementally-maintained bank sizes), then reworked the scheduling and
-partitioning data layer around flat integer arrays: packed occupancy-word
-modulo reservation tables (with a reference backend),
-CSR adjacency for the partitioner and component analysis, and
-difference-array liveness/interference rows.  Each rewrite kept its
-direct transcription as a ``_reference_*`` function or backend; these
-tests drive both over hundreds of seeded random inputs — self-edges,
-multi-SCC shapes, precolored nodes, copy ops, eviction sequences
-included — and assert *value identity*, not approximate agreement,
-because the evaluation tables must be byte-stable across the rewrite.
+partitioning data layer around flat integer arrays: a packed
+occupancy-word modulo reservation table, CSR adjacency for the
+partitioner and component analysis, and difference-array
+liveness/interference rows.  Each rewrite's direct transcription is a
+golden oracle in ``tests/golden.py`` (``_reference_longest_path_heights``
+stays in ``repro.ddg.analysis`` as a production fallback); these tests
+drive both over hundreds of seeded random inputs — self-edges, multi-SCC
+shapes, precolored nodes, copy ops, eviction sequences included — and
+assert *value identity*, not approximate agreement, because the
+evaluation tables must be byte-stable across the rewrite.  The reference
+modulo reservation table reaches the schedulers by monkeypatching their
+``ModuloReservationTable`` name.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ import random
 
 import pytest
 
-from repro.core.greedy import _reference_greedy_partition, greedy_partition
+from repro.core.greedy import greedy_partition
 from repro.core.rcg import RegisterComponentGraph
 from repro.core.weights import HeuristicConfig
 from repro.ddg.analysis import (
-    _reference_critical_cycle_ratio,
     _reference_longest_path_heights,
-    _reference_recurrence_ii,
     critical_cycle_ratio,
     longest_path_heights,
     recurrence_ii,
@@ -37,6 +38,15 @@ from repro.ddg.graph import DDG
 from repro.ir.operations import Opcode, Operation
 from repro.ir.registers import RegisterFactory
 from repro.ir.types import DataType
+from tests.golden import (
+    ReferenceModuloReservationTable,
+    _reference_build_interference,
+    _reference_critical_cycle_ratio,
+    _reference_greedy_partition,
+    _reference_pressure_rows,
+    _reference_recurrence_ii,
+    use_reference_mrt,
+)
 
 DDG_SEEDS = range(120)
 RCG_SEEDS = range(120)
@@ -236,16 +246,17 @@ def test_connected_components_match_naive(seed):
 
 
 # ----------------------------------------------------------------------
-# modulo reservation table backends
+# modulo reservation table vs the golden table
 # ----------------------------------------------------------------------
 from repro.ir.operations import make_copy  # noqa: E402
 from repro.machine.machine import CopyModel  # noqa: E402
 from repro.machine.presets import ideal_machine, paper_machine  # noqa: E402
-from repro.sched.resources import (  # noqa: E402
-    MRT_BACKENDS,
-    MRTBackendError,
-    make_mrt,
-)
+from repro.sched.resources import ModuloReservationTable  # noqa: E402
+
+#: the shipped table and the golden one, in the order the parity tests
+#: compare them (ids keep the historical backend names)
+MRT_TABLES = {"packed": ModuloReservationTable,
+              "reference": ReferenceModuloReservationTable}
 
 
 def _mrt_fixture(seed: int):
@@ -284,15 +295,15 @@ def _mrt_fixture(seed: int):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_mrt_backends_agree_on_random_sequences(seed):
-    """Drive every available backend through one randomized script of
-    fits / first_free / place / remove / conflicting_ops — including the
-    eviction-style churn the iterative scheduler produces — and demand
+    """Drive the table and the golden table through one randomized script
+    of fits / first_free / place / remove / conflicting_ops — including
+    the eviction-style churn the iterative scheduler produces — and demand
     identical answers at every step (conflict lists compared *in order*:
     the scheduler's eviction choice depends on it)."""
     rng, machine, new_op = _mrt_fixture(seed)
     ii = rng.randint(2, 10)
-    backends = MRT_BACKENDS
-    tables = [make_mrt(machine, ii, backend=b) for b in backends]
+    backends = tuple(MRT_TABLES)
+    tables = [table(machine, ii) for table in MRT_TABLES.values()]
 
     pool = [new_op() for _ in range(rng.randint(2, 12))]
     placed: dict[int, object] = {}
@@ -337,9 +348,9 @@ def test_mrt_backends_agree_on_random_sequences(seed):
         assert len(set(times)) == 1
 
 
-@pytest.mark.parametrize("backend", MRT_BACKENDS)
+@pytest.mark.parametrize("backend", MRT_TABLES)
 def test_mrt_backend_error_parity(backend):
-    """Every backend rejects double placement and over-subscription."""
+    """Both tables reject double placement and over-subscription."""
     machine = ideal_machine(width=1)
 
     def alu():
@@ -349,7 +360,7 @@ def test_mrt_backend_error_parity(backend):
             sources=(f.new(DataType.INT),) * 2,
         )
 
-    mrt = make_mrt(machine, 3, backend=backend)
+    mrt = MRT_TABLES[backend](machine, 3)
     op = alu()
     mrt.place(op, 4)
     with pytest.raises(ValueError):
@@ -360,19 +371,23 @@ def test_mrt_backend_error_parity(backend):
     mrt.place(alu(), 1)
 
 
-def test_make_mrt_rejects_unknown_backend():
-    with pytest.raises(MRTBackendError):
-        make_mrt(ideal_machine(), 2, backend="vectorized")
+# ----------------------------------------------------------------------
+# scheduler parity with the golden table injected
+# ----------------------------------------------------------------------
+def _with_each_table(monkeypatch, run):
+    """``[run() with the shipped table, run() with the golden table]``."""
+    results = [run()]
+    with monkeypatch.context() as m:
+        use_reference_mrt(m)
+        results.append(run())
+    return results
 
 
-# ----------------------------------------------------------------------
-# scheduler parity across MRT backends
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(30))
-def test_scheduler_attempts_identical_across_backends(seed):
+def test_scheduler_attempts_identical_across_backends(seed, monkeypatch):
     """One ``_try_ii`` attempt (the whole placement/eviction engine) must
-    produce the identical times table and eviction count on every
-    backend, for random DDGs on both the ideal and a clustered machine."""
+    produce the identical times table and eviction count with either
+    table, for random DDGs on both the ideal and a clustered machine."""
     from repro.sched.modulo.scheduler import ModuloScheduler
 
     ddg = random_ddg(seed)
@@ -386,41 +401,62 @@ def test_scheduler_attempts_identical_across_backends(seed):
 
     rec = recurrence_ii(ddg)
     for ii in (rec, rec + 2, rec + 5):
-        results = []
-        for backend in MRT_BACKENDS:
-            sched = ModuloScheduler(machine, mrt_backend=backend)
+        def attempt():
+            sched = ModuloScheduler(machine)
             sched._demand_cache = {}
-            results.append(sched._try_ii(ddg, ii))
+            return sched._try_ii(ddg, ii)
+
+        results = _with_each_table(monkeypatch, attempt)
         assert all(r == results[0] for r in results[1:]), (seed, ii, results)
 
 
-def test_corpus_schedules_identical_across_backends():
-    """End-to-end: modulo-schedule real corpus loops under each backend
-    and require identical II and issue times."""
+def test_corpus_schedules_identical_across_backends(monkeypatch):
+    """End-to-end: modulo-schedule real corpus loops with either table,
+    under both IMS and Swing, and require identical II and issue times."""
     from repro.ddg.builder import build_loop_ddg
     from repro.sched.modulo.scheduler import modulo_schedule
+    from repro.sched.modulo.swing import swing_modulo_schedule
     from repro.workloads.corpus import spec95_corpus
 
     machine = ideal_machine()
     for loop in spec95_corpus(n=10):
         ddg = build_loop_ddg(loop)
-        kernels = [
-            modulo_schedule(loop, ddg, machine, mrt_backend=b)
-            for b in MRT_BACKENDS
-        ]
-        for k in kernels[1:]:
-            assert k.ii == kernels[0].ii
-            assert k.times == kernels[0].times
+        for schedule in (modulo_schedule, swing_modulo_schedule):
+            kernels = _with_each_table(
+                monkeypatch, lambda: schedule(loop, ddg, machine)
+            )
+            for k in kernels[1:]:
+                assert k.ii == kernels[0].ii
+                assert k.times == kernels[0].times
+
+
+def test_evaluation_report_identical_with_reference_mrt(monkeypatch):
+    """The whole quick-8 evaluation report (minus its wall-time line) is
+    byte-identical whichever table both schedulers build — the serial run
+    compiles in this process, so the injected golden table is the one
+    every cell's ideal and cluster schedules use."""
+    from repro.core.pipeline import PipelineConfig
+    from repro.evalx.report import render_full_report
+    from repro.evalx.runner import run_evaluation
+    from repro.workloads.corpus import spec95_corpus
+
+    def report():
+        # the config `repro evaluate` builds from its default flags
+        config = PipelineConfig(partitioner="greedy", run_regalloc=False,
+                                run_check=False)
+        run = run_evaluation(loops=spec95_corpus(n=8), config=config)
+        assert not run.failures
+        text = render_full_report(run)
+        return [line for line in text.splitlines() if "wall time" not in line]
+
+    packed, reference = _with_each_table(monkeypatch, report)
+    assert reference == packed
 
 
 # ----------------------------------------------------------------------
 # liveness pressure rows
 # ----------------------------------------------------------------------
-from repro.regalloc.liveness import (  # noqa: E402
-    CyclicLiveness,
-    LiveRange,
-    _reference_pressure_rows,
-)
+from repro.regalloc.liveness import CyclicLiveness, LiveRange  # noqa: E402
 
 
 def random_liveness(seed: int) -> CyclicLiveness:
@@ -463,10 +499,7 @@ def test_interference_matches_reference_over_corpus():
     pipelined loops: same nodes (in order), same adjacency bitsets, same
     recorded max pressure."""
     from repro.ddg.builder import build_loop_ddg
-    from repro.regalloc.interference import (
-        _reference_build_interference,
-        build_interference,
-    )
+    from repro.regalloc.interference import build_interference
     from repro.regalloc.liveness import cyclic_liveness
     from repro.regalloc.mve import plan_mve
     from repro.sched.modulo.scheduler import modulo_schedule

@@ -2,9 +2,9 @@
 
 ``assign_banks`` sweeps the MVE plan once into per-bank bitset graphs
 and colours them on bitsets; the whole ``BankAssignments`` must equal
-the composition of ``_reference_build_interference`` (one cycle sweep
-per bank) and ``_reference_chaitin_briggs_color`` (the set-based
-colourer) — every colour, every spill in order, not just the counts.
+the composition of the golden ``_reference_build_interference`` (one
+cycle sweep per bank) and ``_reference_chaitin_briggs_color`` (the
+set-based colourer) from ``tests/golden.py`` — every colour, every spill in order, not just the counts.
 The paper's 64-register banks never spill, so the same machines with
 6, 10 and 16 registers per bank carry the optimistic and spill paths.
 """
@@ -22,17 +22,12 @@ from repro.evalx.runner import PAPER_CONFIG_ORDER
 from repro.machine.presets import paper_machine
 from repro.regalloc import assignment
 from repro.regalloc.assignment import BankAssignments
-from repro.regalloc.coloring import (
-    _reference_chaitin_briggs_color,
-    chaitin_briggs_color,
-)
-from repro.regalloc.interference import (
-    InterferenceGraph,
-    _reference_build_interference,
-)
+from repro.regalloc.coloring import chaitin_briggs_color
+from repro.regalloc.interference import InterferenceGraph
 from repro.regalloc.liveness import cyclic_liveness
 from repro.regalloc.mve import plan_mve
 from repro.workloads.corpus import spec95_corpus
+from tests.golden import _reference_build_interference, _reference_chaitin_briggs_color
 
 N_LOOPS = 20
 

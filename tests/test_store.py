@@ -210,6 +210,37 @@ def test_disk_store_gc(tmp_path, compiled, machine):
     assert disk.digests() == []
 
 
+@pytest.mark.parametrize("limits", [
+    {"max_entries": -1},
+    {"max_age_days": -1.0},
+    {"max_age_days": float("nan")},
+    {"max_age_days": float("inf")},
+])
+def test_disk_store_gc_rejects_bad_limits(tmp_path, compiled, machine, limits):
+    """A negative count or a negative / non-finite age is an error, not
+    a limit: ``survivors[: len - (-1)]`` used to delete every entry."""
+    disk, digests = _three_entry_store(tmp_path, compiled, machine)
+    with pytest.raises(ValueError):
+        disk.gc(**limits)
+    assert sorted(disk.digests()) == digests
+
+
+def test_disk_store_gc_zero_entries_drops_everything(tmp_path, compiled, machine):
+    disk, digests = _three_entry_store(tmp_path, compiled, machine)
+    assert sorted(disk.gc(max_entries=0)) == digests
+    assert disk.digests() == []
+
+
+def _three_entry_store(tmp_path, compiled, machine):
+    loop, result = compiled
+    disk = DiskStore(tmp_path / "store")
+    entry = StoreEntry.from_result(store_key(loop, machine, CONFIG), result)
+    digests = [f"{i:02x}" + "0" * 62 for i in range(3)]
+    for digest in digests:
+        disk.put(digest, entry)
+    return disk, digests
+
+
 def test_disk_store_gc_spares_concurrently_rewritten_entry(
     tmp_path, compiled, machine, monkeypatch
 ):

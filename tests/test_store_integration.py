@@ -195,3 +195,25 @@ def test_cli_store_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--quick", "4", "--store", store_dir]) == 0
     assert strip(capsys.readouterr().out) == strip(cold_out)
+
+
+@pytest.mark.parametrize("limit", [
+    ["--max-entries", "-1"],
+    ["--max-age", "-1"],
+    ["--max-age", "nan"],
+    ["--max-age", "inf"],
+])
+def test_cli_store_gc_rejects_bad_limits(tmp_path, capsys, limit):
+    """argparse rejects the limit (exit 2) before the store is opened,
+    so no entry is touched."""
+    from repro.cli import main
+    from repro.store import DiskStore
+
+    store_dir = str(tmp_path / "store")
+    assert main(["evaluate", "--quick", "1", "--store", store_dir]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["store", "gc", store_dir, *limit])
+    assert exc.value.code == 2
+    assert "expected a" in capsys.readouterr().err
+    assert len(DiskStore(store_dir).digests()) == 6
