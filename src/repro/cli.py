@@ -241,6 +241,23 @@ def _count(allow_zero: bool = False):
     return parse
 
 
+def _port(least: int):
+    """argparse type: a TCP port number from ``least`` to 65535."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if least <= value <= 65535:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"expected a port number from {least} to 65535, got {text!r}"
+        )
+
+    return parse
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.evalx.export import run_to_csv, run_to_json
     from repro.evalx.report import render_full_report
@@ -763,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "missing); warm requests are answered from it "
                         "without compiling")
     v.add_argument("--host", default="127.0.0.1")
-    v.add_argument("--port", type=int, default=DEFAULT_PORT, metavar="P",
+    v.add_argument("--port", type=_port(0), default=DEFAULT_PORT, metavar="P",
                    help=f"TCP port (default: {DEFAULT_PORT}; 0 binds an "
                         f"ephemeral port, printed on startup)")
     v.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -795,15 +812,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("loops", nargs="*",
                    help="named kernels or paths to textual IR files")
     b.add_argument("--host", default="127.0.0.1")
-    b.add_argument("--port", type=int, default=DEFAULT_PORT, metavar="P")
+    b.add_argument("--port", type=_port(1), default=DEFAULT_PORT, metavar="P")
     b.add_argument("--configs", metavar="SPECS",
                    help="comma-separated config specs like "
                         "'4/embedded,8/copy_unit' (default: the paper's "
                         "six-column grid)")
-    b.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+    b.add_argument("--deadline", type=_finite("seconds"), default=None, metavar="SECONDS",
                    help="per-request budget; unfinished cells come back as "
                         "timeout failures")
-    b.add_argument("--connect-timeout", type=float, default=60.0,
+    b.add_argument("--connect-timeout", type=_finite("seconds"), default=60.0,
                    metavar="SECONDS", help="socket timeout (default: 60)")
     b.add_argument("--ping", action="store_true",
                    help="just check the daemon is up")

@@ -77,9 +77,10 @@ class CompilationContext:
     """Mutable state threaded through a :class:`~repro.core.passes.PassPipeline`.
 
     The ``current_loop`` / ``current_partition`` pair is what step 4
-    operates on; the spill-retry loop rebinds them when it rewrites the
-    loop through memory, so downstream passes and the final result always
-    see the post-spill artifacts.
+    operates on, and ``current_ddg`` is ``current_loop``'s DDG, from which
+    the partitioned DDG is derived; the spill-retry loop rebinds all three
+    when it rewrites the loop through memory, so downstream passes and the
+    final result always see the post-spill artifacts.
     """
 
     loop: Loop
@@ -113,6 +114,7 @@ class CompilationContext:
 
     # step 4-5 artifacts (rebound by spill retries)
     current_loop: Loop | None = None
+    current_ddg: "DDG | None" = None
     current_partition: "Partition | None" = None
     partitioned: "PartitionedLoop | None" = None
     partitioned_ddg: "DDG | None" = None

@@ -53,6 +53,10 @@ class PartitionedLoop:
     #: shadows (used e.g. to translate spill candidates back to the
     #: pre-partition loop)
     copy_origin: dict[int, SymbolicRegister] = field(default_factory=dict)
+    #: (source register rid, consuming cluster) -> the body copy serving
+    #: it; :func:`repro.ddg.builder.derive_partitioned_ddg` splits flow
+    #: edges with it.  Preheader copies have no entry.
+    copy_for: dict[tuple[int, int], Operation] = field(default_factory=dict)
 
     @property
     def n_body_copies(self) -> int:
@@ -118,6 +122,7 @@ def insert_copies(
     new_live_in = set(loop.live_in)
 
     copy_origin: dict[int, SymbolicRegister] = {}
+    copy_for: dict[tuple[int, int], Operation] = {}
     for (src_rid, cluster), consumers in sorted(needed.items()):
         src = reg_by_rid[src_rid]
         copy_reg = factory.new(src.dtype, name=f"{src.name}.c{cluster}")
@@ -127,6 +132,7 @@ def insert_copies(
             cp = make_copy(copy_reg, src, cluster=cluster)
             insertions.setdefault(defined_at[src_rid], []).append(cp)
             body_copies.append(cp)
+            copy_for[(src_rid, cluster)] = cp
         else:
             # loop-invariant live-in: one preheader copy, no kernel cost
             preheader_copies.append((src, copy_reg))
@@ -162,6 +168,7 @@ def insert_copies(
         preheader_copies=preheader_copies,
         op_map=op_map,
         copy_origin=copy_origin,
+        copy_for=copy_for,
     )
 
 

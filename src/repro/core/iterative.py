@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from repro.core.copies import insert_copies
 from repro.core.greedy import Partition
-from repro.ddg.builder import build_loop_ddg
+from repro.ddg.builder import build_loop_ddg, derive_partitioned_ddg
+from repro.ddg.graph import DDG
 from repro.ir.block import Loop
 from repro.ir.registers import SymbolicRegister
 from repro.machine.machine import MachineDescription
@@ -48,11 +49,13 @@ class RefinementStats:
 
 
 def _evaluate(
-    loop: Loop, partition: Partition, machine: MachineDescription, budget_ratio: int
+    loop: Loop, ddg: DDG, partition: Partition, machine: MachineDescription,
+    budget_ratio: int,
 ) -> tuple[int, int]:
-    """(achieved II, body copies) of ``partition`` — the real objective."""
+    """(achieved II, body copies) of ``partition`` — the real objective.
+    ``ddg`` is ``loop``'s DDG; each candidate's graph is derived from it."""
     ploop = insert_copies(loop, partition, machine)
-    pddg = build_loop_ddg(ploop.loop, machine.latencies)
+    pddg = derive_partitioned_ddg(ddg, ploop, machine.latencies)
     kernel = modulo_schedule(ploop.loop, pddg, machine, budget_ratio=budget_ratio)
     return kernel.ii, ploop.n_body_copies
 
@@ -100,8 +103,9 @@ def refine_partition(
     insertion are never moved (they are recreated fresh each evaluation).
     """
     best = partition.copy()
+    ddg = build_loop_ddg(loop, machine.latencies)
     try:
-        best_score = _evaluate(loop, best, machine, budget_ratio)
+        best_score = _evaluate(loop, ddg, best, machine, budget_ratio)
     except SchedulingError:  # pragma: no cover - greedy seeds always compile
         raise
     initial_score = best_score
@@ -117,7 +121,7 @@ def refine_partition(
             trial = best.copy()
             trial.assign(reg, bank)
             try:
-                score = _evaluate(loop, trial, machine, budget_ratio)
+                score = _evaluate(loop, ddg, trial, machine, budget_ratio)
             except SchedulingError:
                 continue
             if score < best_score:

@@ -34,7 +34,7 @@ from repro.core.weights import (
     build_rcg_from_linear,
 )
 from repro.core.wholefn import _FunctionRewriter
-from repro.ddg.builder import build_block_ddg, build_loop_ddg
+from repro.ddg.builder import build_block_ddg, build_loop_ddg, derive_partitioned_ddg
 from repro.ir.block import Loop
 from repro.ir.function import Function
 from repro.machine.machine import MachineDescription
@@ -149,7 +149,7 @@ def compile_mixed(
     partitioned_loops: dict[str, PartitionedLoop] = {}
     for loop in mixed.loops:
         ploop = insert_copies(loop, partition, machine)
-        pddg = build_loop_ddg(ploop.loop, machine.latencies)
+        pddg = derive_partitioned_ddg(loop_ddgs[loop.name], ploop, machine.latencies)
         kernel = modulo_schedule(ploop.loop, pddg, machine)
         validate_kernel_schedule(kernel, pddg)
         clustered_kernels[loop.name] = kernel

@@ -47,7 +47,7 @@ from repro.core.rcg import FrozenRCG
 from repro.core.results import LoopMetrics
 from repro.core.weights import build_rcg_from_kernel
 from repro.ddg.analysis import min_ii, recurrence_ii, resource_ii
-from repro.ddg.builder import build_loop_ddg
+from repro.ddg.builder import build_loop_ddg, derive_partitioned_ddg
 from repro.sched.validate import validate_kernel_schedule
 
 #: Sentinel a pass returns to short-circuit the rest of the pipeline.
@@ -395,6 +395,7 @@ class PartitionPass:
             ) from None
         ctx.partition = strategy(ctx)
         ctx.current_loop = ctx.loop
+        ctx.current_ddg = ctx.ddg
         ctx.current_partition = ctx.partition
 
 
@@ -415,12 +416,22 @@ class InsertCopies:
 
 
 class ClusterReschedule:
-    """Step 4b: rebuild the DDG and reschedule under cluster constraints."""
+    """Step 4b: derive the partitioned DDG and reschedule under cluster
+    constraints.
+
+    The partitioned DDG is derived from ``ctx.current_ddg`` (the DDG of
+    the loop copies were inserted into) by
+    :func:`~repro.ddg.builder.derive_partitioned_ddg`, never rebuilt:
+    same edges, in the same order, as ``build_loop_ddg`` would give, and
+    the SCC condensation comes from the source graph's.
+    """
 
     name = "ClusterReschedule"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.partitioned_ddg = build_loop_ddg(ctx.partitioned.loop, ctx.machine.latencies)
+        ctx.partitioned_ddg = derive_partitioned_ddg(
+            ctx.current_ddg, ctx.partitioned, ctx.machine.latencies
+        )
         ctx.kernel = ctx.schedule(ctx.partitioned.loop, ctx.partitioned_ddg, ctx.machine)
         validate_kernel_schedule(ctx.kernel, ctx.partitioned_ddg)
 
@@ -512,8 +523,10 @@ class SpillRetryLoop:
             ctx.metrics_registry.counter("spill.spilled_registers").inc(n_spilled)
 
         # re-partition the rewritten loop from scratch, through the same
-        # scheduler closure and with the same greedy knobs as round one
+        # scheduler closure and with the same greedy knobs as round one;
+        # the next round derives its partitioned DDG from ``sddg``
         sddg = build_loop_ddg(ctx.current_loop, ctx.machine.latencies)
+        ctx.current_ddg = sddg
         sideal = ctx.schedule(ctx.current_loop, sddg, ctx.ideal_target)
         srcg = build_rcg_from_kernel(sideal, sddg, ctx.config.heuristic)
         ctx.current_partition = greedy_partition(

@@ -3,7 +3,9 @@
     1. intermediate code with symbolic registers (input Loop);
     2. DDG + ideal schedule on the monolithic machine;
     3. RCG partitioning of registers to banks;
-    4. copy insertion, DDG rebuild, cluster-constrained rescheduling;
+    4. copy insertion, the partitioned DDG derived from the ideal one
+       (ops renamed, copy-split flow edges spliced in), cluster-constrained
+       rescheduling;
     5. Chaitin/Briggs register assignment within each bank.
 
 Since the pass-manager refactor the actual stages live in

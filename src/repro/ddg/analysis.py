@@ -19,6 +19,16 @@ are the golden-equivalence oracles in ``tests/golden.py``, except
 ``_reference_longest_path_heights``, which stays here as the fallback for
 distance-0-cyclic graphs.
 
+A partitioned DDG derived from its source DDG
+(:func:`repro.ddg.builder.derive_partitioned_ddg`) gets its index through
+:func:`install_index`, with SCC membership carried over from the source
+index, so Tarjan does not run for it; the arrays, distance-0 order and
+per-SCC edge lists are computed as usual.  However the membership was
+found, ``_condense`` lists the cyclic SCCs by smallest member index, so
+a derived and a rebuilt index are equal list for list.  (Their consumers
+are max-reductions and would not notice the order; the parity tests
+compare exactly.)
+
 The module also provides the *Flexibility* quantity of Section 5 — the
 slack between an operation's earliest and latest position inside a given
 ideal schedule — and height-based priorities for the schedulers.
@@ -55,8 +65,9 @@ def resource_ii(ddg: DDG, machine: MachineDescription) -> int:
     # The modulo scheduler and the metrics pass both ask for ResII of the
     # same (graph, machine) pair several times per compilation; memoize on
     # the DDG keyed by its mutation counter and the machine's resource
-    # shape (ops' cluster fields cannot change without a DDG rebuild on
-    # every path through the pipeline — rewrites clone operations).
+    # shape (ops' cluster fields never change under a DDG on any path
+    # through the pipeline — rewrites clone operations, and the clones get
+    # a new DDG, derived or built).
     machine_key = (
         machine.n_clusters,
         machine.fus_per_cluster,
@@ -136,13 +147,16 @@ class _AnalysisIndex:
     Built once per (graph, version) and cached on the DDG, so every
     ``recurrence_ii`` probe, ``longest_path_heights`` II candidate and
     ``critical_cycle`` hunt reuses the same int-indexed arrays instead of
-    re-walking Dependence objects and op-id dicts.
+    re-walking Dependence objects and op-id dicts.  ``scc_of`` (an SCC id
+    per node) is Tarjan's unless the caller already knows the membership
+    (:func:`install_index`); the ids only group nodes, so any labelling
+    of the same partition yields the same index.
     """
 
     __slots__ = ("n", "m", "op_ids", "src", "dst", "delay", "dist",
-                 "out_edges", "rev_topo0", "cyclic_sccs")
+                 "out_edges", "rev_topo0", "scc_of", "cyclic_sccs")
 
-    def __init__(self, ddg: DDG) -> None:
+    def __init__(self, ddg: DDG, scc_of: list[int] | None = None) -> None:
         ops = ddg.ops
         self.n = len(ops)
         self.op_ids = [op.op_id for op in ops]
@@ -166,6 +180,7 @@ class _AnalysisIndex:
         self.out_edges = out_edges
 
         self.rev_topo0 = self._reverse_topo_distance0()
+        self.scc_of = self._tarjan() if scc_of is None else scc_of
         self.cyclic_sccs = self._condense()
 
     # ------------------------------------------------------------------
@@ -193,7 +208,9 @@ class _AnalysisIndex:
 
     # ------------------------------------------------------------------
     def _condense(self) -> list[_SCC]:
-        scc_of, n_sccs = self._tarjan()
+        """Cyclic SCCs ordered by smallest member index, whatever the ids."""
+        scc_of = self.scc_of
+        n_sccs = max(scc_of, default=-1) + 1
         members: list[list[int]] = [[] for _ in range(n_sccs)]
         for v in range(self.n):
             members[scc_of[v]].append(v)
@@ -230,11 +247,11 @@ class _AnalysisIndex:
                     )
                 elif self.delay[k] > 0:
                     scc.zero_distance_cycle = True
-        return list(cyclic.values())
+        return sorted(cyclic.values(), key=lambda scc: scc.nodes[0])
 
     # ------------------------------------------------------------------
-    def _tarjan(self) -> tuple[list[int], int]:
-        """Iterative Tarjan; returns (scc id per node, number of SCCs)."""
+    def _tarjan(self) -> list[int]:
+        """Iterative Tarjan; returns the SCC id of every node."""
         UNSEEN = -1
         index = [UNSEEN] * self.n
         low = [0] * self.n
@@ -282,7 +299,7 @@ class _AnalysisIndex:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-        return scc_of, n_sccs
+        return scc_of
 
 
 def _index(ddg: DDG) -> _AnalysisIndex:
@@ -293,6 +310,18 @@ def _index(ddg: DDG) -> _AnalysisIndex:
     idx = _AnalysisIndex(ddg)
     ddg._analysis_index = (ddg._version, idx)
     return idx
+
+
+def scc_membership(ddg: DDG) -> list[int]:
+    """The SCC id of every node of ``ddg``, in ``ddg.ops`` order."""
+    return _index(ddg).scc_of
+
+
+def install_index(ddg: DDG, scc_of: list[int]) -> None:
+    """Cache the analysis index of ``ddg``'s current state, with the SCC
+    membership ``scc_of`` known from elsewhere instead of from Tarjan.
+    A later mutation bumps the version and invalidates it as usual."""
+    ddg._analysis_index = (ddg._version, _AnalysisIndex(ddg, scc_of))
 
 
 # ----------------------------------------------------------------------

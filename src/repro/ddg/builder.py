@@ -11,11 +11,17 @@ the symbolic array references: ``arr[i+a]`` in iteration ``k`` and
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro.ddg.analysis import install_index, scc_membership
 from repro.ddg.dependence import DepKind, Dependence
 from repro.ddg.graph import DDG
 from repro.ir.block import BasicBlock, Loop
 from repro.ir.operations import Operation
 from repro.machine.latency import LatencyTable, PAPER_LATENCIES
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.copies import PartitionedLoop
 
 #: issue-separation required by memory ordering (anti/output) edges; the
 #: memory system is assumed to retire same-cycle accesses in program
@@ -29,6 +35,94 @@ def build_loop_ddg(loop: Loop, latencies: LatencyTable = PAPER_LATENCIES) -> DDG
     _add_register_flow_edges(ddg, loop.ops, latencies, cyclic=True)
     _add_memory_edges(ddg, loop.ops, latencies, cyclic=True)
     ddg.verify_acyclic_at_distance_zero()
+    return ddg
+
+
+def derive_partitioned_ddg(
+    source: DDG,
+    partitioned: "PartitionedLoop",
+    latencies: LatencyTable = PAPER_LATENCIES,
+) -> DDG:
+    """The DDG of ``partitioned.loop``, derived from ``source`` instead of
+    rebuilt.
+
+    ``source`` is the DDG of the loop ``partitioned`` was rewritten from,
+    built with the same ``latencies``.  Copy insertion (Section 4, step
+    4) renames every operation and splits some register flow edges with
+    a copy placed right after the value's definition; it never touches
+    memory.  So, walking the rewritten body in order, a body copy gets
+    one flow edge from its def; a cloned operation takes its source's
+    flow predecessors in stored order, each read through a copy now
+    coming from that copy at the same distance (the copy sits where its
+    def does relative to the use); memory edges follow, remapped in
+    source order.  The result equals ``build_loop_ddg(partitioned.loop,
+    latencies)`` edge for edge, in insertion order, without the pairwise
+    memory search.
+
+    Its analysis index is installed from ``source``'s SCC membership, so
+    Tarjan does not run: a clone keeps its source's SCC, and a copy joins
+    its def's SCC if one of its consumers is in it (the split edge lies on
+    a cycle), else it is a singleton.
+    """
+    op_map = partitioned.op_map
+    if len(op_map) != len(source.ops):
+        raise ValueError("source DDG is not the DDG of the partitioned loop's source")
+    src_scc = scc_membership(source)
+    origin: dict[int, Operation] = {}
+    scc_by_id: dict[int, int] = {}
+    for i, op in enumerate(source.ops):
+        clone = op_map[op.op_id]
+        origin[clone.op_id] = op
+        scc_by_id[clone.op_id] = src_scc[i]
+
+    ddg = DDG(ops=list(partitioned.loop.ops))
+    succs, preds, keys = ddg._succs, ddg._preds, ddg._edge_keys
+    flow = DepKind.FLOW
+    copy_for = partitioned.copy_for
+    copies: list[tuple[Operation, Operation]] = []  # (copy, its def)
+    owner: Operation | None = None  # the last clone: a copy's def
+    for op in ddg.ops:
+        oid = op.op_id
+        src_op = origin.get(oid)
+        if src_op is None:
+            copies.append((op, owner))
+            dep = Dependence(owner, op, flow, latencies.of(owner), 0, op.sources[0])
+            succs[owner.op_id].append(dep)
+            preds[oid].append(dep)
+            keys.add((owner.op_id, oid, flow, 0))
+            continue
+        owner = op
+        for e in source.predecessors(src_op):
+            if e.kind is not flow:
+                continue
+            cp = copy_for.get((e.reg.rid, op.cluster))
+            if cp is None:
+                dep = Dependence(op_map[e.src.op_id], op, flow, e.delay, e.distance, e.reg)
+            else:
+                dep = Dependence(cp, op, flow, latencies.of(cp), e.distance, cp.dest)
+            sid = dep.src.op_id
+            succs[sid].append(dep)
+            preds[oid].append(dep)
+            keys.add((sid, oid, flow, dep.distance))
+    for src_op in source.ops:
+        a = op_map[src_op.op_id]
+        for e in source.successors(src_op):
+            if e.kind is not flow:
+                b = op_map[e.dst.op_id]
+                dep = Dependence(a, b, e.kind, e.delay, e.distance)
+                succs[a.op_id].append(dep)
+                preds[b.op_id].append(dep)
+                keys.add((a.op_id, b.op_id, e.kind, e.distance))
+    ddg._version += 1
+    ddg.verify_acyclic_at_distance_zero()
+
+    fresh = max(src_scc, default=-1) + 1
+    for cp, def_op in copies:
+        sid = scc_by_id[def_op.op_id]
+        if not any(scc_by_id[e.dst.op_id] == sid for e in succs[cp.op_id]):
+            sid, fresh = fresh, fresh + 1
+        scc_by_id[cp.op_id] = sid
+    install_index(ddg, [scc_by_id[op.op_id] for op in ddg.ops])
     return ddg
 
 

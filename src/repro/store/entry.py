@@ -361,6 +361,8 @@ class StoreEntry:
             partition=partition,
             partitioned=partitioned,
             kernel=kernel,
+            # built, not derived: the partitioned loop comes back from IR
+            # text with no op_map or copy_for to derive it through
             partitioned_ddg=build_loop_ddg(ploop, machine.latencies),
             metrics=self.metrics(),
             bank_assignment=bank_assignment,

@@ -4,7 +4,8 @@ Every optimised kernel in ``repro`` was rewritten from a direct
 transcription of its algorithm.  Those transcriptions live here, outside
 the shipped package, so the parity tests (``test_perf_equivalence.py``,
 ``test_regalloc_bitset_parity.py``) can compare the fast path against
-them value for value.  Each oracle uses only public ``repro`` APIs.
+them value for value.  Each oracle uses only public ``repro`` APIs,
+except :func:`ddg_rows`, which also reads the analysis index it compares.
 
 ``ReferenceModuloReservationTable`` is the original dict-of-
 :class:`~repro.sched.resources.SlotPool` modulo reservation table.  Tests
@@ -143,6 +144,53 @@ def use_reference_mrt(monkeypatch) -> None:
         monkeypatch.setattr(
             f"{module}.ModuloReservationTable", ReferenceModuloReservationTable
         )
+
+
+# ----------------------------------------------------------------------
+# Partitioned DDG (repro.ddg.builder.derive_partitioned_ddg)
+# ----------------------------------------------------------------------
+def ddg_rows(ddg: DDG) -> dict[str, object]:
+    """Everything the compiler reads of ``ddg`` and its analysis index,
+    as plain values: ``edges()`` and every predecessor list in insertion
+    order as ``(src index, dst index, kind, delay, distance, reg rid)``,
+    the edge keys, and the index's arrays (whose ``out_edges`` split
+    ``edges()`` into successor lists), distance-0 order and cyclic SCCs
+    in list order.  SCC ids are relabelled by first occurrence, so two
+    labellings of the same components compare equal."""
+    from repro.ddg.analysis import _index
+
+    pos = {op.op_id: i for i, op in enumerate(ddg.ops)}
+
+    def row(e):
+        rid = e.reg.rid if e.reg is not None else None
+        return (pos[e.src.op_id], pos[e.dst.op_id], e.kind, e.delay, e.distance, rid)
+
+    idx = _index(ddg)
+    relabel: dict[int, int] = {}
+    for sid in idx.scc_of:
+        relabel.setdefault(sid, len(relabel))
+    return {
+        "edges": [row(e) for e in ddg.edges()],
+        "preds": [[row(e) for e in ddg.predecessors(op)] for op in ddg.ops],
+        "edge_keys": ddg._edge_keys,
+        "arrays": (idx.n, idx.m, idx.op_ids, idx.src, idx.dst, idx.delay,
+                   idx.dist, idx.out_edges),
+        "rev_topo0": idx.rev_topo0,
+        "scc_of": [relabel[sid] for sid in idx.scc_of],
+        "cyclic_sccs": [
+            (s.nodes, s.esrc, s.edst, s.edelay, s.edist, s.delay_sum,
+             s.self_lo, s.zero_distance_cycle)
+            for s in idx.cyclic_sccs
+        ],
+    }
+
+
+def rebuilt_ddg_rows(loop, latencies) -> dict[str, object]:
+    """:func:`ddg_rows` of ``build_loop_ddg(loop)`` with a fresh index —
+    the oracle a derived partitioned DDG must equal."""
+    from repro.ddg.builder import build_loop_ddg
+
+    return ddg_rows(build_loop_ddg(loop, latencies))
 
 
 # ----------------------------------------------------------------------

@@ -104,6 +104,43 @@ class TestSecondsValidation:
         assert "finite number of seconds >= 0" in capsys.readouterr().err
 
 
+class TestNetworkFlagValidation:
+    @pytest.mark.parametrize("argv", [
+        ["submit", "--ping", "--connect-timeout", "-1"],
+        ["submit", "--ping", "--connect-timeout", "0"],
+        ["submit", "--ping", "--connect-timeout", "nan"],
+        ["submit", "--ping", "--connect-timeout", "inf"],
+        ["submit", "daxpy", "--deadline", "nan"],
+        ["submit", "daxpy", "--deadline", "inf"],
+        ["submit", "daxpy", "--deadline", "-1"],
+    ], ids=lambda argv: "_".join(argv[-2:]))
+    def test_bad_seconds_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err
+        assert "finite number of seconds > 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--store", "unused-store", "--port", "-5"],
+        ["serve", "--store", "unused-store", "--port", "65536"],
+        ["serve", "--store", "unused-store", "--port", "http"],
+        ["submit", "--ping", "--port", "0"],
+        ["submit", "--ping", "--port", "-1"],
+        ["submit", "--ping", "--port", "70000"],
+    ], ids=lambda argv: "_".join([argv[0], *argv[-2:]]))
+    def test_out_of_range_port_is_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        least = 0 if argv[0] == "serve" else 1
+        assert f"expected a port number from {least} to 65535" in err
+        assert not (tmp_path / "unused-store").exists()
+
+
 class TestCountValidation:
     @pytest.mark.parametrize("argv", [
         ["compile", "daxpy", "--unroll", "0"],

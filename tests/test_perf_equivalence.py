@@ -45,6 +45,8 @@ from tests.golden import (
     _reference_greedy_partition,
     _reference_pressure_rows,
     _reference_recurrence_ii,
+    ddg_rows,
+    rebuilt_ddg_rows,
     use_reference_mrt,
 )
 
@@ -518,3 +520,83 @@ def test_interference_matches_reference_over_corpus():
         assert fast.max_pressure == slow.max_pressure
         checked += 1
     assert checked == 14
+
+
+# ----------------------------------------------------------------------
+# derived partitioned DDG
+# ----------------------------------------------------------------------
+def _checked_derivation(monkeypatch, seen: list):
+    """Route ClusterReschedule's derivation through a check against
+    ``build_loop_ddg`` plus a fresh analysis index; ``seen`` collects one
+    entry per derived graph."""
+    from repro.core import passes
+
+    derive = passes.derive_partitioned_ddg
+
+    def checked(source, partitioned, latencies):
+        derived = derive(source, partitioned, latencies)
+        assert ddg_rows(derived) == rebuilt_ddg_rows(partitioned.loop, latencies)
+        seen.append(source)
+        return derived
+
+    monkeypatch.setattr(passes, "derive_partitioned_ddg", checked)
+
+
+def _compile_grid(loops, config, machines, spill_may_fail: bool = False) -> int:
+    from repro.core.cache import ArtifactCache
+    from repro.core.pipeline import compile_loop
+
+    cache = ArtifactCache()
+    cells = 0
+    for machine in machines:
+        for loop in loops:
+            try:
+                compile_loop(loop, machine, config, cache=cache)
+            except RuntimeError:
+                if not spill_may_fail:
+                    raise
+                # spilling did not converge within the round limit
+            cells += 1
+    return cells
+
+
+@pytest.mark.parametrize("mrt", ["shipped", "reference"])
+def test_derived_partitioned_ddg_matches_rebuild_over_corpus(mrt, monkeypatch):
+    """Every cell of the 211-loop corpus x 6 configurations: the derived
+    partitioned DDG equals ``build_loop_ddg`` of the partitioned loop edge
+    for edge in insertion order (successor and predecessor lists), and its
+    installed index equals a fresh one, cyclic SCC order included."""
+    from repro.core.pipeline import PipelineConfig
+    from repro.evalx.runner import PAPER_CONFIG_ORDER
+    from repro.workloads.corpus import spec95_corpus
+
+    if mrt == "reference":
+        use_reference_mrt(monkeypatch)
+    seen: list = []
+    _checked_derivation(monkeypatch, seen)
+    config = PipelineConfig(partitioner="greedy", run_regalloc=False, run_check=False)
+    machines = [paper_machine(n, model) for n, model in PAPER_CONFIG_ORDER]
+    cells = _compile_grid(spec95_corpus(), config, machines)
+    assert cells == 211 * 6
+    assert len(seen) == cells
+
+
+def test_derived_partitioned_ddg_matches_rebuild_across_spill_rounds(monkeypatch):
+    """With 6-register banks register assignment fails and spills, so
+    later rounds derive from the spilled loop's DDG, not the ideal one."""
+    import dataclasses
+
+    from repro.core.pipeline import PipelineConfig
+    from repro.evalx.runner import PAPER_CONFIG_ORDER
+    from repro.workloads.corpus import spec95_corpus
+
+    seen: list = []
+    _checked_derivation(monkeypatch, seen)
+    machines = [
+        dataclasses.replace(paper_machine(n, model), regs_per_bank=6)
+        for n, model in PAPER_CONFIG_ORDER
+    ]
+    cells = _compile_grid(spec95_corpus(n=20), PipelineConfig(run_regalloc=True),
+                          machines, spill_may_fail=True)
+    spill_rounds = len(seen) - cells
+    assert spill_rounds > 0

@@ -8,15 +8,20 @@ shapes while keeping every failure reproducible from its seed.
 from __future__ import annotations
 
 import math
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.greedy import greedy_partition
+from repro.core.baselines import random_partition
+from repro.core.copies import insert_copies
+from repro.core.greedy import Partition, greedy_partition
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.weights import build_rcg_from_kernel
-from repro.ddg.analysis import min_ii, recurrence_ii
-from repro.ddg.builder import build_loop_ddg
+from repro.ddg.analysis import _index, min_ii, recurrence_ii
+from repro.ddg.builder import build_loop_ddg, derive_partitioned_ddg
+from repro.ddg.dependence import DepKind, Dependence
+from repro.ir.builder import LoopBuilder
 from repro.ir.parser import parse_loop
 from repro.ir.printer import format_loop
 from repro.machine.machine import CopyModel
@@ -24,10 +29,13 @@ from repro.machine.presets import ideal_machine, paper_machine
 from repro.regalloc.assignment import assign_banks
 from repro.regalloc.liveness import cyclic_liveness
 from repro.regalloc.mve import plan_mve
+from repro.regalloc.spill import spill_registers
 from repro.sched.modulo.scheduler import modulo_schedule
 from repro.sched.validate import validate_kernel_schedule
 from repro.sim.equivalence import check_kernel_against_reference, check_loop_equivalence
+from repro.workloads.kernels import NAMED_KERNELS, make_kernel
 from repro.workloads.synthetic import PROFILES, SyntheticLoopGenerator
+from tests.golden import ddg_rows, rebuilt_ddg_rows
 
 PROFILE_NAMES = sorted(PROFILES)
 
@@ -241,3 +249,72 @@ def test_degradation_never_negative_at_min_ii(loop, n_banks):
     assert result.metrics.partitioned_min_ii >= result.metrics.ideal_min_ii or True
     # normalized kernel is >= ~100 modulo scheduler heuristics
     assert result.metrics.normalized_kernel >= 90.0
+
+
+# ----------------------------------------------------------------------
+# derived partitioned DDG
+# ----------------------------------------------------------------------
+any_loop_strategy = st.one_of(
+    loops_strategy,
+    # the named kernels add hand-written recurrences and reductions to
+    # the synthetic shapes
+    st.sampled_from(sorted(NAMED_KERNELS)).map(make_kernel),
+)
+
+
+@settings(SETTINGS, max_examples=100)  # no scheduling: cheap per example
+@given(
+    loop=any_loop_strategy,
+    n_banks=st.sampled_from([2, 4, 8]),
+    model=st.sampled_from([CopyModel.EMBEDDED, CopyModel.COPY_UNIT]),
+    seed=st.integers(0, 10_000),
+    n_spilled=st.integers(0, 2),
+)
+def test_derived_partitioned_ddg_equals_rebuild(loop, n_banks, model, seed, n_spilled):
+    """Under random partitions (copies inside recurrences, live-ins read
+    across banks through preheader copies, accumulators and scalar spill
+    stores keeping their self-edges) the derived partitioned DDG and its
+    index equal ``build_loop_ddg`` followed by a fresh analysis index."""
+    machine = paper_machine(n_banks, model)
+    if n_spilled:
+        defined = [op.dest for op in loop.ops if op.dest is not None]
+        rng = random.Random(seed)
+        loop, _ = spill_registers(loop, rng.sample(defined, min(n_spilled, len(defined))),
+                                  machine)
+    source = build_loop_ddg(loop, machine.latencies)
+    partitioned = insert_copies(loop, random_partition(loop, n_banks, seed), machine)
+    derived = derive_partitioned_ddg(source, partitioned, machine.latencies)
+    assert ddg_rows(derived) == rebuilt_ddg_rows(partitioned.loop, machine.latencies)
+
+
+def test_copy_on_recurrence_joins_its_scc():
+    """A two-op recurrence split across two banks: both of its edges
+    cross banks, each copy joins the SCC and RecII rises by the copies'
+    latencies.  A later ``add_edge`` invalidates the installed index."""
+    b = LoopBuilder("split_recurrence")
+    b.fadd("fx", "fy", "fa")   # reads last iteration's fy
+    b.fmul("fy", "fx", "fb")
+    loop = b.build()
+    fx, fy = loop.ops[0].dest, loop.ops[1].dest
+    machine = paper_machine(2, CopyModel.EMBEDDED)
+    part = Partition(n_banks=2)
+    for reg in loop.registers():
+        part.assign(reg, 1 if reg is fy else 0)
+
+    source = build_loop_ddg(loop, machine.latencies)
+    partitioned = insert_copies(loop, part, machine)
+    assert partitioned.n_body_copies == 2 and partitioned.n_preheader_copies == 1
+    assert set(partitioned.copy_for) == {(fx.rid, 1), (fy.rid, 0)}
+    derived = derive_partitioned_ddg(source, partitioned, machine.latencies)
+    assert ddg_rows(derived) == rebuilt_ddg_rows(partitioned.loop, machine.latencies)
+
+    (scc,) = _index(derived).cyclic_sccs
+    assert len(scc.nodes) == 4  # both ops and both copies
+    copy_latency = sum(machine.latencies.of(cp) for cp in partitioned.body_copies)
+    assert recurrence_ii(derived) == recurrence_ii(source) + copy_latency
+
+    installed = _index(derived)
+    cp = partitioned.body_copies[0]
+    derived.add_edge(Dependence(cp, cp, DepKind.FLOW, 50, 1, reg=cp.dest))
+    assert _index(derived) is not installed
+    assert recurrence_ii(derived) == 50
