@@ -6,9 +6,11 @@ each register bank."
 
 For software-pipelined kernels, values whose lifetimes exceed the
 initiation interval would be clobbered by the next iteration's definition;
-:mod:`repro.regalloc.mve` applies modulo variable expansion (kernel
+:mod:`repro.regalloc.mve` plans modulo variable expansion (kernel
 unrolling with register renaming) so that interference can be computed on
-a cyclic timeline, after which each bank's interference graph is colored
+a cyclic timeline — each name's occupancy mask and each bank's pressure
+follow arithmetically from the live ranges, with no per-iteration window
+expanded — after which each bank's interference graph is colored
 independently with the Chaitin/Briggs optimistic allocator.  Banks that
 fail to color surface spill candidates; :mod:`repro.regalloc.spill`
 rewrites the loop with spill code and the pipeline recompiles.

@@ -3,16 +3,23 @@
 Two names interfere when their occupancy windows overlap anywhere on the
 cyclic timeline.  Each name's cyclic occupancy is packed into one Python
 int (bit ``c`` set = live at cycle ``c``), so a pair interferes iff the
-AND of their masks is nonzero.  A graph numbers its names densely in
-sorted order and keeps each name's neighbours as one int (bit ``j`` set
-= interferes with ``nodes[j]``): degree is a popcount, and the colourer
-(:mod:`repro.regalloc.coloring`) simplifies and selects on these
-bitsets.  No consumer depends on the order edges were discovered in.
+AND of their masks is nonzero.  The mask comes straight from the live
+range: a name with ``q`` replicas is live for ``lifetime`` cycles once
+every ``q * II``, a periodic bit pattern rotated to the replica's first
+birth, so the per-iteration windows are never expanded.  A bank's peak
+pressure is read off its II kernel rows
+(:func:`repro.regalloc.liveness.row_pressure`).
+
+A graph numbers its names densely in sorted order and keeps each name's
+neighbours as one int (bit ``j`` set = interferes with ``nodes[j]``):
+degree is a popcount, and the colourer (:mod:`repro.regalloc.coloring`)
+simplifies and selects on these bitsets.  No consumer depends on the
+order edges were discovered in.
 
 :func:`bank_interference` sweeps an MVE plan once and returns the graph
 of every register bank; :func:`build_interference` is its one-bank
-form.  The original cycle-by-cycle sweep is the parity-test oracle in
-``tests/golden.py``.
+form.  The original cycle-by-cycle sweep over Lam's expanded windows
+(``mve_windows``) is the parity-test oracle in ``tests/golden.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import bisect
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.regalloc.liveness import row_pressure
 from repro.regalloc.mve import MVEPlan
 
 Name = tuple[int, int]  # (rid, replica)
@@ -99,52 +107,55 @@ def bank_interference(
     """One sweep of ``plan``: the interference graph of every bank that
     holds a name, in ascending bank order.  ``bank_of`` maps rid -> bank;
     names of other rids are left out."""
+    ii = plan.ii
     timeline = plan.timeline
-    # Per-name cyclic occupancy masks: each window is one or two
-    # contiguous bit runs (two when it wraps); a name with several windows
-    # (replica count below the unroll factor) ORs them together.
+    full = (1 << timeline) - 1
+    # comb[q]: one bit at the start of every q*II period of the timeline
+    comb: dict[int, int] = {}
     masks: dict[int, dict[Name, int]] = {}
-    # Max pressure via a difference array over window endpoints.  Counting
-    # windows per cycle equals counting *names* per cycle (what the
-    # reference's per-cycle sets measured) because two windows of one name
-    # never overlap: they sit q*II >= lifetime cycles apart by MVE
-    # construction.
-    diffs: dict[int, list[int]] = {}
-    for w in plan.windows:
-        bank = bank_of.get(w.rid)
+    spans: dict[int, list[tuple[int, int]]] = {}
+    invariants: dict[int, int] = {}
+    invariant_rids = plan.invariant_rids
+    replicas = plan.replicas
+    for rid, start, lifetime in plan.ranges:
+        bank = bank_of.get(rid)
         if bank is None:
             continue
         bank_masks = masks.get(bank)
         if bank_masks is None:
             bank_masks = masks[bank] = {}
-            diff = diffs[bank] = [0] * (timeline + 1)
-        else:
-            diff = diffs[bank]
-        length = min(w.length, timeline)
-        s = w.start % timeline
-        e = s + length
-        if e <= timeline:
-            seg = ((1 << length) - 1) << s
-            diff[s] += 1
-            diff[e] -= 1
-        else:
-            head = timeline - s
-            seg = (((1 << head) - 1) << s) | ((1 << (e - timeline)) - 1)
-            diff[s] += 1
-            diff[timeline] -= 1
-            diff[0] += 1
-            diff[e - timeline] -= 1
-        name = (w.rid, w.replica)
-        bank_masks[name] = bank_masks.get(name, 0) | seg
+            spans[bank] = []
+            invariants[bank] = 0
+        if rid in invariant_rids:
+            bank_masks[(rid, 0)] = full
+            invariants[bank] += 1
+            continue
+        spans[bank].append((start, lifetime))
+        # Name r holds iterations r, r+q, r+2q, ...: a window of
+        # ``lifetime`` cycles every q*II, rotated to its first birth.
+        # The blocks cannot carry into each other: lifetime <= q*II.
+        q = replicas[rid]
+        c = comb.get(q)
+        if c is None:
+            c = comb[q] = full // ((1 << (q * ii)) - 1)
+        pattern = ((1 << lifetime) - 1) * c
+        for r in range(q):
+            k = (start + r * ii) % timeline
+            bank_masks[(rid, r)] = ((pattern << k) | (pattern >> (timeline - k))) & full
+    # Coverage is periodic in II (a shift by II maps iteration j to j+1
+    # mod unroll), so the busiest cycle of the timeline is the busiest
+    # kernel row.  Counting windows per row equals counting *names* per
+    # cycle (what the reference's per-cycle sets measure) because two
+    # windows of one name never overlap.
     return {
-        bank: _bank_graph(masks[bank], diffs[bank], timeline)
+        bank: _bank_graph(
+            masks[bank], max(row_pressure(ii, spans[bank], invariants[bank]))
+        )
         for bank in sorted(masks)
     }
 
 
-def _bank_graph(
-    masks: dict[Name, int], diff: list[int], timeline: int
-) -> InterferenceGraph:
+def _bank_graph(masks: dict[Name, int], max_pressure: int) -> InterferenceGraph:
     # Distinct replicas of the same register DO interfere: when a lifetime
     # exceeds II, consecutive iterations' instances coexist and MVE gave
     # them different names precisely so they can get different colors.
@@ -159,13 +170,6 @@ def _bank_graph(
                 row |= 1 << j
                 adj[j] |= bit_i
         adj[i] = row
-
-    max_pressure = 0
-    acc = 0
-    for c in range(timeline):
-        acc += diff[c]
-        if acc > max_pressure:
-            max_pressure = acc
     return InterferenceGraph(nodes=names, adj=adj, max_pressure=max_pressure)
 
 

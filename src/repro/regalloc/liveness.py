@@ -11,10 +11,16 @@ cycles; a lifetime exceeding II means consecutive iterations' instances of
 the value are simultaneously live, which is what modulo variable expansion
 resolves.  Loop-invariant live-ins are live for the whole loop; live-outs
 stay live through the end of their final iteration.
+
+:func:`row_pressure` turns ``(start, lifetime)`` spans into the
+steady-state live count of each kernel row in O(II + spans); it gives
+MaxLive here and each bank's MVE pressure in
+:mod:`repro.regalloc.interference`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.ddg.graph import DDG
@@ -43,6 +49,41 @@ class LiveRange:
         return self.start + self.lifetime
 
 
+def row_pressure(
+    ii: int, spans: Iterable[tuple[int, int]], base: int = 0
+) -> list[int]:
+    """Live count at each of the ``ii`` kernel rows.
+
+    A ``(start, lifetime)`` span is born at row ``start mod II`` in every
+    iteration, so in the steady state it contributes ``lifetime // II`` to
+    *every* row plus 1 to the ``lifetime mod II`` rows from its birth row
+    on (cyclically).  Accumulating full wraps into a scalar and the
+    remainders into a difference array makes this O(II + spans) instead
+    of O(sum of lifetimes).  ``base`` is added to every row (one per
+    register live throughout).
+    """
+    diff = [0] * (ii + 1)
+    for start, lifetime in spans:
+        wraps, rem = divmod(lifetime, ii)
+        base += wraps
+        if rem:
+            s = start % ii
+            e = s + rem
+            diff[s] += 1
+            if e <= ii:
+                diff[e] -= 1
+            else:
+                diff[ii] -= 1
+                diff[0] += 1
+                diff[e - ii] -= 1
+    rows: list[int] = []
+    acc = base
+    for r in range(ii):
+        acc += diff[r]
+        rows.append(acc)
+    return rows
+
+
 @dataclass
 class CyclicLiveness:
     """Live ranges of every register appearing in a kernel schedule."""
@@ -60,42 +101,14 @@ class CyclicLiveness:
     def __iter__(self):
         return iter(self.ranges.values())
 
-    def pressure_rows(self, include_invariant: bool = False) -> list[int]:
-        """Steady-state live-instance count at each kernel row.
-
-        An instance born at row ``start mod II`` stays live ``lifetime``
-        cycles, so it contributes ``lifetime // II`` to *every* row plus 1
-        to the ``lifetime mod II`` rows after its birth row.  Accumulating
-        full wraps into a scalar and the remainders into a difference
-        array makes this O(II + V) instead of O(sum of lifetimes).
-        Invariants are excluded by default (they occupy non-rotating
-        registers and are not MVE-replicated).
-        """
-        ii = self.ii
-        base = 0
-        diff = [0] * (ii + 1)
-        for lr in self.ranges.values():
-            if lr.invariant and not include_invariant:
-                continue
-            wraps, rem = divmod(lr.lifetime, ii)
-            base += wraps
-            if rem:
-                s = lr.start % ii
-                e = s + rem
-                if e <= ii:
-                    diff[s] += 1
-                    diff[e] -= 1
-                else:
-                    diff[s] += 1
-                    diff[ii] -= 1
-                    diff[0] += 1
-                    diff[e - ii] -= 1
-        rows: list[int] = []
-        acc = 0
-        for r in range(ii):
-            acc += diff[r]
-            rows.append(base + acc)
-        return rows
+    def pressure_rows(self) -> list[int]:
+        """Steady-state live-instance count at each kernel row, over the
+        values MVE replicates: invariants are excluded (they occupy one
+        non-rotating register each and are not replicated)."""
+        return row_pressure(
+            self.ii,
+            ((lr.start, lr.lifetime) for lr in self.ranges.values() if not lr.invariant),
+        )
 
     def max_live(self) -> int:
         """MaxLive: the per-row peak of :meth:`pressure_rows` — the lower
@@ -112,6 +125,7 @@ def cyclic_liveness(kernel: KernelSchedule, ddg: DDG) -> CyclicLiveness:
     """
     loop = kernel.loop
     ii = kernel.ii
+    flat_length = kernel.flat_length
     ranges: dict[int, LiveRange] = {}
 
     use_counts: dict[int, int] = {}
@@ -130,7 +144,7 @@ def cyclic_liveness(kernel: KernelSchedule, ddg: DDG) -> CyclicLiveness:
             if dep.reg is not None and dep.reg.rid == reg.rid:
                 last = max(last, kernel.time_of(dep.dst) + ii * dep.distance)
         if reg in loop.live_out:
-            last = max(last, kernel.flat_length)
+            last = max(last, flat_length)
         ranges[reg.rid] = LiveRange(
             reg=reg,
             start=t_def,
@@ -146,7 +160,7 @@ def cyclic_liveness(kernel: KernelSchedule, ddg: DDG) -> CyclicLiveness:
         ranges[reg.rid] = LiveRange(
             reg=reg,
             start=0,
-            lifetime=kernel.flat_length,
+            lifetime=flat_length,
             invariant=True,
             n_uses=use_counts.get(reg.rid, 0),
         )

@@ -7,16 +7,22 @@ kernel ``u`` times, where
     u = max over values v of ceil(lifetime(v) / II),
 
 and gives each value ``q_v >= ceil(lifetime(v) / II)`` register names used
-round-robin by consecutive iterations; a name's occupancy windows are then
-``q_v * II`` apart, which is at least the lifetime, so instances of the
-same name never overlap.  Because the round-robin must stay consistent
-where the unrolled kernel wraps around, each ``q_v`` is rounded up to the
-smallest **divisor of the unroll factor** (e.g. a 4-name value inside a
-6-unrolled kernel gets 6 names) — otherwise iteration ``unroll`` would
-reuse name ``unroll mod q_v`` while restarting the timeline at name 0.
-The plan produced here drives interference construction
-(:mod:`repro.regalloc.interference`); no IR is rewritten — physical
-assignment happens directly on (register, replica) pairs.
+round-robin by consecutive iterations: iteration ``j`` (``0 <= j < u``)
+writes name ``j mod q_v`` at cycle ``(j * II + start) mod (u * II)`` for
+``lifetime`` cycles.  A name's occupancy windows are then ``q_v * II``
+apart, which is at least the lifetime, so instances of the same name never
+overlap.  Because the round-robin must stay consistent where the unrolled
+kernel wraps around, each ``q_v`` is rounded up to the smallest **divisor
+of the unroll factor** (e.g. a 4-name value inside a 6-unrolled kernel
+gets 6 names) — otherwise iteration ``unroll`` would reuse name
+``unroll mod q_v`` while restarting the timeline at name 0.
+
+The plan is arithmetic only: the unroll factor, the replica counts and
+each live range's ``(rid, start, lifetime)``.  Interference construction
+(:mod:`repro.regalloc.interference`) derives every name's occupancy mask
+and every bank's pressure from them without expanding the per-iteration
+windows; no IR is rewritten — physical assignment happens directly on
+(register, replica) pairs.
 
 Loop-invariant values get exactly one name and are live over the entire
 unrolled timeline.
@@ -30,29 +36,16 @@ from dataclasses import dataclass
 from repro.regalloc.liveness import CyclicLiveness
 
 
-@dataclass(frozen=True)
-class ReplicaWindow:
-    """One cyclic occupancy window of one register name."""
-
-    rid: int
-    replica: int
-    start: int      # within [0, timeline)
-    length: int     # <= timeline
-
-    def covers(self, cycle: int, timeline: int) -> bool:
-        off = (cycle - self.start) % timeline
-        return off < self.length
-
-
 @dataclass
 class MVEPlan:
-    """The unroll factor, per-value replica counts and occupancy windows."""
+    """The unroll factor, per-value replica counts and live ranges."""
 
     ii: int
     unroll: int
     replicas: dict[int, int]            # rid -> q_v (1 for invariants)
-    windows: list[ReplicaWindow]
     invariant_rids: set[int]
+    #: (rid, start, lifetime) of every live range, in liveness order
+    ranges: list[tuple[int, int, int]]
 
     @property
     def timeline(self) -> int:
@@ -73,14 +66,17 @@ def plan_mve(liveness: CyclicLiveness) -> MVEPlan:
     ii = liveness.ii
     replicas: dict[int, int] = {}
     invariant_rids: set[int] = set()
+    ranges: list[tuple[int, int, int]] = []
     unroll = 1
     for lr in liveness:
+        rid = lr.reg.rid
+        ranges.append((rid, lr.start, lr.lifetime))
         if lr.invariant:
-            replicas[lr.reg.rid] = 1
-            invariant_rids.add(lr.reg.rid)
+            replicas[rid] = 1
+            invariant_rids.add(rid)
             continue
         q = max(1, math.ceil(lr.lifetime / ii))
-        replicas[lr.reg.rid] = q
+        replicas[rid] = q
         unroll = max(unroll, q)
 
     # round every replica count up to a divisor of the unroll factor so
@@ -92,26 +88,10 @@ def plan_mve(liveness: CyclicLiveness) -> MVEPlan:
             q += 1
         replicas[rid] = q
 
-    timeline = unroll * ii
-    windows: list[ReplicaWindow] = []
-    for lr in liveness:
-        rid = lr.reg.rid
-        if rid in invariant_rids:
-            windows.append(ReplicaWindow(rid=rid, replica=0, start=0, length=timeline))
-            continue
-        q = replicas[rid]
-        # iteration j (0 <= j < unroll) writes name j mod q at cycle
-        # (j * II + start) mod timeline for `lifetime` cycles
-        for j in range(unroll):
-            start = (j * ii + lr.start) % timeline
-            length = min(lr.lifetime, timeline)
-            windows.append(
-                ReplicaWindow(rid=rid, replica=j % q, start=start, length=length)
-            )
     return MVEPlan(
         ii=ii,
         unroll=unroll,
         replicas=replicas,
-        windows=windows,
         invariant_rids=invariant_rids,
+        ranges=ranges,
     )

@@ -362,16 +362,49 @@ def _reference_choose_best_bank(
 # ----------------------------------------------------------------------
 # Register allocation (repro.regalloc)
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ReplicaWindow:
+    """One cyclic occupancy window of one register name."""
+
+    rid: int
+    replica: int
+    start: int      # within [0, timeline)
+    length: int     # <= timeline
+
+
+def mve_windows(plan: MVEPlan) -> list[ReplicaWindow]:
+    """Lam's expansion of ``plan``: one window per (value, iteration) of
+    the unrolled kernel, and one timeline-long window per invariant.  The
+    occupancy oracle behind :func:`_reference_build_interference`."""
+    timeline = plan.timeline
+    windows: list[ReplicaWindow] = []
+    for rid, lr_start, lifetime in plan.ranges:
+        if rid in plan.invariant_rids:
+            windows.append(ReplicaWindow(rid=rid, replica=0, start=0, length=timeline))
+            continue
+        q = plan.replicas[rid]
+        # iteration j (0 <= j < unroll) writes name j mod q at cycle
+        # (j * II + start) mod timeline for `lifetime` cycles
+        for j in range(plan.unroll):
+            start = (j * plan.ii + lr_start) % timeline
+            length = min(lifetime, timeline)
+            windows.append(
+                ReplicaWindow(rid=rid, replica=j % q, start=start, length=length)
+            )
+    return windows
+
+
 def _reference_build_interference(
     plan: MVEPlan, rids: set[int] | None = None
 ) -> InterferenceGraph:
-    """The original cycle-by-cycle sweep — builds per-cycle live sets and
-    marks every co-live pair.  The parity-test oracle for
-    :func:`build_interference` (identical nodes, adjacency and max
+    """The original cycle-by-cycle sweep over :func:`mve_windows` —
+    builds per-cycle live sets and marks every co-live pair.  The
+    parity-test oracle for :func:`build_interference` and
+    :func:`bank_interference` (identical nodes, adjacency and max
     pressure)."""
     graph = InterferenceGraph()
     windows = [
-        w for w in plan.windows if rids is None or w.rid in rids
+        w for w in mve_windows(plan) if rids is None or w.rid in rids
     ]
     for w in windows:
         graph.add_node((w.rid, w.replica))
@@ -450,14 +483,13 @@ def _reference_chaitin_briggs_color(
     return result
 
 
-def _reference_pressure_rows(
-    liveness: CyclicLiveness, include_invariant: bool = False
-) -> list[int]:
-    """Cycle-by-cycle transcription of the steady-state live count —
-    O(sum of lifetimes); the parity-test oracle for ``pressure_rows``."""
+def _reference_pressure_rows(liveness: CyclicLiveness) -> list[int]:
+    """Cycle-by-cycle transcription of the steady-state live count of the
+    non-invariant values — O(sum of lifetimes); the parity-test oracle for
+    ``pressure_rows``."""
     window = [0] * liveness.ii
     for lr in liveness:
-        if lr.invariant and not include_invariant:
+        if lr.invariant:
             continue
         for age in range(lr.lifetime):
             window[(lr.start + age) % liveness.ii] += 1

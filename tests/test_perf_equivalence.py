@@ -481,9 +481,7 @@ def random_liveness(seed: int) -> CyclicLiveness:
 @pytest.mark.parametrize("seed", range(80))
 def test_pressure_rows_match_reference(seed):
     liv = random_liveness(seed)
-    for include_invariant in (False, True):
-        assert liv.pressure_rows(include_invariant=include_invariant) == \
-            _reference_pressure_rows(liv, include_invariant=include_invariant)
+    assert liv.pressure_rows() == _reference_pressure_rows(liv)
     assert liv.max_live() == max(_reference_pressure_rows(liv), default=0)
 
 

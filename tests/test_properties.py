@@ -24,10 +24,12 @@ from repro.ddg.dependence import DepKind, Dependence
 from repro.ir.builder import LoopBuilder
 from repro.ir.parser import parse_loop
 from repro.ir.printer import format_loop
+from repro.ir.registers import RegisterFactory
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
 from repro.regalloc.assignment import assign_banks
-from repro.regalloc.liveness import cyclic_liveness
+from repro.regalloc.interference import bank_interference
+from repro.regalloc.liveness import CyclicLiveness, LiveRange, cyclic_liveness
 from repro.regalloc.mve import plan_mve
 from repro.regalloc.spill import spill_registers
 from repro.sched.modulo.scheduler import modulo_schedule
@@ -35,7 +37,12 @@ from repro.sched.validate import validate_kernel_schedule
 from repro.sim.equivalence import check_kernel_against_reference, check_loop_equivalence
 from repro.workloads.kernels import NAMED_KERNELS, make_kernel
 from repro.workloads.synthetic import PROFILES, SyntheticLoopGenerator
-from tests.golden import ddg_rows, rebuilt_ddg_rows
+from tests.golden import (
+    _reference_build_interference,
+    ddg_rows,
+    mve_windows,
+    rebuilt_ddg_rows,
+)
 
 PROFILE_NAMES = sorted(PROFILES)
 
@@ -129,7 +136,7 @@ def test_mve_names_cover_lifetimes(loop):
     from collections import defaultdict
 
     occupancy = defaultdict(lambda: [0] * plan.timeline)
-    for w in plan.windows:
+    for w in mve_windows(plan):
         if w.rid in plan.invariant_rids:
             continue
         for off in range(w.length):
@@ -318,3 +325,65 @@ def test_copy_on_recurrence_joins_its_scc():
     derived.add_edge(Dependence(cp, cp, DepKind.FLOW, 50, 1, reg=cp.dest))
     assert _index(derived) is not installed
     assert recurrence_ii(derived) == 50
+
+
+# ----------------------------------------------------------------------
+# MVE name masks and bank pressure
+# ----------------------------------------------------------------------
+@settings(SETTINGS, max_examples=200)  # no scheduling: cheap per example
+@given(data=st.data())
+def test_bank_interference_matches_window_oracle(data):
+    """The arithmetic name masks and per-row bank pressure of
+    ``bank_interference`` equal the cycle sweep over Lam's expanded
+    windows (``golden.mve_windows``), bank by bank: same nodes, same
+    adjacency, same max pressure.  Lifetimes run up to several II (exact
+    multiples included), so replica counts are rounded up to divisors of
+    the unroll factor; starts run past the timeline; some rids are left
+    out of the bank map and some banks hold only invariants."""
+    ii = data.draw(st.integers(1, 8), label="ii")
+    lifetimes = data.draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 6 * ii),
+                st.integers(1, 6).map(lambda k: k * ii),
+            ),
+            max_size=10,
+        ),
+        label="lifetimes",
+    )
+    n_invariants = data.draw(st.integers(0, 3), label="n_invariants")
+    n_banks = data.draw(st.integers(1, 3), label="n_banks")
+
+    factory = RegisterFactory()
+    regs = [factory.new() for _ in range(len(lifetimes) + n_invariants)]
+    # the lifetimes alone fix the unroll factor, hence the timeline the
+    # starts are drawn against
+    timeline = plan_mve(CyclicLiveness(ii=ii, ranges={
+        reg.rid: LiveRange(reg=reg, start=0, lifetime=lifetime)
+        for reg, lifetime in zip(regs, lifetimes)
+    })).timeline
+    ranges = {}
+    for reg, lifetime in zip(regs, lifetimes):
+        start = data.draw(st.integers(0, 3 * timeline), label="start")
+        ranges[reg.rid] = LiveRange(reg=reg, start=start, lifetime=lifetime)
+    for reg in regs[len(lifetimes):]:
+        ranges[reg.rid] = LiveRange(reg=reg, start=0, lifetime=timeline, invariant=True)
+    plan = plan_mve(CyclicLiveness(ii=ii, ranges=ranges))
+    assert plan.timeline == timeline
+
+    # None leaves the rid out; bank ``n_banks`` is open to invariants only
+    bank_of = {}
+    for rid, lr in ranges.items():
+        top = n_banks if lr.invariant else n_banks - 1
+        bank = data.draw(st.one_of(st.none(), st.integers(0, top)), label="bank")
+        if bank is not None:
+            bank_of[rid] = bank
+
+    fast = bank_interference(plan, bank_of)
+    assert list(fast) == sorted(set(bank_of.values()))
+    for bank, graph in fast.items():
+        rids = {rid for rid, b in bank_of.items() if b == bank}
+        slow = _reference_build_interference(plan, rids)
+        assert graph.nodes == slow.nodes
+        assert graph.adj == slow.adj
+        assert graph.max_pressure == slow.max_pressure

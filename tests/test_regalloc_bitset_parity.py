@@ -7,6 +7,8 @@ cycle sweep per bank) and ``_reference_chaitin_briggs_color`` (the
 set-based colourer) from ``tests/golden.py`` — every colour, every spill in order, not just the counts.
 The paper's 64-register banks never spill, so the same machines with
 6, 10 and 16 registers per bank carry the optimistic and spill paths.
+Both modulo schedulers feed it: Swing's lifetime-sensitive placement
+gives shorter, differently aligned live ranges than IMS.
 """
 
 from __future__ import annotations
@@ -93,12 +95,17 @@ def corpus_slice():
     return spec95_corpus(n=N_LOOPS)
 
 
-@pytest.mark.parametrize("regs_per_bank", [None, 6, 10, 16])
+@pytest.mark.parametrize(
+    "scheduler, regs_per_bank",
+    [pytest.param("ims", regs, id=str(regs)) for regs in (None, 6, 10, 16)]
+    + [pytest.param("swing", regs, id=f"swing-{regs}") for regs in (None, 6, 10, 16)],
+)
 def test_assign_banks_matches_reference_composition(
-    corpus_slice, regs_per_bank, monkeypatch
+    corpus_slice, scheduler, regs_per_bank, monkeypatch
 ):
     """Every ``assign_banks`` call the pipeline makes (all spill rounds)
-    over a corpus slice x the six paper configurations."""
+    over a corpus slice x the six paper configurations, on IMS kernels
+    and on Swing's lifetime-sensitive ones."""
     fast = assignment.assign_banks
     stats = {"calls": 0, "failed": 0, "optimistic": 0, "spilled": 0}
 
@@ -114,7 +121,7 @@ def test_assign_banks_matches_reference_composition(
         return out
 
     monkeypatch.setattr(assignment, "assign_banks", checked)
-    config = PipelineConfig(run_regalloc=True)
+    config = PipelineConfig(scheduler=scheduler, run_regalloc=True)
     for n_clusters, model in PAPER_CONFIG_ORDER:
         machine = paper_machine(n_clusters, model)
         if regs_per_bank is not None:

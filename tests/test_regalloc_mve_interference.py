@@ -10,6 +10,7 @@ from repro.regalloc.interference import build_interference
 from repro.regalloc.liveness import cyclic_liveness
 from repro.regalloc.mve import plan_mve
 from repro.sched.modulo.scheduler import modulo_schedule
+from tests.golden import mve_windows
 
 
 def plan_for(loop):
@@ -49,7 +50,7 @@ class TestMVEPlanning:
         from collections import defaultdict
 
         by_name = defaultdict(list)
-        for w in plan.windows:
+        for w in mve_windows(plan):
             if w.rid in plan.invariant_rids:
                 continue
             by_name[(w.rid, w.replica)].append(w)
