@@ -423,17 +423,30 @@ class ClusterReschedule:
     the loop copies were inserted into) by
     :func:`~repro.ddg.builder.derive_partitioned_ddg`, never rebuilt:
     same edges, in the same order, as ``build_loop_ddg`` would give, and
-    the SCC condensation comes from the source graph's.
+    the SCC condensation comes from the source graph's.  With tracing on,
+    the derivation and the validation are ``ddg_derive`` and
+    ``validate_kernel`` substep spans, next to the scheduler's
+    ``ims_attempt`` spans.
     """
 
     name = "ClusterReschedule"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.partitioned_ddg = derive_partitioned_ddg(
-            ctx.current_ddg, ctx.partitioned, ctx.machine.latencies
+        ctx.partitioned_ddg = _substep(
+            ctx, "ddg_derive", derive_partitioned_ddg,
+            ctx.current_ddg, ctx.partitioned, ctx.machine.latencies,
         )
         ctx.kernel = ctx.schedule(ctx.partitioned.loop, ctx.partitioned_ddg, ctx.machine)
-        validate_kernel_schedule(ctx.kernel, ctx.partitioned_ddg)
+        _substep(ctx, "validate_kernel", validate_kernel_schedule,
+                 ctx.kernel, ctx.partitioned_ddg)
+
+
+def _substep(ctx: CompilationContext, name: str, fn, *args):
+    """``fn(*args)``, inside a ``name`` substep span if tracing is on."""
+    if not ctx.tracer.enabled:
+        return fn(*args)
+    with ctx.tracer.span(name, cat="substep"):
+        return fn(*args)
 
 
 class AssignBanks:

@@ -11,23 +11,14 @@ Recurrence analysis is SCC-condensed: every dependence cycle lives inside
 one strongly connected component, so the Bellman-Ford feasibility probes
 only ever relax the edges *internal* to cyclic SCCs (acyclic graphs
 short-circuit to II = 1, accumulator self-loops resolve arithmetically
-with no relaxation at all).  The condensation — along with int-indexed
-edge arrays — is built once per DDG state and cached on the graph, keyed
-by its mutation counter, so all binary-search probes, II candidates and
-repeated metric queries reuse it.  The pre-condensation implementations
-are the golden-equivalence oracles in ``tests/golden.py``, except
-``_reference_longest_path_heights``, which stays here as the fallback for
-distance-0-cyclic graphs.
-
-A partitioned DDG derived from its source DDG
-(:func:`repro.ddg.builder.derive_partitioned_ddg`) gets its index through
-:func:`install_index`, with SCC membership carried over from the source
-index, so Tarjan does not run for it; the arrays, distance-0 order and
-per-SCC edge lists are computed as usual.  However the membership was
-found, ``_condense`` lists the cyclic SCCs by smallest member index, so
-a derived and a rebuilt index are equal list for list.  (Their consumers
-are max-reductions and would not notice the order; the parity tests
-compare exactly.)
+with no relaxation at all).  The condensation and the int edge arrays are
+the graph's :class:`~repro.ddg.graph.AnalysisIndex`, built once per graph
+state from the edge rows (or, for a derived partitioned DDG, with the SCC
+membership carried over from its source), so every binary-search probe,
+II candidate and repeated metric query reuses them.  RecII (once found) and
+ResII (per machine shape) are memoised on the index.  The
+pre-condensation implementations are the golden-equivalence oracles in
+``tests/golden.py``.
 
 The module also provides the *Flexibility* quantity of Section 5 — the
 slack between an operation's earliest and latest position inside a given
@@ -39,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Mapping
 
-from repro.ddg.graph import DDG
+from repro.ddg.graph import DDG, SCC
 from repro.ir.operations import Operation
 from repro.machine.machine import CopyModel, MachineDescription
 
@@ -64,10 +55,10 @@ def resource_ii(ddg: DDG, machine: MachineDescription) -> int:
 
     # The modulo scheduler and the metrics pass both ask for ResII of the
     # same (graph, machine) pair several times per compilation; memoize on
-    # the DDG keyed by its mutation counter and the machine's resource
-    # shape (ops' cluster fields never change under a DDG on any path
-    # through the pipeline — rewrites clone operations, and the clones get
-    # a new DDG, derived or built).
+    # the graph's analysis index, keyed by the machine's resource shape
+    # (ops' cluster fields never change under a DDG on any path through
+    # the pipeline — rewrites clone operations, and the clones get a new
+    # DDG, derived or built).
     machine_key = (
         machine.n_clusters,
         machine.fus_per_cluster,
@@ -75,11 +66,7 @@ def resource_ii(ddg: DDG, machine: MachineDescription) -> int:
         machine.copy_ports_per_cluster,
         machine.n_buses,
     )
-    cached = getattr(ddg, "_resource_ii_cache", None)
-    if cached is None or cached[0] != ddg._version:
-        cached = (ddg._version, {})
-        ddg._resource_ii_cache = cached
-    memo = cached[1]
+    memo = ddg.index().res_ii
     hit = memo.get(machine_key)
     if hit is not None:
         return hit
@@ -115,219 +102,9 @@ def resource_ii(ddg: DDG, machine: MachineDescription) -> int:
 
 
 # ----------------------------------------------------------------------
-# Cached analysis index: int-indexed edge arrays + SCC condensation
-# ----------------------------------------------------------------------
-class _SCC:
-    """One cyclic strongly connected component, in local index space."""
-
-    __slots__ = ("nodes", "esrc", "edst", "edelay", "edist", "delay_sum",
-                 "self_lo", "zero_distance_cycle")
-
-    def __init__(self, nodes: list[int]) -> None:
-        self.nodes = nodes            # global node indices, for diagnostics
-        self.esrc: list[int] = []     # internal edges, local endpoints,
-        self.edst: list[int] = []     # in global ddg.edges() order
-        self.edelay: list[int] = []
-        self.edist: list[int] = []
-        self.delay_sum = 0
-        self.self_lo = 1              # ceil(delay/distance) over self-edges
-        self.zero_distance_cycle = False
-
-    @property
-    def trivial(self) -> bool:
-        """A single node whose only cycles are its own self-edges; RecII
-        resolves arithmetically (mediant inequality: composite self-loop
-        ratios never exceed the max single-edge ratio)."""
-        return len(self.nodes) == 1
-
-
-class _AnalysisIndex:
-    """Edge arrays and SCC condensation for one DDG state.
-
-    Built once per (graph, version) and cached on the DDG, so every
-    ``recurrence_ii`` probe, ``longest_path_heights`` II candidate and
-    ``critical_cycle`` hunt reuses the same int-indexed arrays instead of
-    re-walking Dependence objects and op-id dicts.  ``scc_of`` (an SCC id
-    per node) is Tarjan's unless the caller already knows the membership
-    (:func:`install_index`); the ids only group nodes, so any labelling
-    of the same partition yields the same index.
-    """
-
-    __slots__ = ("n", "m", "op_ids", "src", "dst", "delay", "dist",
-                 "out_edges", "rev_topo0", "scc_of", "cyclic_sccs")
-
-    def __init__(self, ddg: DDG, scc_of: list[int] | None = None) -> None:
-        ops = ddg.ops
-        self.n = len(ops)
-        self.op_ids = [op.op_id for op in ops]
-        id2idx = {op.op_id: i for i, op in enumerate(ops)}
-
-        src: list[int] = []
-        dst: list[int] = []
-        delay: list[int] = []
-        dist: list[int] = []
-        for e in ddg.edges():  # global edge order == ddg.edges() order
-            src.append(id2idx[e.src.op_id])
-            dst.append(id2idx[e.dst.op_id])
-            delay.append(e.delay)
-            dist.append(e.distance)
-        self.src, self.dst, self.delay, self.dist = src, dst, delay, dist
-        self.m = len(src)
-
-        out_edges: list[list[int]] = [[] for _ in range(self.n)]
-        for k in range(self.m):
-            out_edges[src[k]].append(k)
-        self.out_edges = out_edges
-
-        self.rev_topo0 = self._reverse_topo_distance0()
-        self.scc_of = self._tarjan() if scc_of is None else scc_of
-        self.cyclic_sccs = self._condense()
-
-    # ------------------------------------------------------------------
-    def _reverse_topo_distance0(self) -> list[int] | None:
-        """Nodes sinks-first w.r.t. distance-0 edges (None if cyclic)."""
-        indeg = [0] * self.n
-        for k in range(self.m):
-            if self.dist[k] == 0:
-                indeg[self.dst[k]] += 1
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        order: list[int] = []
-        while ready:
-            v = ready.pop()
-            order.append(v)
-            for k in self.out_edges[v]:
-                if self.dist[k] == 0:
-                    w = self.dst[k]
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        ready.append(w)
-        if len(order) != self.n:
-            return None  # distance-0 cycle: malformed body, callers fall back
-        order.reverse()
-        return order
-
-    # ------------------------------------------------------------------
-    def _condense(self) -> list[_SCC]:
-        """Cyclic SCCs ordered by smallest member index, whatever the ids."""
-        scc_of = self.scc_of
-        n_sccs = max(scc_of, default=-1) + 1
-        members: list[list[int]] = [[] for _ in range(n_sccs)]
-        for v in range(self.n):
-            members[scc_of[v]].append(v)
-        has_self = [False] * n_sccs
-        for k in range(self.m):
-            if self.src[k] == self.dst[k]:
-                has_self[scc_of[self.src[k]]] = True
-
-        cyclic: dict[int, _SCC] = {}
-        local_pos: dict[int, int] = {}
-        for sid in range(n_sccs):
-            if len(members[sid]) > 1 or has_self[sid]:
-                scc = _SCC(members[sid])
-                cyclic[sid] = scc
-                for pos, v in enumerate(members[sid]):
-                    local_pos[v] = pos
-        if not cyclic:
-            return []
-
-        for k in range(self.m):  # global order keeps probes deterministic
-            sid = scc_of[self.src[k]]
-            if sid != scc_of[self.dst[k]] or sid not in cyclic:
-                continue
-            scc = cyclic[sid]
-            scc.esrc.append(local_pos[self.src[k]])
-            scc.edst.append(local_pos[self.dst[k]])
-            scc.edelay.append(self.delay[k])
-            scc.edist.append(self.dist[k])
-            scc.delay_sum += self.delay[k]
-            if self.src[k] == self.dst[k]:
-                if self.dist[k] > 0:
-                    scc.self_lo = max(
-                        scc.self_lo, -(-self.delay[k] // self.dist[k])
-                    )
-                elif self.delay[k] > 0:
-                    scc.zero_distance_cycle = True
-        return sorted(cyclic.values(), key=lambda scc: scc.nodes[0])
-
-    # ------------------------------------------------------------------
-    def _tarjan(self) -> list[int]:
-        """Iterative Tarjan; returns the SCC id of every node."""
-        UNSEEN = -1
-        index = [UNSEEN] * self.n
-        low = [0] * self.n
-        onstack = [False] * self.n
-        stack: list[int] = []
-        scc_of = [UNSEEN] * self.n
-        counter = 0
-        n_sccs = 0
-        # successor node lists (edge ids -> dst), self-loops are harmless
-        succ = [[self.dst[k] for k in self.out_edges[v]] for v in range(self.n)]
-        for root in range(self.n):
-            if index[root] != UNSEEN:
-                continue
-            work: list[tuple[int, int]] = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    onstack[v] = True
-                descended = False
-                adj = succ[v]
-                for i in range(pi, len(adj)):
-                    w = adj[i]
-                    if index[w] == UNSEEN:
-                        work[-1] = (v, i + 1)
-                        work.append((w, 0))
-                        descended = True
-                        break
-                    if onstack[w] and index[w] < low[v]:
-                        low[v] = index[w]
-                if descended:
-                    continue
-                work.pop()
-                if low[v] == index[v]:
-                    while True:
-                        x = stack.pop()
-                        onstack[x] = False
-                        scc_of[x] = n_sccs
-                        if x == v:
-                            break
-                    n_sccs += 1
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-        return scc_of
-
-
-def _index(ddg: DDG) -> _AnalysisIndex:
-    """The cached :class:`_AnalysisIndex` for ``ddg``'s current state."""
-    cached = getattr(ddg, "_analysis_index", None)
-    if cached is not None and cached[0] == ddg._version:
-        return cached[1]
-    idx = _AnalysisIndex(ddg)
-    ddg._analysis_index = (ddg._version, idx)
-    return idx
-
-
-def scc_membership(ddg: DDG) -> list[int]:
-    """The SCC id of every node of ``ddg``, in ``ddg.ops`` order."""
-    return _index(ddg).scc_of
-
-
-def install_index(ddg: DDG, scc_of: list[int]) -> None:
-    """Cache the analysis index of ``ddg``'s current state, with the SCC
-    membership ``scc_of`` known from elsewhere instead of from Tarjan.
-    A later mutation bumps the version and invalidates it as usual."""
-    ddg._analysis_index = (ddg._version, _AnalysisIndex(ddg, scc_of))
-
-
-# ----------------------------------------------------------------------
 # Recurrence bound
 # ----------------------------------------------------------------------
-def _scc_has_positive_cycle(scc: _SCC, ii: int) -> bool:
+def _scc_has_positive_cycle(scc: SCC, ii: int) -> bool:
     """Bellman-Ford restricted to one cyclic SCC's internal edges."""
     n = len(scc.nodes)
     esrc, edst = scc.esrc, scc.edst
@@ -345,7 +122,7 @@ def _scc_has_positive_cycle(scc: _SCC, ii: int) -> bool:
     return True
 
 
-def _scc_recurrence_ii(scc: _SCC) -> int:
+def _scc_recurrence_ii(scc: SCC) -> int:
     """Smallest feasible II for the cycles of one SCC."""
     if scc.zero_distance_cycle:
         raise ValueError("DDG has a positive cycle at maximal II; zero-distance cycle?")
@@ -373,13 +150,13 @@ def recurrence_ii(ddg: DDG) -> int:
     """
     if len(ddg) == 0 or ddg.n_edges == 0:
         return 1
-    rec = 1
-    for scc in _index(ddg).cyclic_sccs:
-        rec = max(rec, _scc_recurrence_ii(scc))
-    return rec
+    idx = ddg.index()
+    if idx.rec_ii is None:  # memoise successes only: a bad cycle re-raises
+        idx.rec_ii = max(map(_scc_recurrence_ii, idx.cyclic_sccs), default=1)
+    return idx.rec_ii
 
 
-def _scc_has_positive_cycle_real(scc: _SCC, ii: float) -> bool:
+def _scc_has_positive_cycle_real(scc: SCC, ii: float) -> bool:
     n = len(scc.nodes)
     esrc, edst = scc.esrc, scc.edst
     ew = [scc.edelay[k] - ii * scc.edist[k] for k in range(len(esrc))]
@@ -406,7 +183,7 @@ def critical_cycle_ratio(ddg: DDG, tolerance: float = 1e-6) -> float:
     if len(ddg) == 0 or ddg.n_edges == 0:
         return 0.0
     best = 0.0
-    for scc in _index(ddg).cyclic_sccs:
+    for scc in ddg.index().cyclic_sccs:
         if not _scc_has_positive_cycle_real(scc, 0.0):
             continue
         lo, hi = 0.0, float(max(1, scc.delay_sum))
@@ -441,7 +218,7 @@ def critical_cycle(ddg: DDG) -> list[Operation]:
     rec = recurrence_ii(ddg)
     if rec <= 1:
         return []
-    idx = _index(ddg)
+    idx = ddg.index()
     ii = rec - 1
     n = idx.n
     src, dst = idx.src, idx.dst
@@ -486,20 +263,20 @@ def longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
     sweeping nodes in reverse topological order of the distance-0 DAG:
     one sweep finalizes every same-iteration chain, and only loop-carried
     edges still positive at this II force bounded fixup sweeps (at most
-    |V| + 1, after which a positive cycle is reported).  With ``ii = 0``
-    and loop-carried edges present the fixpoint may not exist; callers
-    pass the candidate II.
+    |V| + 1, after which a positive cycle is reported).  A malformed body
+    with a distance-0 cycle has no such order and is swept in op order,
+    to the same fixpoint within the same bound.  With ``ii = 0`` and
+    loop-carried edges present the fixpoint may not exist; callers pass
+    the candidate II.
     """
     height = {op.op_id: 0 for op in ddg.ops}
     if len(ddg) == 0 or ddg.n_edges == 0:
         return height
-    idx = _index(ddg)
-    if idx.rev_topo0 is None:  # distance-0 cycle (malformed body)
-        return _reference_longest_path_heights(ddg, ii)
+    idx = ddg.index()
     dst, out_edges = idx.dst, idx.out_edges
     ew = [idx.delay[k] - ii * idx.dist[k] for k in range(idx.m)]
     h = [0] * idx.n
-    order = idx.rev_topo0
+    order = idx.rev_topo0 if idx.rev_topo0 is not None else range(idx.n)
     for _ in range(idx.n + 1):
         changed = False
         for u in order:
@@ -514,24 +291,6 @@ def longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
         if not changed:
             for v, oid in enumerate(idx.op_ids):
                 height[oid] = h[v]
-            return height
-    raise ValueError(f"heights diverge at ii={ii}: positive cycle present")
-
-
-def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
-    """Arbitrary-order fixpoint iteration: the fallback for
-    distance-0-cyclic graphs, and the golden-equivalence oracle for
-    :func:`longest_path_heights`."""
-    height = {op.op_id: 0 for op in ddg.ops}
-    edges = list(ddg.edges())
-    for _round_no in range(len(ddg.ops) + 1):
-        changed = False
-        for e in edges:
-            cand = height[e.dst.op_id] + e.delay - ii * e.distance
-            if cand > height[e.src.op_id]:
-                height[e.src.op_id] = cand
-                changed = True
-        if not changed:
             return height
     raise ValueError(f"heights diverge at ii={ii}: positive cycle present")
 

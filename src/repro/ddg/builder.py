@@ -7,15 +7,18 @@ loop-carried flow edge of distance 1; a use after its definition is a
 same-iteration edge of distance 0.  Memory dependences are derived from
 the symbolic array references: ``arr[i+a]`` in iteration ``k`` and
 ``arr[i+b]`` in iteration ``k+d`` collide exactly when ``d == a - b``.
+
+Edges go straight into the graph's int rows (:meth:`DDG.add_row`, by op
+index); no :class:`~repro.ddg.dependence.Dependence` object is built
+here.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.ddg.analysis import install_index, scc_membership
-from repro.ddg.dependence import DepKind, Dependence
-from repro.ddg.graph import DDG
+from repro.ddg.dependence import DepKind
+from repro.ddg.graph import DDG, AnalysisIndex, Row
 from repro.ir.block import BasicBlock, Loop
 from repro.ir.operations import Operation
 from repro.machine.latency import LatencyTable, PAPER_LATENCIES
@@ -27,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: memory system is assumed to retire same-cycle accesses in program
 #: order is *not* assumed, so one cycle of separation is enforced.
 MEM_ORDER_DELAY = 1
+FLOW = DepKind.FLOW
 
 
 def build_loop_ddg(loop: Loop, latencies: LatencyTable = PAPER_LATENCIES) -> DDG:
@@ -55,11 +59,11 @@ def derive_partitioned_ddg(
     flow predecessors in stored order, each read through a copy now
     coming from that copy at the same distance (the copy sits where its
     def does relative to the use); memory edges follow, remapped in
-    source order.  The result equals ``build_loop_ddg(partitioned.loop,
-    latencies)`` edge for edge, in insertion order, without the pairwise
-    memory search.
+    source ``edges()`` order.  The rows equal those of
+    ``build_loop_ddg(partitioned.loop, latencies)`` in insertion order,
+    without the pairwise memory search and without one edge object.
 
-    Its analysis index is installed from ``source``'s SCC membership, so
+    Its analysis index is built with ``source``'s SCC membership, so
     Tarjan does not run: a clone keeps its source's SCC, and a copy joins
     its def's SCC if one of its consumers is in it (the split edge lies on
     a cycle), else it is a singleton.
@@ -67,62 +71,59 @@ def derive_partitioned_ddg(
     op_map = partitioned.op_map
     if len(op_map) != len(source.ops):
         raise ValueError("source DDG is not the DDG of the partitioned loop's source")
-    src_scc = scc_membership(source)
-    origin: dict[int, Operation] = {}
-    scc_by_id: dict[int, int] = {}
-    for i, op in enumerate(source.ops):
-        clone = op_map[op.op_id]
-        origin[clone.op_id] = op
-        scc_by_id[clone.op_id] = src_scc[i]
-
     ddg = DDG(ops=list(partitioned.loop.ops))
-    succs, preds, keys = ddg._succs, ddg._preds, ddg._edge_keys
-    flow = DepKind.FLOW
-    copy_for = partitioned.copy_for
-    copies: list[tuple[Operation, Operation]] = []  # (copy, its def)
-    owner: Operation | None = None  # the last clone: a copy's def
-    for op in ddg.ops:
-        oid = op.op_id
-        src_op = origin.get(oid)
-        if src_op is None:
-            copies.append((op, owner))
-            dep = Dependence(owner, op, flow, latencies.of(owner), 0, op.sources[0])
-            succs[owner.op_id].append(dep)
-            preds[oid].append(dep)
-            keys.add((owner.op_id, oid, flow, 0))
-            continue
-        owner = op
-        for e in source.predecessors(src_op):
-            if e.kind is not flow:
-                continue
-            cp = copy_for.get((e.reg.rid, op.cluster))
-            if cp is None:
-                dep = Dependence(op_map[e.src.op_id], op, flow, e.delay, e.distance, e.reg)
-            else:
-                dep = Dependence(cp, op, flow, latencies.of(cp), e.distance, cp.dest)
-            sid = dep.src.op_id
-            succs[sid].append(dep)
-            preds[oid].append(dep)
-            keys.add((sid, oid, flow, dep.distance))
-    for src_op in source.ops:
-        a = op_map[src_op.op_id]
-        for e in source.successors(src_op):
-            if e.kind is not flow:
-                b = op_map[e.dst.op_id]
-                dep = Dependence(a, b, e.kind, e.delay, e.distance)
-                succs[a.op_id].append(dep)
-                preds[b.op_id].append(dep)
-                keys.add((a.op_id, b.op_id, e.kind, e.distance))
-    ddg._version += 1
-    ddg.verify_acyclic_at_distance_zero()
+    pos = ddg._index
+    src_index = source.index()
+    src_rows = source.rows
+    n = len(ddg.ops)
+    new_of = [pos[op_map[op.op_id].op_id] for op in source.ops]
+    origin = [-1] * n  # derived index -> source index (-1: a copy)
+    scc_of = [-1] * n
+    for i, j in enumerate(new_of):
+        origin[j] = i
+        scc_of[j] = src_index.scc_of[i]
+    flow_in: list[list[Row]] = [[] for _ in source.ops]
+    for row in src_rows:
+        if row[2] is FLOW:
+            flow_in[row[1]].append(row)
 
-    fresh = max(src_scc, default=-1) + 1
-    for cp, def_op in copies:
-        sid = scc_by_id[def_op.op_id]
-        if not any(scc_by_id[e.dst.op_id] == sid for e in succs[cp.op_id]):
-            sid, fresh = fresh, fresh + 1
-        scc_by_id[cp.op_id] = sid
-    install_index(ddg, [scc_by_id[op.op_id] for op in ddg.ops])
+    rows = ddg.rows
+    append = rows.append
+    copy_for = partitioned.copy_for
+    def_of: dict[int, int] = {}  # copy -> its def
+    copy_uses: list[tuple[int, int]] = []  # (copy, consumer)
+    owner = -1  # the last clone: a copy's def
+    for j, op in enumerate(ddg.ops):
+        i = origin[j]
+        if i < 0:
+            def_of[j] = owner
+            append((owner, j, FLOW, latencies.of(ddg.ops[owner]), 0, op.sources[0]))
+            continue
+        owner = j
+        cluster = op.cluster
+        for s, _, _, delay, distance, reg in flow_in[i]:
+            cp = copy_for.get((reg.rid, cluster))
+            if cp is None:
+                append((new_of[s], j, FLOW, delay, distance, reg))
+            else:
+                c = pos[cp.op_id]
+                copy_uses.append((c, j))
+                append((c, j, FLOW, latencies.of(cp), distance, cp.dest))
+    for r in src_index.edge_row:
+        s, d, kind, delay, distance, _ = src_rows[r]
+        if kind is not FLOW:
+            append((new_of[s], new_of[d], kind, delay, distance, None))
+    ddg._keys = None  # built from the rows if an edge is ever added
+
+    joined = {c for c, j in copy_uses if scc_of[j] == scc_of[def_of[c]]}
+    fresh = max(src_index.scc_of, default=-1) + 1
+    for c, def_idx in def_of.items():
+        if c in joined:
+            scc_of[c] = scc_of[def_idx]
+        else:
+            scc_of[c], fresh = fresh, fresh + 1
+    ddg._analysis_index = (ddg._version, AnalysisIndex(ddg, scc_of))
+    ddg.verify_acyclic_at_distance_zero()
     return ddg
 
 
@@ -166,16 +167,7 @@ def _add_register_flow_edges(
                     # pattern under single assignment, so no edge is due.
                     continue
                 distance = 1
-            ddg.add_edge(
-                Dependence(
-                    src=def_op,
-                    dst=use_op,
-                    kind=DepKind.FLOW,
-                    delay=latencies.of(def_op),
-                    distance=distance,
-                    reg=reg,
-                )
-            )
+            ddg.add_row(i, j, FLOW, latencies.of(def_op), distance, reg)
 
 
 def _add_memory_edges(
@@ -189,16 +181,14 @@ def _add_memory_edges(
                 # self memory dependence: a store to a scalar collides with
                 # itself across iterations (output dep, distance 1)
                 if cyclic and a.writes_mem and a.mem is not None and a.mem.scalar:
-                    ddg.add_edge(
-                        Dependence(a, a, DepKind.MEM_OUTPUT, MEM_ORDER_DELAY, 1)
-                    )
+                    ddg.add_row(i, i, DepKind.MEM_OUTPUT, MEM_ORDER_DELAY, 1, None)
                 continue
             j, b = mem_ops[bi]
             if not (a.writes_mem or b.writes_mem):
                 continue  # read-read
             dep = _memory_dependence(i, a, j, b, latencies, cyclic)
             if dep is not None:
-                ddg.add_edge(dep)
+                ddg.add_row(i, j, *dep, None)
 
 
 def _memory_dependence(
@@ -208,9 +198,10 @@ def _memory_dependence(
     b: Operation,
     latencies: LatencyTable,
     cyclic: bool,
-) -> Dependence | None:
-    """Dependence a -> b if some dynamic instance of ``a`` precedes and
-    conflicts with an instance of ``b``, at the minimal distance."""
+) -> tuple[DepKind, int, int] | None:
+    """(kind, delay, distance) of the dependence a -> b if some dynamic
+    instance of ``a`` precedes and conflicts with an instance of ``b``, at
+    the minimal distance."""
     assert a.mem is not None and b.mem is not None
     if a.mem.array != b.mem.array:
         return None
@@ -232,8 +223,7 @@ def _memory_dependence(
             return None
         distance = 0
 
-    kind, delay = _mem_kind_and_delay(a, b, latencies)
-    return Dependence(a, b, kind, delay, distance)
+    return (*_mem_kind_and_delay(a, b, latencies), distance)
 
 
 def _mem_kind_and_delay(

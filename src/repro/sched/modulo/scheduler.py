@@ -132,24 +132,21 @@ class ModuloScheduler:
         for i, op in enumerate(ops):
             entries[op.op_id] = (-heights[op.op_id], i, op.op_id)
 
-        # Flat dependence rows with the II-dependent term folded in:
-        # preds[oid] = [(src_oid, delay - II*distance), ...] and succs
-        # likewise.  The placement loop below runs orders of magnitude
-        # more often than this O(E) setup, and each iteration then costs
-        # one dict probe and one add per edge instead of three attribute
-        # chains and a multiply.
-        preds: dict[int, list[tuple[int, int]]] = {}
+        # Flat dependence rows with the II-dependent term folded in, read
+        # off the graph's int arrays: succs[oid] = [(dst_oid, delay -
+        # II*distance), ...] in successor order, and preds likewise (their
+        # order is immaterial: estart is a max).  The placement loop below
+        # runs orders of magnitude more often than this O(E) setup, and
+        # each iteration then costs one dict probe and one add per edge.
+        idx = ddg.index()
+        op_ids, dst = idx.op_ids, idx.dst
+        lags = [d - ii * k for d, k in zip(idx.delay, idx.dist)]
+        preds: dict[int, list[tuple[int, int]]] = {oid: [] for oid in op_ids}
         succs: dict[int, list[tuple[int, int]]] = {}
-        for op in ops:
-            oid = op.op_id
-            preds[oid] = [
-                (dep.src.op_id, dep.delay - ii * dep.distance)
-                for dep in ddg.predecessors(op)
-            ]
-            succs[oid] = [
-                (dep.dst.op_id, dep.delay - ii * dep.distance)
-                for dep in ddg.successors(op)
-            ]
+        for oid, out in zip(op_ids, idx.out_edges):
+            succs[oid] = [(op_ids[dst[k]], lags[k]) for k in out]
+            for dst_oid, lag in succs[oid]:
+                preds[dst_oid].append((oid, lag))
 
         mrt = ModuloReservationTable(self.machine, ii, demands=self._demand_cache)
         times: dict[int, int] = {}

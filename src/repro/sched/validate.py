@@ -19,15 +19,19 @@ class ScheduleValidationError(AssertionError):
 
 
 def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
-    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal."""
+    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal.
+
+    Every edge is checked on the graph's int arrays; only an offending
+    edge is turned into a :class:`~repro.ddg.dependence.Dependence`, to
+    word the error."""
     ii = schedule.ii
-    for dep in ddg.edges():
-        t_src = schedule.times[dep.src.op_id]
-        t_dst = schedule.times[dep.dst.op_id]
-        if t_dst < t_src + dep.delay - ii * dep.distance:
+    idx = ddg.index()
+    t = [schedule.times[oid] for oid in idx.op_ids]
+    for k, (s, d, delay, dist) in enumerate(zip(idx.src, idx.dst, idx.delay, idx.dist)):
+        if t[d] < t[s] + delay - ii * dist:
             raise ScheduleValidationError(
-                f"dependence violated at II={ii}: {dep!r} "
-                f"(t_src={t_src}, t_dst={t_dst})"
+                f"dependence violated at II={ii}: {ddg.dependence(idx.edge_row[k])!r} "
+                f"(t_src={t[s]}, t_dst={t[d]})"
             )
     # resources: re-place everything into a fresh MRT
     mrt = ModuloReservationTable(schedule.machine, ii)

@@ -5,7 +5,7 @@ transcription of its algorithm.  Those transcriptions live here, outside
 the shipped package, so the parity tests (``test_perf_equivalence.py``,
 ``test_regalloc_bitset_parity.py``) can compare the fast path against
 them value for value.  Each oracle uses only public ``repro`` APIs,
-except :func:`ddg_rows`, which also reads the analysis index it compares.
+except :func:`ddg_rows`, which also reads the edge-key map it compares.
 
 ``ReferenceModuloReservationTable`` is the original dict-of-
 :class:`~repro.sched.resources.SlotPool` modulo reservation table.  Tests
@@ -151,30 +151,30 @@ def use_reference_mrt(monkeypatch) -> None:
 # ----------------------------------------------------------------------
 def ddg_rows(ddg: DDG) -> dict[str, object]:
     """Everything the compiler reads of ``ddg`` and its analysis index,
-    as plain values: ``edges()`` and every predecessor list in insertion
-    order as ``(src index, dst index, kind, delay, distance, reg rid)``,
-    the edge keys, and the index's arrays (whose ``out_edges`` split
-    ``edges()`` into successor lists), distance-0 order and cyclic SCCs
-    in list order.  SCC ids are relabelled by first occurrence, so two
-    labellings of the same components compare equal."""
-    from repro.ddg.analysis import _index
-
+    as plain values: the stored rows, ``edges()`` and every predecessor
+    list in insertion order, each edge as ``(src index, dst index, kind,
+    delay, distance, reg rid)``; the edge-key map; and the index's arrays
+    (whose ``out_edges`` split ``edges()`` into successor lists),
+    distance-0 order and cyclic SCCs in list order.  SCC ids are
+    relabelled by first occurrence, so two labellings of the same
+    components compare equal."""
     pos = {op.op_id: i for i, op in enumerate(ddg.ops)}
 
     def row(e):
         rid = e.reg.rid if e.reg is not None else None
         return (pos[e.src.op_id], pos[e.dst.op_id], e.kind, e.delay, e.distance, rid)
 
-    idx = _index(ddg)
+    idx = ddg.index()
     relabel: dict[int, int] = {}
     for sid in idx.scc_of:
         relabel.setdefault(sid, len(relabel))
     return {
+        "rows": [(*r[:5], r[5].rid if r[5] is not None else None) for r in ddg.rows],
         "edges": [row(e) for e in ddg.edges()],
         "preds": [[row(e) for e in ddg.predecessors(op)] for op in ddg.ops],
-        "edge_keys": ddg._edge_keys,
-        "arrays": (idx.n, idx.m, idx.op_ids, idx.src, idx.dst, idx.delay,
-                   idx.dist, idx.out_edges),
+        "edge_keys": ddg._key_rows(),
+        "arrays": (idx.n, idx.m, idx.op_ids, idx.edge_row, idx.src, idx.dst,
+                   idx.delay, idx.dist, [list(out) for out in idx.out_edges]),
         "rev_topo0": idx.rev_topo0,
         "scc_of": [relabel[sid] for sid in idx.scc_of],
         "cyclic_sccs": [
@@ -274,6 +274,24 @@ def _reference_critical_cycle_ratio(ddg: DDG, tolerance: float = 1e-6) -> float:
         else:
             hi = mid
     return hi
+
+
+def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
+    """Arbitrary-order fixpoint iteration over edge objects: the
+    golden-equivalence oracle for
+    :func:`repro.ddg.analysis.longest_path_heights`."""
+    height = {op.op_id: 0 for op in ddg.ops}
+    edges = list(ddg.edges())
+    for _round_no in range(len(ddg.ops) + 1):
+        changed = False
+        for e in edges:
+            cand = height[e.dst.op_id] + e.delay - ii * e.distance
+            if cand > height[e.src.op_id]:
+                height[e.src.op_id] = cand
+                changed = True
+        if not changed:
+            return height
+    raise ValueError(f"heights diverge at ii={ii}: positive cycle present")
 
 
 # ----------------------------------------------------------------------

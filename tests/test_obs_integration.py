@@ -7,12 +7,16 @@ cells the store lacks."""
 
 import pytest
 
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.evalx.report import render_full_report
 from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label, run_evaluation
+from repro.machine.machine import CopyModel
+from repro.machine.presets import paper_machine
 from repro.obs import Tracer
+from repro.obs.trace import NullTracer
 from repro.store import ArtifactStore
 from repro.workloads.corpus import spec95_corpus
+from repro.workloads.kernels import make_kernel
 
 CONFIG = PipelineConfig(run_regalloc=False)
 LABELS = [config_label(n, m) for n, m in PAPER_CONFIG_ORDER]
@@ -96,3 +100,34 @@ class TestCheckpointResumeTracing:
             if a != b
         ]
         assert all("wall time" in a for a, _b in diff)
+
+
+class TestClusterRescheduleSubsteps:
+    """ClusterReschedule times its DDG derivation and its validation as
+    substep spans around the scheduler's ``ims_attempt`` spans."""
+
+    def test_traced_compile_emits_derive_and_validate_spans(self):
+        tracer = Tracer()
+        compile_loop(make_kernel("daxpy"), paper_machine(4, CopyModel.EMBEDDED),
+                     CONFIG, tracer=tracer)
+        spans = tracer.sorted_spans()
+        (parent,) = [s for s in spans if s.name == "ClusterReschedule"]
+        inside = [s.name for s in spans if s.seq > parent.seq
+                  and s.depth > parent.depth and s.t1_ns <= parent.t1_ns]
+        assert inside[0] == "ddg_derive" and inside[-1] == "validate_kernel"
+        assert "ims_attempt" in inside
+        for s in spans:
+            if s.name in ("ddg_derive", "validate_kernel"):
+                assert s.cat == "substep" and s.depth == parent.depth + 1
+
+    def test_disabled_tracer_opens_no_substep_span(self):
+        opened: list[str] = []
+
+        class Spy(NullTracer):
+            def span(self, name, cat="pass", **args):
+                opened.append(cat)
+                return super().span(name, cat, **args)
+
+        compile_loop(make_kernel("daxpy"), paper_machine(4, CopyModel.EMBEDDED),
+                     CONFIG, tracer=Spy())
+        assert opened and "substep" not in opened

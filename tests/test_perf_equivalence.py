@@ -8,9 +8,7 @@ partitioning data layer around flat integer arrays: a packed
 occupancy-word modulo reservation table, CSR adjacency for the
 partitioner and component analysis, and difference-array
 liveness/interference rows.  Each rewrite's direct transcription is a
-golden oracle in ``tests/golden.py`` (``_reference_longest_path_heights``
-stays in ``repro.ddg.analysis`` as a production fallback); these tests
-drive both over hundreds of seeded random inputs — self-edges, multi-SCC
+golden oracle in ``tests/golden.py``; these tests drive both over hundreds of seeded random inputs — self-edges, multi-SCC
 shapes, precolored nodes, copy ops, eviction sequences included — and
 assert *value identity*, not approximate agreement, because the
 evaluation tables must be byte-stable across the rewrite.  The reference
@@ -28,7 +26,6 @@ from repro.core.greedy import greedy_partition
 from repro.core.rcg import RegisterComponentGraph
 from repro.core.weights import HeuristicConfig
 from repro.ddg.analysis import (
-    _reference_longest_path_heights,
     critical_cycle_ratio,
     longest_path_heights,
     recurrence_ii,
@@ -43,6 +40,7 @@ from tests.golden import (
     _reference_build_interference,
     _reference_critical_cycle_ratio,
     _reference_greedy_partition,
+    _reference_longest_path_heights,
     _reference_pressure_rows,
     _reference_recurrence_ii,
     ddg_rows,
@@ -598,3 +596,18 @@ def test_derived_partitioned_ddg_matches_rebuild_across_spill_rounds(monkeypatch
                           machines, spill_may_fail=True)
     spill_rounds = len(seen) - cells
     assert spill_rounds > 0
+
+
+def test_scheduling_path_builds_no_dependence_objects():
+    """Perf guard: without register allocation, a compile schedules,
+    validates and measures the derived partitioned DDG from its int rows
+    alone.  A consumer slipping back onto ``successors``/``predecessors``/
+    ``edges`` would build the graph's Dependence lists and undo that."""
+    from repro.core.pipeline import PipelineConfig, compile_loop
+    from repro.workloads.corpus import spec95_corpus
+
+    machine = paper_machine(4, CopyModel.EMBEDDED)
+    for loop in spec95_corpus(n=12):
+        result = compile_loop(loop, machine, PipelineConfig(run_regalloc=False))
+        assert result.partitioned_ddg.n_edges
+        assert result.partitioned_ddg._deps is None, loop.name

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from repro.core.copies import insert_copies
 from repro.core.greedy import Partition, greedy_partition
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.weights import build_rcg_from_kernel
-from repro.ddg.analysis import _index, min_ii, recurrence_ii
+from repro.ddg.analysis import longest_path_heights, min_ii, recurrence_ii, resource_ii
 from repro.ddg.builder import build_loop_ddg, derive_partitioned_ddg
 from repro.ddg.dependence import DepKind, Dependence
 from repro.ir.builder import LoopBuilder
@@ -39,6 +40,8 @@ from repro.workloads.kernels import NAMED_KERNELS, make_kernel
 from repro.workloads.synthetic import PROFILES, SyntheticLoopGenerator
 from tests.golden import (
     _reference_build_interference,
+    _reference_longest_path_heights,
+    _reference_recurrence_ii,
     ddg_rows,
     mve_windows,
     rebuilt_ddg_rows,
@@ -315,16 +318,68 @@ def test_copy_on_recurrence_joins_its_scc():
     derived = derive_partitioned_ddg(source, partitioned, machine.latencies)
     assert ddg_rows(derived) == rebuilt_ddg_rows(partitioned.loop, machine.latencies)
 
-    (scc,) = _index(derived).cyclic_sccs
+    (scc,) = derived.index().cyclic_sccs
     assert len(scc.nodes) == 4  # both ops and both copies
     copy_latency = sum(machine.latencies.of(cp) for cp in partitioned.body_copies)
     assert recurrence_ii(derived) == recurrence_ii(source) + copy_latency
 
-    installed = _index(derived)
+    installed = derived.index()
     cp = partitioned.body_copies[0]
     derived.add_edge(Dependence(cp, cp, DepKind.FLOW, 50, 1, reg=cp.dest))
-    assert _index(derived) is not installed
+    assert derived.index() is not installed
     assert recurrence_ii(derived) == 50
+
+
+@settings(SETTINGS, max_examples=60)  # no scheduling: cheap per example
+@given(
+    loop=any_loop_strategy,
+    n_banks=st.sampled_from([2, 4]),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_add_edge_invalidates_memoised_analyses(loop, n_banks, seed, data):
+    """RecII, MinII and heights memoised on a built or a derived graph are
+    recomputed after ``add_edge`` of a larger-delay duplicate of a stored
+    key and of a new edge -- on the derived graph before its Dependence
+    lists were ever built.  The mutated graph equals a fresh
+    ``build_loop_ddg`` given the same edges, and a zero-distance positive
+    cycle raises on every call, not only the first."""
+    machine = paper_machine(n_banks, CopyModel.EMBEDDED)
+    source = build_loop_ddg(loop, machine.latencies)
+    partitioned = insert_copies(loop, random_partition(loop, n_banks, seed), machine)
+    derived = derive_partitioned_ddg(source, partitioned, machine.latencies)
+    assert derived._deps is None
+    for ddg, body in ((source, loop), (derived, partitioned.loop)):
+        rec = recurrence_ii(ddg)
+        min_ii(ddg, machine)
+        longest_path_heights(ddg, ii=rec)
+        ops = ddg.ops
+        pick = st.integers(0, len(ops) - 1)
+        edits = []
+        if ddg.rows:
+            s, d, kind, delay, distance, reg = data.draw(st.sampled_from(ddg.rows))
+            edits.append(Dependence(ops[s], ops[d], kind,
+                                    delay + data.draw(st.integers(1, 9)), distance, reg))
+        edits.append(Dependence(ops[data.draw(pick)], ops[data.draw(pick)],
+                                DepKind.MEM_OUTPUT, data.draw(st.integers(0, 9)),
+                                data.draw(st.integers(1, 3))))
+        fresh = build_loop_ddg(body, machine.latencies)
+        for dep in edits:
+            ddg.add_edge(dep)
+            fresh.add_edge(dep)
+        assert ddg_rows(ddg) == ddg_rows(fresh)
+        rec = recurrence_ii(ddg)
+        assert rec == _reference_recurrence_ii(ddg)
+        assert min_ii(ddg, machine) == max(resource_ii(ddg, machine), rec)
+        assert longest_path_heights(ddg, ii=rec) == _reference_longest_path_heights(
+            ddg, ii=rec
+        )
+
+        op = ops[data.draw(pick)]
+        ddg.add_edge(Dependence(op, op, DepKind.MEM_OUTPUT, 1, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero-distance"):
+                recurrence_ii(ddg)
 
 
 # ----------------------------------------------------------------------

@@ -3,19 +3,24 @@
 A validator that never fires is worthless; these tests take legal
 schedules and break them in each of the ways the schedulers could
 conceivably get wrong, asserting the checker (or the cycle-accurate
-simulator) catches every mutation.
+simulator) catches every mutation.  The dependence checks run on built
+DDGs and on partitioned DDGs derived by ``derive_partitioned_ddg``, whose
+edges the validator reads from the int arrays alone.
 """
 
 import random
+import re
 
 import pytest
 
+from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.ddg.builder import build_loop_ddg
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
 from repro.sched.modulo.scheduler import modulo_schedule
 from repro.sched.schedule import KernelSchedule
 from repro.sched.validate import ScheduleValidationError, validate_kernel_schedule
+from repro.sim.equivalence import check_loop_equivalence
 from repro.workloads.kernels import make_kernel
 from repro.workloads.synthetic import PROFILES, SyntheticLoopGenerator
 
@@ -104,3 +109,69 @@ class TestRandomizedMutations:
                 continue  # rejected, good
             # accepted: the simulator must agree it is correct
             check_kernel_against_reference(loop, bad, ddg, trip_count=4)
+
+
+# ----------------------------------------------------------------------
+# Partitioned DDGs derived from their source DDG
+# ----------------------------------------------------------------------
+def derived_kernel(loop, n_clusters=4):
+    """(partitioned result, derived DDG, clustered kernel) of ``loop``."""
+    m = paper_machine(n_clusters, CopyModel.EMBEDDED)
+    result = compile_loop(loop, m, PipelineConfig(run_regalloc=False))
+    return result, result.partitioned_ddg, result.kernel
+
+
+def break_only(ks, ddg, edge):
+    """``ks`` with ``edge`` violated by one cycle and every other edge
+    kept, by pulling its consumer earlier or pushing its producer later;
+    None if neither move isolates the edge."""
+    lag = edge.delay - ks.ii * edge.distance
+    for moved, t in ((edge.dst, ks.times[edge.src.op_id] + lag - 1),
+                     (edge.src, ks.times[edge.dst.op_id] - lag + 1)):
+        times = dict(ks.times)
+        times[moved.op_id] = t
+        if t < 0:
+            continue
+        violated = [e for e in ddg.edges()
+                    if times[e.dst.op_id] < times[e.src.op_id] + e.delay - ks.ii * e.distance]
+        if violated == [edge]:
+            return KernelSchedule(machine=ks.machine, loop=ks.loop, ii=ks.ii, times=times)
+    return None
+
+
+class TestDerivedDependenceMutations:
+    @pytest.mark.parametrize("category,pick", [
+        ("copy", lambda e: e.src.is_copy),
+        ("memory", lambda e: e.kind.is_memory),
+        ("loop-carried", lambda e: e.distance > 0 and e.src is not e.dst),
+    ])
+    def test_breaking_one_edge_names_it(self, category, pick):
+        _, ddg, ks = derived_kernel(make_kernel("daxpy4"))
+        validate_kernel_schedule(ks, ddg)
+        broken = [(e, bad) for e in ddg.edges() if pick(e)
+                  for bad in [break_only(ks, ddg, e)] if bad is not None]
+        assert broken, f"no isolated {category} edge to break"
+        for edge, bad in broken:
+            with pytest.raises(ScheduleValidationError, match=re.escape(repr(edge))):
+                validate_kernel_schedule(bad, ddg)
+
+    def test_random_single_op_shifts_are_never_silently_accepted(self):
+        """The randomized mutation case on derived graphs: a shifted op
+        is rejected, or the simulator agrees the kernel still computes
+        the source loop."""
+        rng = random.Random(7)
+        gen = SyntheticLoopGenerator(17)
+        for i in range(6):
+            loop = gen.generate(f"mut_{i}", PROFILES["reduction"])
+            result, ddg, ks = derived_kernel(loop, n_clusters=rng.choice([2, 4]))
+            victim = rng.choice(ks.loop.ops)
+            delta = rng.choice([-2, -1, 1, 2, ks.ii])
+            bad_times = dict(ks.times)
+            bad_times[victim.op_id] = max(0, bad_times[victim.op_id] + delta)
+            bad = KernelSchedule(machine=ks.machine, loop=ks.loop, ii=ks.ii, times=bad_times)
+            try:
+                validate_kernel_schedule(bad, ddg)
+            except ScheduleValidationError:
+                continue
+            check_loop_equivalence(loop, result.partitioned, bad, ddg, ks.machine,
+                                   trip_count=4)
