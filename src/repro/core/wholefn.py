@@ -1,12 +1,24 @@
-"""Whole-function partitioning path.
+"""The function-level driver: straight-line blocks and pipelined loops
+partitioned together.
 
 "Our framework and greedy partitioning method are applicable to both
-whole programs and software pipelined loops" (Section 7): the RCG is
-simply accumulated over the ideal schedules of *all* basic blocks (each
-weighted by its nesting depth), partitioned once per function, and every
-block is rescheduled under cluster constraints.  This module provides
-that path; it also reproduces the Section 4.2 worked example, which is
-straight-line code.
+whole programs and software pipelined loops" (Section 7), and "we could
+easily use both non-loop and loop code to build our register component
+graph and our greedy method works on a function basis" (Section 6.3).
+:func:`compile_function` realizes both sentences with steps 2-4 of the
+paper's flow:
+
+2. every block is list-scheduled on the ideal machine and every loop is
+   modulo-scheduled on it; all of them feed one function-wide RCG (blocks
+   weighted by nesting depth, kernels by loop weighting);
+3. one greedy partition covers the whole function;
+4. loops get copies and a cluster-constrained modulo reschedule, then
+   blocks get copies and a cluster-constrained list reschedule, all under
+   that partition, so registers shared between loops and blocks resolve
+   to the same bank.
+
+A function without loops is the plain whole-function path; it also
+reproduces the Section 4.2 worked example, which is straight-line code.
 
 Copy placement for acyclic code: a cross-bank read of a value defined in
 the same block gets its copy right after the definition; a value defined
@@ -16,26 +28,34 @@ consuming block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
+from repro.core.copies import PartitionedLoop, insert_copies
 from repro.core.greedy import Partition, greedy_partition
 from repro.core.rcg import RegisterComponentGraph
-from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig, build_rcg_from_linear
-from repro.ddg.builder import build_block_ddg
-from repro.ir.block import BasicBlock
+from repro.core.weights import (
+    DEFAULT_HEURISTIC,
+    HeuristicConfig,
+    build_rcg_from_kernel,
+    build_rcg_from_linear,
+)
+from repro.ddg.builder import build_block_ddg, build_loop_ddg, derive_partitioned_ddg
+from repro.ir.block import BasicBlock, Loop
 from repro.ir.function import Function
 from repro.ir.operations import Operation, make_copy
 from repro.ir.registers import RegisterFactory, SymbolicRegister
 from repro.machine.machine import MachineDescription
 from repro.machine.presets import ideal_machine
 from repro.sched.list_scheduler import list_schedule
-from repro.sched.schedule import LinearSchedule
-from repro.sched.validate import validate_linear_schedule
+from repro.sched.modulo.scheduler import modulo_schedule
+from repro.sched.schedule import KernelSchedule, LinearSchedule
+from repro.sched.validate import validate_kernel_schedule, validate_linear_schedule
 
 
 @dataclass
 class FunctionCompilation:
-    """Artifacts and metrics of one whole-function compilation."""
+    """Artifacts and metrics of one function compilation."""
 
     function: Function
     machine: MachineDescription
@@ -46,6 +66,9 @@ class FunctionCompilation:
     clustered_schedules: dict[str, LinearSchedule]
     n_copies: int
     n_entry_copies: int
+    ideal_kernels: dict[str, KernelSchedule] = field(default_factory=dict)
+    clustered_kernels: dict[str, KernelSchedule] = field(default_factory=dict)
+    partitioned_loops: dict[str, PartitionedLoop] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def ideal_cycles(self) -> int:
@@ -63,12 +86,31 @@ class FunctionCompilation:
             total += schedules[block.name].length * (10.0 ** block.depth)
         return total
 
-    @property
-    def degradation_pct(self) -> float:
-        """Depth-weighted slowdown of the clustered code over ideal."""
+    def loop_degradation_pct(self) -> float:
+        """Mean kernel-II growth across the function's loops."""
+        if not self.ideal_kernels:
+            return 0.0
+        total = 0.0
+        for name, ideal in self.ideal_kernels.items():
+            total += 100.0 * self.clustered_kernels[name].ii / ideal.ii - 100.0
+        return total / len(self.ideal_kernels)
+
+    def weighted_degradation_pct(self, loop_trips: float = 100.0) -> float:
+        """One whole-function slowdown of the clustered code over ideal:
+        block cycles (depth-weighted) plus loop kernels weighted by an
+        assumed trip count; 0.0 for a function with no ideal cycles."""
         ideal = self.weighted_cycles(self.ideal_schedules)
         clustered = self.weighted_cycles(self.clustered_schedules)
+        for name, ik in self.ideal_kernels.items():
+            ideal += ik.ii * loop_trips
+            clustered += self.clustered_kernels[name].ii * loop_trips
+        if ideal == 0:
+            return 0.0
         return 100.0 * (clustered - ideal) / ideal
+
+    @property
+    def degradation_pct(self) -> float:
+        return self.weighted_degradation_pct()
 
 
 def compile_function(
@@ -76,16 +118,24 @@ def compile_function(
     machine: MachineDescription,
     config: HeuristicConfig = DEFAULT_HEURISTIC,
     precolored: dict[SymbolicRegister, int] | None = None,
+    loops: Iterable[Loop] = (),
 ) -> FunctionCompilation:
-    """Run the whole-function pipeline; see module docs."""
+    """Compile ``fn``'s blocks and ``loops`` under one function-wide
+    partition; see module docs."""
+    loops = list(loops)
     if not machine.is_clustered:
         raise ValueError("compile_function targets clustered machines")
-    if not fn.blocks:
+    if not fn.blocks and not loops:
         raise ValueError(f"function {fn.name!r} has no blocks")
+    seen: set[str] = set()
+    for loop in loops:
+        if loop.name in seen:
+            raise ValueError(f"duplicate loop name {loop.name!r} in {fn.name!r}")
+        seen.add(loop.name)
 
     ideal = ideal_machine(width=machine.width, latencies=machine.latencies)
 
-    # step 2: ideal schedule per block, accumulating one function-wide RCG
+    # step 2: ideal schedules of blocks and loops, one function-wide RCG
     rcg = RegisterComponentGraph()
     ideal_schedules: dict[str, LinearSchedule] = {}
     for block in fn.blocks:
@@ -94,23 +144,46 @@ def compile_function(
         validate_linear_schedule(sched, ddg)
         ideal_schedules[block.name] = sched
         build_rcg_from_linear(sched, ddg, depth=block.depth, config=config, rcg=rcg)
-    for reg in fn.registers():
+    ideal_kernels: dict[str, KernelSchedule] = {}
+    loop_ddgs = {}
+    slots_per_bank = 0
+    for loop in loops:
+        ddg = build_loop_ddg(loop, machine.latencies)
+        ks = modulo_schedule(loop, ddg, ideal)
+        validate_kernel_schedule(ks, ddg)
+        ideal_kernels[loop.name] = ks
+        loop_ddgs[loop.name] = ddg
+        slots_per_bank = max(slots_per_bank, machine.fus_per_cluster * ks.ii)
+        build_rcg_from_kernel(ks, ddg, config=config, rcg=rcg)
+    registers = fn.registers()
+    for loop in loops:
+        registers |= loop.registers()
+    for reg in registers:
         rcg.add_node(reg)
 
     # step 3: one partition for the whole function; per-bank issue capacity
-    # is the cluster's slots across all ideal block schedules
-    total_ideal_cycles = sum(s.length for s in ideal_schedules.values())
+    # is the larger of the loops' kernel slots and the cluster's slots
+    # across all ideal block schedules
+    block_cycles = sum(s.length for s in ideal_schedules.values())
     partition = greedy_partition(
         rcg,
         machine.n_clusters,
         config,
         precolored=precolored,
-        slots_per_bank=machine.fus_per_cluster * total_ideal_cycles,
+        slots_per_bank=max(slots_per_bank, machine.fus_per_cluster * max(1, block_cycles)),
     )
 
-    # step 4: copies + cluster-constrained rescheduling per block
-    rewriter = _FunctionRewriter(fn, partition, machine)
-    clustered_blocks, n_copies, n_entry = rewriter.rewrite()
+    # step 4: copies + cluster-constrained rescheduling, loops first
+    clustered_kernels: dict[str, KernelSchedule] = {}
+    partitioned_loops: dict[str, PartitionedLoop] = {}
+    for loop in loops:
+        ploop = insert_copies(loop, partition, machine)
+        pddg = derive_partitioned_ddg(loop_ddgs[loop.name], ploop, machine.latencies)
+        kernel = modulo_schedule(ploop.loop, pddg, machine)
+        validate_kernel_schedule(kernel, pddg)
+        clustered_kernels[loop.name] = kernel
+        partitioned_loops[loop.name] = ploop
+    clustered_blocks, n_copies, n_entry = _FunctionRewriter(fn, partition).rewrite()
     clustered_schedules: dict[str, LinearSchedule] = {}
     for name, block in clustered_blocks.items():
         ddg = build_block_ddg(block, machine.latencies)
@@ -128,24 +201,21 @@ def compile_function(
         clustered_schedules=clustered_schedules,
         n_copies=n_copies,
         n_entry_copies=n_entry,
+        ideal_kernels=ideal_kernels,
+        clustered_kernels=clustered_kernels,
+        partitioned_loops=partitioned_loops,
     )
 
 
 class _FunctionRewriter:
     """Copy insertion over a function's blocks (acyclic semantics)."""
 
-    def __init__(self, fn: Function, partition: Partition, machine: MachineDescription):
+    def __init__(self, fn: Function, partition: Partition):
         self.fn = fn
         self.partition = partition
-        self.machine = machine
         self.factory = RegisterFactory()
         #: (rid, cluster) -> copy register, shared function-wide
         self.copy_regs: dict[tuple[int, int], SymbolicRegister] = {}
-        self.def_block: dict[int, str] = {}
-        for block in fn.blocks:
-            for op in block.ops:
-                if op.dest is not None:
-                    self.def_block[op.dest.rid] = block.name
 
     def rewrite(self) -> tuple[dict[str, BasicBlock], int, int]:
         out: dict[str, BasicBlock] = {}
@@ -165,7 +235,11 @@ class _FunctionRewriter:
         existing = self.copy_regs.get(key)
         if existing is not None:
             return existing, False
-        reg = self.factory.new(src.dtype, name=f"{src.name}.c{cluster}")
+        name = f"{src.name}.c{cluster}"
+        if self.factory.get(name) is not None:
+            # a distinct register of the same name already has a copy here
+            name = f"{src.name}#{src.rid}.c{cluster}"
+        reg = self.factory.new(src.dtype, name=name)
         self.partition.assign(reg, cluster)
         self.copy_regs[key] = reg
         return reg, True

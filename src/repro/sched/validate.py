@@ -18,21 +18,23 @@ class ScheduleValidationError(AssertionError):
     """A schedule violates a dependence or resource constraint."""
 
 
-def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
-    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal.
-
-    Every edge is checked on the graph's int arrays; only an offending
-    edge is turned into a :class:`~repro.ddg.dependence.Dependence`, to
-    word the error."""
-    ii = schedule.ii
+def _check_dependences(ddg: DDG, times: dict[int, int], ii: int, what: str) -> None:
+    """Check every edge ``t_dst >= t_src + delay - ii * distance`` on the
+    graph's int arrays; only an offending edge is turned into a
+    :class:`~repro.ddg.dependence.Dependence`, to word the error."""
     idx = ddg.index()
-    t = [schedule.times[oid] for oid in idx.op_ids]
+    t = [times[oid] for oid in idx.op_ids]
     for k, (s, d, delay, dist) in enumerate(zip(idx.src, idx.dst, idx.delay, idx.dist)):
         if t[d] < t[s] + delay - ii * dist:
             raise ScheduleValidationError(
-                f"dependence violated at II={ii}: {ddg.dependence(idx.edge_row[k])!r} "
-                f"(t_src={t[s]}, t_dst={t[d]})"
+                f"{what}: {ddg.dependence(idx.edge_row[k])!r} (t_src={t[s]}, t_dst={t[d]})"
             )
+
+
+def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
+    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal."""
+    ii = schedule.ii
+    _check_dependences(ddg, schedule.times, ii, f"dependence violated at II={ii}")
     # resources: re-place everything into a fresh MRT
     mrt = ModuloReservationTable(schedule.machine, ii)
     for op in schedule.loop.ops:
@@ -53,16 +55,11 @@ def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
 
 
 def validate_linear_schedule(schedule: LinearSchedule, ddg: DDG) -> None:
-    """Acyclic-schedule counterpart of :func:`validate_kernel_schedule`."""
-    for dep in ddg.edges():
-        if dep.distance != 0:
-            raise ScheduleValidationError("linear schedule given a cyclic DDG")
-        t_src = schedule.times[dep.src.op_id]
-        t_dst = schedule.times[dep.dst.op_id]
-        if t_dst < t_src + dep.delay:
-            raise ScheduleValidationError(
-                f"dependence violated: {dep!r} (t_src={t_src}, t_dst={t_dst})"
-            )
+    """Acyclic-schedule counterpart of :func:`validate_kernel_schedule`:
+    the same dependence check at II 0, on a graph without carried edges."""
+    if any(ddg.index().dist):
+        raise ScheduleValidationError("linear schedule given a cyclic DDG")
+    _check_dependences(ddg, schedule.times, 0, "dependence violated")
     table = ReservationTable(schedule.machine)
     for op in schedule.ops:
         t = schedule.times[op.op_id]

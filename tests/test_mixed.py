@@ -97,3 +97,17 @@ class TestCompileMixed:
         result = compile_mixed(mixed, m)
         assert result.loop_degradation_pct() == 0.0
         assert result.clustered_blocks
+
+
+def test_duplicate_loop_names_are_rejected():
+    def hot_loop():
+        b = LoopBuilder("hot", depth=1)
+        b.fload("f1", "x")
+        b.fmul("f2", "f1", "f1")
+        b.fstore("f2", "y")
+        return b.build()
+
+    mixed, _loop, _f4 = build_mixed()
+    mixed.loops = [hot_loop(), hot_loop()]
+    with pytest.raises(ValueError, match="duplicate loop name 'hot'"):
+        compile_mixed(mixed, paper_machine(2, CopyModel.EMBEDDED))

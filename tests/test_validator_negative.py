@@ -14,12 +14,18 @@ import re
 import pytest
 
 from repro.core.pipeline import PipelineConfig, compile_loop
-from repro.ddg.builder import build_loop_ddg
+from repro.ddg.builder import build_block_ddg, build_loop_ddg
+from repro.ir.builder import LoopBuilder
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
+from repro.sched.list_scheduler import list_schedule
 from repro.sched.modulo.scheduler import modulo_schedule
-from repro.sched.schedule import KernelSchedule
-from repro.sched.validate import ScheduleValidationError, validate_kernel_schedule
+from repro.sched.schedule import KernelSchedule, LinearSchedule
+from repro.sched.validate import (
+    ScheduleValidationError,
+    validate_kernel_schedule,
+    validate_linear_schedule,
+)
 from repro.sim.equivalence import check_loop_equivalence
 from repro.workloads.kernels import make_kernel
 from repro.workloads.synthetic import PROFILES, SyntheticLoopGenerator
@@ -55,6 +61,49 @@ class TestDependenceMutations:
         bad = KernelSchedule(machine=m, loop=loop, ii=ks.ii, times=bad_times)
         with pytest.raises(ScheduleValidationError):
             validate_kernel_schedule(bad, ddg)
+
+
+def legal_block_schedule(width=16):
+    """Two independent loads feeding an add and a store, list-scheduled."""
+    b = LoopBuilder("blk", depth=0)
+    b.load("r1", "a", scalar=True)
+    b.load("r2", "b", scalar=True)
+    b.add("r3", "r1", "r2")
+    b.store("r3", "c", scalar=True)
+    block = b.build_block(depth=0)
+    m = ideal_machine(width=width)
+    ddg = build_block_ddg(block, m.latencies)
+    sched = list_schedule(ddg, m)
+    validate_linear_schedule(sched, ddg)
+    return block, ddg, m, sched
+
+
+class TestLinearScheduleMutations:
+    def test_pulling_a_consumer_early_is_caught(self):
+        block, ddg, m, sched = legal_block_schedule()
+        edge = next(e for e in ddg.edges() if e.delay > 0)
+        bad_times = dict(sched.times)
+        bad_times[edge.dst.op_id] = sched.times[edge.src.op_id] + edge.delay - 1
+        bad = LinearSchedule(machine=m, ops=sched.ops, times=bad_times)
+        with pytest.raises(ScheduleValidationError, match="^dependence violated: "):
+            validate_linear_schedule(bad, ddg)
+
+    def test_cyclic_ddg_is_rejected(self):
+        loop, ddg, m, ks = legal_kernel("lfk5_tridiag")
+        assert any(e.distance > 0 for e in ddg.edges())
+        flat = LinearSchedule(machine=m, ops=loop.ops, times=dict(ks.times))
+        with pytest.raises(ScheduleValidationError, match="cyclic DDG"):
+            validate_linear_schedule(flat, ddg)
+
+    def test_oversubscribed_cycle_is_caught(self):
+        # 1-wide machine: issue the second load in the first load's cycle
+        block, ddg, m, sched = legal_block_schedule(width=1)
+        first, second = block.ops[0], block.ops[1]
+        bad_times = dict(sched.times)
+        bad_times[second.op_id] = sched.times[first.op_id]
+        bad = LinearSchedule(machine=m, ops=sched.ops, times=bad_times)
+        with pytest.raises(ScheduleValidationError, match="over-subscription at cycle"):
+            validate_linear_schedule(bad, ddg)
 
 
 class TestResourceMutations:

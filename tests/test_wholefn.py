@@ -101,3 +101,44 @@ class TestCompileFunction:
         fn = two_block_function()
         result = compile_function(fn, prior_work_machine_4wide())
         assert 0 <= result.degradation_pct <= 60
+
+
+class TestFunctionPathEdgeCases:
+    def test_same_named_registers_copied_into_one_cluster(self):
+        """Two blocks built by separate builders each define an ``r1``;
+        both values need a copy into cluster 1.  The first copy keeps the
+        plain ``r1.c1`` name and the second gets a distinct one."""
+        fn = Function("clash")
+        builders = []
+        for name in ("a", "b"):
+            b = LoopBuilder(name, depth=0)
+            b.load("r1", f"{name}_in", scalar=True)
+            b.shl("r2", "r1", 1)
+            b.store("r2", f"{name}_out", scalar=True)
+            fn.add_block(b.build_block(depth=0))
+            builders.append(b)
+        pins = {}
+        for b in builders:
+            pins[b.factory.get("r1")] = 0
+            pins[b.factory.get("r2")] = 1
+        result = compile_function(fn, paper_machine(2, CopyModel.EMBEDDED), precolored=pins)
+        assert result.n_copies == 2
+        copies = [
+            op.dest
+            for block in result.clustered_blocks.values()
+            for op in block.ops
+            if op.is_copy
+        ]
+        assert copies[0].name == "r1.c1"
+        assert len({reg.name for reg in copies}) == 2
+        for reg in copies:
+            assert result.partition.bank_of(reg) == 1
+
+    def test_function_with_one_empty_block(self):
+        from repro.ir.block import BasicBlock
+
+        fn = Function("empty_block")
+        fn.add_block(BasicBlock(name="only", ops=[], depth=0))
+        result = compile_function(fn, paper_machine(2, CopyModel.EMBEDDED))
+        assert result.ideal_cycles() == 0
+        assert result.degradation_pct == 0.0
