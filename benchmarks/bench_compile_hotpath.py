@@ -56,17 +56,18 @@ def calibration_seconds(repeats: int = 3) -> float:
 def disabled_hook_ns(samples: int = 200_000) -> float:
     """Per-invocation cost of one *disabled* tracing hook, in nanoseconds.
 
-    Times the exact no-op path every instrumentation site takes when
-    tracing is off: a ``NULL_TRACER.span()`` call used as a context
-    manager.  (Sub-step sites are even cheaper — a single ``is not
-    None`` guard — so scaling this by the enabled-run span count upper-
-    bounds the true disabled overhead.)
+    Times the no-op path an instrumentation site reaches when tracing is
+    off: a disabled :class:`~repro.obs.PassClock`'s ``substep`` span used
+    as a context manager.  (Sub-step sites are even cheaper — a single
+    ``enabled`` / ``is not None`` guard — so scaling this by the
+    enabled-run span count upper-bounds the true disabled overhead.)
     """
-    from repro.obs import NULL_TRACER
+    from repro.obs import PassClock
 
+    clock = PassClock()
     t0 = time.perf_counter()
     for _ in range(samples):
-        with NULL_TRACER.span("x", cat="pass"):
+        with clock.span("x", cat="substep"):
             pass
     return (time.perf_counter() - t0) / samples * 1e9
 
@@ -227,8 +228,9 @@ def run_benchmark(quick_n: int = QUICK_N, repeats: int = REPEATS) -> dict:
         if best_enabled is None or wall < best_enabled:
             best_enabled = wall
 
-    # disabled-overhead leg: every one of those span sites degenerates to
-    # (at most) one no-op NULL_TRACER.span() call when tracing is off;
+    # disabled-overhead leg: with tracing off, a substep site degenerates
+    # to (at most) one no-op PassClock substep span, and a pass span is
+    # the pass clock the untraced run above already paid for;
     # cost per call x sites per evaluation, as a fraction of the
     # evaluation wall, bounds what the disabled hooks can possibly cost.
     # check_perf_regression.py gates this at <=2%.

@@ -29,6 +29,7 @@ from repro.ir.parser import parse_loop
 from repro.ir.printer import format_loop
 from repro.machine.machine import CopyModel
 from repro.machine.presets import paper_machine
+from repro.obs.trace import PassClock
 
 
 def _load_loop(spec: str) -> Loop:
@@ -107,7 +108,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         run_check=args.check,
     )
     store = _open_store(args.store) if args.store else None
-    tracer = trace_fh = None
+    tracer = PassClock()
+    trace_fh = None
     if args.trace:
         from repro.evalx.runner import config_label
         from repro.obs.trace import Tracer
@@ -119,7 +121,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             result = compile_loop(loop, machine, config, tracer=tracer,
                                   store=store)
     else:
-        result = compile_loop(loop, machine, config, store=store)
+        result = compile_loop(loop, machine, config, tracer=tracer, store=store)
     m = result.metrics
 
     if store is not None:
@@ -128,10 +130,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
             if result.store_hit else "miss (compiled and stored)"
         )
         print(f"artifact store {store.path}: {outcome}", file=sys.stderr)
-    if tracer is not None:
+    if trace_fh is not None:
         _export_trace(tracer, args.trace, trace_fh)
     if args.timing:
-        print(_format_pass_timing(result.pass_seconds))
+        print(_format_pass_timing(tracer.pass_seconds()))
 
     print(f"loop: {loop.name} ({len(loop.ops)} ops)   machine: {machine.describe()}")
     print(f"partitioner: {args.partitioner}")

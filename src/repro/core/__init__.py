@@ -42,7 +42,7 @@ from repro.core.iterative import refine_partition
 from repro.core.mixed import MixedFunction, compile_mixed
 from repro.core.wholefn import FunctionCompilation, compile_function
 from repro.core.cache import ArtifactCache, CacheStats
-from repro.core.context import CompilationContext, PassEvent, PipelineConfig
+from repro.core.context import CompilationContext, PipelineConfig
 from repro.core.passes import (
     PARTITIONERS,
     PassPipeline,
@@ -77,7 +77,6 @@ __all__ = [
     "CompilationResult",
     "CompilationContext",
     "PipelineConfig",
-    "PassEvent",
     "PassPipeline",
     "PARTITIONERS",
     "register_partitioner",

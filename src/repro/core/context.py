@@ -4,14 +4,13 @@ A :class:`CompilationContext` carries everything one loop x machine
 compilation accumulates as it flows through the pass pipeline: the input
 artifacts (loop, machine, config), the evolving intermediate artifacts
 (DDG, ideal schedule, RCG, partition, partitioned loop, kernel, bank
-assignment) and a structured per-pass event log with wall times.  Passes
+assignment) and the tracer whose pass spans time every pass.  Passes
 (:mod:`repro.core.passes`) read and write these fields; nothing else
 owns mutable compilation state.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
@@ -20,7 +19,7 @@ from repro.ir.block import Loop
 from repro.ir.registers import SymbolicRegister
 from repro.machine.machine import MachineDescription
 from repro.machine.presets import ideal_machine
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import PassClock
 from repro.sched.modulo.scheduler import modulo_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,15 +60,6 @@ class PipelineConfig:
     seed: int = 0
     max_spill_rounds: int = 3
     precolored: dict[SymbolicRegister, int] | None = None
-
-
-@dataclass
-class PassEvent:
-    """One pass execution: what ran, how long it took, what it reported."""
-
-    name: str
-    seconds: float
-    info: dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -127,19 +117,13 @@ class CompilationContext:
     oracle_checked: bool = False
     metrics: "LoopMetrics | None" = None
 
-    # observability (repro.obs); both default to the disabled state and
-    # cost nothing there — NULL_TRACER's hooks are constant-time no-ops
-    # and passes only record metrics when a registry is attached
-    tracer: "Tracer | NullTracer" = NULL_TRACER
+    # observability (repro.obs); both default to the disabled state — a
+    # bare PassClock, which keeps per-pass exclusive times and no spans,
+    # and no metrics registry (passes only record metrics into one)
+    tracer: PassClock = field(default_factory=PassClock)
     metrics_registry: "MetricsRegistry | None" = None
 
-    # diagnostics
-    events: list[PassEvent] = field(default_factory=list)
     stop_requested: bool = False
-    #: child-time accumulators for nested ``run_timed`` calls; composite
-    #: passes (SpillRetryLoop) report exclusive time, so summing
-    #: ``pass_seconds()`` gives true wall time with no double counting
-    _active: list[float] = field(default_factory=list, repr=False)
 
     # ------------------------------------------------------------------
     @property
@@ -171,39 +155,15 @@ class CompilationContext:
         )
 
     # ------------------------------------------------------------------
-    def record(self, name: str, seconds: float, **info: object) -> PassEvent:
-        """Append a structured event to the per-pass log."""
-        event = PassEvent(name=name, seconds=seconds, info=dict(info))
-        self.events.append(event)
-        return event
-
     def run_timed(self, pass_, **info: object):
-        """Run one pass against this context, timing and logging it.
+        """Run one pass against this context inside its pass span.
 
-        Nested calls (a composite pass running sub-passes through this
-        same method) are accounted exclusively: the parent's event holds
-        only the time not already attributed to a child event.
+        The span's tracer keeps the pass's exclusive time: a composite
+        pass (SpillRetryLoop) running sub-passes through this same method
+        is charged only for the time outside them.
         """
-        t0 = time.perf_counter()
-        self._active.append(0.0)
-        span = self.tracer.span(pass_.name, cat="pass", **info)
-        try:
-            with span:
-                signal = pass_.run(self)
-        finally:
-            elapsed = time.perf_counter() - t0
-            child_total = self._active.pop()
-            if self._active:
-                self._active[-1] += elapsed
-            self.record(pass_.name, max(0.0, elapsed - child_total), **info)
-        return signal
-
-    def pass_seconds(self) -> dict[str, float]:
-        """Aggregate exclusive wall time per pass name (rounds accumulate)."""
-        totals: dict[str, float] = {}
-        for event in self.events:
-            totals[event.name] = totals.get(event.name, 0.0) + event.seconds
-        return totals
+        with self.tracer.span(pass_.name, cat="pass", **info):
+            return pass_.run(self)
 
     def request_stop(self) -> None:
         """Ask the pipeline to short-circuit after the current pass."""

@@ -2,9 +2,10 @@
 
 Each of the paper's five steps is a :class:`Pass`: a named object whose
 ``run`` method reads and writes one :class:`~repro.core.context
-.CompilationContext`.  A :class:`PassPipeline` composes passes, records
-per-pass wall time into the context's event log and short-circuits when a
-pass returns :data:`STOP` (or the context requests it).
+.CompilationContext`.  A :class:`PassPipeline` composes passes, runs each
+inside a pass span of the context's tracer (which keeps per-pass
+exclusive wall time) and short-circuits when a pass returns :data:`STOP`
+(or the context requests it).
 
 The default pipeline mirrors the monolithic driver this module replaced,
 bracketed by the durable-store passes (:class:`StoreLookup` serves a
@@ -54,17 +55,6 @@ from repro.sched.validate import validate_kernel_schedule
 STOP = object()
 
 
-class _Step:
-    """Adapter turning a closure into a (timeable, loggable) pass."""
-
-    def __init__(self, name: str, fn):
-        self.name = name
-        self.fn = fn
-
-    def run(self, ctx: CompilationContext):
-        return self.fn(ctx)
-
-
 @runtime_checkable
 class Pass(Protocol):
     """One pipeline stage: transforms the context, optionally stops it."""
@@ -76,10 +66,10 @@ class Pass(Protocol):
 
 
 class PassPipeline:
-    """Run passes in order, timing each one into the context's event log.
+    """Run passes in order, each inside its pass span.
 
     A pass that returns :data:`STOP` — or sets
-    ``ctx.request_stop()`` — ends the run after its event is recorded;
+    ``ctx.request_stop()`` — ends the run after its span closes;
     the remaining passes are skipped.
     """
 
@@ -329,7 +319,6 @@ class StoreWrite:
             partitioned_ddg=ctx.partitioned_ddg,
             metrics=ctx.metrics,
             bank_assignment=ctx.bank_assignment,
-            pass_seconds=ctx.pass_seconds(),
             precopy_loop=ctx.current_loop,
         )
         ctx.store.put_result(ctx.store_key, result)
@@ -480,8 +469,9 @@ class SpillRetryLoop:
     on failure it spills the translated candidates, re-partitions the
     rewritten loop with the *same* scheduler and the full greedy
     arguments (capacity-aware ``slots_per_bank``, ``precolored`` pins) as
-    the first round, and tries again.  Sub-passes are individually timed
-    into the event log, tagged with their round number.
+    the first round, and tries again.  Sub-passes, and each round's
+    ``SpillRepartition``, run in their own pass spans tagged with their
+    round number.
     """
 
     name = "SpillRetryLoop"
@@ -508,11 +498,8 @@ class SpillRetryLoop:
                     f"{ctx.loop.name!r}: register assignment still failing after "
                     f"{config.max_spill_rounds} spill rounds on {ctx.machine.name!r}"
                 )
-            step = _Step(
-                "SpillRepartition",
-                lambda c: self._spill_and_repartition(c, outcome),
-            )
-            ctx.run_timed(step, round=round_no)
+            with ctx.tracer.span("SpillRepartition", cat="pass", round=round_no):
+                self._spill_and_repartition(ctx, outcome)
 
     def _spill_and_repartition(self, ctx: CompilationContext, outcome) -> None:
         from repro.regalloc.spill import spill_registers

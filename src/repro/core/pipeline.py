@@ -16,7 +16,9 @@ entry-point surface: :func:`compile_loop` builds a context, runs the
 default pipeline over it and distills a :class:`CompilationResult`.
 Pass ``cache=`` an :class:`~repro.core.cache.ArtifactCache` to share the
 machine-independent DDG + ideal schedule across calls (the evaluation
-runner does, across the six paper configurations).
+runner does, across the six paper configurations).  Pass times are kept
+by the ``tracer=`` passed in (see :mod:`repro.obs.trace`), not on the
+result.
 """
 
 from __future__ import annotations
@@ -75,8 +77,6 @@ class CompilationResult:
     metrics: LoopMetrics
     bank_assignment: "object | None" = None  # regalloc.assignment.BankAssignments
     scheduler_stats: dict = field(default_factory=dict)
-    #: aggregated wall time per pass name (see ``CompilationContext.events``)
-    pass_seconds: dict[str, float] = field(default_factory=dict)
     #: the pre-copy loop ``partition`` actually describes: the input loop,
     #: or its spill-rewritten successor after spill rounds.  The
     #: cross-stage oracles (repro.check) count communication demand on it.
@@ -106,8 +106,11 @@ def compile_loop(
     .PassPipeline`; kept so every historical call site (CLI, benchmarks,
     evalx, examples) works unchanged.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) records hierarchical spans
-    for every pass and opt-in sub-step; ``metrics`` — ``True`` for a
+    ``tracer`` (a :class:`repro.obs.PassClock`, or a
+    :class:`repro.obs.Tracer` to also record hierarchical spans for every
+    pass and opt-in sub-step) keeps the per-pass exclusive wall times in
+    its ``pass_ns``; without one the context's own clock times the passes
+    and is dropped.  ``metrics`` — ``True`` for a
     fresh :class:`repro.obs.MetricsRegistry` or an existing registry —
     collects typed compile metrics, snapshotted into the result's
     ``compile_metrics``.  Both default to disabled and change nothing
@@ -171,7 +174,6 @@ def compile_loop(
         partitioned_ddg=ctx.partitioned_ddg,
         metrics=ctx.metrics,
         bank_assignment=ctx.bank_assignment,
-        pass_seconds=ctx.pass_seconds(),
         precopy_loop=ctx.current_loop,
         compile_metrics=registry.snapshot() if registry is not None else None,
         store_hit=ctx.store_hit,

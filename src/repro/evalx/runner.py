@@ -55,7 +55,6 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.cache import ArtifactCache, CacheStats
@@ -68,7 +67,7 @@ from repro.ir.block import Loop, reserve_ids
 from repro.machine.machine import CopyModel, MachineDescription
 from repro.machine.presets import paper_machine
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import PassClock, Span, Tracer
 from repro.store.tiered import ArtifactStore, StoreStats
 from repro.workloads.corpus import spec95_corpus
 
@@ -134,7 +133,8 @@ class EvalRun:
     store_misses: int = 0
     store_invalid: int = 0
     store_writes: int = 0
-    #: aggregate wall time per pass name, summed over every compilation
+    #: exclusive wall time per pass name over every cell, failed cells
+    #: included: the totals of the run's tracer (or pass clock)
     pass_seconds: dict[str, float] = field(default_factory=dict)
     #: per-cell wall-clock budget (None = unbounded)
     timeout_seconds: float | None = None
@@ -173,11 +173,6 @@ class EvalRun:
         self.store_writes += stats.writes
 
 
-def _merge_pass_seconds(into: dict[str, float], new: dict[str, float]) -> None:
-    for name, seconds in new.items():
-        into[name] = into.get(name, 0.0) + seconds
-
-
 def _failure_cell(
     idx: int, label: str, loop: Loop, exc: BaseException, attempts: int
 ) -> Cell:
@@ -209,18 +204,19 @@ def _compile_cells(
     cache: ArtifactCache,
     timeout: float | None,
     attempt: int,
-    tracer: Tracer | None,
+    clock: PassClock,
     collect_metrics: bool,
     store: ArtifactStore | None,
     budget: float | None = None,
-) -> tuple[list[Cell], dict[str, float], list[tuple[CellKey, dict]]]:
+) -> tuple[list[Cell], list[tuple[CellKey, dict]]]:
     """Compile ``(loop index, loop, label)`` cells in the given order.
 
     The one per-cell loop: each cell compiles under its own ``timeout``,
-    its own tracer scope and (``collect_metrics``) its own
-    :class:`~repro.obs.MetricsRegistry`; an exception becomes a failure
-    cell stamped with ``attempt``.  Returns the cells, their summed pass
-    wall times and their metric snapshots.  The store key's
+    its own cell scope of the shared ``clock`` (a tracer, or the bare
+    pass clock, which keeps every cell's pass times) and
+    (``collect_metrics``) its own :class:`~repro.obs.MetricsRegistry`;
+    an exception becomes a failure cell stamped with ``attempt``.
+    Returns the cells and their metric snapshots.  The store key's
     loop-independent prefix is derived once per label, so warm cells
     hash only the (memoized) loop.  ``budget`` bounds the whole loop;
     when it expires, the cell it interrupted and every later cell become
@@ -231,17 +227,12 @@ def _compile_cells(
         for label in {label for _, _, label in cells}
     } if store is not None else {}
     done: list[Cell] = []
-    pass_seconds: dict[str, float] = {}
     snapshots: list[tuple[CellKey, dict]] = []
     try:
         with deadline(budget):
             for idx, loop, label in cells:
                 registry = MetricsRegistry() if collect_metrics else None
-                scope = (
-                    tracer.cell(idx, label, loop_name=loop.name)
-                    if tracer is not None else nullcontext()
-                )
-                with scope:
+                with clock.cell(idx, label, loop_name=loop.name):
                     try:
                         with deadline(timeout):
                             maybe_inject_fault(loop.name)
@@ -249,7 +240,7 @@ def _compile_cells(
                             # cell is a two-line read
                             result = compile_loop(
                                 loop, machines[label], pipeline_config,
-                                cache=cache, tracer=tracer, metrics=registry,
+                                cache=cache, tracer=clock, metrics=registry,
                                 store=store, store_hydrate="metrics",
                                 store_prefix=prefixes.get(label),
                             )
@@ -260,7 +251,6 @@ def _compile_cells(
                     else:
                         done.append(Cell(loop_index=idx, config=label,
                                          metrics=result.metrics))
-                        _merge_pass_seconds(pass_seconds, result.pass_seconds)
                 if registry is not None:
                     snapshots.append(
                         ((idx, label), {"loop": loop.name, **registry.snapshot()})
@@ -268,7 +258,7 @@ def _compile_cells(
     except DeadlineExceeded as exc:
         for idx, loop, label in cells[len(done):]:
             done.append(_failure_cell(idx, label, loop, exc, attempt))
-    return done, pass_seconds, snapshots
+    return done, snapshots
 
 
 def run_evaluation(
@@ -279,7 +269,7 @@ def run_evaluation(
     jobs: int = 1,
     cache: ArtifactCache | None = None,
     timeout: float | None = None,
-    tracer: Tracer | None = None,
+    tracer: PassClock | None = None,
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
 ) -> EvalRun:
@@ -301,7 +291,10 @@ def run_evaluation(
     ``tracer`` (a :class:`repro.obs.Tracer`) records one span tree per
     cell; the parallel path records spans in worker-local tracers and
     merges them back keyed by (loop id, configuration), so serial and
-    parallel runs yield the same span identities.
+    parallel runs yield the same span identities.  Without one, a fresh
+    :class:`repro.obs.PassClock` times the passes.  Either way
+    ``run.pass_seconds`` is that clock's totals, the worker clocks'
+    merged in (a tracer reused across runs carries its totals over).
     ``collect_metrics=True`` attaches a fresh
     :class:`~repro.obs.MetricsRegistry` to each compilation and stores
     the snapshots in ``run.cell_metrics``.  Neither affects metrics,
@@ -329,18 +322,19 @@ def run_evaluation(
         run.machines[label] = paper_machine(n_clusters, model)
 
     cells: dict[CellKey, Cell] = {}
-    obs_tracer = tracer if tracer is not None and tracer.enabled else None
+    clock = tracer if tracer is not None else PassClock()
     t0 = time.time()
     if jobs > 1:
         _fill_parallel(
             run, cells, loops, pipeline_config, configs, jobs, progress,
-            timeout, obs_tracer, collect_metrics, store,
+            timeout, clock, collect_metrics, store,
         )
     else:
         _fill_serial(
             run, cells, loops, pipeline_config, labels, progress, cache,
-            timeout, obs_tracer, collect_metrics, store,
+            timeout, clock, collect_metrics, store,
         )
+    run.pass_seconds = clock.pass_seconds()
 
     # deterministic assembly: configuration-major, loop-minor — the order
     # a clean serial run produces, whatever actually filled the grid
@@ -364,12 +358,10 @@ def _absorb_cells(
     run: EvalRun,
     grid: dict[CellKey, Cell],
     done: list[Cell],
-    pass_seconds: dict[str, float],
     snapshots: list[tuple[CellKey, dict]],
 ) -> None:
     for cell in done:
         grid[cell.key] = cell
-    _merge_pass_seconds(run.pass_seconds, pass_seconds)
     run.cell_metrics.update(snapshots)
 
 
@@ -395,7 +387,7 @@ def _fill_serial(
     progress: bool,
     cache: ArtifactCache | None,
     timeout: float | None,
-    tracer: Tracer | None = None,
+    clock: PassClock,
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
 ) -> None:
@@ -403,12 +395,12 @@ def _fill_serial(
     cache0 = dataclasses.replace(shared_cache.stats)
     store0 = dataclasses.replace(store.stats) if store is not None else None
     for label in labels:
-        done, pass_seconds, snapshots = _compile_cells(
+        done, snapshots = _compile_cells(
             [(i, loop, label) for i, loop in enumerate(loops)], run.machines,
-            pipeline_config, shared_cache, timeout, 1, tracer,
+            pipeline_config, shared_cache, timeout, 1, clock,
             collect_metrics, store,
         )
-        _absorb_cells(run, cells, done, pass_seconds, snapshots)
+        _absorb_cells(run, cells, done, snapshots)
         if progress:
             print(f"[{label}] done: {len(done)} compiled", file=sys.stderr)
     run.absorb_cache_stats(_since(cache0, shared_cache.stats))
@@ -489,13 +481,13 @@ class ChunkPayload:
 @dataclass
 class ChunkResult:
     """What a worker sends home: cells, the worker-local cache and store
-    counters (store counters None without a store), pass wall time,
-    recorded spans and per-cell metric snapshots."""
+    counters (store counters None without a store), its clock's pass
+    nanoseconds, recorded spans and per-cell metric snapshots."""
 
     cells: list[Cell]
     cache_stats: CacheStats = field(default_factory=CacheStats)
     store_stats: StoreStats | None = None
-    pass_seconds: dict[str, float] = field(default_factory=dict)
+    pass_ns: dict[str, int] = field(default_factory=dict)
     spans: list[Span] = field(default_factory=list)
     snapshots: list[tuple[CellKey, dict]] = field(default_factory=list)
 
@@ -524,14 +516,14 @@ def compile_chunk(payload: ChunkPayload) -> ChunkResult:
         for n, model in {(n, model) for _, _, n, model in payload.cells}
     }
     cache = ArtifactCache()
-    tracer = Tracer() if payload.trace else None
-    done, pass_seconds, snapshots = _compile_cells(
+    clock = Tracer() if payload.trace else PassClock()
+    done, snapshots = _compile_cells(
         payload.labelled(), machines, payload.config, cache, payload.cell_timeout,
-        payload.attempt, tracer, payload.metrics, store, budget=payload.budget,
+        payload.attempt, clock, payload.metrics, store, budget=payload.budget,
     )
     return ChunkResult(
         done, cache.stats, store.stats if store is not None else None,
-        pass_seconds, tracer.spans if tracer is not None else [], snapshots,
+        clock.pass_ns, list(clock.spans), snapshots,
     )
 
 
@@ -544,7 +536,7 @@ def _fill_parallel(
     jobs: int,
     progress: bool,
     timeout: float | None,
-    tracer: Tracer | None = None,
+    clock: PassClock,
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
 ) -> None:
@@ -556,7 +548,7 @@ def _fill_parallel(
         ChunkPayload(
             cells=chunk, config=pipeline_config, cell_timeout=timeout,
             store_path=store.path if store is not None else None,
-            trace=tracer is not None, metrics=collect_metrics,
+            trace=clock.enabled, metrics=collect_metrics,
         )
         for chunk in chunk_cells(work, jobs)
     ]
@@ -573,13 +565,13 @@ def _fill_parallel(
             ]
             for done, fut in enumerate(as_completed(futures), 1):
                 for result in fut.result():
-                    _absorb_cells(run, cells, result.cells,
-                                  result.pass_seconds, result.snapshots)
+                    _absorb_cells(run, cells, result.cells, result.snapshots)
                     run.absorb_cache_stats(result.cache_stats)
                     if result.store_stats is not None:
                         run.absorb_store_stats(result.store_stats)
-                    if tracer is not None:
-                        tracer.add_spans(result.spans)
+                    clock.add_pass_ns(result.pass_ns)
+                    if clock.enabled:
+                        clock.add_spans(result.spans)
                 if progress:
                     print(f"  chunk {done}/{len(payloads)} done", file=sys.stderr)
         finally:

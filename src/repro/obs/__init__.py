@@ -1,9 +1,10 @@
 """Zero-dependency observability layer: tracing + compile metrics.
 
-See :mod:`repro.obs.trace` (hierarchical spans, JSONL / Chrome
-trace-event export) and :mod:`repro.obs.metrics` (typed counters,
-gauges and histograms with cross-process snapshot merging).  Both are
-off by default; the pipeline threads them through
+See :mod:`repro.obs.trace` (the pass clock every compilation is timed
+by, hierarchical spans, JSONL / Chrome trace-event export) and
+:mod:`repro.obs.metrics` (typed counters, gauges and histograms with
+cross-process snapshot merging).  Spans and metrics are off by default;
+the pipeline threads them through
 ``compile_loop(..., tracer=, metrics=)`` and
 ``run_evaluation(..., tracer=, collect_metrics=)``.
 """
@@ -17,8 +18,7 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
+    PassClock,
     Span,
     Tracer,
     export_trace,
@@ -32,8 +32,7 @@ __all__ = [
     "MetricTypeError",
     "MetricsRegistry",
     "merge_snapshots",
-    "NULL_TRACER",
-    "NullTracer",
+    "PassClock",
     "Span",
     "Tracer",
     "export_trace",

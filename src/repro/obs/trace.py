@@ -1,4 +1,4 @@
-"""Hierarchical tracing of the compile pipeline.
+"""Hierarchical tracing of the compile pipeline, and the pass clock.
 
 A :class:`Tracer` records **spans** — named, timed, nested intervals —
 as the pipeline runs: one root span per (loop, configuration) cell, one
@@ -11,11 +11,19 @@ deterministic identity — ``(loop_index, config, seq, depth, name)`` —
 so traces from different execution strategies (serial, ``--jobs N``
 workers, a rerun over a warm store) can be compared and merged by loop id.
 
-Tracing is **off by default and free when disabled**: every
-instrumentation site either holds the :data:`NULL_TRACER` singleton
-(whose methods are no-ops) or an explicit ``tracer=None`` parameter it
-checks before doing any work.  The disabled-overhead budget (≤2% on the
-compile hot path) is gated by ``benchmarks/check_perf_regression.py``.
+The pass span is the only pass timer.  Every tracer is a
+:class:`PassClock`: each ``cat="pass"`` span adds its *exclusive*
+nanoseconds — its duration less that of the pass spans nested in it —
+to ``pass_ns[name]``, so a composite pass (``SpillRetryLoop``) is not
+counted twice and the totals sum to the pipeline's wall time.
+
+Tracing is **off by default and cheap when disabled**: a context's
+default tracer is a bare :class:`PassClock` (``enabled = False``), whose
+non-pass spans are one shared no-op and whose pass spans only read the
+clock twice; sub-step sites check ``enabled`` (or an explicit
+``tracer=None`` parameter) before doing any work.  The disabled-overhead
+budget (≤2% on the compile hot path) is gated by
+``benchmarks/check_perf_regression.py``.
 
 Two export formats:
 
@@ -32,8 +40,9 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 
 @dataclass
@@ -89,22 +98,74 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class NullTracer:
-    """The disabled tracer: every hook is a constant-time no-op."""
+class _PassSpan:
+    """A pass clock's live pass span: charges its exclusive time on exit."""
+
+    __slots__ = ("_clock", "_name", "_t0")
+
+    def __init__(self, clock: "PassClock", name: str):
+        self._clock = clock
+        self._name = name
+
+    def set(self, **_args) -> None:
+        pass
+
+    def __enter__(self) -> "_PassSpan":
+        self._clock._open.append(0)
+        self._t0 = time.perf_counter_ns()
+        return self
+
+    def __exit__(self, *_exc) -> bool:
+        self._clock._close_pass(self._name, time.perf_counter_ns() - self._t0)
+        return False
+
+
+class PassClock:
+    """The disabled tracer: it records no spans, but times passes.
+
+    ``pass_ns`` maps each pass name to the exclusive nanoseconds of all
+    its ``cat="pass"`` spans; :class:`Tracer` keeps the same totals from
+    the spans it records.  Every other span is the shared no-op.
+    """
 
     enabled = False
     spans: tuple = ()
 
-    def span(self, _name: str, cat: str = "pass", **_args) -> _NullSpan:
-        return _NULL_SPAN
+    def __init__(self) -> None:
+        #: exclusive nanoseconds per pass name, summed over its spans
+        self.pass_ns: dict[str, int] = {}
+        #: child pass time of each open pass span, innermost last
+        self._open: list[int] = []
 
-    def cell(self, _loop_index: int, _config: str,
-             loop_name: str | None = None) -> _NullSpan:
-        return _NULL_SPAN
+    def span(self, name: str, cat: str = "pass", **_args) -> "_PassSpan | _NullSpan":
+        return _PassSpan(self, name) if cat == "pass" else _NULL_SPAN
 
+    @contextmanager
+    def cell(self, loop_index: int, config: str,
+             loop_name: str | None = None) -> Iterator[None]:
+        """Scope one (loop, config) cell: a fresh open-pass stack for its
+        duration, so a span an interrupt left open cannot skew the next."""
+        saved, self._open = self._open, []
+        try:
+            yield
+        finally:
+            self._open = saved
 
-#: the process-wide disabled tracer; contexts default to it.
-NULL_TRACER = NullTracer()
+    def _close_pass(self, name: str, dur_ns: int) -> None:
+        opened = self._open
+        child_ns = opened.pop()
+        if opened:
+            opened[-1] += dur_ns
+        self.pass_ns[name] = self.pass_ns.get(name, 0) + dur_ns - child_ns
+
+    def add_pass_ns(self, pass_ns: dict[str, int]) -> None:
+        """Merge totals kept by another clock (a worker's)."""
+        for name, ns in pass_ns.items():
+            self.pass_ns[name] = self.pass_ns.get(name, 0) + ns
+
+    def pass_seconds(self) -> dict[str, float]:
+        """``pass_ns`` in seconds."""
+        return {name: ns / 1e9 for name, ns in self.pass_ns.items()}
 
 
 class _SpanHandle:
@@ -128,46 +189,18 @@ class _SpanHandle:
         tracer = self._tracer
         tracer._depth = span.depth
         tracer.spans.append(span)
+        if span.cat == "pass":
+            tracer._close_pass(span.name, span.dur_ns)
         return False
 
 
-class _CellScope:
-    """Scopes spans to one (loop, config) cell, with a fresh seq counter."""
-
-    __slots__ = ("_tracer", "_saved", "_root")
-
-    def __init__(self, tracer: "Tracer", loop_index: int, config: str,
-                 loop_name: str | None):
-        self._tracer = tracer
-        self._saved = None
-        args = {"config": config}
-        if loop_name is not None:
-            args["loop"] = loop_name
-        self._root = (loop_index, config, args)
-
-    def __enter__(self) -> "_CellScope":
-        t = self._tracer
-        self._saved = (t._loop_index, t._config, t._seq, t._depth)
-        loop_index, config, args = self._root
-        t._loop_index, t._config = loop_index, config
-        t._seq, t._depth = 0, 0
-        self._root = t.span("compile_loop", cat="cell", **args)
-        self._root.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        t = self._tracer
-        self._root.__exit__(*exc)
-        t._loop_index, t._config, t._seq, t._depth = self._saved
-        return False
-
-
-class Tracer:
+class Tracer(PassClock):
     """Collects spans; see the module docstring for the span hierarchy."""
 
     enabled = True
 
     def __init__(self) -> None:
+        super().__init__()
         self.spans: list[Span] = []
         self._loop_index: int | None = None
         self._config: str | None = None
@@ -192,12 +225,27 @@ class Tracer:
         )
         self._seq += 1
         self._depth += 1
+        if cat == "pass":
+            self._open.append(0)
         return _SpanHandle(self, span)
 
+    @contextmanager
     def cell(self, loop_index: int, config: str,
-             loop_name: str | None = None) -> _CellScope:
-        """Scope + root span for one (loop, configuration) compilation."""
-        return _CellScope(self, loop_index, config, loop_name)
+             loop_name: str | None = None) -> Iterator[None]:
+        """Scope + root span for one (loop, configuration) compilation,
+        with a fresh seq counter."""
+        args = {"config": config}
+        if loop_name is not None:
+            args["loop"] = loop_name
+        saved = (self._loop_index, self._config, self._seq, self._depth)
+        self._loop_index, self._config, self._seq, self._depth = (
+            loop_index, config, 0, 0)
+        try:
+            with super().cell(loop_index, config), \
+                    self.span("compile_loop", cat="cell", **args):
+                yield
+        finally:
+            self._loop_index, self._config, self._seq, self._depth = saved
 
     def add_spans(self, spans: Iterable[Span]) -> None:
         """Merge spans recorded elsewhere (a worker process)."""

@@ -6,7 +6,7 @@ on-disk form is three JSON lines::
 
     {"magic": "repro-store", "schema": 1, "key": {...},
      "meta_sha256": ..., "payload_sha256": ...}
-    {"loop_name": ..., "metrics": {...}, "pass_seconds": {...}}
+    {"loop_name": ..., "metrics": {...}}
     {"loop": "...", "ideal": {...}, "partitioned": {...}, ...}
 
 The split is deliberate: the warm evaluation path needs only line 2
@@ -100,7 +100,7 @@ def _hydrate_partition(doc: dict, regs: dict[str, SymbolicRegister]):
 class StoreEntry:
     """One decoded (or decodable) store entry.
 
-    ``meta`` (loop name, metrics, cold-run pass timings) is always
+    ``meta`` (loop name and metrics) is always
     parsed and checksum-verified; the artifact payload stays raw until
     :meth:`payload`/:meth:`hydrate` need it, keeping the metrics-only
     warm path independent of payload size.
@@ -177,9 +177,6 @@ class StoreEntry:
         meta = {
             "loop_name": loop.name,
             "metrics": dataclasses.asdict(result.metrics),
-            "pass_seconds": {
-                k: round(v, 6) for k, v in sorted(result.pass_seconds.items())
-            },
         }
         return cls(key_json=key.to_json(), meta=meta, payload=payload)
 
@@ -366,7 +363,6 @@ class StoreEntry:
             partitioned_ddg=build_loop_ddg(ploop, machine.latencies),
             metrics=self.metrics(),
             bank_assignment=bank_assignment,
-            pass_seconds=dict(self.meta.get("pass_seconds", {})),
             precopy_loop=precopy,
             store_hit=True,
         )

@@ -5,15 +5,19 @@ identities as a serial run, keyed by loop id) and a rerun over a partly
 filled store must trace each cell exactly once and compile only the
 cells the store lacks."""
 
+import time
+
 import pytest
 
+from repro.core.faults import DeadlineExceeded
+from repro.core.passes import ClusterReschedule
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.evalx.report import render_full_report
 from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label, run_evaluation
 from repro.machine.machine import CopyModel
 from repro.machine.presets import paper_machine
 from repro.obs import Tracer
-from repro.obs.trace import NullTracer
+from repro.obs.trace import PassClock
 from repro.store import ArtifactStore
 from repro.workloads.corpus import spec95_corpus
 from repro.workloads.kernels import make_kernel
@@ -50,10 +54,8 @@ class TestParallelTraceEquivalence:
         assert len(roots) == len(set(roots)) == len(loops) * len(LABELS)
 
     def test_disabled_tracer_records_nothing(self):
-        from repro.obs import NULL_TRACER
-
         run = run_evaluation(loops=spec95_corpus(n=3), config=CONFIG,
-                             tracer=NULL_TRACER)
+                             tracer=PassClock())
         assert not run.failures  # and nothing blew up treating it as None
 
 
@@ -123,7 +125,7 @@ class TestClusterRescheduleSubsteps:
     def test_disabled_tracer_opens_no_substep_span(self):
         opened: list[str] = []
 
-        class Spy(NullTracer):
+        class Spy(PassClock):
             def span(self, name, cat="pass", **args):
                 opened.append(cat)
                 return super().span(name, cat, **args)
@@ -131,3 +133,80 @@ class TestClusterRescheduleSubsteps:
         compile_loop(make_kernel("daxpy"), paper_machine(4, CopyModel.EMBEDDED),
                      CONFIG, tracer=Spy())
         assert opened and "substep" not in opened
+
+
+#: every pass a store-less, regalloc-less evaluation runs
+EVAL_PASSES = {
+    "StoreLookup", "BuildDDG", "IdealSchedule", "PartitionPass",
+    "SpillRetryLoop", "InsertCopies", "ClusterReschedule", "SimulateCheck",
+    "CheckOracles", "ComputeMetrics", "StoreWrite",
+}
+
+
+def exclusive_pass_ns(tracer: Tracer) -> dict[str, int]:
+    """Per pass name, the summed duration of its pass spans less that of
+    the pass spans directly nested in them, rebuilt from the span tree."""
+    totals: dict[str, int] = {}
+    for spans in tracer.by_cell().values():
+        stack: list = []
+        for span in spans:
+            while stack and stack[-1].depth >= span.depth:
+                stack.pop()
+            if span.cat == "pass":
+                totals[span.name] = totals.get(span.name, 0) + span.dur_ns
+                parent = next((s for s in reversed(stack) if s.cat == "pass"), None)
+                if parent is not None:
+                    totals[parent.name] -= span.dur_ns
+            stack.append(span)
+    return totals
+
+
+class TestOnePassClock:
+    """Pass times come from the pass spans and nowhere else."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_pass_seconds_are_the_exclusive_span_times(self, jobs):
+        tracer = Tracer()
+        run = run_evaluation(loops=spec95_corpus(n=5), config=CONFIG,
+                             jobs=jobs, tracer=tracer)
+        totals = exclusive_pass_ns(tracer)
+        assert set(run.pass_seconds) == set(totals) == EVAL_PASSES
+        assert run.pass_seconds == {name: ns / 1e9 for name, ns in totals.items()}
+
+    @pytest.mark.parametrize("make_clock", [PassClock, Tracer])
+    def test_interrupted_cell_leaves_the_next_cell_clean(self, monkeypatch,
+                                                         make_clock):
+        """Cell 1 dies inside ClusterReschedule (under SpillRetryLoop) with
+        a pass span left open past its exit; cell 2 on the same clock must
+        time its passes as if cell 1 never ran."""
+        clock = make_clock()
+        loop = make_kernel("daxpy")
+        machine = paper_machine(4, CopyModel.EMBEDDED)
+
+        def interrupted(_self, ctx):
+            ctx.tracer.span("Orphan", cat="pass").__enter__()
+            raise DeadlineExceeded(1.0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ClusterReschedule, "run", interrupted)
+            with clock.cell(0, "cfg", loop_name=loop.name):
+                with pytest.raises(DeadlineExceeded):
+                    compile_loop(loop, machine, CONFIG, tracer=clock)
+        assert clock._open == []
+
+        before = dict(clock.pass_ns)
+        t0 = time.perf_counter_ns()
+        with clock.cell(1, "cfg", loop_name=loop.name):
+            compile_loop(loop, machine, CONFIG, tracer=clock)
+        wall_ns = time.perf_counter_ns() - t0
+        assert clock._open == []
+
+        cell2 = {name: ns - before.get(name, 0) for name, ns in clock.pass_ns.items()}
+        assert EVAL_PASSES <= set(cell2)
+        assert all(ns >= 0 for ns in cell2.values())
+        spill_ns = wall_ns
+        if clock.enabled:
+            (span,) = [s for s in clock.spans
+                       if s.loop_index == 1 and s.name == "SpillRetryLoop"]
+            spill_ns = span.dur_ns
+        assert cell2["SpillRetryLoop"] <= spill_ns

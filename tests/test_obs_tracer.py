@@ -9,7 +9,7 @@ import pytest
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.machine.machine import CopyModel
 from repro.machine.presets import paper_machine
-from repro.obs import NULL_TRACER, NullTracer, Tracer, export_trace, trace_format_for
+from repro.obs import PassClock, Tracer, export_trace, trace_format_for
 from repro.workloads.kernels import make_kernel
 
 
@@ -100,15 +100,17 @@ class TestSpanRecording:
         assert [s.loop_index for s in merged.sorted_spans()] == [0, 1]
 
 
-class TestNullTracer:
+class TestPassClock:
     def test_disabled_and_noop(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-        with NULL_TRACER.span("anything", k=1) as sp:
+        clock = PassClock()
+        assert clock.enabled is False
+        assert isinstance(Tracer(), PassClock)
+        with clock.span("anything", cat="substep", k=1) as sp:
             sp.set(extra=2)
-        with NULL_TRACER.cell(0, "cfg", loop_name="x"):
+        with clock.cell(0, "cfg", loop_name="x"):
             pass
-        assert NULL_TRACER.spans == ()
+        assert clock.spans == ()
+        assert clock.pass_ns == {}
 
     def test_compile_loop_default_records_nothing(self):
         loop = make_kernel("daxpy")

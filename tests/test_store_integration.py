@@ -113,6 +113,27 @@ def test_parallel_and_serial_store_runs_agree(tmp_path, corpus, baseline):
     assert pwarm.per_config == baseline.per_config
 
 
+def _entry_files(root) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted((root / "objects").rglob("*")) if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("regalloc", [False, True], ids=["plain", "regalloc"])
+def test_serial_and_parallel_cold_stores_are_byte_identical(tmp_path, corpus,
+                                                            regalloc):
+    """Entries hold no wall times, so two cold stores of the same run
+    write the same files whatever filled them."""
+    config = PipelineConfig(run_regalloc=regalloc)
+    run_evaluation(corpus, config=config, store=ArtifactStore.open(tmp_path / "s"))
+    run_evaluation(corpus, config=config, jobs=2,
+                   store=ArtifactStore.open(tmp_path / "p"))
+    serial, parallel = _entry_files(tmp_path / "s"), _entry_files(tmp_path / "p")
+    assert len(serial) == N_LOOPS * N_CONFIGS
+    assert serial == parallel
+
+
 def test_store_outcomes_recorded_in_cell_metrics(tmp_path, corpus):
     path = tmp_path / "store"
     run_evaluation(corpus[:2], config=CONFIG, store=ArtifactStore.open(path))
