@@ -450,13 +450,14 @@ def cmd_store(args: argparse.Namespace) -> int:
         s = disk.stats()
         print(f"store: {disk.root}")
         print(f"  entries: {s.entries}")
+        print(f"  files:   {s.files}")
         print(f"  size:    {s.total_bytes / 1024:.1f} KiB")
         if s.invalid:
             print(f"  unreadable files: {s.invalid}")
         return 0
 
     if args.store_command == "verify":
-        report = disk.verify()
+        report = disk.verify(repair=args.repair)
         print(f"store: {disk.root}")
         print(f"  checked: {report.checked}")
         if report.ok:
@@ -465,8 +466,6 @@ def cmd_store(args: argparse.Namespace) -> int:
         for digest, reason in report.bad:
             print(f"  BAD {digest[:16]}...: {reason}")
         if args.repair:
-            for digest, _reason in report.bad:
-                disk.delete(digest)
             print(f"  removed {len(report.bad)} bad entr"
                   f"{'y' if len(report.bad) == 1 else 'ies'}")
             return 0

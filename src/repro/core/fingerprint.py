@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.ir.block import Loop
@@ -98,13 +98,28 @@ class StoreKeyPrefix:
     One evaluation compiles hundreds of loops against the same machine
     and pipeline configuration; computing these parts once per
     configuration keeps warm-path key derivation at one memoized loop
-    hash per cell.
+    hash per cell.  The prefix also holds the key's canonical JSON on
+    either side of the loop fingerprint (``"loop"`` sorts between
+    ``"latency"`` and ``"machine"``), so a key's JSON is one string
+    concatenation.
     """
 
     latency_fp: tuple
     scheduler_fp: tuple
     machine_fp: tuple
     pipeline_fp: str
+    json_head: str = field(init=False, repr=False, compare=False)
+    json_tail: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        head = '{"latency":' + _dumps(self.latency_fp) + ',"loop":'
+        tail = (
+            ',"machine":' + _dumps(self.machine_fp)
+            + ',"pipeline":' + _dumps(self.pipeline_fp)
+            + ',"scheduler":' + _dumps(self.scheduler_fp) + "}"
+        )
+        object.__setattr__(self, "json_head", head)
+        object.__setattr__(self, "json_tail", tail)
 
 
 def key_prefix(machine: MachineDescription, config: "PipelineConfig") -> StoreKeyPrefix:
@@ -124,6 +139,10 @@ def _canonical(value) -> object:
     return value
 
 
+def _dumps(value) -> str:
+    return json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class StoreKey:
     """Full input fingerprint of one (loop, machine, pipeline) compilation."""
@@ -133,19 +152,16 @@ class StoreKey:
     scheduler_fp: tuple
     machine_fp: tuple
     pipeline_fp: str
-    #: sha256 over the canonical JSON of all five parts — the content
-    #: address a :class:`~repro.store.DiskStore` files the entry under
+    #: sha256 over :attr:`canonical_json` — the content address a
+    #: :class:`~repro.store.DiskStore` files the entry under
     digest: str = ""
+    #: the five parts as canonical JSON (sorted keys, no spaces, tuples
+    #: as lists), the text the digest hashes
+    canonical_json: str = ""
 
     def to_json(self) -> dict:
-        """Canonical JSON form, stored in entries for revalidation."""
-        return {
-            "loop": self.loop_fp,
-            "latency": _canonical(self.latency_fp),
-            "scheduler": _canonical(self.scheduler_fp),
-            "machine": _canonical(self.machine_fp),
-            "pipeline": self.pipeline_fp,
-        }
+        """The five parts as a JSON dict, as entry headers store them."""
+        return json.loads(self.canonical_json)
 
 
 def store_key(
@@ -157,19 +173,14 @@ def store_key(
     """Derive the five-part content key of one compilation."""
     if prefix is None:
         prefix = key_prefix(machine, config)
-    parts = {
-        "loop": loop_fingerprint(loop),
-        "latency": _canonical(prefix.latency_fp),
-        "scheduler": _canonical(prefix.scheduler_fp),
-        "machine": _canonical(prefix.machine_fp),
-        "pipeline": prefix.pipeline_fp,
-    }
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+    loop_fp = loop_fingerprint(loop)
+    text = prefix.json_head + '"' + loop_fp + '"' + prefix.json_tail
     return StoreKey(
-        loop_fp=parts["loop"],
+        loop_fp=loop_fp,
         latency_fp=prefix.latency_fp,
         scheduler_fp=prefix.scheduler_fp,
         machine_fp=prefix.machine_fp,
         pipeline_fp=prefix.pipeline_fp,
-        digest=hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+        digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        canonical_json=text,
     )

@@ -18,7 +18,7 @@ which fault kind ended the attempt, and after how many attempts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 #: Figure 5-7 histogram buckets, in presentation order.
 DEGRADATION_BUCKETS: tuple[str, ...] = (
@@ -141,3 +141,14 @@ class LoopMetrics:
     @property
     def bucket(self) -> str:
         return degradation_bucket(self.degradation_pct)
+
+    def to_dict(self) -> dict:
+        """The fields as a JSON-ready dict, in declaration order.
+
+        Equal to ``dataclasses.asdict(self)``: every field is a scalar,
+        so a shallow copy is enough (``asdict`` deep-copies each one).
+        """
+        return {name: getattr(self, name) for name in _METRIC_FIELDS}
+
+
+_METRIC_FIELDS = tuple(f.name for f in fields(LoopMetrics))

@@ -305,7 +305,7 @@ def run_evaluation(
     compiling, hits are answered from disk (``run.store_hits``) and
     fresh compilations are written back.  The serial path threads the
     caller's store through every cell; parallel workers open the same
-    on-disk store independently (atomic entry writes make that safe) and
+    on-disk store independently (atomic record appends make that safe) and
     their outcome counters are merged into the run.  Stored metrics are
     the same objects a compilation produces, so reports from warm runs
     are identical to cold and store-less ones.  This is also how an
@@ -498,8 +498,8 @@ def compile_chunk(payload: ChunkPayload) -> ChunkResult:
     compile daemon.  Deadlines run *here*, in the worker's main thread.
 
     Machines are rebuilt here (a ``MachineDescription`` does not
-    pickle), and so is the store (it holds OS state; entry writes are
-    atomic, so racing workers are harmless).  The daemon parses request
+    pickle), and so is the store (it holds OS state; record appends
+    are atomic, so racing workers are harmless).  The daemon parses request
     loops after its workers fork, so the chunk first moves this worker's
     id counters past its loops' ids (:func:`repro.ir.reserve_ids`), or
     copies minted here could reuse a register id of their own loop.

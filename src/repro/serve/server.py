@@ -318,7 +318,7 @@ class CompileService:
             if failure is None:
                 counts[source] += 1
                 self.metrics.counter(f"serve.cells.{source}").inc()
-                out["metrics"] = dataclasses.asdict(metrics)
+                out["metrics"] = metrics.to_dict()
             else:
                 counts["failures"] += 1
                 self.metrics.counter("serve.cells.failed").inc()

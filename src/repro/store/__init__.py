@@ -12,17 +12,18 @@ Three tiers cooperate (see docs/architecture.md, "Persistence"):
 * **L0** — the per-process :class:`~repro.core.cache.ArtifactCache`
   memoizing the machine-independent (DDG, ideal schedule) pair across
   the six cluster configurations of one run;
-* **L1** — :class:`ArtifactStore`'s in-memory LRU of decoded
-  :class:`StoreEntry` objects, bounding repeated disk reads;
-* **L2** — :class:`DiskStore`, one self-describing file per key digest,
-  written atomically (temp + rename) so concurrent workers and readers
-  never observe partial entries.
+* **L1** — :class:`ArtifactStore`'s in-memory LRU of entries, bounding
+  repeated disk reads; a disk hit also fills it with the rest of its
+  loop's records;
+* **L2** — :class:`DiskStore`, one append-only file per loop holding a
+  self-checking record per cell, each appended in one ``O_APPEND``
+  write so concurrent workers never interleave records.
 
 Entries never pickle live IR graphs: loops are stored as printer text
 and rehydrated through the parser round-trip, schedules positionally
 over the parsed operation list.  Every read revalidates schema version,
-checksums and the stored key, so corrupt or foreign entries degrade to
-a recorded miss (and a recompile), never a wrong answer.
+checksums and the stored key, so torn, corrupt or foreign records
+degrade to a recorded miss (and a recompile), never a wrong answer.
 """
 
 from repro.store.disk import DiskStore, StoreFormatError

@@ -1,24 +1,30 @@
 """Self-describing serialization of one final compilation result.
 
 One :class:`StoreEntry` is one (loop, machine, pipeline) compilation,
-filed under its :class:`~repro.core.fingerprint.StoreKey` digest.  The
-on-disk form is three JSON lines::
+filed under its :class:`~repro.core.fingerprint.StoreKey` digest.  Its
+record is three JSON lines::
 
-    {"magic": "repro-store", "schema": 1, "key": {...},
-     "meta_sha256": ..., "payload_sha256": ...}
+    {"digest": ..., "key": {...}, "magic": "repro-store",
+     "meta_sha256": ..., "payload_sha256": ..., "schema": 2}
     {"loop_name": ..., "metrics": {...}}
-    {"loop": "...", "ideal": {...}, "partitioned": {...}, ...}
+    {"ideal": {...}, "partitioned": {...}, "kernel": {...}, ...}
 
 The split is deliberate: the warm evaluation path needs only line 2
 (metrics), so it parses a few hundred bytes per cell and leaves the
 artifact payload untouched; ``repro compile --store`` hydrates line 3
 into a full :class:`~repro.core.pipeline.CompilationResult`.  Both
 lines carry checksums in the header, so a truncated or bit-flipped
-entry raises :class:`StoreEntryError` — which every consumer treats as
-a miss — instead of producing a wrong artifact.
+record raises :class:`StoreEntryError` — which every consumer treats as
+a miss — instead of producing a wrong artifact.  The header's keys
+sort ``digest`` first, so every record line begins
+``{"digest":"<64 hex>"``: that is how
+:class:`~repro.store.disk.DiskStore` finds a record among the other
+cells of its loop file without parsing them.
 
-No live :class:`~repro.ir.operations.Operation` graph is ever pickled:
-loops are serialized as :func:`~repro.ir.printer.format_loop` text and
+No live :class:`~repro.ir.operations.Operation` graph is ever pickled.
+The source loop is not stored at all: hydration takes the caller's
+loop, whose fingerprint is part of the key.  Derived loops are
+serialized as :func:`~repro.ir.printer.format_loop` text and
 rehydrated through :func:`~repro.ir.parser.parse_loop` (the same
 round-trip ``repro check`` reproducers exercise), and schedules are
 stored positionally over the loop's operation list, so entries are
@@ -27,7 +33,6 @@ stable across processes, platforms and interpreter versions.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import TYPE_CHECKING
@@ -43,9 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.machine import MachineDescription
 
 #: bump when the entry layout changes; readers reject other versions
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MAGIC = "repro-store"
+
+#: every record's first bytes: the header's keys sort ``digest`` first
+RECORD_PREFIX = b'{"digest":"'
 
 
 class StoreEntryError(ValueError):
@@ -58,6 +66,16 @@ def _sha256(data: bytes) -> str:
 
 def _dumps(doc: dict) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def header_prefix(key: StoreKey) -> bytes:
+    """The first bytes of the header :meth:`StoreEntry.to_bytes` writes
+    for ``key``: its digest, then its canonical JSON (``"key"`` sorts
+    second).  A record starts with them iff it was stored under
+    ``key``, so revalidation is one ``bytes.startswith``."""
+    return b'%s%s","key":%s,' % (
+        RECORD_PREFIX, key.digest.encode(), key.canonical_json.encode()
+    )
 
 
 def registers_by_name(loop: Loop) -> dict[str, SymbolicRegister]:
@@ -108,12 +126,14 @@ class StoreEntry:
 
     def __init__(
         self,
+        digest: str,
         key_json: dict,
         meta: dict,
         payload: dict | None = None,
         payload_raw: bytes | None = None,
         payload_sha256: str | None = None,
     ):
+        self.digest = digest
         self.key_json = key_json
         self.meta = meta
         self._payload = payload
@@ -134,7 +154,6 @@ class StoreEntry:
 
         precopy = result.precopy_loop
         payload: dict = {
-            "loop": format_loop(loop),
             "ideal": {
                 "ii": result.ideal.ii,
                 "times": [result.ideal.times[op.op_id] for op in loop.ops],
@@ -176,19 +195,21 @@ class StoreEntry:
             }
         meta = {
             "loop_name": loop.name,
-            "metrics": dataclasses.asdict(result.metrics),
+            "metrics": result.metrics.to_dict(),
         }
-        return cls(key_json=key.to_json(), meta=meta, payload=payload)
+        return cls(key.digest, key.to_json(), meta, payload=payload)
 
     # ------------------------------------------------------------------
     # wire format
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
+    def to_bytes(self, digest: str | None = None) -> bytes:
+        """The record, filed under ``digest`` (default: the entry's own)."""
         meta_line = _dumps(self.meta)
         payload_line = self._payload_raw
         if payload_line is None:
             payload_line = _dumps(self._payload if self._payload is not None else {})
         header = {
+            "digest": self.digest if digest is None else digest,
             "magic": _MAGIC,
             "schema": SCHEMA_VERSION,
             "key": self.key_json,
@@ -208,8 +229,10 @@ class StoreEntry:
         by :meth:`payload`.
         """
         parts = data.split(b"\n")
-        if len(parts) < 3:
-            raise StoreEntryError("truncated entry (expected 3 lines)")
+        if len(parts) != 4 or parts[3]:
+            raise StoreEntryError(
+                "truncated entry (expected 3 newline-terminated lines)"
+            )
         try:
             header = json.loads(parts[0])
         except json.JSONDecodeError as exc:
@@ -224,6 +247,9 @@ class StoreEntry:
         key_json = header.get("key")
         if not isinstance(key_json, dict):
             raise StoreEntryError("header has no key")
+        digest = header.get("digest")
+        if not isinstance(digest, str):
+            raise StoreEntryError("header has no digest")
         if _sha256(parts[1]) != header.get("meta_sha256"):
             raise StoreEntryError("meta checksum mismatch")
         if _sha256(parts[2]) != header.get("payload_sha256"):
@@ -233,8 +259,9 @@ class StoreEntry:
         except json.JSONDecodeError as exc:
             raise StoreEntryError(f"bad meta JSON: {exc}") from exc
         return cls(
-            key_json=key_json,
-            meta=meta,
+            digest,
+            key_json,
+            meta,
             payload_raw=parts[2],
             payload_sha256=header.get("payload_sha256"),
         )

@@ -2,10 +2,13 @@
 
 :class:`ArtifactStore` is what the compilation pipeline and the
 evaluation runner talk to.  A lookup consults the in-memory tier (L1,
-decoded :class:`~repro.store.entry.StoreEntry` objects keyed by digest),
-then the disk tier (L2); disk hits are revalidated against the caller's
-full :class:`~repro.core.fingerprint.StoreKey` — a filename collision or
-tampered key field degrades to a recorded ``invalid`` + miss, never a
+keyed by digest), then the disk tier (L2).  A disk read returns the
+whole loop file, so an L2 hit also moves the loop's other records into
+L1, still undecoded: the paper's six configurations of one loop cost
+one file read.  A record is checksum-verified and revalidated against
+the caller's full :class:`~repro.core.fingerprint.StoreKey` when it is
+first served, from either tier — a torn record, a digest collision or
+a tampered key field degrades to a recorded ``invalid`` + miss, never a
 wrong artifact.  All outcome accounting lives in :class:`StoreStats`,
 which is picklable so parallel workers can report their counters back
 for merging.
@@ -21,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.fingerprint import StoreKey
 from repro.store.disk import DiskStore
-from repro.store.entry import StoreEntry, StoreEntryError
+from repro.store.entry import StoreEntry, StoreEntryError, header_prefix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CompilationResult
@@ -76,8 +79,8 @@ class StoreStats:
 
 
 #: default L1 entry cap — one evaluation touches 6 configurations x
-#: corpus size entries (~1300 for the paper corpus); decoded entries are
-#: small (metrics parsed, payload raw bytes), so hold them all.
+#: corpus size entries (~1300 for the paper corpus); entries are small
+#: (metrics parsed, payload raw bytes), so hold them all.
 DEFAULT_L1_CAPACITY = 4096
 
 
@@ -85,8 +88,8 @@ class ArtifactStore:
     """The durable compilation memo the pipeline consults first.
 
     Open one per process with :meth:`open`; parallel workers each open
-    the same path independently (the disk tier's atomic writes make that
-    safe) and ship their :class:`StoreStats` home for merging.
+    the same path independently (the disk tier's atomic appends make
+    that safe) and ship their :class:`StoreStats` home for merging.
     """
 
     def __init__(self, disk: DiskStore, l1_capacity: int | None = DEFAULT_L1_CAPACITY):
@@ -95,7 +98,9 @@ class ArtifactStore:
         self.disk = disk
         self.l1_capacity = l1_capacity
         self.stats = StoreStats()
-        self._l1: dict[str, StoreEntry] = {}
+        #: digest -> decoded entry, or the raw record of a loop-file
+        #: neighbour not yet served (decoded on its first hit)
+        self._l1: dict[str, StoreEntry | bytes] = {}
         #: (digest, tier) of the most recent hit, so a late hydration
         #: failure (:meth:`reject`) can reclassify the right counter
         self._last_hit: tuple[str, str] | None = None
@@ -117,7 +122,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # L1 bookkeeping
     # ------------------------------------------------------------------
-    def _l1_put(self, digest: str, entry: StoreEntry) -> None:
+    def _l1_put(self, digest: str, entry: StoreEntry | bytes) -> None:
         self._l1.pop(digest, None)
         self._l1[digest] = entry
         while self.l1_capacity is not None and len(self._l1) > self.l1_capacity:
@@ -130,43 +135,63 @@ class ArtifactStore:
     def lookup(self, key: StoreKey) -> StoreEntry | None:
         """The store's one read path; every call records one outcome.
 
-        L1 entries were revalidated when they came off disk, so an L1
-        hit is served as-is; an L2 hit is checksum-verified (by entry
-        decoding) and key-revalidated here.  Undecodable or foreign
-        entries are deleted from disk — the slot holds garbage, and the
-        recompile that follows will rewrite it — and counted invalid.
+        A decoded L1 entry was revalidated when it was first served, so
+        it is served as-is.  A raw record — from disk, or a neighbour an
+        earlier disk hit left in L1 — is decoded (checksums) and its
+        stored key compared with ``key`` here; only this record is
+        decoded.  A record that is absent yields a plain miss; one that
+        fails either check is dropped from disk — the slot holds
+        garbage, and the recompile that follows will rewrite it — and
+        counted invalid.
         """
         digest = key.digest
         entry = self._l1.get(digest)
-        if entry is not None:
-            self.stats.hits_l1 += 1
-            self._last_hit = (digest, "l1")
-            self._l1_put(digest, entry)  # refresh recency
-            return entry
-
-        try:
-            entry = self.disk.get(digest)
-        except StoreEntryError:
-            self.disk.delete(digest)
-            entry = None
-            self.stats.invalid += 1
-        if entry is not None and entry.key_json != key.to_json():
-            # filename collision or tampered key fields: foreign content
-            self.disk.delete(digest)
-            entry = None
-            self.stats.invalid += 1
+        tier = "l1"
         if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits_l2 += 1
-        self._last_hit = (digest, "l2")
+            tier = "l2"
+            try:
+                entry, neighbours = self.disk.read(key)
+            except StoreEntryError:
+                # an unreadable loop file cannot be rewritten either
+                self.stats.invalid += 1
+                self.stats.misses += 1
+                return None
+            if entry is None:
+                self.stats.misses += 1
+                return None
+        if isinstance(entry, bytes):
+            entry = self._admit(key, entry)
+            if entry is None:
+                self._l1.pop(digest, None)
+                self.disk.delete(key)
+                self.stats.invalid += 1
+                self.stats.misses += 1
+                return None
+        if tier == "l1":
+            self.stats.hits_l1 += 1
+        else:
+            self.stats.hits_l2 += 1
+            for other, raw in neighbours.items():
+                if other not in self._l1:
+                    self._l1_put(other, raw)
+        self._last_hit = (digest, tier)
         self._l1_put(digest, entry)
         return entry
+
+    @staticmethod
+    def _admit(key: StoreKey, raw: bytes) -> StoreEntry | None:
+        """Check ``raw`` is ``key``'s record and decode it; ``None`` if not."""
+        if not raw.startswith(header_prefix(key)):
+            return None  # digest collision or tampered key fields
+        try:
+            return StoreEntry.from_bytes(raw)
+        except StoreEntryError:
+            return None
 
     def put_result(self, key: StoreKey, result: "CompilationResult") -> StoreEntry:
         """Serialize ``result`` under ``key`` into both tiers."""
         entry = StoreEntry.from_result(key, result)
-        self.disk.put(key.digest, entry)
+        self.disk.put(key, entry)
         self.stats.writes += 1
         self._l1_put(key.digest, entry)
         return entry
@@ -174,7 +199,7 @@ class ArtifactStore:
     def invalidate(self, key: StoreKey) -> None:
         """Drop ``key`` from both tiers (e.g. hydration-time corruption)."""
         self._l1.pop(key.digest, None)
-        self.disk.delete(key.digest)
+        self.disk.delete(key)
 
     def reject(self, key: StoreKey) -> None:
         """A served hit turned out unusable during late hydration.

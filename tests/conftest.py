@@ -23,6 +23,18 @@ def clustered_machine(request):
     return paper_machine(n, model)
 
 
+def store_record(disk, digest: str):
+    """Where ``digest``'s record sits in its loop file: (path, start, end)."""
+    needle = b'{"digest":"' + digest.encode() + b'"'
+    for path in disk.loop_files():
+        data = path.read_bytes()
+        start = data.find(needle)
+        if start >= 0:
+            end = data.find(b"\n\n", start)
+            return path, start, len(data) if end < 0 else end + 1
+    raise KeyError(digest)
+
+
 def build_daxpy():
     b = LoopBuilder("daxpy")
     b.fload("f1", "x")

@@ -8,6 +8,7 @@ entries degrading to misses).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -30,7 +31,7 @@ from repro.store import (
 )
 from repro.workloads.corpus import spec95_corpus
 
-from .conftest import build_daxpy
+from .conftest import build_daxpy, store_record
 
 CONFIG = PipelineConfig()
 
@@ -74,6 +75,27 @@ def test_key_json_round_trips_canonically(machine):
     from repro.store.tiered import digest_of_key_json
 
     assert digest_of_key_json(doc) == key.digest
+
+
+def test_store_key_digest_is_pinned(machine):
+    """Keys are assembled from per-prefix JSON strings; the content
+    address must stay what hashing the whole key's JSON gives."""
+    key = store_key(build_daxpy(), machine, CONFIG)
+    assert key.digest == (
+        "f37f417ebe6cbfc862e5769bf68521841e30a24f302d767447a2a13ee67b5d5a"
+    )
+
+
+def test_metrics_to_dict_equals_asdict():
+    """Entry meta lines and serve ``cell`` messages use the shallow
+    helper; it must give ``asdict``'s dict, key order included."""
+    from repro.evalx.runner import run_evaluation
+
+    run = run_evaluation(spec95_corpus(n=8), config=CONFIG)
+    cells = [m for metrics in run.per_config.values() for m in metrics]
+    assert len(cells) == 48
+    for m in cells:
+        assert list(m.to_dict().items()) == list(dataclasses.asdict(m).items())
 
 
 # ----------------------------------------------------------------------
@@ -193,12 +215,14 @@ def test_disk_store_rejects_future_schema(tmp_path):
 def test_disk_store_gc(tmp_path, compiled, machine):
     loop, result = compiled
     disk = DiskStore(tmp_path / "store")
-    entry = StoreEntry.from_result(store_key(loop, machine, CONFIG), result)
-    digests = [f"{i:02x}" + "0" * 62 for i in range(5)]
-    for i, digest in enumerate(digests):
-        disk.put(digest, entry)
+    key = store_key(loop, machine, CONFIG)
+    entry = StoreEntry.from_result(key, result)
+    keys = _synthetic_keys(key, 5)
+    digests = [k.digest for k in keys]
+    for i, k in enumerate(keys):
+        disk.put(k, entry)
         # widen the mtime spread so retention order is deterministic
-        path = disk._path_for(digest)
+        path = disk._path_for(k)
         os.utime(path, (1000 + i, 1000 + i))
 
     removed = disk.gc(max_entries=2)
@@ -231,14 +255,21 @@ def test_disk_store_gc_zero_entries_drops_everything(tmp_path, compiled, machine
     assert disk.digests() == []
 
 
+def _synthetic_keys(key, n):
+    """``n`` keys with made-up digests, each in a loop file of its own."""
+    digests = [f"{i:02x}" + "0" * 62 for i in range(n)]
+    return [dataclasses.replace(key, loop_fp=d, digest=d) for d in digests]
+
+
 def _three_entry_store(tmp_path, compiled, machine):
     loop, result = compiled
     disk = DiskStore(tmp_path / "store")
-    entry = StoreEntry.from_result(store_key(loop, machine, CONFIG), result)
-    digests = [f"{i:02x}" + "0" * 62 for i in range(3)]
-    for digest in digests:
-        disk.put(digest, entry)
-    return disk, digests
+    key = store_key(loop, machine, CONFIG)
+    entry = StoreEntry.from_result(key, result)
+    keys = _synthetic_keys(key, 3)
+    for k in keys:
+        disk.put(k, entry)
+    return disk, [k.digest for k in keys]
 
 
 def test_disk_store_gc_spares_concurrently_rewritten_entry(
@@ -250,22 +281,24 @@ def test_disk_store_gc_spares_concurrently_rewritten_entry(
     now recounts the mtime and keeps anything rewritten since."""
     loop, result = compiled
     disk = DiskStore(tmp_path / "store")
-    entry = StoreEntry.from_result(store_key(loop, machine, CONFIG), result)
-    digests = [f"{i:02x}" + "0" * 62 for i in range(4)]
-    for i, digest in enumerate(digests):
-        disk.put(digest, entry)
-        os.utime(disk._path_for(digest), (1000 + i, 1000 + i))
+    key = store_key(loop, machine, CONFIG)
+    entry = StoreEntry.from_result(key, result)
+    keys = _synthetic_keys(key, 4)
+    digests = [k.digest for k in keys]
+    for i, k in enumerate(keys):
+        disk.put(k, entry)
+        os.utime(disk._path_for(k), (1000 + i, 1000 + i))
     victim = digests[0]
 
     real_remove = DiskStore._remove_stale
 
-    def racing_remove(self, digest, seen_mtime_ns):
-        if digest == victim:
+    def racing_remove(self, path, condemned, seen_mtime_ns):
+        if victim in condemned:
             # the concurrent writer wins the race: the entry is
-            # rewritten (os.replace, fresh mtime) between gc's stat
+            # rewritten (an append, fresh mtime) between gc's stat
             # and its deletion attempt
-            self.put(digest, entry)
-        return real_remove(self, digest, seen_mtime_ns)
+            self.put(keys[0], entry)
+        return real_remove(self, path, condemned, seen_mtime_ns)
 
     monkeypatch.setattr(DiskStore, "_remove_stale", racing_remove)
     removed = disk.gc(max_age_days=1e-9)  # everything looks ancient
@@ -275,7 +308,7 @@ def test_disk_store_gc_spares_concurrently_rewritten_entry(
     assert victim not in removed
     assert sorted(removed) == sorted(digests[1:])
     assert disk.digests() == [victim]
-    assert disk.get(victim) is not None
+    assert disk.get(keys[0]) is not None
 
 
 def test_disk_verify_flags_corruption_and_mislabeled_entries(
@@ -285,20 +318,20 @@ def test_disk_verify_flags_corruption_and_mislabeled_entries(
     disk = DiskStore(tmp_path / "store")
     key = store_key(loop, machine, CONFIG)
     entry = StoreEntry.from_result(key, result)
-    disk.put(key.digest, entry)
+    disk.put(key, entry)
     assert disk.verify().ok
 
     # filed under a digest its key does not hash to
     wrong = "f" * 64
-    disk.put(wrong, entry)
+    disk.put(dataclasses.replace(key, digest=wrong), entry)
     report = disk.verify()
     assert [d for d, _ in report.bad] == [wrong]
     assert "content address" in str(disk.stats()) or True  # stats still works
 
     # bit-flip the real entry too
-    path = disk._path_for(key.digest)
+    path, start, end = store_record(disk, key.digest)
     blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
+    blob[(start + end) // 2] ^= 0x01
     path.write_bytes(bytes(blob))
     report = disk.verify()
     assert {d for d, _ in report.bad} == {wrong, key.digest}
@@ -324,7 +357,7 @@ def _race_writer(store_path: str, barrier, out):
     barrier.wait(timeout=60)  # maximise write overlap
     for _ in range(20):
         store.put_result(key, result)
-        got = store.disk.get(key.digest)  # bypass L1: force a disk read
+        got = store.disk.get(key)  # bypass L1: force a disk read
         out.put(got is not None and got.metrics() == result.metrics)
 
 
@@ -349,6 +382,102 @@ def test_concurrent_writers_never_expose_partial_entries(tmp_path):
     assert all(results)
     # and the survivor is intact
     assert DiskStore(store_path).verify().ok
+
+
+def _append_writer(store_path: str, n_clusters: int, barrier, out):
+    """Worker for the append race: each process writes its own key of
+    one loop."""
+    from repro.core.fingerprint import store_key as sk
+    from repro.core.pipeline import PipelineConfig as PC
+    from repro.core.pipeline import compile_loop as cl
+    from repro.machine.machine import CopyModel as CM
+    from repro.machine.presets import paper_machine as pm
+    from repro.store import ArtifactStore
+
+    from tests.conftest import build_daxpy as bd
+
+    loop = bd()
+    machine = pm(n_clusters, CM.EMBEDDED)
+    config = PC()
+    result = cl(loop, machine, config)
+    store = ArtifactStore.open(store_path)
+    key = sk(loop, machine, config)
+    barrier.wait(timeout=60)
+    for _ in range(20):
+        store.put_result(key, result)
+        got = store.disk.get(key)
+        out.put(got is not None and got.metrics() == result.metrics)
+
+
+def test_concurrent_appends_to_one_loop_file_stay_valid(tmp_path):
+    """Three processes (more than this suite's two cores) appending
+    different keys of one loop: no record is lost or interleaved, and
+    every one of them verifies."""
+    ctx = multiprocessing.get_context("spawn")
+    store_path = str(tmp_path / "store")
+    ArtifactStore.open(store_path)
+    barrier = ctx.Barrier(3)
+    out = ctx.Queue()
+    procs = [
+        ctx.Process(target=_append_writer, args=(store_path, n, barrier, out))
+        for n in (2, 4, 8)
+    ]
+    for p in procs:
+        p.start()
+    # drain before joining: a writer blocks on a full queue otherwise
+    assert all(out.get(timeout=120) for _ in range(60))
+    for p in procs:
+        p.join(timeout=120)
+        assert p.exitcode == 0
+    disk = DiskStore(store_path)
+    [loop_file] = disk.loop_files()
+    assert loop_file.read_bytes().count(b'\n{"digest":"') == 60
+    report = disk.verify()
+    assert report.ok and report.checked == 3
+
+
+PAPER_MACHINES = [
+    paper_machine(n, model)
+    for n in (2, 4, 8) for model in (CopyModel.EMBEDDED, CopyModel.COPY_UNIT)
+]
+
+
+def test_truncated_loop_file_costs_one_invalid_miss(tmp_path):
+    """A loop file cut mid-record: the torn cell is one invalid miss
+    and one rewrite, the loop's other cells still hit (one file read),
+    and the store verifies afterwards."""
+    path = tmp_path / "store"
+    store = ArtifactStore.open(path)
+    for machine in PAPER_MACHINES:
+        compile_loop(build_daxpy(), machine, CONFIG, store=store)
+    [loop_file] = store.disk.loop_files()
+    data = loop_file.read_bytes()
+    last = data.rfind(b'\n{"digest":"') + 1  # the last config's record
+    loop_file.write_bytes(data[: (last + len(data)) // 2])
+
+    fresh = ArtifactStore.open(path)
+    results = [
+        compile_loop(build_daxpy(), machine, CONFIG, store=fresh,
+                     store_hydrate="metrics")
+        for machine in PAPER_MACHINES
+    ]
+    assert [r.store_hit for r in results] == [True] * 5 + [False]
+    s = fresh.stats
+    assert (s.hits_l2, s.hits_l1, s.misses, s.invalid, s.writes) == (1, 4, 1, 1, 1)
+    assert fresh.disk.verify().ok
+    assert len(fresh.disk) == 6
+
+
+def test_cold_store_holds_one_file_per_loop(tmp_path):
+    from repro.evalx.runner import run_evaluation
+
+    n = 4
+    store = ArtifactStore.open(tmp_path / "store")
+    run_evaluation(spec95_corpus(n=n), config=CONFIG, store=store)
+    assert len(store.disk.loop_files()) == n
+    assert len(list((tmp_path / "store" / "objects").iterdir())) == n
+    stats = store.disk.stats()
+    assert (stats.files, stats.entries) == (n, 6 * n)
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +525,7 @@ def test_tiered_invalid_entries_degrade_to_recorded_miss(
     store.put_result(key, result)
 
     # bit-flip the on-disk file; use a fresh store so L1 cannot mask it
-    path = store.disk._path_for(key.digest)
+    path = store.disk._path_for(key)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0x01
     path.write_bytes(bytes(blob))
@@ -420,11 +549,11 @@ def test_tiered_foreign_key_under_our_digest_is_invalid(
     key = store_key(loop, machine, CONFIG)
     other_key = store_key(loop, machine, PipelineConfig(budget_ratio=13))
     # file another compilation's entry under our digest
-    store.disk.put(key.digest, StoreEntry.from_result(other_key, result))
+    store.disk.put(key, StoreEntry.from_result(other_key, result))
 
     assert store.lookup(key) is None
     assert (store.stats.invalid, store.stats.misses) == (1, 1)
-    assert store.disk.get(key.digest) is None  # deleted
+    assert store.disk.get(key) is None  # deleted
 
 
 def test_store_stats_merge():

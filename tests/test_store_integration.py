@@ -19,6 +19,8 @@ from repro.store import ArtifactStore
 from repro.workloads.corpus import spec95_corpus
 from repro.workloads.kernels import make_kernel
 
+from .conftest import store_record
+
 N_LOOPS = 8
 N_CONFIGS = 6
 CONFIG = PipelineConfig(run_regalloc=True)
@@ -130,7 +132,7 @@ def test_serial_and_parallel_cold_stores_are_byte_identical(tmp_path, corpus,
     run_evaluation(corpus, config=config, jobs=2,
                    store=ArtifactStore.open(tmp_path / "p"))
     serial, parallel = _entry_files(tmp_path / "s"), _entry_files(tmp_path / "p")
-    assert len(serial) == N_LOOPS * N_CONFIGS
+    assert len(serial) == N_LOOPS  # one file per loop
     assert serial == parallel
 
 
@@ -168,11 +170,14 @@ def test_corrupted_store_recovers_by_recompiling(tmp_path, corpus, baseline):
     store = ArtifactStore.open(path)
     run_evaluation(corpus, config=CONFIG, store=store)
 
-    # truncate one entry and bit-flip another, in place
-    digests = store.disk.digests()
-    victim_a = store.disk._path_for(digests[0])
-    victim_a.write_bytes(victim_a.read_bytes()[: 100])
-    victim_b = store.disk._path_for(digests[1])
+    # truncate one entry and bit-flip another, in place: cut one loop
+    # file inside its last record, flip a byte near another's end
+    files = store.disk.loop_files()
+    victim_a = files[0]
+    data = victim_a.read_bytes()
+    last = data.rfind(b'\n{"digest":"') + 1
+    victim_a.write_bytes(data[: last + 100])
+    victim_b = files[1]
     blob = bytearray(victim_b.read_bytes())
     blob[-10] ^= 0x40
     victim_b.write_bytes(bytes(blob))
@@ -209,8 +214,9 @@ def test_cli_store_round_trip(tmp_path, capsys):
 
     # corrupt an entry: verify flags it, --repair heals, evaluate rewrites
     disk = ArtifactStore.open(store_dir).disk
-    victim = disk._path_for(disk.digests()[0])
-    victim.write_bytes(b"garbage\n")
+    victim, start, end = store_record(disk, disk.digests()[0])
+    data = victim.read_bytes()
+    victim.write_bytes(data[:start] + b"garbage\n" + data[end:])
     assert main(["store", "verify", store_dir]) == 1
     assert main(["store", "verify", store_dir, "--repair"]) == 0
     capsys.readouterr()
