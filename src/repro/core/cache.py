@@ -16,6 +16,19 @@ The frozen form is array-backed and a few KB per loop, so keeping one per
 loop costs little memory.  RCG reuse rides on the ideal-schedule lookup
 the cell already made and does not touch :class:`CacheStats`.
 
+Step 4's first half is shared between the two cells of one cluster
+count.  The greedy partitioner (Section 5, Figure 4), copy insertion
+and the derived DDG read the RCG, the bank count, the issue slots per
+bank and the latencies, never the copy model (Section 6.1), so an
+N-cluster embedded cell and its copy-unit sibling compute the same
+three.  The cache holds one :class:`StepFourShare` at a time, for the
+loop it last served: the cell that built it offers it, the sibling
+takes it, and a lookup for another loop drops it.  Loop-major cells (an
+``--jobs`` or serve chunk) pair up; the serial grid runs
+configuration-major and never does.  That is deliberate: holding every
+pending share instead costs a full-grid run about a fifth more peak
+memory (see docs/architecture.md).
+
 Keys are ``(loop fingerprint, latency fingerprint, scheduler
 fingerprint)``.  Because cached DDGs and schedules hold references to the
 loop's actual :class:`~repro.ir.operations.Operation` objects, a hit is
@@ -41,6 +54,8 @@ from repro.machine.latency import LatencyTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import PipelineConfig
+    from repro.core.copies import PartitionedLoop
+    from repro.core.greedy import Partition
     from repro.core.rcg import FrozenRCG
     from repro.core.weights import HeuristicConfig
     from repro.ddg.graph import DDG
@@ -78,6 +93,25 @@ class _IdealEntry:
     rcgs: "dict[HeuristicConfig, FrozenRCG]" = field(default_factory=dict)
 
 
+@dataclass
+class StepFourShare:
+    """A greedy cell's step-4 artifacts, for its copy-model sibling.
+
+    ``key`` is everything they were computed from: the cache entry key
+    of the loop, the heuristic, the precolored pins, the cluster count
+    and the FUs per cluster (the greedy ``slots_per_bank`` is the latter
+    times the entry's ideal II).  The cell that builds the share fills
+    the artifacts in as its passes run and offers it once all three are
+    there.
+    """
+
+    key: tuple
+    loop: Loop  # identity guard, as for cache entries
+    partition: "Partition"
+    partitioned: "PartitionedLoop | None" = None
+    partitioned_ddg: "DDG | None" = None
+
+
 #: default entry cap — generous (a full corpus evaluation touches one
 #: entry per loop, i.e. 211), but bounded so a long-lived cache shared
 #: across many evaluations of *different* corpora cannot grow forever.
@@ -92,11 +126,15 @@ class ArtifactCache:
     Bounded: at most ``capacity`` entries are retained, least-recently
     used first out (``capacity=None`` disables eviction).  Every hit
     refreshes its entry's recency; evictions are counted in ``stats``.
+    Beside the entries it holds at most one :class:`StepFourShare`
+    (:meth:`offer_share`/:meth:`take_share`).
     """
 
     _entries: dict[tuple, _IdealEntry] = field(default_factory=dict)
     stats: CacheStats = field(default_factory=CacheStats)
     capacity: int | None = DEFAULT_CAPACITY
+    #: the one step-4 share the cache holds, if any
+    _share: StepFourShare | None = None
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
@@ -160,6 +198,8 @@ class ArtifactCache:
     ) -> tuple["DDG", "KernelSchedule"]:
         """Return the cached (DDG, ideal schedule) pair, building on miss."""
         key = self.key_for(loop, latencies, config, width)
+        if self._share is not None and self._share.key[0] != key:
+            self._share = None  # a share is for the loop last served
         entry = self._entries.get(key)
         if entry is not None and entry.loop is loop:
             self.stats.hits += 1
@@ -194,3 +234,17 @@ class ArtifactCache:
         if rcg is None:
             rcg = entry.rcgs[config.heuristic] = build()
         return rcg
+
+    def offer_share(self, share: StepFourShare) -> None:
+        """Hold ``share`` for its sibling cell, dropping any other."""
+        self._share = share
+
+    def take_share(self, key: tuple, loop: Loop) -> StepFourShare | None:
+        """Hand over the held share if it was built for ``key`` from this
+        very ``loop``; the cache keeps no reference to a share it gave
+        away.  Neither outcome touches ``stats``."""
+        share = self._share
+        if share is None or share.key != key or share.loop is not loop:
+            return None
+        self._share = None
+        return share

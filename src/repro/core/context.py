@@ -23,7 +23,7 @@ from repro.obs.trace import PassClock
 from repro.sched.modulo.scheduler import modulo_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import ArtifactCache
+    from repro.core.cache import ArtifactCache, StepFourShare
     from repro.core.copies import PartitionedLoop
     from repro.core.fingerprint import StoreKey, StoreKeyPrefix
     from repro.core.greedy import Partition
@@ -101,6 +101,10 @@ class CompilationContext:
     #: optimality certificate when the ``exact`` partitioner ran
     #: (:class:`repro.exact.bnb.ExactProof`); None for every heuristic
     exact_proof: object | None = None
+
+    #: the greedy cell's step-4 share: taken from its copy-model
+    #: sibling through the cache, or being filled to offer to it
+    share: "StepFourShare | None" = None
 
     # step 4-5 artifacts (rebound by spill retries)
     current_loop: Loop | None = None

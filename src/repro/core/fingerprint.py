@@ -49,8 +49,16 @@ def loop_fingerprint(loop: Loop) -> str:
 
 
 def latency_fingerprint(latencies: LatencyTable) -> tuple:
-    """Order-independent fingerprint of a latency table."""
-    return tuple(sorted((cls.value, lat) for cls, lat in latencies.table.items()))
+    """Order-independent fingerprint of a latency table.
+
+    Memoized on the (frozen) table, like :func:`loop_fingerprint` on the
+    loop: every cache lookup of every cell keys on it.
+    """
+    fp = latencies._fingerprint
+    if fp is None:
+        fp = tuple(sorted((cls.value, lat) for cls, lat in latencies.table.items()))
+        object.__setattr__(latencies, "_fingerprint", fp)
+    return fp
 
 
 def scheduler_fingerprint(config: "PipelineConfig", width: int) -> tuple:

@@ -28,7 +28,11 @@ one; both are no-ops without an attached :class:`~repro.store
 Steps 1-3 consult the context's :class:`~repro.core.cache.ArtifactCache`
 (when one is attached): the DDG, the 16-wide ideal schedule and the RCG
 built from it are the same for all cluster arrangements, so the
-evaluation runner shares them across the six paper configurations.
+evaluation runner shares them across the six paper configurations.  The
+greedy strategy and the first round of step 4 consult it too: the
+partition, the copy-inserted loop and its derived DDG are the same for
+both copy models of one cluster count, so one cell's
+:class:`~repro.core.cache.StepFourShare` serves its sibling.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.core.baselines import (
     round_robin_partition,
     single_bank_partition,
 )
+from repro.core.cache import StepFourShare
 from repro.core.context import CompilationContext
 from repro.core.copies import insert_copies
 from repro.core.greedy import Partition, greedy_partition
@@ -150,8 +155,9 @@ def record_rcg_gauges(ctx: CompilationContext, partition: Partition) -> None:
         registry.gauge("rcg.cut_weight").set(ctx.rcg.cut_weight(partition.assignment))
 
 
-@register_partitioner("greedy")
-def _greedy(ctx: CompilationContext) -> Partition:
+def _greedy_sweep(ctx: CompilationContext) -> Partition:
+    """The Figure-4 sweep over the shared RCG, as the cell's machine
+    asks for it."""
     rcg = shared_rcg(ctx)
     partition = greedy_partition(
         rcg,
@@ -166,11 +172,72 @@ def _greedy(ctx: CompilationContext) -> Partition:
     return partition
 
 
+def _step_four_key(ctx: CompilationContext) -> tuple:
+    """Everything the greedy partition, copy insertion and the derived
+    DDG of a spill-free first round read (see
+    :class:`~repro.core.cache.StepFourShare`)."""
+    machine, config = ctx.machine, ctx.config
+    pins = config.precolored
+    return (
+        ctx.cache.key_for(ctx.loop, machine.latencies, config, machine.width),
+        config.heuristic,
+        None if pins is None else tuple(sorted((r.rid, b) for r, b in pins.items())),
+        machine.n_clusters,
+        machine.fus_per_cluster,
+    )
+
+
+@register_partitioner("greedy")
+def _greedy(ctx: CompilationContext) -> Partition:
+    """The greedy sweep, or, with a cache, the partition its copy-model
+    sibling already swept (:class:`~repro.core.cache.StepFourShare`).
+
+    A reused partition records the same ``greedy_partition`` span and
+    ``greedy.*`` counters as a swept one, so traces and metric snapshots
+    do not depend on which sibling ran first.
+    """
+    if ctx.cache is None:
+        return _greedy_sweep(ctx)
+    key = _step_four_key(ctx)
+    share = ctx.cache.take_share(key, ctx.loop)
+    if share is None:
+        ctx.share = StepFourShare(key, ctx.loop, _greedy_sweep(ctx))
+        return ctx.share.partition
+    ctx.share = share
+    rcg = shared_rcg(ctx)
+    partition = share.partition
+    _replayed(ctx, "greedy_partition", nodes=len(rcg), banks=partition.n_banks,
+              bank_sizes=partition.bank_sizes())
+    if ctx.metrics_registry is not None:
+        pinned = len(ctx.config.precolored or ())
+        ctx.metrics_registry.counter("greedy.placements").inc(len(partition) - pinned)
+        ctx.metrics_registry.counter("greedy.precolored").inc(pinned)
+    record_rcg_gauges(ctx, partition)
+    return partition
+
+
+def _replayed(ctx: CompilationContext, name: str, **args) -> None:
+    """The substep span of work a share already did, with the arguments
+    the built path's span ends up with (in the same order)."""
+    if ctx.tracer.enabled:
+        with ctx.tracer.span(name, cat="substep", **args):
+            pass
+
+
+def _shared(ctx: CompilationContext) -> StepFourShare | None:
+    """The cell's step-4 share while step 4 still works on the partition
+    it was keyed by (the first round; spill rounds re-partition)."""
+    share = ctx.share
+    if share is not None and share.partition is ctx.current_partition:
+        return share
+    return None
+
+
 @register_partitioner("iterative")
 def _iterative(ctx: CompilationContext) -> Partition:
     from repro.core.iterative import refine_partition
 
-    partition = _greedy(ctx)
+    partition = _greedy_sweep(ctx)
     partition, _stats = refine_partition(
         ctx.loop, partition, ctx.machine, budget_ratio=ctx.config.budget_ratio
     )
@@ -389,15 +456,28 @@ class PartitionPass:
 
 
 class InsertCopies:
-    """Step 4a: pin ops to clusters and insert cross-bank copies."""
+    """Step 4a: pin ops to clusters and insert cross-bank copies.
+
+    In the first round of a greedy cell the result is taken from, or
+    recorded into, the cell's step-4 share.
+    """
 
     name = "InsertCopies"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.partitioned = insert_copies(
-            ctx.current_loop, ctx.current_partition, ctx.machine,
-            tracer=ctx.tracer if ctx.tracer.enabled else None,
-        )
+        share = _shared(ctx)
+        if share is None or share.partitioned is None:
+            ctx.partitioned = insert_copies(
+                ctx.current_loop, ctx.current_partition, ctx.machine,
+                tracer=ctx.tracer if ctx.tracer.enabled else None,
+            )
+            if share is not None:
+                share.partitioned = ctx.partitioned
+        else:
+            ctx.partitioned = share.partitioned
+            _replayed(ctx, "insert_copies",
+                      body_copies=share.partitioned.n_body_copies,
+                      preheader_copies=share.partitioned.n_preheader_copies)
         if ctx.metrics_registry is not None:
             ctx.metrics_registry.counter("copies.inserted").inc(
                 ctx.partitioned.n_body_copies
@@ -412,19 +492,29 @@ class ClusterReschedule:
     the loop copies were inserted into) by
     :func:`~repro.ddg.builder.derive_partitioned_ddg`, never rebuilt:
     same edges, in the same order, as ``build_loop_ddg`` would give, and
-    the SCC condensation comes from the source graph's.  With tracing on,
-    the derivation and the validation are ``ddg_derive`` and
-    ``validate_kernel`` substep spans, next to the scheduler's
-    ``ims_attempt`` spans.
+    the SCC condensation comes from the source graph's.  In the first
+    round of a greedy cell the derived graph is taken from the cell's
+    step-4 share, or, once derived, completes the share, which is then
+    offered to the copy-model sibling.  With tracing on, the derivation
+    and the validation are ``ddg_derive`` and ``validate_kernel``
+    substep spans, next to the scheduler's ``ims_attempt`` spans.
     """
 
     name = "ClusterReschedule"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.partitioned_ddg = _substep(
-            ctx, "ddg_derive", derive_partitioned_ddg,
-            ctx.current_ddg, ctx.partitioned, ctx.machine.latencies,
-        )
+        share = _shared(ctx)
+        if share is None or share.partitioned_ddg is None:
+            ctx.partitioned_ddg = _substep(
+                ctx, "ddg_derive", derive_partitioned_ddg,
+                ctx.current_ddg, ctx.partitioned, ctx.machine.latencies,
+            )
+            if share is not None:
+                share.partitioned_ddg = ctx.partitioned_ddg
+                ctx.cache.offer_share(share)
+        else:
+            ctx.partitioned_ddg = share.partitioned_ddg
+            _replayed(ctx, "ddg_derive")
         ctx.kernel = ctx.schedule(ctx.partitioned.loop, ctx.partitioned_ddg, ctx.machine)
         _substep(ctx, "validate_kernel", validate_kernel_schedule,
                  ctx.kernel, ctx.partitioned_ddg)

@@ -309,21 +309,28 @@ def estart_lstart(
     mirroring the paper's description of slack "without requiring a
     lengthening of the ideal schedule"; an op's own latency bounds how
     late it can issue without pushing the schedule end out.
+
+    One pass over the analysis index's distance-0 edges: each raises its
+    destination's earliest start and lowers its source's latest one, and
+    both bounds are order-independent, so no edge object is needed.
     """
-    estart: dict[int, int] = {}
-    lstart: dict[int, int] = {}
-    for op in ddg.ops:
-        e = 0
-        for dep in ddg.predecessors(op):
-            if dep.distance == 0:
-                e = max(e, times[dep.src.op_id] + dep.delay)
-        estart[op.op_id] = e
-        own_latency = latencies.of(op) if latencies is not None else 1
-        latest = length - own_latency
-        for dep in ddg.successors(op):
-            if dep.distance == 0:
-                latest = min(latest, times[dep.dst.op_id] - dep.delay)
-        lstart[op.op_id] = max(latest, e)
+    idx = ddg.index()
+    op_ids, src, dst, delay, dist = idx.op_ids, idx.src, idx.dst, idx.delay, idx.dist
+    early = [0] * idx.n
+    late = [
+        length - (latencies.of(op) if latencies is not None else 1) for op in ddg.ops
+    ]
+    for k in range(idx.m):
+        if dist[k] == 0:
+            s, d, lat = src[k], dst[k], delay[k]
+            e = times[op_ids[s]] + lat
+            if e > early[d]:
+                early[d] = e
+            latest = times[op_ids[d]] - lat
+            if latest < late[s]:
+                late[s] = latest
+    estart = dict(zip(op_ids, early))
+    lstart = {oid: max(latest, e) for oid, latest, e in zip(op_ids, late, early)}
     return estart, lstart
 
 

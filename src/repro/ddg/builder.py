@@ -38,6 +38,7 @@ def build_loop_ddg(loop: Loop, latencies: LatencyTable = PAPER_LATENCIES) -> DDG
     ddg = DDG(ops=list(loop.ops))
     _add_register_flow_edges(ddg, loop.ops, latencies, cyclic=True)
     _add_memory_edges(ddg, loop.ops, latencies, cyclic=True)
+    ddg._keys = None  # the coalescing map is only rebuilt if an edge is added
     ddg.verify_acyclic_at_distance_zero()
     return ddg
 

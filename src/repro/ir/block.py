@@ -139,7 +139,8 @@ def reserve_ids(loops: Iterable[Loop]) -> None:
     process (the compile daemon parses request loops after its workers
     have forked) may carry ids this process has already handed out, and
     copies minted for it here would then collide with its own registers.
+    A loop listed more than once (one per cell of a chunk) is walked once.
     """
-    loops = list(loops)
+    loops = list({id(lp): lp for lp in loops}.values())
     advance_rids_past(max((r.rid for lp in loops for r in lp.registers()), default=0))
     advance_op_ids_past(max((op.op_id for lp in loops for op in lp.ops), default=0))

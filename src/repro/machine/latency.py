@@ -10,7 +10,7 @@ The paper's table (Section 6.1) used by both machine models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -46,6 +46,10 @@ class LatencyTable:
 
     table: Mapping[OpClass, int]
     name: str = "custom"
+    #: memo owned by :func:`repro.core.fingerprint.latency_fingerprint`
+    _fingerprint: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         missing = set(OpClass) - set(self.table)

@@ -106,6 +106,34 @@ def _partition_doc(partition) -> dict:
     }
 
 
+def _partitioned_doc(partitioned) -> tuple[dict, dict[int, SymbolicRegister]]:
+    """A record's ``partitioned`` section, and the partitioned loop's
+    registers by rid, memoised on the
+    :class:`~repro.core.copies.PartitionedLoop`: the embedded and
+    copy-unit cells of a cluster count share one (see
+    :class:`~repro.core.cache.StepFourShare`), so the second record
+    reuses the first one's serialization."""
+    memo = partitioned._store_doc
+    if memo is None:
+        ploop = partitioned.loop
+        p_index = {id(op): i for i, op in enumerate(ploop.ops)}
+        p_by_rid = {r.rid: r for r in registers_by_name(ploop).values()}
+        doc = {
+            "loop": format_loop(ploop),
+            "partition": _partition_doc(partitioned.partition),
+            "body_copies": [p_index[id(cp)] for cp in partitioned.body_copies],
+            "preheader_copies": sorted(
+                [src.name, dst.name] for src, dst in partitioned.preheader_copies
+            ),
+            "copy_origin": sorted(
+                [p_by_rid[rid].name, origin.name]
+                for rid, origin in partitioned.copy_origin.items()
+            ),
+        }
+        memo = partitioned._store_doc = (doc, p_by_rid)
+    return memo
+
+
 def _hydrate_partition(doc: dict, regs: dict[str, SymbolicRegister]):
     from repro.core.greedy import Partition
 
@@ -149,8 +177,7 @@ class StoreEntry:
         """Serialize a successful compilation under its content key."""
         loop = result.loop
         ploop = result.partitioned.loop
-        p_index = {id(op): i for i, op in enumerate(ploop.ops)}
-        p_by_rid = {r.rid: r for r in registers_by_name(ploop).values()}
+        partitioned, p_by_rid = _partitioned_doc(result.partitioned)
 
         precopy = result.precopy_loop
         payload: dict = {
@@ -162,21 +189,7 @@ class StoreEntry:
                 None if precopy is None or precopy is loop else format_loop(precopy)
             ),
             "partition": _partition_doc(result.partition),
-            "partitioned": {
-                "loop": format_loop(ploop),
-                "partition": _partition_doc(result.partitioned.partition),
-                "body_copies": [
-                    p_index[id(cp)] for cp in result.partitioned.body_copies
-                ],
-                "preheader_copies": sorted(
-                    [src.name, dst.name]
-                    for src, dst in result.partitioned.preheader_copies
-                ),
-                "copy_origin": sorted(
-                    [p_by_rid[rid].name, origin.name]
-                    for rid, origin in result.partitioned.copy_origin.items()
-                ),
-            },
+            "partitioned": partitioned,
             "kernel": {
                 "ii": result.kernel.ii,
                 "times": [result.kernel.times[op.op_id] for op in ploop.ops],

@@ -294,6 +294,25 @@ def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
     raise ValueError(f"heights diverge at ii={ii}: positive cycle present")
 
 
+def _reference_estart_lstart(ddg: DDG, times, length: int, latencies=None):
+    """Per-op walk over predecessor/successor edge objects: the
+    golden-equivalence oracle for :func:`repro.ddg.analysis.estart_lstart`."""
+    estart: dict[int, int] = {}
+    lstart: dict[int, int] = {}
+    for op in ddg.ops:
+        e = 0
+        for dep in ddg.predecessors(op):
+            if dep.distance == 0:
+                e = max(e, times[dep.src.op_id] + dep.delay)
+        estart[op.op_id] = e
+        latest = length - (latencies.of(op) if latencies is not None else 1)
+        for dep in ddg.successors(op):
+            if dep.distance == 0:
+                latest = min(latest, times[dep.dst.op_id] - dep.delay)
+        lstart[op.op_id] = max(latest, e)
+    return estart, lstart
+
+
 # ----------------------------------------------------------------------
 # Greedy partitioner (repro.core.greedy)
 # ----------------------------------------------------------------------

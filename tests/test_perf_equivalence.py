@@ -27,6 +27,7 @@ from repro.core.rcg import RegisterComponentGraph
 from repro.core.weights import HeuristicConfig
 from repro.ddg.analysis import (
     critical_cycle_ratio,
+    estart_lstart,
     longest_path_heights,
     recurrence_ii,
 )
@@ -39,6 +40,7 @@ from tests.golden import (
     ReferenceModuloReservationTable,
     _reference_build_interference,
     _reference_critical_cycle_ratio,
+    _reference_estart_lstart,
     _reference_greedy_partition,
     _reference_longest_path_heights,
     _reference_pressure_rows,
@@ -153,6 +155,53 @@ def test_heights_raise_identically_below_recii(seed):
         longest_path_heights(ddg, ii=ii)
     with pytest.raises(ValueError):
         _reference_longest_path_heights(ddg, ii=ii)
+
+
+@pytest.mark.parametrize("seed", DDG_SEEDS)
+def test_estart_lstart_match_reference(seed):
+    """Random issue times, with and without a latency table; the index
+    pass must give the same bounds (and dict order) as the edge walk."""
+    from repro.machine.latency import PAPER_LATENCIES
+
+    ddg = random_ddg(seed)
+    rng = random.Random(seed)
+    times = {op.op_id: rng.randint(0, 30) for op in ddg.ops}
+    for length, latencies in ((32, None), (40, PAPER_LATENCIES)):
+        fast = estart_lstart(ddg, times, length, latencies)
+        slow = _reference_estart_lstart(ddg, times, length, latencies)
+        assert fast == slow
+        assert [list(d) for d in fast] == [list(d) for d in slow]
+
+
+def test_estart_lstart_match_reference_over_corpus_ideal_schedules():
+    from repro.ddg.builder import build_loop_ddg
+    from repro.machine.presets import ideal_machine
+    from repro.sched.modulo.scheduler import modulo_schedule
+    from repro.workloads.corpus import spec95_corpus
+
+    ideal = ideal_machine()
+    for loop in spec95_corpus(n=60):
+        ddg = build_loop_ddg(loop, ideal.latencies)
+        ks = modulo_schedule(loop, ddg, ideal)
+        args = (ks.times, ks.flat_length, ideal.latencies)
+        assert estart_lstart(ddg, *args) == _reference_estart_lstart(ddg, *args)
+
+
+def test_add_row_on_a_built_graph_still_coalesces():
+    """``build_loop_ddg`` drops its coalescing map once built; an edge
+    added afterwards must still merge with the stored row of its key."""
+    from repro.ddg.builder import build_loop_ddg
+    from repro.workloads.kernels import make_kernel
+
+    ddg = build_loop_ddg(make_kernel("daxpy"))
+    assert ddg._keys is None
+    s, d, kind, delay, distance, reg = ddg.rows[0]
+    n_rows = ddg.n_edges
+    assert not ddg.add_row(s, d, kind, delay, distance, reg)  # subsumed
+    assert ddg.add_row(s, d, kind, delay + 5, distance, reg)  # raises the delay
+    assert ddg.n_edges == n_rows
+    assert ddg.rows[0] == (s, d, kind, delay + 5, distance, reg)
+    assert ddg.index().delay[ddg.index().edge_row.index(0)] == delay + 5
 
 
 def test_analysis_cache_invalidated_by_mutation():
@@ -611,3 +660,26 @@ def test_scheduling_path_builds_no_dependence_objects():
         result = compile_loop(loop, machine, PipelineConfig(run_regalloc=False))
         assert result.partitioned_ddg.n_edges
         assert result.partitioned_ddg._deps is None, loop.name
+
+
+def test_grid_without_regalloc_builds_no_dependence_objects(monkeypatch):
+    """Perf guard for the whole grid: the source DDG's slack comes from
+    its index too, so a quick-40 evaluation without register allocation
+    constructs no Dependence at all."""
+    from repro.core.pipeline import PipelineConfig
+    from repro.evalx.runner import run_evaluation
+    from repro.workloads.corpus import spec95_corpus
+
+    built: list[int] = []
+    original = Dependence.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(Dependence, "__post_init__", counting)
+    run = run_evaluation(loops=spec95_corpus(n=40),
+                         config=PipelineConfig(run_regalloc=False))
+    assert not run.failures
+    assert sum(len(m) for m in run.per_config.values()) == 40 * 6
+    assert built == []
