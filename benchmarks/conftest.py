@@ -3,10 +3,9 @@
 The full 211-loop x 6-configuration evaluation runs once per session and
 is shared by every table/figure bench; each bench renders its artifact to
 ``benchmarks/results/`` and asserts the shape properties the paper's
-conclusions rest on.  The evaluation shares one
-:class:`~repro.core.cache.ArtifactCache`, so each loop's DDG and ideal
-schedule are computed once and reused across the six configurations (the
-scaling bench asserts the hit profile).
+conclusions rest on.  Like every evaluation, it computes each loop's DDG
+and ideal schedule once and reuses them across the six configurations
+(the scaling bench asserts the hit profile).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pathlib
 
 import pytest
 
-from repro.core.cache import ArtifactCache
 from repro.core.pipeline import PipelineConfig
 from repro.evalx.runner import run_evaluation
 from repro.workloads.corpus import spec95_corpus
@@ -29,19 +27,9 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def artifact_cache():
-    """Session-wide ideal-schedule cache; benches may inspect its stats."""
-    return ArtifactCache()
-
-
-@pytest.fixture(scope="session")
-def corpus_run(corpus, artifact_cache):
+def corpus_run(corpus):
     """The full paper evaluation (Tables 1-2, Figures 5-7 inputs)."""
-    return run_evaluation(
-        loops=corpus,
-        config=PipelineConfig(run_regalloc=False),
-        cache=artifact_cache,
-    )
+    return run_evaluation(loops=corpus, config=PipelineConfig(run_regalloc=False))
 
 
 @pytest.fixture(scope="session")

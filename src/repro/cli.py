@@ -333,8 +333,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(_format_pass_timing(run.pass_seconds))
         lookups = run.cache_hits + run.cache_misses
         print(f"ideal-schedule cache: {run.cache_hits}/{lookups} hits "
-              f"({100 * run.cache_hit_rate:.1f}%), "
-              f"{run.cache_evictions} evictions, jobs={run.jobs}")
+              f"({100 * run.cache_hit_rate:.1f}%), jobs={run.jobs}")
         if store is not None:
             slookups = run.store_hits + run.store_misses
             print(f"artifact store: {run.store_hits}/{slookups} hits "

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
-#: environment variables read by :func:`maybe_inject_fault`; each holds a
+#: environment variables read by :func:`fault_names`; each holds a
 #: comma-separated list of loop names.
 FAULT_CRASH_ENV = "REPRO_FAULT_CRASH"
 FAULT_HANG_ENV = "REPRO_FAULT_HANG"
@@ -147,11 +147,22 @@ def _names_in(env_var: str) -> frozenset[str]:
     return frozenset(name.strip() for name in raw.split(",") if name.strip())
 
 
-def maybe_inject_fault(name: str) -> None:
+#: the loop names of each ``REPRO_FAULT_*`` variable: crash, hang, raise, stuck
+FaultNames = tuple[frozenset[str], frozenset[str], frozenset[str], frozenset[str]]
+
+
+def fault_names() -> FaultNames:
+    """Read the ``REPRO_FAULT_*`` variables, once per batch of cells."""
+    return (_names_in(FAULT_CRASH_ENV), _names_in(FAULT_HANG_ENV),
+            _names_in(FAULT_RAISE_ENV), _names_in(FAULT_STUCK_ENV))
+
+
+def maybe_inject_fault(name: str, names: FaultNames | None = None) -> None:
     """Fault-injection fixture for tests and the CI smoke run.
 
     If ``name`` appears in one of the ``REPRO_FAULT_*`` environment
-    variables, simulate the corresponding fault:
+    variables (as read by :func:`fault_names`, now unless ``names`` holds
+    an earlier read), simulate the corresponding fault:
 
     * ``REPRO_FAULT_CRASH`` — die instantly via ``os._exit`` (no cleanup,
       no exception), exactly like a segfaulting worker;
@@ -168,13 +179,14 @@ def maybe_inject_fault(name: str) -> None:
     Environment variables travel to pool workers for free, so one
     mechanism drives serial, parallel and subprocess (CLI) fault tests.
     """
-    if name in _names_in(FAULT_CRASH_ENV):
+    crash, hang, raise_, stuck = names if names is not None else fault_names()
+    if name in crash:
         os._exit(CRASH_EXIT_STATUS)
-    if name in _names_in(FAULT_HANG_ENV):
+    if name in hang:
         time.sleep(3600.0)
-    if name in _names_in(FAULT_RAISE_ENV):
+    if name in raise_:
         raise RuntimeError(f"injected fault for {name!r}")
-    if name in _names_in(FAULT_STUCK_ENV):
+    if name in stuck:
         if hasattr(signal, "pthread_sigmask"):
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
         time.sleep(3600.0)

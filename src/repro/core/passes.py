@@ -132,10 +132,7 @@ def shared_rcg(ctx: CompilationContext) -> FrozenRCG:
     def lookup():
         if ctx.cache is None:
             return build()
-        return ctx.cache.rcg_for(
-            ctx.loop, ctx.machine.latencies, ctx.config, ctx.machine.width,
-            ctx.ideal, build,
-        )
+        return ctx.cache.rcg_for(ctx.ideal, ctx.config.heuristic, build)
 
     if ctx.tracer.enabled:
         with ctx.tracer.span("build_rcg", cat="substep") as sp:

@@ -7,22 +7,24 @@ figure and report modules consume the resulting :class:`EvalRun`.
 
 The run is a grid of (loop, configuration) **cells**; each cell yields
 either a ``LoopMetrics`` or a :class:`~repro.core.results.LoopFailure`.
-Two execution strategies fill the grid:
+Cells run in one order, loop-major: each loop across every requested
+configuration, then the next loop.  One chunk body,
+:func:`_compile_cells`, compiles a list of them through one
+:class:`~repro.core.cache.ArtifactCache`, which holds the loop it last
+served.  So each loop's DDG, 16-wide ideal schedule and RCG are computed
+once for its six configurations, and each copy-unit cell takes its
+embedded sibling's greedy partition, copies and derived DDG.  Two
+execution strategies run that body:
 
-* **serial** (``jobs=1``, the default) — one process, one shared
-  :class:`~repro.core.cache.ArtifactCache`, so each loop's DDG and
-  16-wide ideal schedule are computed once and reused by the other five
-  configurations;
-* **parallel** (``jobs=N``) — chunks of loops, each compiled across
-  *all* requested configurations by :func:`compile_chunk` with a
-  worker-local cache (preserving the cross-configuration reuse), run on
-  the :class:`~repro.evalx.executor.SupervisedPool` from ``jobs``
-  threads.  The compile daemon runs its chunks on the same pool through
-  the same entry point.
+* **serial** (``jobs=1``, the default) — the whole grid is one chunk,
+  run in-process with the caller's cache, store and clock;
+* **parallel** (``jobs=N``) — chunks of whole loops, each run by
+  :func:`compile_chunk` in a worker with a fresh cache, store handle and
+  clock, on the :class:`~repro.evalx.executor.SupervisedPool` from
+  ``jobs`` threads.  The compile daemon runs its chunks on the same pool
+  through the same entry point.
 
-Both go through one per-cell loop, :func:`_compile_cells`; they differ
-only in cell order (configuration-major serially, loop-major per chunk)
-and in which cache they hand it.
+Either way the run absorbs each chunk's :class:`ChunkResult` the same way.
 
 Both strategies are **fault-tolerant** (see :mod:`repro.core.faults`):
 
@@ -44,8 +46,8 @@ cell's content key.
 
 However the grid was filled — serially, in parallel, from a warm store,
 or any mix — the assembly step orders cells configuration-major/loop-minor,
-exactly the order a clean serial run produces, so tables, figures, CSV
-and the failure list are byte-identical across strategies.
+so tables, figures, CSV and the failure list are byte-identical across
+strategies.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.cache import ArtifactCache, CacheStats
-from repro.core.faults import DeadlineExceeded, deadline, maybe_inject_fault
+from repro.core.faults import DeadlineExceeded, deadline, fault_names, maybe_inject_fault
 from repro.core.fingerprint import key_prefix
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.results import LoopFailure, LoopMetrics
@@ -125,7 +128,6 @@ class EvalRun:
     jobs: int = 1
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
     #: durable artifact-store outcomes (``store=`` runs only): hits count
     #: cells answered without compiling, misses count compiled-and-stored
     #: cells, invalid counts corrupt/foreign entries degraded to misses
@@ -164,7 +166,6 @@ class EvalRun:
     def absorb_cache_stats(self, stats: CacheStats) -> None:
         self.cache_hits += stats.hits
         self.cache_misses += stats.misses
-        self.cache_evictions += stats.evictions
 
     def absorb_store_stats(self, stats: StoreStats) -> None:
         self.store_hits += stats.hits
@@ -198,48 +199,51 @@ def _failure_cell(
 
 
 def _compile_cells(
-    cells: list[tuple[int, Loop, str]],
-    machines: dict[str, MachineDescription],
-    pipeline_config: PipelineConfig,
+    payload: ChunkPayload,
     cache: ArtifactCache,
-    timeout: float | None,
-    attempt: int,
     clock: PassClock,
-    collect_metrics: bool,
     store: ArtifactStore | None,
-    budget: float | None = None,
-) -> tuple[list[Cell], list[tuple[CellKey, dict]]]:
-    """Compile ``(loop index, loop, label)`` cells in the given order.
+) -> ChunkResult:
+    """Compile a chunk's cells in order: the one chunk body of the
+    serial grid, ``--jobs`` workers and the compile daemon.
 
-    The one per-cell loop: each cell compiles under its own ``timeout``,
-    its own cell scope of the shared ``clock`` (a tracer, or the bare
-    pass clock, which keeps every cell's pass times) and
-    (``collect_metrics``) its own :class:`~repro.obs.MetricsRegistry`;
-    an exception becomes a failure cell stamped with ``attempt``.
-    Returns the cells and their metric snapshots.  The store key's
-    loop-independent prefix is derived once per label, so warm cells
-    hash only the (memoized) loop.  ``budget`` bounds the whole loop;
-    when it expires, the cell it interrupted and every later cell become
-    ``timeout`` failures.
+    Each cell compiles under its own ``cell_timeout``, its own cell scope
+    of ``clock`` (a tracer, or the bare pass clock, which keeps every
+    cell's pass times) and (``metrics``) its own
+    :class:`~repro.obs.MetricsRegistry`; an exception becomes a failure
+    cell stamped with ``attempt``.  Machines, the store key's
+    loop-independent prefix and the fault-injection names are read once
+    per chunk, so warm cells hash only the (memoized) loop.  ``budget``
+    bounds the whole chunk; when it expires, the cell it interrupted and
+    every later cell become ``timeout`` failures.
     """
+    machines = {
+        config_label(n, CopyModel(model)): paper_machine(n, CopyModel(model))
+        for n, model in {(n, model) for _, _, n, model in payload.cells}
+    }
     prefixes = {
-        label: key_prefix(machines[label], pipeline_config)
-        for label in {label for _, _, label in cells}
+        label: key_prefix(machine, payload.config)
+        for label, machine in machines.items()
     } if store is not None else {}
+    faults = fault_names()
+    timeout, budget = payload.cell_timeout, payload.budget
+    cells = payload.labelled()
+    cache0 = dataclasses.replace(cache.stats)
+    store0 = dataclasses.replace(store.stats) if store is not None else None
     done: list[Cell] = []
     snapshots: list[tuple[CellKey, dict]] = []
     try:
         with deadline(budget):
             for idx, loop, label in cells:
-                registry = MetricsRegistry() if collect_metrics else None
+                registry = MetricsRegistry() if payload.metrics else None
                 with clock.cell(idx, label, loop_name=loop.name):
                     try:
                         with deadline(timeout):
-                            maybe_inject_fault(loop.name)
+                            maybe_inject_fault(loop.name, faults)
                             # store hits hydrate metrics only: a warm
                             # cell is a two-line read
                             result = compile_loop(
-                                loop, machines[label], pipeline_config,
+                                loop, machines[label], payload.config,
                                 cache=cache, tracer=clock, metrics=registry,
                                 store=store, store_hydrate="metrics",
                                 store_prefix=prefixes.get(label),
@@ -247,7 +251,7 @@ def _compile_cells(
                     except Exception as exc:
                         if isinstance(exc, DeadlineExceeded) and exc.seconds == budget:
                             raise  # the chunk's budget, not this cell's
-                        done.append(_failure_cell(idx, label, loop, exc, attempt))
+                        done.append(_failure_cell(idx, label, loop, exc, payload.attempt))
                     else:
                         done.append(Cell(loop_index=idx, config=label,
                                          metrics=result.metrics))
@@ -257,8 +261,12 @@ def _compile_cells(
                     )
     except DeadlineExceeded as exc:
         for idx, loop, label in cells[len(done):]:
-            done.append(_failure_cell(idx, label, loop, exc, attempt))
-    return done, snapshots
+            done.append(_failure_cell(idx, label, loop, exc, payload.attempt))
+    return ChunkResult(
+        done, _since(cache0, cache.stats),
+        _since(store0, store.stats) if store is not None else None,
+        snapshots=snapshots,
+    )
 
 
 def run_evaluation(
@@ -281,12 +289,12 @@ def run_evaluation(
     attempt count) and excluded from that configuration's metrics; with
     the shipped corpus there are none, and the test suite asserts that.
 
-    ``jobs > 1`` fans the work out over a process pool; the resulting
-    :class:`EvalRun` (metrics order, failure order, machine table) is
-    identical to the serial run's.  ``cache`` lets callers share one
-    :class:`ArtifactCache` across several serial evaluations; the
-    parallel path always uses worker-local caches and only merges their
-    stats.
+    The cells run loop-major.  ``jobs=1`` runs them as one in-process
+    chunk through ``cache`` (a fresh :class:`ArtifactCache` if None);
+    ``jobs > 1`` fans chunks of whole loops out over a process pool,
+    each through a worker-local cache.  The resulting :class:`EvalRun`
+    (metrics order, failure order, machine table) is the same either way,
+    and ``run.cache_hits``/``cache_misses`` count this run's lookups.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records one span tree per
     cell; the parallel path records spans in worker-local tracers and
@@ -323,21 +331,36 @@ def run_evaluation(
 
     cells: dict[CellKey, Cell] = {}
     clock = tracer if tracer is not None else PassClock()
+    payload = ChunkPayload(
+        cells=[(i, loop, n, model.value)
+               for i, loop in enumerate(loops) for n, model in configs],
+        config=pipeline_config, cell_timeout=timeout,
+        store_path=store.path if store is not None else None,
+        trace=clock.enabled, metrics=collect_metrics,
+    )
+
+    def absorb(result: ChunkResult) -> None:
+        for cell in result.cells:
+            cells[cell.key] = cell
+        run.cell_metrics.update(result.snapshots)
+        run.absorb_cache_stats(result.cache_stats)
+        if result.store_stats is not None:
+            run.absorb_store_stats(result.store_stats)
+        clock.add_pass_ns(result.pass_ns)
+        if clock.enabled:
+            clock.add_spans(result.spans)
+
     t0 = time.time()
     if jobs > 1:
-        _fill_parallel(
-            run, cells, loops, pipeline_config, configs, jobs, progress,
-            timeout, clock, collect_metrics, store,
-        )
+        _fill_parallel(payload, jobs, progress, absorb)
     else:
-        _fill_serial(
-            run, cells, loops, pipeline_config, labels, progress, cache,
-            timeout, clock, collect_metrics, store,
-        )
+        absorb(_compile_cells(
+            payload, cache if cache is not None else ArtifactCache(), clock, store,
+        ))
     run.pass_seconds = clock.pass_seconds()
 
-    # deterministic assembly: configuration-major, loop-minor — the order
-    # a clean serial run produces, whatever actually filled the grid
+    # deterministic assembly: configuration-major, loop-minor, whatever
+    # actually filled the grid
     for label in labels:
         metrics: list[LoopMetrics] = []
         for i in range(len(loops)):
@@ -354,17 +377,6 @@ def run_evaluation(
     return run
 
 
-def _absorb_cells(
-    run: EvalRun,
-    grid: dict[CellKey, Cell],
-    done: list[Cell],
-    snapshots: list[tuple[CellKey, dict]],
-) -> None:
-    for cell in done:
-        grid[cell.key] = cell
-    run.cell_metrics.update(snapshots)
-
-
 def _since(before, now):
     """The counters a stats dataclass accumulated since ``before``."""
     return type(now)(**{
@@ -374,45 +386,10 @@ def _since(before, now):
 
 
 # ----------------------------------------------------------------------
-# Serial execution
-# ----------------------------------------------------------------------
-
-
-def _fill_serial(
-    run: EvalRun,
-    cells: dict[CellKey, Cell],
-    loops: list[Loop],
-    pipeline_config: PipelineConfig,
-    labels: list[str],
-    progress: bool,
-    cache: ArtifactCache | None,
-    timeout: float | None,
-    clock: PassClock,
-    collect_metrics: bool = False,
-    store: ArtifactStore | None = None,
-) -> None:
-    shared_cache = cache if cache is not None else ArtifactCache()
-    cache0 = dataclasses.replace(shared_cache.stats)
-    store0 = dataclasses.replace(store.stats) if store is not None else None
-    for label in labels:
-        done, snapshots = _compile_cells(
-            [(i, loop, label) for i, loop in enumerate(loops)], run.machines,
-            pipeline_config, shared_cache, timeout, 1, clock,
-            collect_metrics, store,
-        )
-        _absorb_cells(run, cells, done, snapshots)
-        if progress:
-            print(f"[{label}] done: {len(done)} compiled", file=sys.stderr)
-    run.absorb_cache_stats(_since(cache0, shared_cache.stats))
-    if store is not None:
-        run.absorb_store_stats(_since(store0, store.stats))
-
-
-# ----------------------------------------------------------------------
 # Parallel execution
 # ----------------------------------------------------------------------
 
-#: one cell of pool work: (key, loop, cluster count, copy-model value)
+#: one cell of work: (key, loop, cluster count, copy-model value)
 WorkCell = tuple[int, Loop, int, str]
 
 
@@ -437,12 +414,14 @@ def chunk_cells(cells: list[WorkCell], jobs: int) -> list[list[WorkCell]]:
 
 @dataclass(frozen=True)
 class ChunkPayload:
-    """One unit of pool work for :func:`compile_chunk`.
+    """One unit of work for :func:`_compile_cells`.
 
     A cell's key becomes its ``Cell.loop_index``: the loop index in an
     evaluation, a position among one request's cold cells in the daemon.
     ``cell_timeout`` bounds each cell and ``budget`` the whole chunk;
     ``attempt`` is stamped into the failures the chunk produces.
+    ``store_path`` and ``trace`` tell a worker which store to open and
+    which clock to start.
     """
 
     cells: list[WorkCell]
@@ -480,9 +459,10 @@ class ChunkPayload:
 
 @dataclass
 class ChunkResult:
-    """What a worker sends home: cells, the worker-local cache and store
-    counters (store counters None without a store), its clock's pass
-    nanoseconds, recorded spans and per-cell metric snapshots."""
+    """What a chunk yields: cells, the cache and store counters it added
+    (store counters None without a store), the pass nanoseconds and spans
+    of a worker's clock (empty in-process, where the caller's clock keeps
+    them) and per-cell metric snapshots."""
 
     cells: list[Cell]
     cache_stats: CacheStats = field(default_factory=CacheStats)
@@ -493,11 +473,11 @@ class ChunkResult:
 
 
 def compile_chunk(payload: ChunkPayload) -> ChunkResult:
-    """Worker: compile one chunk's cells, in order, through a
-    worker-local cache; the one worker entry point of the runner and the
-    compile daemon.  Deadlines run *here*, in the worker's main thread.
+    """Worker: :func:`_compile_cells` with a fresh cache, store handle and
+    clock; the one worker entry point of the runner and the compile
+    daemon.  Deadlines run *here*, in the worker's main thread.
 
-    Machines are rebuilt here (a ``MachineDescription`` does not
+    Machines are rebuilt in the worker (a ``MachineDescription`` does not
     pickle), and so is the store (it holds OS state; record appends
     are atomic, so racing workers are harmless).  The daemon parses request
     loops after its workers fork, so the chunk first moves this worker's
@@ -511,46 +491,21 @@ def compile_chunk(payload: ChunkPayload) -> ChunkResult:
         ArtifactStore.open(payload.store_path)
         if payload.store_path is not None else None
     )
-    machines = {
-        config_label(n, CopyModel(model)): paper_machine(n, CopyModel(model))
-        for n, model in {(n, model) for _, _, n, model in payload.cells}
-    }
-    cache = ArtifactCache()
     clock = Tracer() if payload.trace else PassClock()
-    done, snapshots = _compile_cells(
-        payload.labelled(), machines, payload.config, cache, payload.cell_timeout,
-        payload.attempt, clock, payload.metrics, store, budget=payload.budget,
-    )
-    return ChunkResult(
-        done, cache.stats, store.stats if store is not None else None,
-        clock.pass_ns, list(clock.spans), snapshots,
-    )
+    result = _compile_cells(payload, ArtifactCache(), clock, store)
+    result.pass_ns, result.spans = clock.pass_ns, list(clock.spans)
+    return result
 
 
 def _fill_parallel(
-    run: EvalRun,
-    cells: dict[CellKey, Cell],
-    loops: list[Loop],
-    pipeline_config: PipelineConfig,
-    configs: tuple[tuple[int, CopyModel], ...],
+    payload: ChunkPayload,
     jobs: int,
     progress: bool,
-    timeout: float | None,
-    clock: PassClock,
-    collect_metrics: bool = False,
-    store: ArtifactStore | None = None,
+    absorb: Callable[[ChunkResult], None],
 ) -> None:
-    work = [
-        (idx, loop, n, model.value)
-        for idx, loop in enumerate(loops) for n, model in configs
-    ]
     payloads = [
-        ChunkPayload(
-            cells=chunk, config=pipeline_config, cell_timeout=timeout,
-            store_path=store.path if store is not None else None,
-            trace=clock.enabled, metrics=collect_metrics,
-        )
-        for chunk in chunk_cells(work, jobs)
+        dataclasses.replace(payload, cells=chunk)
+        for chunk in chunk_cells(payload.cells, jobs)
     ]
     # Absorbing happens here, in the calling thread: a merge/accounting
     # bug is a real bug and propagates, instead of being retried in
@@ -565,13 +520,7 @@ def _fill_parallel(
             ]
             for done, fut in enumerate(as_completed(futures), 1):
                 for result in fut.result():
-                    _absorb_cells(run, cells, result.cells, result.snapshots)
-                    run.absorb_cache_stats(result.cache_stats)
-                    if result.store_stats is not None:
-                        run.absorb_store_stats(result.store_stats)
-                    clock.add_pass_ns(result.pass_ns)
-                    if clock.enabled:
-                        clock.add_spans(result.spans)
+                    absorb(result)
                 if progress:
                     print(f"  chunk {done}/{len(payloads)} done", file=sys.stderr)
         finally:

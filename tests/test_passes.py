@@ -247,6 +247,9 @@ class TestSpillRetryRegressions:
 
 
 class TestCacheEviction:
+    """The cache holds one entry, the loop it last served; a lookup of
+    another loop replaces it."""
+
     CONFIG = PipelineConfig(run_regalloc=False)
     MACHINE_ARGS = (2, CopyModel.EMBEDDED)
 
@@ -254,54 +257,14 @@ class TestCacheEviction:
         machine = paper_machine(*self.MACHINE_ARGS)
         return compile_loop(loop, machine, self.CONFIG, cache=cache)
 
-    def test_capacity_bounds_entries_and_counts_evictions(self):
-        loops = [make_kernel(n) for n in ("daxpy", "dot", "cmul")]
-        cache = ArtifactCache(capacity=2)
-        for loop in loops:
-            self._compile(cache, loop)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        # daxpy was least recently used, so it was the one evicted
-        self._compile(cache, loops[0])
-        assert cache.stats.misses == 4 and cache.stats.hits == 0
-
-    def test_hit_refreshes_recency(self):
-        a, b, c = (make_kernel(n) for n in ("daxpy", "dot", "cmul"))
-        cache = ArtifactCache(capacity=2)
-        self._compile(cache, a)
-        self._compile(cache, b)
-        self._compile(cache, a)  # hit: a becomes most-recently used
-        self._compile(cache, c)  # evicts b, not a
-        self._compile(cache, a)
-        assert cache.stats.hits == 2
-        assert cache.stats.evictions == 1
-        self._compile(cache, b)  # b is gone: a fresh miss
-        assert cache.stats.misses == 4
-
-    def test_unbounded_cache_never_evicts(self):
-        loops = [make_kernel(n) for n in ("daxpy", "dot", "cmul", "fir5")]
-        cache = ArtifactCache(capacity=None)
-        for loop in loops:
-            self._compile(cache, loop)
-        assert len(cache) == len(loops)
-        assert cache.stats.evictions == 0
-
-    def test_nonpositive_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            ArtifactCache(capacity=0)
-
-    def test_stats_merge_includes_evictions(self):
-        from repro.core.cache import CacheStats
-
-        a = CacheStats(hits=1, misses=2, evictions=3)
-        a.merge(CacheStats(hits=10, misses=20, evictions=30))
-        assert (a.hits, a.misses, a.evictions) == (11, 22, 33)
-
     def test_identity_guard_overwrite_is_not_an_eviction(self):
         loop_a = make_kernel("daxpy")
         loop_b = parse_loop(format_loop(loop_a))
-        cache = ArtifactCache(capacity=2)
+        cache = ArtifactCache()
         self._compile(cache, loop_a)
-        self._compile(cache, loop_b)  # textual twin replaces the entry
-        assert len(cache) == 1
-        assert cache.stats.evictions == 0
+        rb = self._compile(cache, loop_b)  # textual twin: a miss that replaces the entry
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        machine = paper_machine(*self.MACHINE_ARGS)
+        args = (machine.latencies, self.CONFIG, machine.width)
+        assert cache.peek_ddg(loop_b, *args) is rb.ddg
+        assert cache.peek_ddg(loop_a, *args) is None

@@ -240,11 +240,11 @@ def test_builder_mutation_refreezes():
 # footprint
 # ----------------------------------------------------------------------
 def test_retained_rcg_footprint_is_compact():
-    """The cache keeps one frozen RCG per loop: it must stay small (the
-    dict-and-set graph it replaced retained about 42 KB per loop)."""
+    """The cache keeps one frozen RCG per loop it serves, and a caller
+    may keep each loop's: it must stay small (the dict-and-set graph it
+    replaced retained about 42 KB per loop)."""
     loops = spec95_corpus(n=40)
-    cache = ArtifactCache()
-    contexts = [_prepared(loop, cache) for loop in loops]
+    contexts = [_prepared(loop, ArtifactCache()) for loop in loops]
     gc.collect()
     tracemalloc.start()
     try:
@@ -254,5 +254,5 @@ def test_retained_rcg_footprint_is_compact():
     finally:
         tracemalloc.stop()
     assert all(isinstance(g, FrozenRCG) for g in graphs)
-    assert [shared_rcg(ctx) for ctx in contexts] == graphs  # held by the cache
+    assert [shared_rcg(ctx) for ctx in contexts] == graphs  # held by the caches
     assert retained / len(loops) <= 12 * 1024

@@ -9,7 +9,8 @@ These tests pin the contract:
 * sharing changes no result: loop-major compiles through one cache equal
   fresh-cache compiles of every cell, with and without register
   allocation;
-* the work really halves loop-major and is unchanged configuration-major;
+* the work really halves loop-major (a chunk or the serial grid) and is
+  unchanged configuration-major;
 * the cache holds at most one share, for the loop it last served;
 * a reused cell records the same spans and metrics as a built one.
 """
@@ -92,10 +93,22 @@ def test_loop_major_chunk_runs_step_four_three_times_per_loop(step_four_calls):
     assert step_four_calls == {name: 3 * len(loops) for name in step_four_calls}
 
 
-def test_configuration_major_grid_runs_step_four_six_times_per_loop(step_four_calls):
+def test_serial_grid_runs_step_four_three_times_per_loop(step_four_calls):
     loops = QUICK[:10]
     run = run_evaluation(loops=loops, config=PipelineConfig(run_regalloc=False))
     assert not run.failures
+    assert step_four_calls == {name: 3 * len(loops) for name in step_four_calls}
+
+
+def test_configuration_major_grid_runs_step_four_six_times_per_loop(step_four_calls):
+    """Cells of one configuration for every loop, then the next: each
+    lookup of another loop replaces the entry, and its share with it."""
+    loops = QUICK[:10]
+    config = PipelineConfig(run_regalloc=False)
+    cache = ArtifactCache()
+    for machine in MACHINES:
+        for loop in loops:
+            compile_loop(loop, machine, config, cache=cache)
     assert step_four_calls == {name: 6 * len(loops) for name in step_four_calls}
 
 
@@ -112,18 +125,18 @@ def test_cache_holds_one_share_for_the_loop_last_served():
     first, second = QUICK[0], QUICK[1]
     cache = ArtifactCache()
     compile_loop(first, MACHINES[0], config, cache=cache)
-    held = cache._share
+    held = cache._entry.share
     assert held is not None and held.loop is first
     assert held.partitioned is not None and held.partitioned_ddg is not None
 
     compile_loop(second, MACHINES[2], config, cache=cache)
-    assert cache._share is not None and cache._share.loop is second
+    assert cache._entry.share is not None and cache._entry.share.loop is second
 
     # a cell of another partitioner builds no share, but still drops the
     # held one: it belongs to a loop the cache no longer serves
     compile_loop(first, MACHINES[4], dataclasses.replace(config, partitioner="bug"),
                  cache=cache)
-    assert cache._share is None
+    assert cache._entry.loop is first and cache._entry.share is None
 
 
 def test_sibling_takes_the_share_and_the_cache_lets_go():
@@ -137,7 +150,7 @@ def test_sibling_takes_the_share_and_the_cache_lets_go():
     assert copy_unit.partitioned is embedded.partitioned
     assert copy_unit.partitioned_ddg is embedded.partitioned_ddg
     assert copy_unit.partition is embedded.partition
-    assert cache._share is None
+    assert cache._entry.loop is loop and cache._entry.share is None
 
 
 def test_share_is_keyed_by_cluster_count_and_heuristic():
@@ -169,14 +182,15 @@ def _traced_cells(cells, config) -> tuple[list, dict]:
 
 
 @pytest.mark.parametrize("regalloc", [False, True], ids=["no-regalloc", "regalloc"])
-def test_shared_cells_trace_and_measure_like_built_cells(regalloc):
-    """Loop-major (every copy-unit cell reuses) against configuration-
-    major (every cell builds): the same span identities, span arguments
-    and per-cell metric snapshots."""
+def test_shared_cells_trace_and_measure_like_built_cells(regalloc, monkeypatch):
+    """A chunk (every copy-unit cell reuses) against a serial grid whose
+    cache never hands a share over (every cell builds): the same span
+    identities, span arguments and per-cell metric snapshots."""
     loops = QUICK[:12]
     config = PipelineConfig(run_regalloc=regalloc)
     spans, snapshots = _traced_cells(_work(loops), config)
 
+    monkeypatch.setattr(ArtifactCache, "take_share", lambda self, key, loop: None)
     tracer = Tracer()
     run = run_evaluation(loops=loops, config=config, tracer=tracer,
                          collect_metrics=True)

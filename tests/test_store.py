@@ -586,10 +586,10 @@ def test_stale_ddg_peek_evicts_mismatched_loop_instance(machine):
     cache = ArtifactCache()
     loop_a = build_daxpy()
     loop_b = build_daxpy()  # same content, different Operation instances
-    compile_loop(loop_a, machine, CONFIG, cache=cache)
-    assert len(cache) == 1
-    assert (
-        cache.peek_ddg(loop_b, machine.latencies, CONFIG, machine.width) is None
-    )
-    assert len(cache) == 0  # stale entry evicted immediately
-    assert cache.stats.evictions == 0  # staleness drop, not a capacity eviction
+    result = compile_loop(loop_a, machine, CONFIG, cache=cache)
+    args = (machine.latencies, CONFIG, machine.width)
+    assert cache.peek_ddg(loop_a, *args) is result.ddg
+    assert cache.peek_ddg(loop_b, *args) is None
+    # the stale entry is gone at once: the original loop misses too
+    assert cache.peek_ddg(loop_a, *args) is None
+    assert (cache.stats.hits, cache.stats.misses) == (0, 1)  # peeks are not lookups

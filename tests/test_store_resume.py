@@ -98,15 +98,16 @@ class TestStoreResume:
 
     def test_failed_cells_are_recomputed_on_resume(self, tmp_path, monkeypatch):
         broken = Loop(name="zz_broken", body=BasicBlock("zz_broken"))
-        loops = spec95_corpus(n=3) + [broken]
+        loops = spec95_corpus(n=3)
+        loops.insert(1, broken)
         clean = run_evaluation(loops=loops, config=CONFIG)
         assert len(clean.failures) == N_CONFIGS  # the empty loop fails everywhere
 
-        # ten cells in configuration-major order: the broken loop's cells
-        # under the first two configurations fail, eight succeed
+        # ten cells in loop-major order: the first loop's six succeed,
+        # the broken loop's cells under the first four configurations fail
         interrupted_run(monkeypatch, tmp_path / "st", loops, 10)
         resumed = run_evaluation(loops=loops, config=CONFIG,
                                  store=ArtifactStore.open(tmp_path / "st"))
-        assert resumed.store_hits == 8
+        assert resumed.store_hits == N_CONFIGS
         assert resumed.failures == clean.failures
         assert rendered(resumed) == rendered(clean)
