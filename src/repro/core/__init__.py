@@ -39,8 +39,7 @@ from repro.core.baselines import (
 )
 from repro.core.uas import uas_partition
 from repro.core.iterative import refine_partition
-from repro.core.mixed import MixedFunction, compile_mixed
-from repro.core.wholefn import FunctionCompilation, compile_function
+from repro.core.wholefn import FunctionCompilation, MixedFunction, compile_function
 from repro.core.cache import ArtifactCache, CacheStats
 from repro.core.context import CompilationContext, PipelineConfig
 from repro.core.passes import (
@@ -68,7 +67,6 @@ __all__ = [
     "uas_partition",
     "refine_partition",
     "MixedFunction",
-    "compile_mixed",
     "FunctionCompilation",
     "compile_function",
     "random_partition",

@@ -150,5 +150,18 @@ class LoopMetrics:
         """
         return {name: getattr(self, name) for name in _METRIC_FIELDS}
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "LoopMetrics":
+        """Inverse of :meth:`to_dict`: ``doc``'s keys must be exactly the
+        fields, else :class:`TypeError`.  The values are stored as given,
+        without the frozen ``__init__``'s ``setattr`` per field, which
+        costs ten times as much and dominated a warm store hit."""
+        if not isinstance(doc, dict) or doc.keys() != _METRIC_FIELD_SET:
+            raise TypeError("record does not hold exactly the LoopMetrics fields")
+        metrics = object.__new__(cls)
+        metrics.__dict__.update(doc)
+        return metrics
+
 
 _METRIC_FIELDS = tuple(f.name for f in fields(LoopMetrics))
+_METRIC_FIELD_SET = frozenset(_METRIC_FIELDS)

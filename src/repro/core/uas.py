@@ -112,7 +112,8 @@ def _try_uas_ii(loop, ddg, machine, ii, budget_ratio, copy_latency):
     budget = budget_ratio * len(ddg.ops)
 
     def push(heap, op):
-        heapq.heappush(heap, (-heights[op.op_id], order_index[op.op_id], op.op_id))
+        i = order_index[op.op_id]
+        heapq.heappush(heap, (-heights[i], i, op.op_id))
 
     heap: list = []
     for op in ddg.ops:

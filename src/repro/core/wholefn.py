@@ -19,6 +19,8 @@ paper's flow:
 
 A function without loops is the plain whole-function path; it also
 reproduces the Section 4.2 worked example, which is straight-line code.
+:class:`MixedFunction` bundles a function's blocks with its innermost
+loops (Section 6.3).
 
 Copy placement for acyclic code: a cross-bank read of a value defined in
 the same block gets its copy right after the definition; a value defined
@@ -51,6 +53,22 @@ from repro.sched.list_scheduler import list_schedule
 from repro.sched.modulo.scheduler import modulo_schedule
 from repro.sched.schedule import KernelSchedule, LinearSchedule
 from repro.sched.validate import validate_kernel_schedule, validate_linear_schedule
+
+
+@dataclass
+class MixedFunction:
+    """A function with straight-line blocks plus innermost loops; compile
+    it with ``compile_function(mixed.function, machine, loops=mixed.loops)``."""
+
+    name: str
+    function: Function
+    loops: list[Loop] = field(default_factory=list)
+
+    def registers(self):
+        regs = self.function.registers()
+        for loop in self.loops:
+            regs |= loop.registers()
+        return regs
 
 
 @dataclass

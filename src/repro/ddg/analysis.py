@@ -254,8 +254,9 @@ def critical_cycle(ddg: DDG) -> list[Operation]:
 # ----------------------------------------------------------------------
 # Heights and slack
 # ----------------------------------------------------------------------
-def longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
-    """Height-based scheduling priority (Rau's HeightR).
+def longest_path_heights(ddg: DDG, ii: int = 0) -> list[int]:
+    """Height-based scheduling priority (Rau's HeightR), one per op
+    position (``ddg.ops`` order).
 
     ``height(op) = max(0, max over successors (height(succ) + delay
     - ii * distance))``; with ``ii`` at least RecII there are no positive
@@ -269,9 +270,8 @@ def longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
     loop-carried edges present the fixpoint may not exist; callers pass
     the candidate II.
     """
-    height = {op.op_id: 0 for op in ddg.ops}
     if len(ddg) == 0 or ddg.n_edges == 0:
-        return height
+        return [0] * len(ddg)
     idx = ddg.index()
     dst, out_edges = idx.dst, idx.out_edges
     ew = [idx.delay[k] - ii * idx.dist[k] for k in range(idx.m)]
@@ -289,9 +289,7 @@ def longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
                 h[u] = hu
                 changed = True
         if not changed:
-            for v, oid in enumerate(idx.op_ids):
-                height[oid] = h[v]
-            return height
+            return h
     raise ValueError(f"heights diverge at ii={ii}: positive cycle present")
 
 

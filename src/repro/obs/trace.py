@@ -91,7 +91,8 @@ class _NullSpan:
     def __enter__(self) -> "_NullSpan":
         return self
 
-    def __exit__(self, *_exc) -> bool:
+    # named parameters, not ``*exc``: no tuple is packed per disabled span
+    def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
 
@@ -115,7 +116,7 @@ class _PassSpan:
         self._t0 = time.perf_counter_ns()
         return self
 
-    def __exit__(self, *_exc) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
         self._clock._close_pass(self._name, time.perf_counter_ns() - self._t0)
         return False
 

@@ -49,7 +49,7 @@ def list_schedule(ddg: DDG, machine: MachineDescription) -> LinearSchedule:
             )
             if earliest <= cycle:
                 ready.append(op)
-        ready.sort(key=lambda op: (-heights[op.op_id], order_index[op.op_id]))
+        ready.sort(key=lambda op: (-heights[order_index[op.op_id]], order_index[op.op_id]))
         for op in ready:
             if table.fits(op, cycle):
                 table.place(op, cycle)

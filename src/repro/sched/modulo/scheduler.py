@@ -12,6 +12,14 @@ The algorithm (Section 2 of the paper; Rau, MICRO-27 1994):
    conflicts and violated scheduled successors) when no slot is free;
 4. if the budget runs out, ``II`` is bumped and the attempt restarts.
 
+An attempt works on op positions (``0..n-1`` in ``ddg.ops`` order) and
+the packed demand words of :mod:`repro.sched.resources`: per-position
+heights, dependence rows, issue times and demand words are lists, and
+the modulo reservation table is one occupancy word per kernel row plus a
+per-row ``{position: demand word}`` dict whose insertion order is the
+eviction order.  Only a successful attempt maps positions back to
+op ids.
+
 A fully sequential kernel is always feasible at ``II = sum(latencies)``,
 so the search terminates; exceeding that bound raises
 :class:`SchedulingError` (it would indicate a resource-model bug).
@@ -26,7 +34,7 @@ from repro.ddg.analysis import longest_path_heights, min_ii, recurrence_ii, reso
 from repro.ddg.graph import DDG
 from repro.ir.block import Loop
 from repro.machine.machine import MachineDescription
-from repro.sched.resources import ModuloReservationTable
+from repro.sched.resources import demand_words, resource_geometry
 from repro.sched.schedule import KernelSchedule
 
 DEFAULT_BUDGET_RATIO = 12
@@ -54,62 +62,66 @@ class ModuloScheduler:
 
     #: filled by the last ``schedule`` call, for instrumentation/benches
     stats: dict = field(default_factory=dict)
-    #: per-op demand cache shared across the II retries of one ``schedule``
-    #: call — demands depend on the op and machine, never on the II
-    _demand_cache: dict = field(default_factory=dict, repr=False)
 
     def schedule(self, loop: Loop, ddg: DDG) -> KernelSchedule:
         if len(ddg.ops) == 0:
             raise ValueError("cannot pipeline an empty loop")
-        self._demand_cache = {}
+        words = demand_words(ddg.ops, self.machine)
         res_ii = resource_ii(ddg, self.machine)
         rec_ii = recurrence_ii(ddg)
         start_ii = max(res_ii, rec_ii)
-        guaranteed_ii = max(
-            start_ii, sum(self.machine.latency(op) for op in ddg.ops)
-        )
-        cap = self.max_ii if self.max_ii is not None else guaranteed_ii
-        if cap < start_ii:
+        cap = self.max_ii
+        if cap is not None and cap < start_ii:
             raise SchedulingError(
                 f"{loop.name!r}: max_ii={cap} is below MinII={start_ii}"
             )
 
         attempts = 0
         evictions_total = 0
-        for ii in range(start_ii, cap + 1):
+        ii = start_ii
+        while True:
             attempts += 1
             if self.tracer is not None:
                 with self.tracer.span("ims_attempt", cat="substep", ii=ii) as sp:
-                    times, evictions = self._try_ii(ddg, ii)
+                    times, evictions = self._try_ii(ddg, ii, words)
                     sp.set(scheduled=times is not None, backtracks=evictions)
             else:
-                times, evictions = self._try_ii(ddg, ii)
+                times, evictions = self._try_ii(ddg, ii, words)
             evictions_total += evictions
             if times is not None:
-                self.stats = {
-                    "res_ii": res_ii,
-                    "rec_ii": rec_ii,
-                    "min_ii": start_ii,
-                    "achieved_ii": ii,
-                    "ii_attempts": attempts,
-                    "backtracks": evictions_total,
-                }
-                if self.metrics is not None:
-                    self.metrics.counter("sched.calls").inc()
-                    self.metrics.counter("sched.ii_attempts").inc(attempts)
-                    self.metrics.counter("sched.backtracks").inc(evictions_total)
-                return KernelSchedule(
-                    machine=self.machine, loop=loop, ii=ii, times=times
+                break
+            if cap is None:
+                # the sequential kernel: needed only once an attempt fails
+                cap = max(start_ii, sum(self.machine.latency(op) for op in ddg.ops))
+            if ii >= cap:
+                raise SchedulingError(
+                    f"no modulo schedule for {loop.name!r} up to II={cap} "
+                    f"(MinII={start_ii}); raise max_ii or budget_ratio"
                 )
-        raise SchedulingError(
-            f"no modulo schedule for {loop.name!r} up to II={cap} "
-            f"(MinII={start_ii}); raise max_ii or budget_ratio"
-        )
+            ii += 1
+
+        self.stats = {
+            "res_ii": res_ii,
+            "rec_ii": rec_ii,
+            "min_ii": start_ii,
+            "achieved_ii": ii,
+            "ii_attempts": attempts,
+            "backtracks": evictions_total,
+        }
+        if self.metrics is not None:
+            self.metrics.counter("sched.calls").inc()
+            self.metrics.counter("sched.ii_attempts").inc(attempts)
+            self.metrics.counter("sched.backtracks").inc(evictions_total)
+        return KernelSchedule(machine=self.machine, loop=loop, ii=ii, times=times)
 
     # ------------------------------------------------------------------
-    def _try_ii(self, ddg: DDG, ii: int) -> tuple[dict[int, int] | None, int]:
+    def _try_ii(
+        self, ddg: DDG, ii: int, words: list[int]
+    ) -> tuple[dict[int, int] | None, int]:
         """One scheduling attempt at ``ii``; returns (times, evictions).
 
+        ``words[v]`` is the demand word of the op at position ``v``.
+        ``times`` maps op id to issue time in final placement order.
         ``evictions`` counts every scheduled operation displaced by a
         force-place or a violated dependence — the "backtracks" the
         tracer and metrics report.
@@ -121,93 +133,103 @@ class ModuloScheduler:
             # positive cycle: II below RecII for this subgraph
             return None, evictions
 
-        ops = ddg.ops
-        by_id = {op.op_id: op for op in ops}
-
-        # Preallocated max-heap entries by (height, earlier-body-order)
-        # via negation; op_id makes every entry distinct, so pop order is
-        # a pure function of heap *contents* and re-pushes reuse the same
-        # tuple instead of building one per push.
-        entries: dict[int, tuple[int, int, int]] = {}
-        for i, op in enumerate(ops):
-            entries[op.op_id] = (-heights[op.op_id], i, op.op_id)
-
         # Flat dependence rows with the II-dependent term folded in, read
-        # off the graph's int arrays: succs[oid] = [(dst_oid, delay -
-        # II*distance), ...] in successor order, and preds likewise (their
-        # order is immaterial: estart is a max).  The placement loop below
-        # runs orders of magnitude more often than this O(E) setup, and
-        # each iteration then costs one dict probe and one add per edge.
+        # off the graph's int arrays: succs[v] = [(w, delay - II*distance),
+        # ...] in successor order, and preds likewise (their order is
+        # immaterial: estart is a max).  Self-edges are dropped: an op is
+        # unscheduled while its own estart is computed, and placing it at
+        # or after estart cannot violate an edge to itself.
         idx = ddg.index()
-        op_ids, dst = idx.op_ids, idx.dst
-        lags = [d - ii * k for d, k in zip(idx.delay, idx.dist)]
-        preds: dict[int, list[tuple[int, int]]] = {oid: [] for oid in op_ids}
-        succs: dict[int, list[tuple[int, int]]] = {}
-        for oid, out in zip(op_ids, idx.out_edges):
-            succs[oid] = [(op_ids[dst[k]], lags[k]) for k in out]
-            for dst_oid, lag in succs[oid]:
-                preds[dst_oid].append((oid, lag))
+        n, dst = idx.n, idx.dst
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        succs: list[list[tuple[int, int]]] = []
+        for v, out in enumerate(idx.out_edges):
+            row = [
+                (dst[k], idx.delay[k] - ii * idx.dist[k]) for k in out if dst[k] != v
+            ]
+            succs.append(row)
+            for w, lag in row:
+                preds[w].append((v, lag))
 
-        mrt = ModuloReservationTable(self.machine, ii, demands=self._demand_cache)
-        times: dict[int, int] = {}
-        times_get = times.get
-        prev_time: dict[int, int] = {}
-        budget = self.budget_ratio * len(ops)
+        geom = resource_geometry(self.machine)
+        bias, guard = geom.bias, geom.guard
+        occ = [0] * ii  # packed occupancy word per kernel row
+        row_ops: list[dict[int, int]] = [{} for _ in range(ii)]
+        times: list[int | None] = [None] * n
+        prev_time: list[int | None] = [None] * n
+        stamp = [0] * n  # budget left at each op's last placement
+        budget = self.budget_ratio * n
 
+        # max-heap by (height, earlier body order) via negation; entries
+        # are distinct, so pop order depends only on the heap's contents,
+        # and a re-push reuses the op's tuple
+        entries = [(-h, v) for v, h in enumerate(heights)]
+        heap = entries[:]
+        heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
-        heap = [entries[op.op_id] for op in ops]
-        heapq.heapify(heap)
 
         while heap and budget > 0:
-            _, _, oid = heappop(heap)
-            if oid in times:
+            v = heappop(heap)[1]
+            if times[v] is not None:
                 continue  # stale entry
-            op = by_id[oid]
             budget -= 1
 
             estart = 0
-            for src_oid, lag in preds[oid]:
-                src_t = times_get(src_oid)
-                if src_t is not None:
-                    cand = src_t + lag
-                    if cand > estart:
-                        estart = cand
+            for u, lag in preds[v]:
+                t = times[u]
+                if t is not None:
+                    t += lag
+                    if t > estart:
+                        estart = t
 
-            # the whole [estart, estart + II) probe window in one query
-            slot = mrt.first_free(op, estart)
-            if slot is None:
-                prev = prev_time.get(oid)
-                slot = estart if prev is None or prev + 1 < estart else prev + 1
-                for victim_id in mrt.conflicting_ops(op, slot):
-                    mrt.remove(by_id[victim_id])
-                    del times[victim_id]
-                    heappush(heap, entries[victim_id])
-                    evictions += 1
-                    if not mrt.fits(op, slot):
-                        continue
+            # first resource-free slot of [estart, estart + II)
+            word = words[v]
+            probe = word + bias
+            r = estart % ii
+            for k in range(ii):
+                if not ((occ[r] + probe) & guard):
+                    slot = estart + k
                     break
+                r += 1
+                if r == ii:
+                    r = 0
+            else:
+                prev = prev_time[v]
+                slot = estart if prev is None or prev + 1 < estart else prev + 1
+                r = slot % ii
+                ops_in_row = row_ops[r]
+                for u in [u for u, w in ops_in_row.items() if w & word]:
+                    occ[r] -= ops_in_row.pop(u)
+                    times[u] = None
+                    heappush(heap, entries[u])
+                    evictions += 1
+                    if not ((occ[r] + probe) & guard):
+                        break
+                if (occ[r] + probe) & guard:
+                    raise ValueError("resource over-subscription")
 
-            mrt.place(op, slot)
-            times[oid] = slot
-            prev_time[oid] = slot
+            occ[r] += word
+            row_ops[r][v] = word
+            times[v] = slot
+            prev_time[v] = slot
+            stamp[v] = budget
 
             # evict scheduled successors whose dependence is now violated
-            for dst_oid, lag in succs[oid]:
-                dst_t = times_get(dst_oid)
-                if dst_t is None or dst_oid == oid:
-                    continue
-                if dst_t < slot + lag:
-                    mrt.remove(by_id[dst_oid])
-                    del times[dst_oid]
-                    heappush(heap, entries[dst_oid])
+            for w, lag in succs[v]:
+                t = times[w]
+                if t is not None and t < slot + lag:
+                    r = t % ii
+                    occ[r] -= row_ops[r].pop(w)
+                    times[w] = None
+                    heappush(heap, entries[w])
                     evictions += 1
-            # self-edges: placement at estart already satisfies them since
-            # estart accounted for all scheduled predecessors including self
 
-        if len(times) == len(ops):
-            return times, evictions
-        return None, evictions
+        if None in times:
+            return None, evictions
+        op_ids = idx.op_ids
+        order = sorted(range(n), key=stamp.__getitem__, reverse=True)
+        return {op_ids[v]: times[v] for v in order}, evictions
 
 
 def modulo_schedule(

@@ -67,7 +67,8 @@ def swing_modulo_schedule(
 def _mobility(ddg: DDG, ii: int) -> dict[int, int]:
     """ALAP - ASAP at this II (forward and backward height differences)."""
     try:
-        backward = longest_path_heights(ddg, ii=ii)  # height to sinks
+        # height to sinks
+        backward = dict(zip(ddg.index().op_ids, longest_path_heights(ddg, ii=ii)))
     except ValueError:
         return {}
     # forward depth: longest path from sources, computed on reversed edges

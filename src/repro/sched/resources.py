@@ -13,25 +13,23 @@ port in their destination cluster and one bus.  Operations without a
 cluster assignment — the monolithic ideal machine — draw from cluster 0,
 whose FU count is the full machine width.
 
-The modulo reservation table (Rau, Section 2) flattens a machine's
-per-cycle resources into *pools* (one per cluster FU file, one per
-cluster copy-port file, one for the bus set), and a row's occupancy is a
+Modulo scheduling (Rau, Section 2) flattens a machine's per-cycle
+resources into *pools* (one per cluster FU file, one per cluster
+copy-port file, one for the bus set), and a kernel row's occupancy is a
 single Python int with an 8-bit counter field per pool.  An operation's
-demand is a precomputed *demand word* (a 1 in the low bit of each pool it
-consumes), so
+demand is a *demand word* (a 1 in the low bit of each pool it consumes;
+:func:`demand_words` maps a whole body in one pass), so
 
-* ``place``/``remove`` are one integer add/subtract,
-* ``fits`` is one carry-detect add against a precomputed bias word
-  (guard bit of a pool field sets iff that pool would overflow),
-* ``conflicting_ops`` is ``victim_word & demand_word`` per occupant,
-* the scheduler's whole ``[estart, estart + II)`` probe (``first_free``)
-  is one tight loop of add-and-mask tests, with no per-placement
-  bookkeeping beyond the row word itself — iterative scheduling under
-  pressure is eviction-heavy, so placement state must stay
-  maintenance-free.
+* placing or removing an operation is one integer add/subtract,
+* a fit test is one carry-detect add against the geometry's bias word
+  (the guard bit of a pool field sets iff that pool would overflow),
+* two operations compete for a pool iff their demand words AND nonzero.
 
-The acyclic :class:`ReservationTable` keeps plain :class:`SlotPool`
-counters per cycle.
+The iterative modulo scheduler and the kernel validator work on these
+words and per-row occupancy lists directly.  :class:`ModuloReservationTable`
+wraps the same encoding behind an op-keyed interface for Swing modulo
+scheduling; the acyclic :class:`ReservationTable` keeps plain
+:class:`SlotPool` counters per cycle.
 """
 
 from __future__ import annotations
@@ -127,18 +125,30 @@ class ResourceGeometry:
         ]
 
     def demand_word(self, op: Operation, machine: MachineDescription) -> int:
-        """The packed demand word of ``op`` (mirrors
-        :func:`op_resource_demand`, including cluster validation)."""
-        cluster = op.cluster if op.cluster is not None else 0
-        machine.validate_cluster(cluster if machine.is_clustered else None)
-        if not (0 <= cluster < self.n_clusters):
-            raise IndexError(
-                f"cluster {cluster} out of range for {self.n_clusters}-pool "
-                f"geometry"
+        """The packed demand word of ``op``; see :meth:`demand_words`."""
+        return self.demand_words((op,), machine)[0]
+
+    def demand_words(self, ops, machine: MachineDescription) -> list[int]:
+        """The packed demand word of each of ``ops``, in order (mirrors
+        :func:`op_resource_demand`, including cluster validation: an
+        out-of-range cluster raises the machine's ``ValueError`` on a
+        clustered machine and ``IndexError`` otherwise)."""
+        n_clusters, copy_unit = self.n_clusters, self.copy_unit
+        fu_words, copy_words = self._fu_words, self._copy_words
+        words = []
+        for op in ops:
+            cluster = op.cluster if op.cluster is not None else 0
+            if not (0 <= cluster < n_clusters):
+                if machine.is_clustered:
+                    machine.validate_cluster(cluster)
+                raise IndexError(
+                    f"cluster {cluster} out of range for {n_clusters}-pool "
+                    f"geometry"
+                )
+            words.append(
+                copy_words[cluster] if copy_unit and op.is_copy else fu_words[cluster]
             )
-        if op.is_copy and self.copy_unit:
-            return self._copy_words[cluster]
-        return self._fu_words[cluster]
+        return words
 
 
 #: geometry cache — machines are few and geometries depend only on shape
@@ -162,6 +172,11 @@ def resource_geometry(machine: MachineDescription) -> ResourceGeometry:
             machine.n_buses,
         )
     return geom
+
+
+def demand_words(ops, machine: MachineDescription) -> list[int]:
+    """The packed demand word of each of ``ops`` on ``machine``."""
+    return resource_geometry(machine).demand_words(ops, machine)
 
 
 @dataclass
@@ -268,8 +283,9 @@ class ModuloReservationTable:
     """Fixed-II modulo reservation table on packed occupancy words.
 
     Row ``t mod II`` must accommodate every operation issued at absolute
-    time ``t``; placement and removal support the iterative scheduler's
-    eviction mechanism.  See the module docs for the encoding.
+    time ``t``.  Swing modulo scheduling and the MRT micro benchmark use
+    it; the iterative scheduler runs the same encoding on op positions.
+    See the module docs for the encoding.
     """
 
     __slots__ = (
@@ -297,9 +313,8 @@ class ModuloReservationTable:
         #: depends only on the op and the machine, never the II)
         self._demands: dict[int, int] = demands if demands is not None else {}
 
-    # The demand lookup is open-coded in every public method: the
-    # iterative scheduler calls these hundreds of thousands of times per
-    # corpus run and an extra bound-method frame per call is measurable.
+    # The demand lookup is open-coded in every public method: an extra
+    # bound-method frame per probe is measurable on the scheduling path.
 
     def fits(self, op: Operation, time: int) -> bool:
         word = self._demands.get(op.op_id)
@@ -309,8 +324,8 @@ class ModuloReservationTable:
 
     def first_free(self, op: Operation, estart: int) -> int | None:
         """First ``t`` in ``[estart, estart + II)`` where ``op`` fits, or
-        None — the scheduler's whole probe window in one tight loop of
-        carry-detect adds (one per row, no temporary objects)."""
+        None — the whole probe window in one tight loop of carry-detect
+        adds (one per row, no temporary objects)."""
         word = self._demands.get(op.op_id)
         if word is None:
             word = self._demands[op.op_id] = self.geom.demand_word(op, self.machine)

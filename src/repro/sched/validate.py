@@ -10,7 +10,7 @@ cannot silently leak into the paper-reproduction numbers.
 from __future__ import annotations
 
 from repro.ddg.graph import DDG
-from repro.sched.resources import ModuloReservationTable, ReservationTable
+from repro.sched.resources import ReservationTable, demand_words, resource_geometry
 from repro.sched.schedule import KernelSchedule, LinearSchedule
 
 
@@ -32,26 +32,35 @@ def _check_dependences(ddg: DDG, times: dict[int, int], ii: int, what: str) -> N
 
 
 def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
-    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal."""
+    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal.
+
+    Dependences are checked first, then resources in op order: each op's
+    demand word (which validates its cluster) is added to its kernel
+    row's occupancy word, and an overflowing pool fails the check.  Last,
+    every op of a clustered machine must carry a cluster.
+    """
     ii = schedule.ii
-    _check_dependences(ddg, schedule.times, ii, f"dependence violated at II={ii}")
-    # resources: re-place everything into a fresh MRT
-    mrt = ModuloReservationTable(schedule.machine, ii)
-    for op in schedule.loop.ops:
-        t = schedule.times[op.op_id]
-        if not mrt.fits(op, t):
+    times = schedule.times
+    _check_dependences(ddg, times, ii, f"dependence violated at II={ii}")
+    machine = schedule.machine
+    ops = schedule.loop.ops
+    geom = resource_geometry(machine)
+    bias, guard = geom.bias, geom.guard
+    occ = [0] * ii
+    for op, word in zip(ops, demand_words(ops, machine)):
+        t = times[op.op_id]
+        row = t % ii
+        if (occ[row] + word + bias) & guard:
             raise ScheduleValidationError(
-                f"resource over-subscription in kernel row {t % ii}: {op!r}"
+                f"resource over-subscription in kernel row {row}: {op!r}"
             )
-        mrt.place(op, t)
-    # cluster sanity
-    if schedule.machine.is_clustered:
-        for op in schedule.loop.ops:
+        occ[row] += word
+    if machine.is_clustered:
+        for op in ops:
             if op.cluster is None:
                 raise ScheduleValidationError(
                     f"operation without cluster on clustered machine: {op!r}"
                 )
-            schedule.machine.validate_cluster(op.cluster)
 
 
 def validate_linear_schedule(schedule: LinearSchedule, ddg: DDG) -> None:

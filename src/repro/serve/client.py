@@ -149,7 +149,7 @@ class ServeClient:
                     config=msg["config"],
                     source=msg.get("source", ""),
                     metrics=(
-                        LoopMetrics(**msg["metrics"])
+                        LoopMetrics.from_dict(msg["metrics"])
                         if msg.get("metrics") is not None else None
                     ),
                     failure=(

@@ -243,7 +243,7 @@ class DiskStore:
         callers treat that as a miss and usually :meth:`delete` it.
         """
         raw, _others = self.read(key)
-        return None if raw is None else StoreEntry.from_bytes(raw)
+        return None if raw is None else StoreEntry.from_bytes(raw, key)
 
     def put(self, key: StoreKey, entry: StoreEntry) -> int:
         """Append ``entry`` to its loop file under ``key.digest`` in one

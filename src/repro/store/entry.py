@@ -19,7 +19,9 @@ a miss — instead of producing a wrong artifact.  The header's keys
 sort ``digest`` first, so every record line begins
 ``{"digest":"<64 hex>"``: that is how
 :class:`~repro.store.disk.DiskStore` finds a record among the other
-cells of its loop file without parsing them.
+cells of its loop file without parsing them, and a read that knows the
+key compares the whole header line with the one :meth:`StoreEntry.to_bytes`
+would write instead of parsing it.
 
 No live :class:`~repro.ir.operations.Operation` graph is ever pickled.
 The source loop is not stored at all: hydration takes the caller's
@@ -68,13 +70,19 @@ def _dumps(doc: dict) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def header_prefix(key: StoreKey) -> bytes:
-    """The first bytes of the header :meth:`StoreEntry.to_bytes` writes
-    for ``key``: its digest, then its canonical JSON (``"key"`` sorts
-    second).  A record starts with them iff it was stored under
-    ``key``, so revalidation is one ``bytes.startswith``."""
-    return b'%s%s","key":%s,' % (
-        RECORD_PREFIX, key.digest.encode(), key.canonical_json.encode()
+_HEADER = (
+    RECORD_PREFIX + b'%s","key":%s,"magic":"' + _MAGIC.encode()
+    + b'","meta_sha256":"%s","payload_sha256":"%s","schema":%d}'
+)
+
+
+def _header(digest: str, key_text: bytes, meta_line: bytes, payload_line: bytes) -> bytes:
+    """A record's header line, keys in sorted order as :func:`_dumps`
+    writes a dict: the digest, the key's canonical JSON, the magic, both
+    checksums and the schema version."""
+    return _HEADER % (
+        digest.encode(), key_text,
+        _sha256(meta_line).encode(), _sha256(payload_line).encode(), SCHEMA_VERSION,
     )
 
 
@@ -155,18 +163,17 @@ class StoreEntry:
     def __init__(
         self,
         digest: str,
-        key_json: dict,
+        key: "StoreKey | dict",
         meta: dict,
         payload: dict | None = None,
         payload_raw: bytes | None = None,
-        payload_sha256: str | None = None,
     ):
         self.digest = digest
-        self.key_json = key_json
+        #: the key the entry is filed under, or its decoded JSON fields
+        self._key = key
         self.meta = meta
         self._payload = payload
         self._payload_raw = payload_raw
-        self._payload_sha256 = payload_sha256
         self._metrics: LoopMetrics | None = None
 
     # ------------------------------------------------------------------
@@ -210,7 +217,7 @@ class StoreEntry:
             "loop_name": loop.name,
             "metrics": result.metrics.to_dict(),
         }
-        return cls(key.digest, key.to_json(), meta, payload=payload)
+        return cls(key.digest, key, meta, payload=payload)
 
     # ------------------------------------------------------------------
     # wire format
@@ -221,31 +228,50 @@ class StoreEntry:
         payload_line = self._payload_raw
         if payload_line is None:
             payload_line = _dumps(self._payload if self._payload is not None else {})
-        header = {
-            "digest": self.digest if digest is None else digest,
-            "magic": _MAGIC,
-            "schema": SCHEMA_VERSION,
-            "key": self.key_json,
-            "meta_sha256": _sha256(meta_line),
-            "payload_sha256": _sha256(payload_line),
-        }
-        return b"\n".join((_dumps(header), meta_line, payload_line, b""))
+        key = self._key
+        key_text = _dumps(key) if isinstance(key, dict) else key.canonical_json.encode()
+        header = _header(
+            self.digest if digest is None else digest, key_text, meta_line, payload_line
+        )
+        return b"\n".join((header, meta_line, payload_line, b""))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "StoreEntry":
+    def from_bytes(cls, data: bytes, key: StoreKey | None = None) -> "StoreEntry":
         """Decode header + meta, deferring the payload.
 
         Raises :class:`StoreEntryError` on any structural problem: bad
         JSON, wrong magic, unknown schema version, truncation, or a meta
         checksum mismatch.  The payload checksum is verified here too
         (hashing is far cheaper than parsing); its JSON is only decoded
-        by :meth:`payload`.
+        by :meth:`payload`.  Given the ``key`` the record should be
+        filed under, the header is not parsed: it must equal, byte for
+        byte, the header :meth:`to_bytes` writes for that key and these
+        meta and payload lines, which checks the key, magic, schema and
+        both checksums in one comparison.
         """
         parts = data.split(b"\n")
         if len(parts) != 4 or parts[3]:
             raise StoreEntryError(
                 "truncated entry (expected 3 newline-terminated lines)"
             )
+        if key is None:
+            digest, key = cls._parse_header(parts)
+        elif parts[0] == _header(key.digest, key.canonical_json.encode(), parts[1], parts[2]):
+            digest = key.digest
+        else:
+            raise StoreEntryError(
+                "header does not match the key, schema or checksums of this record"
+            )
+        try:
+            meta = json.loads(parts[1])
+        except json.JSONDecodeError as exc:
+            raise StoreEntryError(f"bad meta JSON: {exc}") from exc
+        return cls(digest, key, meta, payload_raw=parts[2])
+
+    @staticmethod
+    def _parse_header(parts: list[bytes]) -> tuple[str, dict]:
+        """(digest, key fields) of a record read without its key, after
+        checking magic, schema and both checksums."""
         try:
             header = json.loads(parts[0])
         except json.JSONDecodeError as exc:
@@ -267,21 +293,17 @@ class StoreEntry:
             raise StoreEntryError("meta checksum mismatch")
         if _sha256(parts[2]) != header.get("payload_sha256"):
             raise StoreEntryError("payload checksum mismatch")
-        try:
-            meta = json.loads(parts[1])
-        except json.JSONDecodeError as exc:
-            raise StoreEntryError(f"bad meta JSON: {exc}") from exc
-        return cls(
-            digest,
-            key_json,
-            meta,
-            payload_raw=parts[2],
-            payload_sha256=header.get("payload_sha256"),
-        )
+        return digest, key_json
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
+    @property
+    def key_json(self) -> dict:
+        """The key fields the entry is filed under."""
+        key = self._key
+        return key if isinstance(key, dict) else key.to_json()
+
     @property
     def loop_name(self) -> str:
         return self.meta.get("loop_name", "?")
@@ -290,7 +312,7 @@ class StoreEntry:
         """The stored :class:`LoopMetrics` — the warm evaluation path."""
         if self._metrics is None:
             try:
-                self._metrics = LoopMetrics(**self.meta["metrics"])
+                self._metrics = LoopMetrics.from_dict(self.meta["metrics"])
             except (KeyError, TypeError) as exc:
                 raise StoreEntryError(f"bad metrics record: {exc}") from exc
         return self._metrics

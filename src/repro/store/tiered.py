@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.fingerprint import StoreKey
 from repro.store.disk import DiskStore
-from repro.store.entry import StoreEntry, StoreEntryError, header_prefix
+from repro.store.entry import StoreEntry, StoreEntryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CompilationResult
@@ -180,11 +180,10 @@ class ArtifactStore:
 
     @staticmethod
     def _admit(key: StoreKey, raw: bytes) -> StoreEntry | None:
-        """Check ``raw`` is ``key``'s record and decode it; ``None`` if not."""
-        if not raw.startswith(header_prefix(key)):
-            return None  # digest collision or tampered key fields
+        """Check ``raw`` is ``key``'s record and decode it; ``None`` if not
+        (a digest collision, tampered key fields or a corrupt record)."""
         try:
-            return StoreEntry.from_bytes(raw)
+            return StoreEntry.from_bytes(raw, key)
         except StoreEntryError:
             return None
 

@@ -8,10 +8,12 @@ them value for value.  Each oracle uses only public ``repro`` APIs,
 except :func:`ddg_rows`, which also reads the edge-key map it compares.
 
 ``ReferenceModuloReservationTable`` is the original dict-of-
-:class:`~repro.sched.resources.SlotPool` modulo reservation table.  Tests
-inject it into the schedulers by monkeypatching the
-``ModuloReservationTable`` name of ``repro.sched.modulo.scheduler`` and
-``repro.sched.modulo.swing`` (see :func:`use_reference_mrt`).
+:class:`~repro.sched.resources.SlotPool` modulo reservation table, and
+:func:`reference_try_ii` the original op-keyed iterative-scheduling
+attempt driven by a modulo reservation table.  :func:`use_reference_mrt`
+injects both: Swing builds the golden table, and
+``ModuloScheduler._try_ii`` becomes the golden attempt on the golden
+table.
 
 The module name matches neither ``test_*.py`` nor ``bench_*.py``, so
 pytest does not collect it.
@@ -19,6 +21,7 @@ pytest does not collect it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,6 +30,7 @@ from typing import Callable
 from repro.core.greedy import Partition
 from repro.core.rcg import RegisterComponentGraph
 from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
+from repro.ddg.analysis import longest_path_heights
 from repro.ddg.graph import DDG
 from repro.ir.operations import Operation
 from repro.ir.registers import SymbolicRegister
@@ -35,7 +39,13 @@ from repro.regalloc.coloring import ColoringResult
 from repro.regalloc.interference import InterferenceGraph, Name
 from repro.regalloc.liveness import CyclicLiveness
 from repro.regalloc.mve import MVEPlan
-from repro.sched.resources import ResourceDemand, SlotPool, op_resource_demand
+from repro.sched.modulo.scheduler import ModuloScheduler
+from repro.sched.resources import (
+    ModuloReservationTable,
+    ResourceDemand,
+    SlotPool,
+    op_resource_demand,
+)
 
 
 # ----------------------------------------------------------------------
@@ -133,17 +143,104 @@ class ReferenceModuloReservationTable:
         return out
 
 
-#: the scheduler modules whose ``ModuloReservationTable`` name is the seam
-SCHEDULER_MODULES = ("repro.sched.modulo.scheduler", "repro.sched.modulo.swing")
+def reference_try_ii(
+    ddg: DDG,
+    machine: MachineDescription,
+    ii: int,
+    budget_ratio: int,
+    table: type = ModuloReservationTable,
+) -> tuple[dict[int, int] | None, int]:
+    """One iterative-scheduling attempt at ``ii`` on ``Operation`` objects
+    and a modulo reservation table of class ``table``: the golden oracle
+    for :meth:`repro.sched.modulo.scheduler.ModuloScheduler._try_ii`.
+    Returns (times in final placement order, evictions)."""
+    evictions = 0
+    try:
+        h = longest_path_heights(ddg, ii=ii)
+    except ValueError:
+        return None, evictions
+
+    ops = ddg.ops
+    by_id = {op.op_id: op for op in ops}
+    entries = {op.op_id: (-h[i], i, op.op_id) for i, op in enumerate(ops)}
+    idx = ddg.index()
+    op_ids = idx.op_ids
+    preds: dict[int, list[tuple[int, int]]] = {oid: [] for oid in op_ids}
+    succs: dict[int, list[tuple[int, int]]] = {}
+    for oid, out in zip(op_ids, idx.out_edges):
+        succs[oid] = [
+            (op_ids[idx.dst[k]], idx.delay[k] - ii * idx.dist[k]) for k in out
+        ]
+        for dst_oid, lag in succs[oid]:
+            preds[dst_oid].append((oid, lag))
+
+    mrt = table(machine, ii)
+    times: dict[int, int] = {}
+    prev_time: dict[int, int] = {}
+    budget = budget_ratio * len(ops)
+    heap = [entries[op.op_id] for op in ops]
+    heapq.heapify(heap)
+
+    while heap and budget > 0:
+        _, _, oid = heapq.heappop(heap)
+        if oid in times:
+            continue  # stale entry
+        op = by_id[oid]
+        budget -= 1
+
+        estart = 0
+        for src_oid, lag in preds[oid]:
+            if src_oid in times:
+                estart = max(estart, times[src_oid] + lag)
+
+        slot = mrt.first_free(op, estart)
+        if slot is None:
+            prev = prev_time.get(oid)
+            slot = estart if prev is None or prev + 1 < estart else prev + 1
+            for victim_id in mrt.conflicting_ops(op, slot):
+                mrt.remove(by_id[victim_id])
+                del times[victim_id]
+                heapq.heappush(heap, entries[victim_id])
+                evictions += 1
+                if mrt.fits(op, slot):
+                    break
+
+        mrt.place(op, slot)
+        times[oid] = slot
+        prev_time[oid] = slot
+
+        # evict scheduled successors whose dependence is now violated
+        for dst_oid, lag in succs[oid]:
+            if dst_oid == oid or dst_oid not in times:
+                continue
+            if times[dst_oid] < slot + lag:
+                mrt.remove(by_id[dst_oid])
+                del times[dst_oid]
+                heapq.heappush(heap, entries[dst_oid])
+                evictions += 1
+
+    if len(times) == len(ops):
+        return times, evictions
+    return None, evictions
+
+
+def _reference_attempt(self, ddg: DDG, ii: int, words: list[int]):
+    """``ModuloScheduler._try_ii`` replaced by the golden attempt on the
+    golden table (the demand words are recomputed by the table)."""
+    return reference_try_ii(
+        ddg, self.machine, ii, self.budget_ratio, ReferenceModuloReservationTable
+    )
 
 
 def use_reference_mrt(monkeypatch) -> None:
-    """Make both modulo schedulers build :class:`ReferenceModuloReservationTable`
-    for the rest of the test (undone by pytest's ``monkeypatch``)."""
-    for module in SCHEDULER_MODULES:
-        monkeypatch.setattr(
-            f"{module}.ModuloReservationTable", ReferenceModuloReservationTable
-        )
+    """Make both modulo schedulers run on :class:`ReferenceModuloReservationTable`
+    for the rest of the test (undone by pytest's ``monkeypatch``): Swing
+    builds it, and IMS attempts go through :func:`reference_try_ii`."""
+    monkeypatch.setattr(
+        "repro.sched.modulo.swing.ModuloReservationTable",
+        ReferenceModuloReservationTable,
+    )
+    monkeypatch.setattr(ModuloScheduler, "_try_ii", _reference_attempt)
 
 
 # ----------------------------------------------------------------------
@@ -276,8 +373,9 @@ def _reference_critical_cycle_ratio(ddg: DDG, tolerance: float = 1e-6) -> float:
     return hi
 
 
-def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
-    """Arbitrary-order fixpoint iteration over edge objects: the
+def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> list[int]:
+    """Arbitrary-order fixpoint iteration over edge objects, one height
+    per op position: the
     golden-equivalence oracle for
     :func:`repro.ddg.analysis.longest_path_heights`."""
     height = {op.op_id: 0 for op in ddg.ops}
@@ -290,7 +388,7 @@ def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> dict[int, int]:
                 height[e.src.op_id] = cand
                 changed = True
         if not changed:
-            return height
+            return [height[op.op_id] for op in ddg.ops]
     raise ValueError(f"heights diverge at ii={ii}: positive cycle present")
 
 

@@ -1,17 +1,16 @@
 """Frozen digest of the function-level driver.
 
 ``compile_function`` over the synthetic function corpus on three
-clustered machines, plus ``compile_mixed`` on the loops-and-blocks
-fixture of ``test_mixed`` on 2, 4 and 8 clusters, hashed into one
-SHA-256.  The hash covers every metric and clustered schedule text the
-driver reports; register ids are left out because they depend on the
-order in which registers are minted.  A change to the driver that moves
+clustered machines, plus over the loops-and-blocks fixture of
+``test_mixed`` on 2, 4 and 8 clusters, hashed into one SHA-256.  The
+hash covers every metric and clustered schedule text the driver
+reports; register ids are left out because they depend on the order in
+which registers are minted.  A change to the driver that moves
 any partition, copy or schedule changes the digest.
 """
 
 import hashlib
 
-from repro.core.mixed import compile_mixed
 from repro.core.wholefn import compile_function
 from repro.machine.machine import CopyModel
 from repro.machine.presets import paper_machine, prior_work_machine_4wide
@@ -57,7 +56,8 @@ def function_path_digest() -> str:
     for n_clusters in (2, 4, 8):
         mixed, _loop, _f4 = build_mixed()
         lines += [f"== mixed {n_clusters}"]
-        lines += mixed_lines(compile_mixed(mixed, paper_machine(n_clusters, CopyModel.EMBEDDED)))
+        machine = paper_machine(n_clusters, CopyModel.EMBEDDED)
+        lines += mixed_lines(compile_function(mixed.function, machine, loops=mixed.loops))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

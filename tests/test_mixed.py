@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.mixed import MixedFunction, compile_mixed
+from repro.core.wholefn import MixedFunction, compile_function
 from repro.ir.builder import LoopBuilder
 from repro.ir.function import Function
 from repro.machine.machine import CopyModel
@@ -40,19 +40,19 @@ class TestCompileMixed:
     def test_rejects_monolithic(self):
         mixed, _loop, _f4 = build_mixed()
         with pytest.raises(ValueError):
-            compile_mixed(mixed, ideal_machine())
+            compile_function(mixed.function, ideal_machine(), loops=mixed.loops)
 
     def test_one_partition_covers_everything(self):
         mixed, loop, _f4 = build_mixed()
         m = paper_machine(4, CopyModel.EMBEDDED)
-        result = compile_mixed(mixed, m)
+        result = compile_function(mixed.function, m, loops=mixed.loops)
         for reg in mixed.registers():
             assert reg in result.partition
 
     def test_loop_and_blocks_both_compiled(self):
         mixed, loop, _f4 = build_mixed()
         m = paper_machine(4, CopyModel.EMBEDDED)
-        result = compile_mixed(mixed, m)
+        result = compile_function(mixed.function, m, loops=mixed.loops)
         assert loop.name in result.clustered_kernels
         assert set(result.clustered_blocks) == {"entry.block", "exit.block"}
         assert result.clustered_kernels[loop.name].ii >= result.ideal_kernels[loop.name].ii
@@ -62,7 +62,7 @@ class TestCompileMixed:
         partition puts the cross-reference in one consistent bank."""
         mixed, loop, f4 = build_mixed()
         m = paper_machine(2, CopyModel.EMBEDDED)
-        result = compile_mixed(mixed, m)
+        result = compile_function(mixed.function, m, loops=mixed.loops)
         bank = result.partition.bank_of(f4)
         # the loop's fadd was pinned to f4's bank
         ploop = result.partitioned_loops[loop.name]
@@ -72,7 +72,7 @@ class TestCompileMixed:
     def test_rcg_mixes_kernel_and_block_evidence(self):
         mixed, loop, f4 = build_mixed()
         m = paper_machine(2, CopyModel.EMBEDDED)
-        result = compile_mixed(mixed, m)
+        result = compile_function(mixed.function, m, loops=mixed.loops)
         # loop registers and block registers are in one graph
         names = {r.name for r in result.rcg.nodes()}
         assert "f3" in names and "r2" in names and "f9" in names
@@ -80,7 +80,7 @@ class TestCompileMixed:
     def test_degradation_metrics(self):
         mixed, _loop, _f4 = build_mixed()
         m = paper_machine(4, CopyModel.EMBEDDED)
-        result = compile_mixed(mixed, m)
+        result = compile_function(mixed.function, m, loops=mixed.loops)
         assert result.loop_degradation_pct() >= 0
         # kernel dominates at trips=100; figure must be finite and sane
         w = result.weighted_degradation_pct()
@@ -94,7 +94,7 @@ class TestCompileMixed:
         fn.add_block(b.build_block(depth=0))
         mixed = MixedFunction(name="flat", function=fn, loops=[])
         m = paper_machine(2, CopyModel.EMBEDDED)
-        result = compile_mixed(mixed, m)
+        result = compile_function(mixed.function, m, loops=mixed.loops)
         assert result.loop_degradation_pct() == 0.0
         assert result.clustered_blocks
 
@@ -110,4 +110,6 @@ def test_duplicate_loop_names_are_rejected():
     mixed, _loop, _f4 = build_mixed()
     mixed.loops = [hot_loop(), hot_loop()]
     with pytest.raises(ValueError, match="duplicate loop name 'hot'"):
-        compile_mixed(mixed, paper_machine(2, CopyModel.EMBEDDED))
+        compile_function(
+            mixed.function, paper_machine(2, CopyModel.EMBEDDED), loops=mixed.loops
+        )

@@ -12,8 +12,10 @@ golden oracle in ``tests/golden.py``; these tests drive both over hundreds of se
 shapes, precolored nodes, copy ops, eviction sequences included — and
 assert *value identity*, not approximate agreement, because the
 evaluation tables must be byte-stable across the rewrite.  The reference
-modulo reservation table reaches the schedulers by monkeypatching their
-``ModuloReservationTable`` name.
+modulo reservation table reaches Swing by monkeypatching its
+``ModuloReservationTable`` name, and IMS by replacing
+``ModuloScheduler._try_ii`` with the golden op-keyed attempt
+(``golden.use_reference_mrt``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.ddg.analysis import (
 )
 from repro.ddg.dependence import DepKind, Dependence
 from repro.ddg.graph import DDG
-from repro.ir.operations import Opcode, Operation
+from repro.ir.operations import Opcode, Operation, make_copy
 from repro.ir.registers import RegisterFactory
 from repro.ir.types import DataType
 from tests.golden import (
@@ -47,6 +49,7 @@ from tests.golden import (
     _reference_recurrence_ii,
     ddg_rows,
     rebuilt_ddg_rows,
+    reference_try_ii,
     use_reference_mrt,
 )
 
@@ -57,11 +60,12 @@ RCG_SEEDS = range(120)
 # ----------------------------------------------------------------------
 # generators
 # ----------------------------------------------------------------------
-def random_ddg(seed: int) -> DDG:
+def random_ddg(seed: int, copy_frac: float = 0.0) -> DDG:
     """A random cyclic DDG: forward distance-0 edges (so the distance-0
     subgraph stays acyclic, as every real loop body's does), backward and
     self edges at distance >= 1 (creating anything from none to several
-    overlapping recurrences / a large multi-node SCC)."""
+    overlapping recurrences / a large multi-node SCC).  About
+    ``copy_frac`` of the ops are copies."""
     rng = random.Random(seed)
     factory = RegisterFactory()
     n = rng.randint(2, 24)
@@ -69,7 +73,10 @@ def random_ddg(seed: int) -> DDG:
     for _ in range(n):
         dest = factory.new(DataType.INT)
         src = factory.new(DataType.INT)
-        ops.append(Operation(opcode=Opcode.ADD, dest=dest, sources=(src, src)))
+        if copy_frac and rng.random() < copy_frac:
+            ops.append(make_copy(dest, src))
+        else:
+            ops.append(Operation(opcode=Opcode.ADD, dest=dest, sources=(src, src)))
     ddg = DDG(ops=list(ops))
 
     n_forward = rng.randint(0, 2 * n)
@@ -297,7 +304,6 @@ def test_connected_components_match_naive(seed):
 # ----------------------------------------------------------------------
 # modulo reservation table vs the golden table
 # ----------------------------------------------------------------------
-from repro.ir.operations import make_copy  # noqa: E402
 from repro.machine.machine import CopyModel  # noqa: E402
 from repro.machine.presets import ideal_machine, paper_machine  # noqa: E402
 from repro.sched.resources import ModuloReservationTable  # noqa: E402
@@ -421,10 +427,12 @@ def test_mrt_backend_error_parity(backend):
 
 
 # ----------------------------------------------------------------------
-# scheduler parity with the golden table injected
+# scheduler parity with the golden attempt and table injected
 # ----------------------------------------------------------------------
 def _with_each_table(monkeypatch, run):
-    """``[run() with the shipped table, run() with the golden table]``."""
+    """``[run() shipped, run() with the golden table]``: the second run
+    sends IMS attempts through the golden attempt on the golden table
+    and makes Swing build the golden table."""
     results = [run()]
     with monkeypatch.context() as m:
         use_reference_mrt(m)
@@ -432,51 +440,70 @@ def _with_each_table(monkeypatch, run):
     return results
 
 
+def _scheduled(result):
+    """An attempt's (times, evictions) with ``times`` as its item list,
+    so dict order (final placement order) is compared too."""
+    times, evictions = result
+    return (None if times is None else list(times.items())), evictions
+
+
 @pytest.mark.parametrize("seed", range(30))
-def test_scheduler_attempts_identical_across_backends(seed, monkeypatch):
-    """One ``_try_ii`` attempt (the whole placement/eviction engine) must
-    produce the identical times table and eviction count with either
-    table, for random DDGs on both the ideal and a clustered machine."""
-    from repro.sched.modulo.scheduler import ModuloScheduler
+def test_scheduler_attempts_identical_across_backends(seed):
+    """One ``_try_ii`` attempt (the whole placement/eviction engine on op
+    positions and demand words) must produce the identical times, in the
+    same order, and the same eviction count as the golden op-keyed attempt
+    on either table, for random DDGs on the ideal machine and 4x4 embedded
+    and copy-unit machines with copies in the op mix."""
+    from repro.sched.modulo.scheduler import DEFAULT_BUDGET_RATIO, ModuloScheduler
+    from repro.sched.resources import demand_words
 
-    ddg = random_ddg(seed)
     rng = random.Random(seed + 1000)
-    if seed % 2:
-        machine = paper_machine(4, CopyModel.EMBEDDED)
-        for op in ddg.ops:
-            op.cluster = rng.randrange(4)
-    else:
-        machine = ideal_machine(width=rng.choice((1, 2)))
+    for shape in ("ideal", "embedded", "copy_unit"):
+        if shape == "ideal":
+            ddg = random_ddg(seed)
+            machine = ideal_machine(width=rng.choice((1, 2)))
+        else:
+            ddg = random_ddg(seed, copy_frac=0.3)
+            machine = paper_machine(4, CopyModel(shape))
+            for op in ddg.ops:
+                op.cluster = rng.randrange(4)
 
-    rec = recurrence_ii(ddg)
-    for ii in (rec, rec + 2, rec + 5):
-        def attempt():
-            sched = ModuloScheduler(machine)
-            sched._demand_cache = {}
-            return sched._try_ii(ddg, ii)
-
-        results = _with_each_table(monkeypatch, attempt)
-        assert all(r == results[0] for r in results[1:]), (seed, ii, results)
+        words = demand_words(ddg.ops, machine)
+        rec = recurrence_ii(ddg)
+        for ii in (rec, rec + 2, rec + 5):
+            attempt = _scheduled(ModuloScheduler(machine)._try_ii(ddg, ii, words))
+            for table in MRT_TABLES.values():
+                golden = reference_try_ii(ddg, machine, ii, DEFAULT_BUDGET_RATIO, table)
+                assert _scheduled(golden) == attempt, (seed, shape, ii, table)
 
 
 def test_corpus_schedules_identical_across_backends(monkeypatch):
-    """End-to-end: modulo-schedule real corpus loops with either table,
-    under both IMS and Swing, and require identical II and issue times."""
+    """End-to-end: modulo-schedule real corpus loops with the shipped
+    attempt, the golden attempt on the shipped table and the golden
+    attempt on the golden table (Swing: either table), and require
+    identical II and issue times in the same order."""
     from repro.ddg.builder import build_loop_ddg
-    from repro.sched.modulo.scheduler import modulo_schedule
+    from repro.sched.modulo.scheduler import ModuloScheduler, modulo_schedule
     from repro.sched.modulo.swing import swing_modulo_schedule
     from repro.workloads.corpus import spec95_corpus
+
+    def golden_on_shipped_table(self, ddg, ii, words):
+        return reference_try_ii(ddg, self.machine, ii, self.budget_ratio)
 
     machine = ideal_machine()
     for loop in spec95_corpus(n=10):
         ddg = build_loop_ddg(loop)
         for schedule in (modulo_schedule, swing_modulo_schedule):
-            kernels = _with_each_table(
-                monkeypatch, lambda: schedule(loop, ddg, machine)
-            )
+            def run():
+                return schedule(loop, ddg, machine)
+
+            kernels = _with_each_table(monkeypatch, run)
+            with monkeypatch.context() as m:
+                m.setattr(ModuloScheduler, "_try_ii", golden_on_shipped_table)
+                kernels.append(run())
             for k in kernels[1:]:
                 assert k.ii == kernels[0].ii
-                assert k.times == kernels[0].times
+                assert list(k.times.items()) == list(kernels[0].times.items())
 
 
 def test_evaluation_report_identical_with_reference_mrt(monkeypatch):

@@ -98,6 +98,29 @@ def test_metrics_to_dict_equals_asdict():
         assert list(m.to_dict().items()) == list(dataclasses.asdict(m).items())
 
 
+def test_metrics_from_dict_inverts_to_dict():
+    """The warm path's ``from_dict`` rebuilds an equal, still frozen
+    record from a JSON round trip, and rejects a missing or an extra
+    field as the dataclass constructor would."""
+    from repro.core.results import LoopMetrics
+    from repro.evalx.runner import run_evaluation
+
+    run = run_evaluation(spec95_corpus(n=2), config=CONFIG)
+    for m in (m for metrics in run.per_config.values() for m in metrics):
+        doc = json.loads(json.dumps(m.to_dict(), sort_keys=True))
+        back = LoopMetrics.from_dict(doc)
+        assert back == LoopMetrics(**doc) == m
+        assert list(back.to_dict().items()) == list(m.to_dict().items())
+        assert repr(back) == repr(m)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.n_ops = 0
+        for bad in ({k: v for k, v in doc.items() if k != "n_ops"}, {**doc, "extra": 1}):
+            with pytest.raises(TypeError):
+                LoopMetrics.from_dict(bad)
+    with pytest.raises(TypeError):
+        LoopMetrics.from_dict(["n_ops"])
+
+
 # ----------------------------------------------------------------------
 # Entry wire format
 # ----------------------------------------------------------------------
@@ -182,6 +205,32 @@ def test_corrupt_entries_raise(compiled, machine):
     # not an entry at all
     with pytest.raises(StoreEntryError):
         StoreEntry.from_bytes(b'{"some": "json"}\n{}\n{}\n')
+
+
+def test_keyed_decode_matches_full_parse(compiled, machine):
+    """Given its key, ``from_bytes`` compares the header bytes instead of
+    parsing them yet decodes the same entry, and still rejects a foreign
+    key, another magic or schema and either checksum."""
+    loop, result = compiled
+    key = store_key(loop, machine, CONFIG)
+    raw = StoreEntry.from_result(key, result).to_bytes()
+    full, keyed = StoreEntry.from_bytes(raw), StoreEntry.from_bytes(raw, key)
+    assert (keyed.digest, keyed.key_json, keyed.meta, keyed.to_bytes()) == (
+        full.digest, full.key_json, full.meta, full.to_bytes()
+    )
+
+    other = store_key(loop, paper_machine(2, CopyModel.COPY_UNIT), CONFIG)
+    with pytest.raises(StoreEntryError, match="does not match the key"):
+        StoreEntry.from_bytes(raw, other)
+    lines = raw.split(b"\n")
+    for old, new in ((b'"magic":"repro-store"', b'"magic":"other"'),
+                     (b'"schema":%d' % SCHEMA_VERSION, b'"schema":0'),
+                     (b'"meta_sha256":"', b'"meta_sha256":"0'),
+                     (b'"payload_sha256":"', b'"payload_sha256":"0')):
+        bad = b"\n".join([lines[0].replace(old, new)] + lines[1:])
+        assert bad != raw
+        with pytest.raises(StoreEntryError):
+            StoreEntry.from_bytes(bad, key)
 
 
 # ----------------------------------------------------------------------

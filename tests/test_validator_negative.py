@@ -15,11 +15,16 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.ddg.builder import build_block_ddg, build_loop_ddg
+from repro.ir.block import BasicBlock, Loop
 from repro.ir.builder import LoopBuilder
+from repro.ir.operations import Opcode, Operation, make_copy
+from repro.ir.registers import RegisterFactory
+from repro.ir.types import DataType
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.modulo.scheduler import modulo_schedule
+from repro.sched.resources import demand_words, op_resource_demand, resource_geometry
 from repro.sched.schedule import KernelSchedule, LinearSchedule
 from repro.sched.validate import (
     ScheduleValidationError,
@@ -130,6 +135,88 @@ class TestResourceMutations:
         loop.ops[0].cluster = None
         with pytest.raises(ScheduleValidationError, match="without cluster"):
             validate_kernel_schedule(ks, ddg)
+
+
+def copy_kernel(machine, clusters):
+    """A loop of independent copies, one into each of ``clusters``, all
+    issued in the one row of a kernel at II 1."""
+    f = RegisterFactory()
+    ops, live_in = [], set()
+    for i, cluster in enumerate(clusters):
+        src = f.new(DataType.INT, name=f"s{i}")
+        live_in.add(src)
+        ops.append(make_copy(f.new(DataType.INT, name=f"d{i}"), src, cluster=cluster))
+    loop = Loop(name="copies", body=BasicBlock("b", ops), factory=f, live_in=live_in)
+    ks = KernelSchedule(machine=machine, loop=loop, ii=1,
+                        times={op.op_id: 0 for op in ops})
+    return ks, build_loop_ddg(loop, machine.latencies)
+
+
+class TestCopyUnitResources:
+    def test_copy_port_oversubscription_is_caught(self):
+        m = paper_machine(2, CopyModel.COPY_UNIT)  # 1 port per cluster, 2 buses
+        validate_kernel_schedule(*copy_kernel(m, [0, 1]))
+        with pytest.raises(ScheduleValidationError, match="over-subscription in kernel row 0"):
+            validate_kernel_schedule(*copy_kernel(m, [0, 0]))
+
+    def test_bus_oversubscription_is_caught(self):
+        m = paper_machine(4, CopyModel.COPY_UNIT, n_buses=2)  # 2 ports per cluster
+        validate_kernel_schedule(*copy_kernel(m, [0, 1]))
+        with pytest.raises(ScheduleValidationError, match="over-subscription in kernel row 0"):
+            validate_kernel_schedule(*copy_kernel(m, [0, 1, 2]))
+
+    def test_cluster_out_of_range_is_rejected(self):
+        m = paper_machine(2, CopyModel.COPY_UNIT)
+        ks, ddg = copy_kernel(m, [0, 1])
+        ks.loop.ops[1].cluster = m.n_clusters
+        with pytest.raises(ValueError, match="cluster 2 out of range"):
+            validate_kernel_schedule(ks, ddg)
+        with pytest.raises(ValueError, match="cluster 2 out of range"):
+            modulo_schedule(ks.loop, ddg, m)
+        with pytest.raises(ValueError, match="cluster 2 out of range"):
+            demand_words(ks.loop.ops, m)
+        # the unclustered ideal machine has one pool set: a cluster tag
+        # past it is a geometry error, not a machine one
+        with pytest.raises(IndexError, match="cluster 2 out of range for 1-pool"):
+            demand_words(ks.loop.ops, ideal_machine())
+
+
+def golden_word(demand, n_clusters):
+    """The packed word of a golden :class:`ResourceDemand`: pools laid out
+    ``[fu_0..fu_{C-1}, copy_0..copy_{C-1}, bus]``, 8 bits each."""
+    word = 0
+    if demand.fu_cluster is not None:
+        word |= 1 << (8 * demand.fu_cluster)
+    if demand.copy_cluster is not None:
+        word |= 1 << (8 * (n_clusters + demand.copy_cluster))
+    if demand.bus:
+        word |= 1 << (8 * 2 * n_clusters)
+    return word
+
+
+@pytest.mark.parametrize("machine", [
+    ideal_machine(),
+    *(paper_machine(n, model) for n in (2, 4, 8)
+      for model in (CopyModel.EMBEDDED, CopyModel.COPY_UNIT)),
+], ids=lambda m: m.describe())
+def test_demand_words_match_per_op_words_and_golden_demands(machine):
+    """``demand_words`` agrees with the per-op ``demand_word`` and with the
+    golden ``op_resource_demand`` mapping, for ALU ops and copies in
+    every cluster (and without a cluster, which draws from cluster 0)."""
+    f = RegisterFactory()
+    clusters = range(machine.n_clusters) if machine.is_clustered else [None]
+    ops = []
+    for cluster in [*clusters, None]:
+        a, b = f.new(DataType.INT), f.new(DataType.INT)
+        alu = Operation(opcode=Opcode.ADD, dest=a, sources=(b, b))
+        alu.cluster = cluster
+        ops += [alu, make_copy(f.new(DataType.FLOAT), f.new(DataType.FLOAT),
+                               cluster=cluster)]
+    geom = resource_geometry(machine)
+    words = demand_words(ops, machine)
+    assert words == [geom.demand_word(op, machine) for op in ops]
+    assert words == [golden_word(op_resource_demand(op, machine), machine.n_clusters)
+                     for op in ops]
 
 
 class TestRandomizedMutations:
