@@ -41,14 +41,19 @@ if TYPE_CHECKING:  # pragma: no cover
 # ----------------------------------------------------------------------
 # Resource bound
 # ----------------------------------------------------------------------
-def resource_ii(ddg: DDG, machine: MachineDescription) -> int:
+def resource_ii(
+    ddg: DDG, machine: MachineDescription, words: list[int] | None = None
+) -> int:
     """Minimum II imposed by issue resources.
 
     For the monolithic machine (and for clustered machines before
     operations are pinned) every operation competes for the machine's
     ``width`` slots.  Once operations carry cluster assignments, demand is
     counted per cluster, and copies are charged to FU slots (embedded
-    model) or to copy ports and buses (copy-unit model).
+    model) or to copy ports and buses (copy-unit model): a count of the
+    body's demand words (:func:`repro.sched.resources.demand_words`,
+    which validates every cluster; a caller that has them passes
+    ``words``).
     """
     if len(ddg) == 0:
         return 1
@@ -71,31 +76,24 @@ def resource_ii(ddg: DDG, machine: MachineDescription) -> int:
     if hit is not None:
         return hit
 
-    unassigned = sum(1 for op in ddg.ops if op.cluster is None)
-    if unassigned == len(ddg.ops) or not machine.is_clustered:
+    if not machine.is_clustered or all(op.cluster is None for op in ddg.ops):
         result = max(1, math.ceil(len(ddg.ops) / machine.width))
         memo[machine_key] = result
         return result
 
-    fu_demand = [0] * machine.n_clusters
-    copy_port_demand = [0] * machine.n_clusters
-    total_copies = 0
-    for op in ddg.ops:
-        cluster = op.cluster if op.cluster is not None else 0
-        machine.validate_cluster(cluster)
-        if op.is_copy and machine.copy_model is CopyModel.COPY_UNIT:
-            copy_port_demand[cluster] += 1
-            total_copies += 1
-        else:
-            fu_demand[cluster] += 1
+    from repro.sched.resources import resource_geometry  # sched imports ddg
 
+    geom = resource_geometry(machine)
+    if words is None:
+        words = geom.demand_words(ddg.ops, machine)
+    fu_demand, copy_port_demand = geom.pool_demand(words)
     bounds = [math.ceil(d / machine.fus_per_cluster) for d in fu_demand]
     if machine.copy_model is CopyModel.COPY_UNIT:
         bounds.extend(
             math.ceil(d / machine.copy_ports_per_cluster) for d in copy_port_demand
         )
         if machine.n_buses:
-            bounds.append(math.ceil(total_copies / machine.n_buses))
+            bounds.append(math.ceil(sum(copy_port_demand) / machine.n_buses))
     result = max(1, *bounds)
     memo[machine_key] = result
     return result

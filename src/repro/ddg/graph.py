@@ -11,14 +11,14 @@ and cached per graph version (a counter every mutation bumps):
   the schedule validator read;
 * the :class:`~repro.ddg.dependence.Dependence` lists behind
   :meth:`DDG.successors`, :meth:`DDG.predecessors` and :meth:`DDG.edges`,
-  built only for the consumers that ask for edge objects (register
-  allocation, Swing, the simulator and the check oracles).
+  built only for the consumers that ask for edge objects (Swing, the
+  list scheduler, the simulator and the check oracles).
 
-Without register allocation no graph of the paper grid builds one: the
-source DDG is scheduled, weighted into the RCG (its slack comes from the
-index) and measured, and the partitioned DDG derived by
-:func:`repro.ddg.builder.derive_partitioned_ddg` is scheduled, validated
-and measured, all from the int rows.  The coalescing map behind
+No graph of the paper grid builds one: the source DDG is scheduled,
+weighted into the RCG (its slack comes from the index) and measured, and
+the partitioned DDG derived by
+:func:`repro.ddg.builder.derive_partitioned_ddg` is scheduled, validated,
+measured and register-allocated, all from the int rows.  The coalescing map behind
 :meth:`DDG.add_row` is dropped once a builder is done and rebuilt only
 if an edge is added later.
 """

@@ -231,16 +231,6 @@ class Operation:
         yield from self.defined()
         yield from self.used()
 
-    def with_sources(self, sources: tuple[Operand, ...]) -> "Operation":
-        """A copy of this op with substituted sources and a fresh identity."""
-        return Operation(
-            opcode=self.opcode,
-            dest=self.dest,
-            sources=sources,
-            mem=self.mem,
-            cluster=self.cluster,
-        )
-
     def clone(self) -> "Operation":
         """A structural copy with a fresh ``op_id``."""
         return Operation(

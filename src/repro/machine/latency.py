@@ -71,7 +71,9 @@ class LatencyTable:
         return self.table[opclass]
 
     def of(self, op: Operation) -> int:
-        return self._by_opcode[op.opcode.value]
+        # ``_value_`` is the member's plain attribute; ``.value`` goes
+        # through a Python-level enum descriptor
+        return self._by_opcode[op.opcode._value_]
 
     def replaced(self, **overrides: int) -> "LatencyTable":
         """A copy with classes (named by their ``value``) overridden."""

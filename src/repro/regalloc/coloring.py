@@ -85,14 +85,15 @@ def chaitin_briggs_color(
         if d < k:
             below_k |= 1 << i
     costs: list[float] | None = None
-    stack: list[tuple[int, bool]] = []  # (index, was_optimistic)
+    stack: list[int] = []
+    optimistic_picks = 0  # bitset of the nodes pushed optimistically
 
     while remaining:
         candidates = remaining & below_k
         if candidates == remaining:
             # degrees only fall, so every later pick is the lowest
             # remaining node and no degree needs tracking any more
-            stack.extend((j, False) for j in set_bits(remaining))
+            stack.extend(set_bits(remaining))
             break
         optimistic = not candidates
         if optimistic:
@@ -117,23 +118,39 @@ def chaitin_briggs_color(
             degrees[j] -= 1
             if degrees[j] == k - 1:
                 below_k |= 1 << j
-        stack.append((pick, optimistic))
+        stack.append(pick)
+        if optimistic:
+            optimistic_picks |= 1 << pick
 
     result = ColoringResult(k=k)
-    classes = [0] * k  # color -> bitset of nodes holding it
+    # Colours open lowest first and never empty, so a colour in use is
+    # free for a node iff its class holds only non-neighbours: only the
+    # classes of coloured non-neighbours are probed (few, as MVE graphs
+    # are dense), and failing those the node opens the next colour.
+    classes: list[int] = []  # color -> bitset of nodes holding it
+    color_of = [0] * len(nodes)
     colored = 0
-    for i, optimistic in reversed(stack):
+    for i in reversed(stack):
         blocked = adj[i] & colored
-        for color in range(k):
-            if not classes[color] & blocked:
-                break
-        else:
+        color = len(classes)
+        probe = colored & ~blocked
+        while probe:
+            c = color_of[(probe & -probe).bit_length() - 1]
+            members = classes[c]
+            if c < color and not members & blocked:
+                color = c
+            probe &= ~members
+        if color == k:
             result.spilled.append(nodes[i])
             continue
         bit = 1 << i
-        classes[color] |= bit
+        if color == len(classes):
+            classes.append(bit)
+        else:
+            classes[color] |= bit
         colored |= bit
+        color_of[i] = color
         result.colors[nodes[i]] = color
-        if optimistic:
+        if optimistic_picks & bit:
             result.optimistic_saves += 1
     return result

@@ -22,20 +22,23 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.ddg.graph import DDG
 from repro.ir.registers import SymbolicRegister
 from repro.sched.schedule import KernelSchedule
 
 
-@dataclass(frozen=True)
-class LiveRange:
+class LiveRange(NamedTuple):
     """Flat-schedule live range of one virtual register.
 
     ``start`` is the defining op's issue cycle; ``lifetime`` the number of
     cycles the value must be preserved (at least 1).  ``invariant`` marks
     loop-invariant live-ins, which occupy a register for the entire loop
     and are excluded from MVE replication (their instance never changes).
+    An immutable tuple: every register-allocated cell builds one per
+    register.
     """
 
     reg: SymbolicRegister
@@ -119,49 +122,53 @@ class CyclicLiveness:
 def cyclic_liveness(kernel: KernelSchedule, ddg: DDG) -> CyclicLiveness:
     """Compute live ranges from a kernel schedule and its DDG.
 
-    Uses flow-edge distances to push last-use times across iterations.
-    A register that is live-out keeps its value until the end of the flat
-    schedule of its own iteration (the postlude consumes it).
+    Reads the DDG's int edge rows and per-position issue times and
+    latencies (``ddg.ops`` is the kernel loop's body, in order): a row
+    whose register is its source's destination extends that definition's
+    last use to ``t[dst] + II * distance``.  A register that is live-out
+    keeps its value until the end of the flat schedule of its own
+    iteration (the postlude consumes it).  Live-ins are visited in rid
+    order, so the ranges come out in the same order in every process.
     """
     loop = kernel.loop
     ii = kernel.ii
-    flat_length = kernel.flat_length
-    ranges: dict[int, LiveRange] = {}
+    ops = ddg.ops
+    times = kernel.times
+    latency = kernel.machine.latencies.of
+    t = [times[op.op_id] for op in ops]
+    # a dead def still owns its slot until its result is written
+    last = [ti + latency(op) for ti, op in zip(t, ops)]
+    flat_length = max(last)
+    dests = [op.dest for op in ops]
+    dest_rid = [-1 if reg is None else reg.rid for reg in dests]
+    for s, d, _kind, _delay, distance, reg in ddg.rows:
+        if reg is not None and reg.rid == dest_rid[s]:
+            end = t[d] + ii * distance
+            if end > last[s]:
+                last[s] = end
 
     use_counts: dict[int, int] = {}
-    for op in loop.ops:
-        for r in op.used():
-            use_counts[r.rid] = use_counts.get(r.rid, 0) + 1
+    for op in ops:
+        for src in op.sources:
+            if isinstance(src, SymbolicRegister):
+                use_counts[src.rid] = use_counts.get(src.rid, 0) + 1
 
     # defined-in-body registers: start at def issue, end at last use
-    for op in loop.ops:
-        if op.dest is None:
+    ranges: dict[int, LiveRange] = {}
+    live_out = {reg.rid for reg in loop.live_out}
+    for reg, t_def, end in zip(dests, t, last):
+        if reg is None:
             continue
-        reg = op.dest
-        t_def = kernel.time_of(op)
-        last = t_def + kernel.machine.latency(op)  # a dead def still owns its slot
-        for dep in ddg.successors(op):
-            if dep.reg is not None and dep.reg.rid == reg.rid:
-                last = max(last, kernel.time_of(dep.dst) + ii * dep.distance)
-        if reg in loop.live_out:
-            last = max(last, flat_length)
+        if end < flat_length and reg.rid in live_out:
+            end = flat_length
         ranges[reg.rid] = LiveRange(
-            reg=reg,
-            start=t_def,
-            lifetime=max(1, last - t_def),
-            invariant=False,
-            n_uses=use_counts.get(reg.rid, 0),
+            reg, t_def, max(1, end - t_def), False, use_counts.get(reg.rid, 0)
         )
 
     # live-ins with no body definition: loop-invariant, live throughout
-    for reg in loop.live_in:
-        if reg.rid in ranges:
-            continue
-        ranges[reg.rid] = LiveRange(
-            reg=reg,
-            start=0,
-            lifetime=flat_length,
-            invariant=True,
-            n_uses=use_counts.get(reg.rid, 0),
-        )
+    for reg in sorted(loop.live_in, key=attrgetter("rid")):
+        if reg.rid not in ranges:
+            ranges[reg.rid] = LiveRange(
+                reg, 0, flat_length, True, use_counts.get(reg.rid, 0)
+            )
     return CyclicLiveness(ii=ii, ranges=ranges)

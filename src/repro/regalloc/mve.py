@@ -17,8 +17,9 @@ of the unroll factor** (e.g. a 4-name value inside a 6-unrolled kernel
 gets 6 names) — otherwise iteration ``unroll`` would reuse name
 ``unroll mod q_v`` while restarting the timeline at name 0.
 
-The plan is arithmetic only: the unroll factor, the replica counts and
-each live range's ``(rid, start, lifetime)``.  Interference construction
+The plan is arithmetic only: the unroll factor and, per live range in
+ascending rid order, its rid, start, lifetime, replica count and
+invariant flag, as parallel lists.  Interference construction
 (:mod:`repro.regalloc.interference`) derives every name's occupancy mask
 and every bank's pressure from them without expanding the per-iteration
 windows; no IR is rewritten — physical assignment happens directly on
@@ -30,7 +31,6 @@ unrolled timeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.regalloc.liveness import CyclicLiveness
@@ -38,60 +38,53 @@ from repro.regalloc.liveness import CyclicLiveness
 
 @dataclass
 class MVEPlan:
-    """The unroll factor, per-value replica counts and live ranges."""
+    """The unroll factor and the live ranges, one list entry per range in
+    ascending rid order (so each bank's names come out sorted)."""
 
     ii: int
     unroll: int
-    replicas: dict[int, int]            # rid -> q_v (1 for invariants)
-    invariant_rids: set[int]
-    #: (rid, start, lifetime) of every live range, in liveness order
-    ranges: list[tuple[int, int, int]]
+    rids: list[int]
+    starts: list[int]
+    lifetimes: list[int]
+    #: q_v of each range: names used round-robin (1 for invariants)
+    replicas: list[int]
+    invariant: list[bool]
 
     @property
     def timeline(self) -> int:
         """Length of the cyclic interference timeline (= unroll * II)."""
         return self.unroll * self.ii
 
-    def names(self) -> list[tuple[int, int]]:
-        """All (rid, replica) names needing a physical register."""
-        out: list[tuple[int, int]] = []
-        for rid in sorted(self.replicas):
-            for q in range(self.replicas[rid]):
-                out.append((rid, q))
-        return out
-
 
 def plan_mve(liveness: CyclicLiveness) -> MVEPlan:
-    """Build the MVE plan from cyclic live ranges."""
+    """Build the MVE plan from cyclic live ranges (every non-invariant
+    range must span at least one cycle, so each name's mask is
+    non-empty)."""
     ii = liveness.ii
-    replicas: dict[int, int] = {}
-    invariant_rids: set[int] = set()
-    ranges: list[tuple[int, int, int]] = []
+    ranges = liveness.ranges
+    rids = sorted(ranges)
+    starts: list[int] = []
+    lifetimes: list[int] = []
+    replicas: list[int] = []
+    invariant: list[bool] = []
     unroll = 1
-    for lr in liveness:
-        rid = lr.reg.rid
-        ranges.append((rid, lr.start, lr.lifetime))
-        if lr.invariant:
-            replicas[rid] = 1
-            invariant_rids.add(rid)
-            continue
-        q = max(1, math.ceil(lr.lifetime / ii))
-        replicas[rid] = q
-        unroll = max(unroll, q)
+    for rid in rids:
+        lr = ranges[rid]
+        if lr.lifetime < 1 and not lr.invariant:
+            raise ValueError(f"live range of {lr.reg} has no cycles")
+        starts.append(lr.start)
+        lifetimes.append(lr.lifetime)
+        invariant.append(lr.invariant)
+        q = 1 if lr.invariant else -(-lr.lifetime // ii)
+        replicas.append(q)
+        if q > unroll:
+            unroll = q
 
     # round every replica count up to a divisor of the unroll factor so
     # the per-iteration round-robin is consistent across the wraparound
-    for rid, q in replicas.items():
-        if rid in invariant_rids:
-            continue
-        while unroll % q != 0:
+    for i, q in enumerate(replicas):
+        while unroll % q:
             q += 1
-        replicas[rid] = q
+        replicas[i] = q
 
-    return MVEPlan(
-        ii=ii,
-        unroll=unroll,
-        replicas=replicas,
-        invariant_rids=invariant_rids,
-        ranges=ranges,
-    )
+    return MVEPlan(ii, unroll, rids, starts, lifetimes, replicas, invariant)

@@ -67,7 +67,7 @@ class ModuloScheduler:
         if len(ddg.ops) == 0:
             raise ValueError("cannot pipeline an empty loop")
         words = demand_words(ddg.ops, self.machine)
-        res_ii = resource_ii(ddg, self.machine)
+        res_ii = resource_ii(ddg, self.machine, words)
         rec_ii = recurrence_ii(ddg)
         start_ii = max(res_ii, rec_ii)
         cap = self.max_ii

@@ -34,6 +34,7 @@ scheduling; the acyclic :class:`ReservationTable` keeps plain
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.ir.operations import Operation
@@ -149,6 +150,16 @@ class ResourceGeometry:
                 copy_words[cluster] if copy_unit and op.is_copy else fu_words[cluster]
             )
         return words
+
+    def pool_demand(self, words: list[int]) -> tuple[list[int], list[int]]:
+        """Per-cluster FU and copy-port demand of a body whose demand
+        words are ``words``: a count of each of the (at most 2 x clusters)
+        distinct words."""
+        counts = Counter(words)
+        return (
+            [counts[word] for word in self._fu_words],
+            [counts[word] for word in self._copy_words],
+        )
 
 
 #: geometry cache — machines are few and geometries depend only on shape
@@ -290,7 +301,7 @@ class ModuloReservationTable:
 
     __slots__ = (
         "machine", "ii", "geom", "_occ", "_bias", "_guard",
-        "_placed", "_row_ops", "_demands",
+        "_placed", "_demands",
     )
 
     def __init__(self, machine: MachineDescription, ii: int,
@@ -306,9 +317,6 @@ class ModuloReservationTable:
         self._occ = [0] * ii
         #: op_id -> (time, demand word)
         self._placed: dict[int, tuple[int, int]] = {}
-        #: per-row op_id -> demand word; insertion order mirrors placement
-        #: order, so eviction candidates come back oldest first
-        self._row_ops: list[dict[int, int]] = [dict() for _ in range(ii)]
         #: per-op demand-word memo, shareable across II retries (the word
         #: depends only on the op and the machine, never the II)
         self._demands: dict[int, int] = demands if demands is not None else {}
@@ -354,30 +362,9 @@ class ModuloReservationTable:
             raise ValueError("resource over-subscription")
         self._occ[row] += word
         self._placed[oid] = (time, word)
-        self._row_ops[row][oid] = word
 
     def remove(self, op: Operation) -> int:
         """Unplace ``op``; returns the time it had been scheduled at."""
         time, word = self._placed.pop(op.op_id)
-        row = time % self.ii
-        self._occ[row] -= word
-        del self._row_ops[row][op.op_id]
+        self._occ[time % self.ii] -= word
         return time
-
-    def is_placed(self, op: Operation) -> bool:
-        return op.op_id in self._placed
-
-    def time_of(self, op: Operation) -> int:
-        return self._placed[op.op_id][0]
-
-    def conflicting_ops(self, op: Operation, time: int) -> list[int]:
-        """Op-ids currently occupying a resource ``op`` needs in row
-        ``time mod II`` — candidates for eviction when placement is
-        forced.  Two demand words share a pool iff their AND is nonzero
-        (each carries single low bits in the pools it consumes)."""
-        word = self._demands.get(op.op_id)
-        if word is None:
-            word = self._demands[op.op_id] = self.geom.demand_word(op, self.machine)
-        return [
-            oid for oid, w in self._row_ops[time % self.ii].items() if w & word
-        ]

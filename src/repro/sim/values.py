@@ -14,7 +14,7 @@ import zlib
 
 from repro.ir.operations import Opcode, Operation
 from repro.ir.registers import SymbolicRegister
-from repro.ir.types import DataType, Immediate
+from repro.ir.types import DataType
 
 SPILL_PREFIX = "__spill_"
 
@@ -49,12 +49,6 @@ def seed_memory(array: str, index: int, as_float: bool) -> float | int:
     if as_float:
         return 1.0 + (h % 991) / 991.0
     return 1 + h % 7
-
-
-def operand_value(op_source, resolve_reg) -> float | int:
-    if isinstance(op_source, Immediate):
-        return int(op_source.value) if op_source.dtype is DataType.INT else float(op_source.value)
-    return resolve_reg(op_source)
 
 
 def evaluate(op: Operation, srcs: list[float | int]) -> float | int | None:

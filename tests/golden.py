@@ -8,12 +8,14 @@ them value for value.  Each oracle uses only public ``repro`` APIs,
 except :func:`ddg_rows`, which also reads the edge-key map it compares.
 
 ``ReferenceModuloReservationTable`` is the original dict-of-
-:class:`~repro.sched.resources.SlotPool` modulo reservation table, and
+:class:`~repro.sched.resources.SlotPool` modulo reservation table (with
+the eviction query the shipped table no longer has), and
 :func:`reference_try_ii` the original op-keyed iterative-scheduling
-attempt driven by a modulo reservation table.  :func:`use_reference_mrt`
-injects both: Swing builds the golden table, and
-``ModuloScheduler._try_ii`` becomes the golden attempt on the golden
-table.
+attempt driven by it.  :func:`use_reference_mrt` injects both: Swing
+builds the golden table, and ``ModuloScheduler._try_ii`` becomes the
+golden attempt on the golden table.  :func:`add_node` and
+:func:`add_edge` build interference graphs by hand, for the
+interference oracle and the colouring tests.
 
 The module name matches neither ``test_*.py`` nor ``bench_*.py``, so
 pytest does not collect it.
@@ -21,6 +23,7 @@ pytest does not collect it.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -34,18 +37,18 @@ from repro.ddg.analysis import longest_path_heights
 from repro.ddg.graph import DDG
 from repro.ir.operations import Operation
 from repro.ir.registers import SymbolicRegister
-from repro.machine.machine import MachineDescription
+from repro.machine.machine import CopyModel, MachineDescription
 from repro.regalloc.coloring import ColoringResult
 from repro.regalloc.interference import InterferenceGraph, Name
-from repro.regalloc.liveness import CyclicLiveness
+from repro.regalloc.liveness import CyclicLiveness, LiveRange
 from repro.regalloc.mve import MVEPlan
 from repro.sched.modulo.scheduler import ModuloScheduler
 from repro.sched.resources import (
-    ModuloReservationTable,
     ResourceDemand,
     SlotPool,
     op_resource_demand,
 )
+from repro.sched.schedule import KernelSchedule
 
 
 # ----------------------------------------------------------------------
@@ -118,12 +121,6 @@ class ReferenceModuloReservationTable:
         del self._row_ops[time % self.ii][op.op_id]
         return time
 
-    def is_placed(self, op: Operation) -> bool:
-        return op.op_id in self._placed
-
-    def time_of(self, op: Operation) -> int:
-        return self._placed[op.op_id][0]
-
     def conflicting_ops(self, op: Operation, time: int) -> list[int]:
         """Op-ids currently occupying the resource ``op`` needs in row
         ``time mod II`` — candidates for eviction when placement is forced.
@@ -148,11 +145,10 @@ def reference_try_ii(
     machine: MachineDescription,
     ii: int,
     budget_ratio: int,
-    table: type = ModuloReservationTable,
 ) -> tuple[dict[int, int] | None, int]:
     """One iterative-scheduling attempt at ``ii`` on ``Operation`` objects
-    and a modulo reservation table of class ``table``: the golden oracle
-    for :meth:`repro.sched.modulo.scheduler.ModuloScheduler._try_ii`.
+    and the golden modulo reservation table: the golden oracle for
+    :meth:`repro.sched.modulo.scheduler.ModuloScheduler._try_ii`.
     Returns (times in final placement order, evictions)."""
     evictions = 0
     try:
@@ -174,7 +170,7 @@ def reference_try_ii(
         for dst_oid, lag in succs[oid]:
             preds[dst_oid].append((oid, lag))
 
-    mrt = table(machine, ii)
+    mrt = ReferenceModuloReservationTable(machine, ii)
     times: dict[int, int] = {}
     prev_time: dict[int, int] = {}
     budget = budget_ratio * len(ops)
@@ -227,9 +223,7 @@ def reference_try_ii(
 def _reference_attempt(self, ddg: DDG, ii: int, words: list[int]):
     """``ModuloScheduler._try_ii`` replaced by the golden attempt on the
     golden table (the demand words are recomputed by the table)."""
-    return reference_try_ii(
-        ddg, self.machine, ii, self.budget_ratio, ReferenceModuloReservationTable
-    )
+    return reference_try_ii(ddg, self.machine, ii, self.budget_ratio)
 
 
 def use_reference_mrt(monkeypatch) -> None:
@@ -293,6 +287,39 @@ def rebuilt_ddg_rows(loop, latencies) -> dict[str, object]:
 # ----------------------------------------------------------------------
 # DDG analyses (repro.ddg.analysis)
 # ----------------------------------------------------------------------
+def _reference_resource_ii(ddg: DDG, machine: MachineDescription) -> int:
+    """The original per-op ResII count (no memo): one
+    ``machine.validate_cluster`` call and one copy classification per op.
+    The parity-test oracle for :func:`~repro.ddg.analysis.resource_ii`,
+    which counts the distinct demand words instead."""
+    if len(ddg) == 0:
+        return 1
+    unassigned = sum(1 for op in ddg.ops if op.cluster is None)
+    if unassigned == len(ddg.ops) or not machine.is_clustered:
+        return max(1, math.ceil(len(ddg.ops) / machine.width))
+
+    fu_demand = [0] * machine.n_clusters
+    copy_port_demand = [0] * machine.n_clusters
+    total_copies = 0
+    for op in ddg.ops:
+        cluster = op.cluster if op.cluster is not None else 0
+        machine.validate_cluster(cluster)
+        if op.is_copy and machine.copy_model is CopyModel.COPY_UNIT:
+            copy_port_demand[cluster] += 1
+            total_copies += 1
+        else:
+            fu_demand[cluster] += 1
+
+    bounds = [math.ceil(d / machine.fus_per_cluster) for d in fu_demand]
+    if machine.copy_model is CopyModel.COPY_UNIT:
+        bounds.extend(
+            math.ceil(d / machine.copy_ports_per_cluster) for d in copy_port_demand
+        )
+        if machine.n_buses:
+            bounds.append(math.ceil(total_copies / machine.n_buses))
+    return max(1, *bounds)
+
+
 def _has_positive_cycle(ddg: DDG, ii: int) -> bool:
     """Bellman-Ford-style longest-path relaxation on edge weights
     ``delay - ii * distance``; a relaxation still possible after |V|
@@ -497,6 +524,55 @@ def _reference_choose_best_bank(
 # ----------------------------------------------------------------------
 # Register allocation (repro.regalloc)
 # ----------------------------------------------------------------------
+def _reference_cyclic_liveness(kernel: KernelSchedule, ddg: DDG) -> CyclicLiveness:
+    """The original liveness walk over the DDG's ``Dependence`` objects:
+    per defining op, its successor edges carrying that register push the
+    last use to ``t(dst) + II * distance``.  The parity-test oracle for
+    :func:`~repro.regalloc.liveness.cyclic_liveness`, which reads the int
+    edge rows instead (identical ranges, in the same order: live-ins in
+    rid order)."""
+    loop = kernel.loop
+    ii = kernel.ii
+    flat_length = kernel.flat_length
+    ranges: dict[int, LiveRange] = {}
+
+    use_counts: dict[int, int] = {}
+    for op in loop.ops:
+        for r in op.used():
+            use_counts[r.rid] = use_counts.get(r.rid, 0) + 1
+
+    for op in loop.ops:
+        if op.dest is None:
+            continue
+        reg = op.dest
+        t_def = kernel.time_of(op)
+        last = t_def + kernel.machine.latency(op)  # a dead def still owns its slot
+        for dep in ddg.successors(op):
+            if dep.reg is not None and dep.reg.rid == reg.rid:
+                last = max(last, kernel.time_of(dep.dst) + ii * dep.distance)
+        if reg in loop.live_out:
+            last = max(last, flat_length)
+        ranges[reg.rid] = LiveRange(
+            reg=reg,
+            start=t_def,
+            lifetime=max(1, last - t_def),
+            invariant=False,
+            n_uses=use_counts.get(reg.rid, 0),
+        )
+
+    for reg in sorted(loop.live_in, key=lambda r: r.rid):
+        if reg.rid in ranges:
+            continue
+        ranges[reg.rid] = LiveRange(
+            reg=reg,
+            start=0,
+            lifetime=flat_length,
+            invariant=True,
+            n_uses=use_counts.get(reg.rid, 0),
+        )
+    return CyclicLiveness(ii=ii, ranges=ranges)
+
+
 @dataclass(frozen=True)
 class ReplicaWindow:
     """One cyclic occupancy window of one register name."""
@@ -513,11 +589,12 @@ def mve_windows(plan: MVEPlan) -> list[ReplicaWindow]:
     occupancy oracle behind :func:`_reference_build_interference`."""
     timeline = plan.timeline
     windows: list[ReplicaWindow] = []
-    for rid, lr_start, lifetime in plan.ranges:
-        if rid in plan.invariant_rids:
+    for rid, lr_start, lifetime, q, invariant in zip(
+        plan.rids, plan.starts, plan.lifetimes, plan.replicas, plan.invariant
+    ):
+        if invariant:
             windows.append(ReplicaWindow(rid=rid, replica=0, start=0, length=timeline))
             continue
-        q = plan.replicas[rid]
         # iteration j (0 <= j < unroll) writes name j mod q at cycle
         # (j * II + start) mod timeline for `lifetime` cycles
         for j in range(plan.unroll):
@@ -527,6 +604,30 @@ def mve_windows(plan: MVEPlan) -> list[ReplicaWindow]:
                 ReplicaWindow(rid=rid, replica=j % q, start=start, length=length)
             )
     return windows
+
+
+def add_node(graph: InterferenceGraph, name: Name) -> None:
+    """Insert ``name`` into a hand-built graph, keeping ``nodes`` sorted
+    (an open zero bit is spliced into every neighbour row)."""
+    if name in graph.index:
+        return
+    pos = bisect.bisect(graph.nodes, name)
+    graph.nodes.insert(pos, name)
+    low = (1 << pos) - 1
+    graph.adj = [(row & low) | ((row >> pos) << (pos + 1)) for row in graph.adj]
+    graph.adj.insert(pos, 0)
+    graph.index = {n: i for i, n in enumerate(graph.nodes)}
+
+
+def add_edge(graph: InterferenceGraph, a: Name, b: Name) -> None:
+    """Mark ``a`` and ``b`` as interfering, adding either if absent."""
+    if a == b:
+        return
+    add_node(graph, a)
+    add_node(graph, b)
+    ia, ib = graph.index[a], graph.index[b]
+    graph.adj[ia] |= 1 << ib
+    graph.adj[ib] |= 1 << ia
 
 
 def _reference_build_interference(
@@ -542,7 +643,7 @@ def _reference_build_interference(
         w for w in mve_windows(plan) if rids is None or w.rid in rids
     ]
     for w in windows:
-        graph.add_node((w.rid, w.replica))
+        add_node(graph, (w.rid, w.replica))
 
     timeline = plan.timeline
     live_at: list[set[Name]] = [set() for _ in range(timeline)]
@@ -558,7 +659,7 @@ def _reference_build_interference(
             if (a, b) in seen_pairs:
                 continue
             seen_pairs.add((a, b))
-            graph.add_edge(a, b)
+            add_edge(graph, a, b)
     graph.max_pressure = max_pressure
     return graph
 

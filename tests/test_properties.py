@@ -132,15 +132,16 @@ def test_mve_names_cover_lifetimes(loop):
     ks = modulo_schedule(loop, ddg, m)
     liv = cyclic_liveness(ks, ddg)
     plan = plan_mve(liv)
+    q_of = dict(zip(plan.rids, plan.replicas))
     for lr in liv:
         if lr.invariant:
             continue
-        assert plan.replicas[lr.reg.rid] >= math.ceil(lr.lifetime / ks.ii)
+        assert q_of[lr.reg.rid] >= math.ceil(lr.lifetime / ks.ii)
     from collections import defaultdict
 
     occupancy = defaultdict(lambda: [0] * plan.timeline)
     for w in mve_windows(plan):
-        if w.rid in plan.invariant_rids:
+        if w.rid in {r for r, inv in zip(plan.rids, plan.invariant) if inv}:
             continue
         for off in range(w.length):
             occupancy[(w.rid, w.replica)][(w.start + off) % plan.timeline] += 1

@@ -1,10 +1,13 @@
 """Parity of the bitset register-assignment layer with its oracles.
 
-``assign_banks`` sweeps the MVE plan once into per-bank bitset graphs
-and colours them on bitsets; the whole ``BankAssignments`` must equal
-the composition of the golden ``_reference_build_interference`` (one
-cycle sweep per bank) and ``_reference_chaitin_briggs_color`` (the
-set-based colourer) from ``tests/golden.py`` — every colour, every spill in order, not just the counts.
+``assign_banks`` reads liveness off the DDG's int rows, sweeps the MVE
+plan once into per-bank bitset graphs and colours them on bitsets; the
+whole ``BankAssignments`` must equal the composition of the golden
+``_reference_cyclic_liveness`` (the walk over ``Dependence`` objects),
+``_reference_build_interference`` (one cycle sweep per bank) and
+``_reference_chaitin_briggs_color`` (the set-based colourer) from
+``tests/golden.py`` — every colour, every spill in order, not just the
+counts.
 The paper's 64-register banks never spill, so the same machines with
 6, 10 and 16 registers per bank carry the optimistic and spill paths.
 Both modulo schedulers feed it: Swing's lifetime-sensitive placement
@@ -29,15 +32,22 @@ from repro.regalloc.interference import InterferenceGraph
 from repro.regalloc.liveness import cyclic_liveness
 from repro.regalloc.mve import plan_mve
 from repro.workloads.corpus import spec95_corpus
-from tests.golden import _reference_build_interference, _reference_chaitin_briggs_color
+from tests.golden import (
+    _reference_build_interference,
+    _reference_chaitin_briggs_color,
+    _reference_cyclic_liveness,
+    add_edge,
+    add_node,
+)
 
 N_LOOPS = 20
 
 
 def reference_assign_banks(kernel, ddg, partition, machine) -> BankAssignments:
-    """Per-bank assignment as composed before the bitset layer: one
-    reference interference sweep and one set-based colouring per bank."""
-    liveness = cyclic_liveness(kernel, ddg)
+    """Per-bank assignment as composed before the bitset layer: the
+    Dependence-walking liveness, one reference interference sweep and one
+    set-based colouring per bank."""
+    liveness = _reference_cyclic_liveness(kernel, ddg)
     plan = plan_mve(liveness)
     depth_weight = 10.0 ** kernel.loop.depth
 
@@ -110,6 +120,9 @@ def test_assign_banks_matches_reference_composition(
     stats = {"calls": 0, "failed": 0, "optimistic": 0, "spilled": 0}
 
     def checked(kernel, ddg, partition, machine):
+        assert list(cyclic_liveness(kernel, ddg).ranges.items()) == list(
+            _reference_cyclic_liveness(kernel, ddg).ranges.items()
+        )
         out = fast(kernel, ddg, partition, machine)
         assert fingerprint(out) == fingerprint(
             reference_assign_banks(kernel, ddg, partition, machine)
@@ -149,11 +162,11 @@ def random_graph(rng: random.Random, n: int, density: float) -> InterferenceGrap
     rng.shuffle(names)
     graph = InterferenceGraph()
     for name in names:
-        graph.add_node(name)
+        add_node(graph, name)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             if rng.random() < density:
-                graph.add_edge(a, b)
+                add_edge(graph, a, b)
     return graph
 
 
@@ -177,9 +190,9 @@ def test_colourers_agree_on_random_graphs(seed):
 
 def test_hand_built_graph_keeps_sorted_bitsets():
     graph = InterferenceGraph()
-    graph.add_edge((5, 0), (1, 0))
-    graph.add_edge((3, 1), (5, 0))
-    graph.add_node((0, 0))
+    add_edge(graph, (5, 0), (1, 0))
+    add_edge(graph, (3, 1), (5, 0))
+    add_node(graph, (0, 0))
     assert graph.nodes == [(0, 0), (1, 0), (3, 1), (5, 0)]
     assert graph.neighbors((5, 0)) == {(1, 0), (3, 1)}
     assert graph.degree((5, 0)) == 2 and graph.degree((0, 0)) == 0
@@ -191,8 +204,8 @@ def test_hand_built_graph_keeps_sorted_bitsets():
 
 def test_verify_requires_a_partition_of_the_nodes():
     graph = InterferenceGraph()
-    graph.add_edge((1, 0), (2, 0))
-    graph.add_node((3, 0))
+    add_edge(graph, (1, 0), (2, 0))
+    add_node(graph, (3, 0))
     result = chaitin_briggs_color(graph, 2)
     result.verify(graph)
     missing = dataclasses.replace(result, colors=dict(result.colors))

@@ -4,14 +4,15 @@ import pytest
 
 from repro.regalloc.coloring import chaitin_briggs_color
 from repro.regalloc.interference import InterferenceGraph
+from tests.golden import add_edge, add_node
 
 
 def graph_from_edges(edges, nodes=()):
     g = InterferenceGraph()
     for n in nodes:
-        g.add_node(n)
+        add_node(g, n)
     for a, b in edges:
-        g.add_edge(a, b)
+        add_edge(g, a, b)
     return g
 
 

@@ -1,5 +1,9 @@
 """Tests for cyclic liveness analysis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.ddg.builder import build_loop_ddg
 from repro.ir.builder import LoopBuilder
@@ -70,3 +74,34 @@ class TestLiveRanges:
         liv = cyclic_liveness(ks, ddg)
         fa_l = liv.range_of(daxpy_loop.factory.get("fa")).lifetime
         assert liv.max_lifetime() <= fa_l
+
+
+#: prints the rids of fir5's live ranges, in liveness order
+_FIR5_RANGES = """
+from repro.ddg.builder import build_loop_ddg
+from repro.machine.presets import ideal_machine
+from repro.regalloc.liveness import cyclic_liveness
+from repro.sched.modulo.scheduler import modulo_schedule
+from repro.workloads.kernels import fir5
+
+loop = fir5()
+ddg = build_loop_ddg(loop)
+print(*cyclic_liveness(modulo_schedule(loop, ddg, ideal_machine()), ddg).ranges)
+"""
+
+
+def test_range_order_does_not_depend_on_the_hash_seed():
+    """Live-ins are a set of registers, whose hashes vary with
+    ``PYTHONHASHSEED``; liveness visits them in rid order, so two
+    processes list the same ranges in the same order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    orders = [
+        subprocess.run(
+            [sys.executable, "-c", _FIR5_RANGES],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert orders[0] == orders[1]
+    assert len(orders[0].split()) > 5  # fir5: taps, pointers and values

@@ -36,8 +36,9 @@ class TestMVEPlanning:
 
     def test_replica_counts(self, daxpy_loop):
         plan, liv, ks = plan_for(daxpy_loop)
+        q_of = dict(zip(plan.rids, plan.replicas))
         for lr in liv:
-            q = plan.replicas[lr.reg.rid]
+            q = q_of[lr.reg.rid]
             if lr.invariant:
                 assert q == 1
             else:
@@ -49,9 +50,10 @@ class TestMVEPlanning:
         plan, _liv, _ks = plan_for(daxpy_loop)
         from collections import defaultdict
 
+        invariant_rids = {r for r, inv in zip(plan.rids, plan.invariant) if inv}
         by_name = defaultdict(list)
         for w in mve_windows(plan):
-            if w.rid in plan.invariant_rids:
+            if w.rid in invariant_rids:
                 continue
             by_name[(w.rid, w.replica)].append(w)
         for _name, windows in by_name.items():
@@ -62,10 +64,13 @@ class TestMVEPlanning:
             assert max(occupancy) <= 1
 
     def test_names_enumeration(self, dot_loop):
-        plan, _liv, _ks = plan_for(dot_loop)
-        names = plan.names()
-        assert len(names) == sum(plan.replicas.values())
-        assert len(set(names)) == len(names)
+        """The plan lists ranges by ascending rid, so the one-bank graph
+        numbers every (rid, replica) name once, in sorted order."""
+        plan, liv, _ks = plan_for(dot_loop)
+        assert plan.rids == sorted(liv.ranges)
+        names = build_interference(plan).nodes
+        assert len(names) == sum(plan.replicas)
+        assert names == sorted(set(names))
 
 
 class TestInterference:
@@ -83,7 +88,7 @@ class TestInterference:
         assert ks.ii == 1 and plan.unroll > 1
         graph = build_interference(plan)
         f1 = daxpy_loop.factory.get("f1").rid
-        q = plan.replicas[f1]
+        q = plan.replicas[plan.rids.index(f1)]
         assert q >= 2
         assert graph.interferes((f1, 0), (f1, 1))
 

@@ -120,30 +120,11 @@ class TestModuloReservationTable:
         mrt = ModuloReservationTable(m, ii=2)
         op = make_alu()
         mrt.place(op, 9)
-        assert mrt.is_placed(op)
+        assert not mrt.fits(make_alu(), 1)
         assert mrt.remove(op) == 9
-        assert not mrt.is_placed(op)
         assert mrt.fits(make_alu(), 1)
-
-    def test_conflicting_ops_same_resource(self):
-        m = paper_machine(8, CopyModel.EMBEDDED)
-        mrt = ModuloReservationTable(m, ii=2)
-        a = make_alu(cluster=3)
-        b = make_alu(cluster=3)
-        c = make_alu(cluster=4)
-        mrt.place(a, 0)
-        mrt.place(b, 2)  # same row as a
-        mrt.place(c, 0)
-        newcomer = make_alu(cluster=3)
-        conflicts = mrt.conflicting_ops(newcomer, 4)
-        assert set(conflicts) == {a.op_id, b.op_id}
+        mrt.place(op, 3)  # a removed op may be placed again
 
     def test_bad_ii_rejected(self):
         with pytest.raises(ValueError):
             ModuloReservationTable(ideal_machine(), ii=0)
-
-    def test_time_of(self):
-        mrt = ModuloReservationTable(ideal_machine(), ii=4)
-        op = make_alu()
-        mrt.place(op, 11)
-        assert mrt.time_of(op) == 11
