@@ -57,8 +57,6 @@ class PartitionedLoop:
     #: it; :func:`repro.ddg.builder.derive_partitioned_ddg` splits flow
     #: edges with it.  Preheader copies have no entry.
     copy_for: dict[tuple[int, int], Operation] = field(default_factory=dict)
-    #: memo owned by :func:`repro.store.entry.StoreEntry.from_result`
-    _store_doc: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_body_copies(self) -> int:

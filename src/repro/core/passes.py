@@ -295,9 +295,11 @@ class StoreLookup:
     * ``"metrics"`` — only :class:`~repro.core.results.LoopMetrics` is
       materialised (the evaluation runner's warm path; parses a few
       hundred bytes per cell);
-    * ``"full"`` — every artifact is rehydrated through the IR parser
-      round-trip, so downstream consumers (``--emit``, ``--expand``,
-      oracles run by hand) see a complete result.
+    * ``"full"`` — every artifact is rebuilt: step 4 is re-run on the
+      stored pre-copy loop and partition (copies re-inserted, the
+      partitioned DDG derived, the stored kernel revalidated), so
+      downstream consumers (``--emit``, ``--expand``, oracles run by
+      hand) see the result a fresh compile gives.
 
     An entry that decodes but fails hydration is rejected back to the
     store (dropped + reclassified as an invalid miss) and compilation

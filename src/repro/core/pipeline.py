@@ -89,6 +89,10 @@ class CompilationResult:
     store_hit: bool = False
 
 
+#: passes keep no state between runs, so every compilation shares these
+_DEFAULT_PIPELINE = PassPipeline(default_passes())
+
+
 def compile_loop(
     loop: Loop,
     machine: MachineDescription,
@@ -153,7 +157,7 @@ def compile_loop(
          store.stats.invalid, store.stats.writes)
         if registry is not None and store is not None else None
     )
-    PassPipeline(default_passes(config)).run(ctx)
+    _DEFAULT_PIPELINE.run(ctx)
     if cache_stats0 is not None:
         registry.counter("cache.hits").inc(cache.stats.hits - cache_stats0[0])
         registry.counter("cache.misses").inc(cache.stats.misses - cache_stats0[1])

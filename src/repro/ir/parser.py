@@ -31,6 +31,9 @@ from repro.ir.types import DataType, Immediate, MemRef
 _HEADER_RE = re.compile(r"^loop\s+(\S+)((?:\s+\w+=\S+)*)\s*$")
 _KV_RE = re.compile(r"(\w+)=(\S+)")
 _ARRAY_RE = re.compile(r"^([A-Za-z_]\w*)\[(\d+)?i(?:([+-])(\d+))?\]$")
+# a scalar may carry a register's suffixes: "__spill_f3.rl11_1" is the
+# slot of a spill reload register spilled again in a later round
+_SCALAR_RE = re.compile(r"^[A-Za-z_]\w*(?:\.\w+)*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
 # Register names may carry dot-separated suffixes minted by compiler
@@ -56,7 +59,7 @@ def _parse_memref(token: str) -> MemRef:
             offset = int(digits) * (1 if sign == "+" else -1)
         stride = int(stride_digits) if stride_digits else 1
         return MemRef(name, offset, scalar=False, stride=stride)
-    if re.match(r"^[A-Za-z_]\w*$", token):
+    if _SCALAR_RE.match(token):
         return MemRef(token, 0, scalar=True)
     raise IRParseError(f"bad memory reference: {token!r}")
 

@@ -44,22 +44,26 @@ class ColoringResult:
 
     def verify(self, graph: InterferenceGraph) -> None:
         """Assert the colored and spilled names partition the graph's
-        nodes and the coloring is proper over the non-spilled subgraph."""
-        if sorted([*self.colors, *self.spilled]) != graph.nodes:
+        nodes and the coloring is proper over the non-spilled subgraph
+        (checked by position: ``graph.nodes`` is sorted)."""
+        nodes = graph.nodes
+        if sorted([*self.colors, *self.spilled]) != nodes:
             raise AssertionError(
                 "colored and spilled names do not partition the graph's nodes"
             )
+        color_at = list(map(self.colors.get, nodes))  # None: spilled
         classes = [0] * self.k
-        for node, color in self.colors.items():
-            if not (0 <= color < self.k):
-                raise AssertionError(f"color {color} out of range for k={self.k}")
-            classes[color] |= 1 << graph.index[node]
-        for node, color in self.colors.items():
-            clash = graph.adj[graph.index[node]] & classes[color]
+        for i, color in enumerate(color_at):
+            if color is not None:
+                if not (0 <= color < self.k):
+                    raise AssertionError(f"color {color} out of range for k={self.k}")
+                classes[color] |= 1 << i
+        for i, color in enumerate(color_at):
+            clash = color is not None and graph.adj[i] & classes[color]
             if clash:
-                nb = graph.nodes[(clash & -clash).bit_length() - 1]
+                nb = nodes[(clash & -clash).bit_length() - 1]
                 raise AssertionError(
-                    f"improper coloring: {node} and {nb} share color {color}"
+                    f"improper coloring: {nodes[i]} and {nb} share color {color}"
                 )
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.regalloc.liveness import row_pressure
 from repro.regalloc.mve import MVEPlan
@@ -45,10 +46,11 @@ class InterferenceGraph:
     nodes: list[Name] = field(default_factory=list)
     adj: list[int] = field(default_factory=list)
     max_pressure: int = 0
-    index: dict[Name, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.index = {name: i for i, name in enumerate(self.nodes)}
+    @cached_property
+    def index(self) -> dict[Name, int]:
+        """name -> position, for the name-level queries below only."""
+        return {name: i for i, name in enumerate(self.nodes)}
 
     def degree(self, name: Name) -> int:
         return self.adj[self.index[name]].bit_count()

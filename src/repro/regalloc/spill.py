@@ -51,6 +51,10 @@ def spill_registers(
         )
 
     factory = RegisterFactory()
+    # an earlier round's reload of the same value may hold a name this
+    # round would mint again; names must stay unique for the loop's text
+    # to parse back (a spilled pre-copy loop is stored as text)
+    taken = {r.name for r in loop.registers()}
     spill_rids = {r.rid for r in to_spill}
     slot_of = {r.rid: MemRef(f"__spill_{r.name}", scalar=True) for r in to_spill}
 
@@ -61,7 +65,10 @@ def spill_registers(
         new_sources = list(clone.sources)
         for i, src in enumerate(new_sources):
             if isinstance(src, SymbolicRegister) and src.rid in spill_rids:
-                temp = factory.new(src.dtype, name=f"{src.name}.rl{len(body)}_{i}")
+                name = f"{src.name}.rl{len(body)}_{i}"
+                while name in taken:
+                    name += "_"
+                temp = factory.new(src.dtype, name=name)
                 load_opc = Opcode.FLOAD if src.dtype is DataType.FLOAT else Opcode.LOAD
                 body.append(
                     Operation(opcode=load_opc, dest=temp, mem=slot_of[src.rid])

@@ -19,9 +19,10 @@ Three tiers cooperate (see docs/architecture.md, "Persistence"):
   self-checking record per cell, each appended in one ``O_APPEND``
   write so concurrent workers never interleave records.
 
-Entries never pickle live IR graphs: loops are stored as printer text
-and rehydrated through the parser round-trip, schedules positionally
-over the parsed operation list.  Every read revalidates schema version,
+Entries never pickle live IR graphs: the partitioned loop is stored as
+its copy list and re-derived by copy insertion on hydration, a
+spill-rewritten loop as printer text, schedules positionally over the
+operation list.  Every read revalidates schema version,
 checksums and the stored key, so torn, corrupt or foreign records
 degrade to a recorded miss (and a recompile), never a wrong answer.
 """

@@ -5,9 +5,10 @@ filed under its :class:`~repro.core.fingerprint.StoreKey` digest.  Its
 record is three JSON lines::
 
     {"digest": ..., "key": {...}, "magic": "repro-store",
-     "meta_sha256": ..., "payload_sha256": ..., "schema": 2}
+     "meta_sha256": ..., "payload_sha256": ..., "schema": 3}
     {"loop_name": ..., "metrics": {...}}
-    {"ideal": {...}, "partitioned": {...}, "kernel": {...}, ...}
+    {"bank_assignment": ..., "copies": [...], "ideal": {...},
+     "kernel": {...}, "partition": {...}, "precopy": ...}
 
 The split is deliberate: the warm evaluation path needs only line 2
 (metrics), so it parses a few hundred bytes per cell and leaves the
@@ -25,12 +26,22 @@ would write instead of parsing it.
 
 No live :class:`~repro.ir.operations.Operation` graph is ever pickled.
 The source loop is not stored at all: hydration takes the caller's
-loop, whose fingerprint is part of the key.  Derived loops are
-serialized as :func:`~repro.ir.printer.format_loop` text and
-rehydrated through :func:`~repro.ir.parser.parse_loop` (the same
-round-trip ``repro check`` reproducers exercise), and schedules are
-stored positionally over the loop's operation list, so entries are
-stable across processes, platforms and interpreter versions.
+loop, whose fingerprint is part of the key.  A spill-rewritten
+pre-copy loop (``precopy``, null when no spill round ran) is stored as
+:func:`~repro.ir.printer.format_loop` text and rehydrated through
+:func:`~repro.ir.parser.parse_loop`.  The partitioned loop is not
+stored: it is a pure function of the pre-copy loop and its bank
+assignment (paper Section 4, step 4), so hydration re-derives it with
+:func:`~repro.core.copies.insert_copies`, the step a fresh compile runs,
+and checks it against the stored ``copies`` list (each copy's value
+name and cluster, body copies in body order, then the preheader copies
+sorted).  Its DDG is derived from the pre-copy loop's, and both stored
+schedules are revalidated against their DDGs, so a record that no
+longer matches the code recompiles instead of producing a wrong
+artifact.  Schedules
+are stored positionally over the loop's operation list, partitions and
+bank assignments by register name, so entries are stable across
+processes, platforms and interpreter versions.
 """
 
 from __future__ import annotations
@@ -43,14 +54,13 @@ from repro.core.fingerprint import StoreKey, loop_fingerprint
 from repro.core.results import LoopMetrics
 from repro.ir.block import Loop
 from repro.ir.printer import format_loop
-from repro.ir.registers import SymbolicRegister
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CompilationResult
     from repro.machine.machine import MachineDescription
 
 #: bump when the entry layout changes; readers reject other versions
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _MAGIC = "repro-store"
 
@@ -66,8 +76,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, built once
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_DECODER = json.JSONDecoder()
+
+
 def _dumps(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(doc).encode("utf-8")
+
+
+def _loads(line: bytes, what: str):
+    """Decode one record line (ASCII JSON, as :func:`_dumps` writes it)."""
+    try:
+        return _DECODER.decode(line.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise StoreEntryError(f"bad {what} JSON: {exc}") from exc
 
 
 _HEADER = (
@@ -86,24 +109,6 @@ def _header(digest: str, key_text: bytes, meta_line: bytes, payload_line: bytes)
     )
 
 
-def registers_by_name(loop: Loop) -> dict[str, SymbolicRegister]:
-    """Every register a loop mentions (ops + boundary liveness), by name.
-
-    Names are unique within a loop (the factory enforces it), so this is
-    the bridge between serialized register references and the registers
-    of a freshly parsed loop instance.
-    """
-    regs: dict[str, SymbolicRegister] = {}
-    for reg in loop.live_in | loop.live_out:
-        regs[reg.name] = reg
-    for op in loop.ops:
-        if op.dest is not None:
-            regs[op.dest.name] = op.dest
-        for src in op.used():
-            regs[src.name] = src
-    return regs
-
-
 def _partition_doc(partition) -> dict:
     by_rid = dict(partition._registers)
     return {
@@ -114,37 +119,23 @@ def _partition_doc(partition) -> dict:
     }
 
 
-def _partitioned_doc(partitioned) -> tuple[dict, dict[int, SymbolicRegister]]:
-    """A record's ``partitioned`` section, and the partitioned loop's
-    registers by rid, memoised on the
-    :class:`~repro.core.copies.PartitionedLoop`: the embedded and
-    copy-unit cells of a cluster count share one (see
-    :class:`~repro.core.cache.StepFourShare`), so the second record
-    reuses the first one's serialization."""
-    memo = partitioned._store_doc
-    if memo is None:
-        ploop = partitioned.loop
-        p_index = {id(op): i for i, op in enumerate(ploop.ops)}
-        p_by_rid = {r.rid: r for r in registers_by_name(ploop).values()}
-        doc = {
-            "loop": format_loop(ploop),
-            "partition": _partition_doc(partitioned.partition),
-            "body_copies": [p_index[id(cp)] for cp in partitioned.body_copies],
-            "preheader_copies": sorted(
-                [src.name, dst.name] for src, dst in partitioned.preheader_copies
-            ),
-            "copy_origin": sorted(
-                [p_by_rid[rid].name, origin.name]
-                for rid, origin in partitioned.copy_origin.items()
-            ),
-        }
-        memo = partitioned._store_doc = (doc, p_by_rid)
-    return memo
+def _copies_doc(partitioned) -> list[list]:
+    """A partitioned loop's copies as ``[value name, cluster]`` pairs:
+    body copies in body order, then the preheader copies sorted."""
+    body = set(map(id, partitioned.body_copies))
+    bank_of = partitioned.partition.assignment
+    return [
+        [op.sources[0].name, op.cluster]
+        for op in partitioned.loop.ops if id(op) in body
+    ] + sorted([src.name, bank_of[dst.rid]] for src, dst in partitioned.preheader_copies)
 
 
-def _hydrate_partition(doc: dict, regs: dict[str, SymbolicRegister]):
+def _hydrate_partition(doc: dict, loop: Loop):
+    """A stored partition over ``loop``'s registers (names are unique
+    within a loop)."""
     from repro.core.greedy import Partition
 
+    regs = {r.name: r for r in loop.registers()}
     partition = Partition(n_banks=doc["n_banks"])
     for name, bank in doc["banks"]:
         partition.assign(regs[name], bank)
@@ -183,9 +174,7 @@ class StoreEntry:
     def from_result(cls, key: StoreKey, result: "CompilationResult") -> "StoreEntry":
         """Serialize a successful compilation under its content key."""
         loop = result.loop
-        ploop = result.partitioned.loop
-        partitioned, p_by_rid = _partitioned_doc(result.partitioned)
-
+        partitioned = result.partitioned
         precopy = result.precopy_loop
         payload: dict = {
             "ideal": {
@@ -196,20 +185,21 @@ class StoreEntry:
                 None if precopy is None or precopy is loop else format_loop(precopy)
             ),
             "partition": _partition_doc(result.partition),
-            "partitioned": partitioned,
+            "copies": _copies_doc(partitioned),
             "kernel": {
                 "ii": result.kernel.ii,
-                "times": [result.kernel.times[op.op_id] for op in ploop.ops],
+                "times": [result.kernel.times[op.op_id] for op in partitioned.loop.ops],
             },
             "bank_assignment": None,
         }
         ba = result.bank_assignment
         if ba is not None:
+            regs = partitioned.partition._registers
             payload["bank_assignment"] = {
                 "unroll": ba.unroll,
                 "max_pressure": ba.max_pressure,
                 "physical": sorted(
-                    [p_by_rid[rid].name, replica, bank, idx]
+                    [regs[rid].name, replica, bank, idx]
                     for (rid, replica), (bank, idx) in ba.physical.items()
                 ),
             }
@@ -262,20 +252,13 @@ class StoreEntry:
             raise StoreEntryError(
                 "header does not match the key, schema or checksums of this record"
             )
-        try:
-            meta = json.loads(parts[1])
-        except json.JSONDecodeError as exc:
-            raise StoreEntryError(f"bad meta JSON: {exc}") from exc
-        return cls(digest, key, meta, payload_raw=parts[2])
+        return cls(digest, key, _loads(parts[1], "meta"), payload_raw=parts[2])
 
     @staticmethod
     def _parse_header(parts: list[bytes]) -> tuple[str, dict]:
         """(digest, key fields) of a record read without its key, after
         checking magic, schema and both checksums."""
-        try:
-            header = json.loads(parts[0])
-        except json.JSONDecodeError as exc:
-            raise StoreEntryError(f"bad header JSON: {exc}") from exc
+        header = _loads(parts[0], "header")
         if not isinstance(header, dict) or header.get("magic") != _MAGIC:
             raise StoreEntryError("not a repro-store entry")
         if header.get("schema") != SCHEMA_VERSION:
@@ -319,10 +302,7 @@ class StoreEntry:
 
     def payload(self) -> dict:
         if self._payload is None:
-            try:
-                self._payload = json.loads(self._payload_raw)
-            except json.JSONDecodeError as exc:
-                raise StoreEntryError(f"bad payload JSON: {exc}") from exc
+            self._payload = _loads(self._payload_raw, "payload")
         return self._payload
 
     # ------------------------------------------------------------------
@@ -333,12 +313,10 @@ class StoreEntry:
 
         ``loop`` must be the same content the entry was built from (its
         fingerprint is rechecked against the stored key); the returned
-        result references the *caller's* loop instance, and every other
-        artifact is reconstructed from serialized text — partitioned
-        loop through the IR parser, schedules positionally, DDGs by
-        rebuilding dependence analysis on the rehydrated loops.  Any
-        inconsistency raises :class:`StoreEntryError` so callers degrade
-        to a recompile.
+        result references the *caller's* loop instance.  Step 4 is
+        re-run as a fresh compile runs it (see the module docstring).
+        Any inconsistency raises :class:`StoreEntryError` so callers
+        degrade to a recompile.
         """
         try:
             return self._hydrate(loop, machine)
@@ -348,12 +326,14 @@ class StoreEntry:
             raise StoreEntryError(f"entry does not hydrate: {exc!r}") from exc
 
     def _hydrate(self, loop: Loop, machine: "MachineDescription") -> "CompilationResult":
-        from repro.core.copies import PartitionedLoop
+        from repro.core.copies import insert_copies
         from repro.core.pipeline import CompilationResult
-        from repro.ddg.builder import build_loop_ddg
+        from repro.ddg.builder import build_loop_ddg, derive_partitioned_ddg
+        from repro.ir.block import reserve_ids
         from repro.ir.parser import parse_loop
         from repro.machine.presets import ideal_machine
         from repro.sched.schedule import KernelSchedule
+        from repro.sched.validate import validate_kernel_schedule
 
         if loop_fingerprint(loop) != self.key_json.get("loop"):
             raise StoreEntryError("entry was stored for a different loop")
@@ -370,42 +350,41 @@ class StoreEntry:
             machine=ideal_target, loop=loop, ii=p["ideal"]["ii"],
             times=times_for(loop, p["ideal"]),
         )
+        ddg = build_loop_ddg(loop, machine.latencies)
+        validate_kernel_schedule(ideal, ddg)
+        if p["precopy"] is None:
+            precopy, precopy_ddg = loop, ddg
+        else:
+            precopy = parse_loop(p["precopy"])
+            precopy_ddg = build_loop_ddg(precopy, machine.latencies)
+        partition = _hydrate_partition(p["partition"], precopy)
 
-        precopy = loop if p["precopy"] is None else parse_loop(p["precopy"])
-        pre_regs = registers_by_name(precopy)
-        partition = _hydrate_partition(p["partition"], pre_regs)
-
-        pdoc = p["partitioned"]
-        ploop = parse_loop(pdoc["loop"])
-        p_regs = registers_by_name(ploop)
-        partitioned = PartitionedLoop(
-            loop=ploop,
-            partition=_hydrate_partition(pdoc["partition"], p_regs),
-            body_copies=[ploop.ops[i] for i in pdoc["body_copies"]],
-            preheader_copies=[
-                (p_regs[src], p_regs[dst]) for src, dst in pdoc["preheader_copies"]
-            ],
-            op_map={},
-            copy_origin={
-                p_regs[copy].rid: p_regs[origin]
-                for copy, origin in pdoc["copy_origin"]
-            },
+        # the caller's loop may come from another process (serve parses
+        # request loops): mint the copies' ids past its own
+        reserve_ids((precopy,))
+        partitioned = insert_copies(precopy, partition, machine)
+        if _copies_doc(partitioned) != p["copies"]:
+            raise StoreEntryError("stored copies differ from the re-derived ones")
+        partitioned_ddg = derive_partitioned_ddg(
+            precopy_ddg, partitioned, machine.latencies
         )
         kernel = KernelSchedule(
-            machine=machine, loop=ploop, ii=p["kernel"]["ii"],
-            times=times_for(ploop, p["kernel"]),
+            machine=machine, loop=partitioned.loop, ii=p["kernel"]["ii"],
+            times=times_for(partitioned.loop, p["kernel"]),
         )
+        validate_kernel_schedule(kernel, partitioned_ddg)
 
         bank_assignment = None
         if p.get("bank_assignment") is not None:
             from repro.regalloc.assignment import BankAssignments
 
             ba = p["bank_assignment"]
+            rid_of = {r.name: rid for rid, r in partitioned.partition._registers.items()}
             bank_assignment = BankAssignments(
                 success=True,
                 unroll=ba["unroll"],
                 physical={
-                    (p_regs[name].rid, replica): (bank, idx)
+                    (rid_of[name], replica): (bank, idx)
                     for name, replica, bank, idx in ba["physical"]
                 },
                 max_pressure=ba["max_pressure"],
@@ -415,14 +394,12 @@ class StoreEntry:
             loop=loop,
             machine=machine,
             ideal=ideal,
-            ddg=build_loop_ddg(loop, machine.latencies),
+            ddg=ddg,
             rcg=None,
             partition=partition,
             partitioned=partitioned,
             kernel=kernel,
-            # built, not derived: the partitioned loop comes back from IR
-            # text with no op_map or copy_for to derive it through
-            partitioned_ddg=build_loop_ddg(ploop, machine.latencies),
+            partitioned_ddg=partitioned_ddg,
             metrics=self.metrics(),
             bank_assignment=bank_assignment,
             precopy_loop=precopy,

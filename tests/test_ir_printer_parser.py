@@ -75,6 +75,20 @@ class TestRoundTrip:
         parsed = parse_loop(format_loop(loop))
         assert parsed.ops[0].cluster == 2
 
+    def test_spill_slot_of_a_reload_round_trips(self):
+        """A second spill round spills a reload register ("f3.rl11_1"),
+        whose slot scalar carries the register's suffix."""
+        text = (
+            "loop s depth=1 trip=8\n"
+            "  fload f3.rl11_1, __spill_f3\n"
+            "  fstore f3.rl11_1, __spill_f3.rl11_1\n"
+            "end"
+        )
+        parsed = parse_loop(text)
+        assert parsed.ops[1].mem.array == "__spill_f3.rl11_1"
+        assert parsed.ops[1].mem.scalar
+        assert format_loop(parsed) == text
+
 
 class TestParserErrors:
     def test_empty_input(self):

@@ -223,3 +223,42 @@ def test_verify_requires_a_partition_of_the_nodes():
     stranger = dataclasses.replace(result, spilled=[(9, 0)])
     with pytest.raises(AssertionError, match="partition"):
         stranger.verify(graph)
+
+
+def test_verify_rejects_out_of_range_and_clashing_colours():
+    """``verify`` checks by position what it checked by name: every
+    colour in ``range(k)`` and no two neighbours sharing one."""
+    graph = InterferenceGraph()
+    add_edge(graph, (1, 0), (2, 0))
+    add_node(graph, (3, 0))
+    result = chaitin_briggs_color(graph, 2)
+    for bad in (2, -1):
+        wide = dataclasses.replace(result, colors={**result.colors, (3, 0): bad})
+        with pytest.raises(AssertionError, match="out of range for k=2"):
+            wide.verify(graph)
+    clash = dataclasses.replace(result, colors={(1, 0): 1, (2, 0): 1, (3, 0): 1})
+    with pytest.raises(AssertionError, match=r"improper coloring: \(1, 0\) and \(2, 0\)"):
+        clash.verify(graph)
+    spilled = dataclasses.replace(result, colors={(1, 0): 0, (3, 0): 0}, spilled=[(2, 0)])
+    spilled.verify(graph)
+
+
+def test_allocation_builds_no_name_index(corpus_slice, monkeypatch):
+    """The colourer and ``verify`` work on positions: a quick grid with
+    register allocation on, 6-register banks included (spill rounds),
+    never builds a bank graph's name -> index dict."""
+    def refuse(graph):
+        raise AssertionError("name index built")
+
+    monkeypatch.setattr(InterferenceGraph, "index", property(refuse))
+    config = PipelineConfig(run_regalloc=True)
+    for n_clusters, model in PAPER_CONFIG_ORDER:
+        for regs in (None, 6):
+            machine = paper_machine(n_clusters, model)
+            if regs is not None:
+                machine = dataclasses.replace(machine, regs_per_bank=regs)
+            for loop in corpus_slice[:8]:
+                try:
+                    compile_loop(loop, machine, config)
+                except RuntimeError as exc:
+                    assert "spill rounds" in str(exc)

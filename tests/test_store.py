@@ -207,6 +207,17 @@ def test_corrupt_entries_raise(compiled, machine):
         StoreEntry.from_bytes(b'{"some": "json"}\n{}\n{}\n')
 
 
+def test_record_lines_are_json_dumps_bytes(compiled, machine):
+    """The shared encoder writes what ``json.dumps(sort_keys=True,
+    separators=(",", ":"))`` writes, so records keep their bytes."""
+    from repro.store.entry import _dumps
+
+    loop, result = compiled
+    entry = StoreEntry.from_result(store_key(loop, machine, CONFIG), result)
+    for doc in (entry.meta, entry.payload(), {"f": [1.5, -0.0, 1e-7], "u": "\u00e9"}):
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
 def test_keyed_decode_matches_full_parse(compiled, machine):
     """Given its key, ``from_bytes`` compares the header bytes instead of
     parsing them yet decodes the same entry, and still rejects a foreign
@@ -253,12 +264,16 @@ def test_disk_store_refuses_foreign_directory(tmp_path):
 
 
 def test_disk_store_rejects_future_schema(tmp_path):
+    """A root of another schema is refused, not migrated: a future one,
+    and schema 2, whose records carry the partitioned loop as text."""
     root = tmp_path / "store"
     DiskStore(root)
     marker = root / "repro-store.json"
-    marker.write_text(json.dumps({"format": "repro-store", "schema": 99}))
-    with pytest.raises(StoreFormatError, match="schema"):
-        DiskStore(root)
+    for schema in (99, 2):
+        marker.write_text(json.dumps({"format": "repro-store", "schema": schema}))
+        with pytest.raises(StoreFormatError,
+                           match=f"store schema {schema}, this build speaks 3"):
+            DiskStore(root)
 
 
 def test_disk_store_gc(tmp_path, compiled, machine):

@@ -12,12 +12,11 @@ import pytest
 
 from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.evalx.report import render_full_report
-from repro.evalx.runner import run_evaluation
-from repro.machine.machine import CopyModel
+from repro.evalx.runner import PAPER_CONFIG_ORDER, run_evaluation
 from repro.machine.presets import paper_machine
 from repro.store import ArtifactStore
 from repro.workloads.corpus import spec95_corpus
-from repro.workloads.kernels import make_kernel
+from repro.workloads.kernels import NAMED_KERNELS, make_kernel
 
 from .conftest import store_record
 
@@ -150,19 +149,24 @@ def test_store_outcomes_recorded_in_cell_metrics(tmp_path, corpus):
 
 
 def test_full_hydration_matches_fresh_compile_for_codegen(tmp_path):
-    """The CLI's warm path: a hydrated result drives emit identically."""
+    """The CLI's warm path: a hydrated result drives emit identically,
+    for every named kernel on every paper configuration.  The kernel
+    listing orders each row by op id, so the re-derived copies must be
+    numbered as a fresh compile numbers them (after every clone)."""
     from repro.codegen import emit_assembly, emit_expanded
 
-    loop = make_kernel("daxpy")
-    machine = paper_machine(4, CopyModel.EMBEDDED)
     store = ArtifactStore.open(tmp_path / "store")
-    cold = compile_loop(loop, machine, CONFIG, store=store)
-    assert not cold.store_hit
-
-    warm = compile_loop(make_kernel("daxpy"), machine, CONFIG, store=store)
-    assert warm.store_hit
-    assert emit_assembly(warm).text() == emit_assembly(cold).text()
-    assert emit_expanded(warm, 6).text() == emit_expanded(cold, 6).text()
+    for n_clusters, model in PAPER_CONFIG_ORDER:
+        machine = paper_machine(n_clusters, model)
+        for name in NAMED_KERNELS:
+            cold = compile_loop(make_kernel(name), machine, CONFIG, store=store)
+            assert not cold.store_hit
+            warm = compile_loop(make_kernel(name), machine, CONFIG, store=store)
+            assert warm.store_hit
+            cell = (name, machine.name)
+            assert emit_assembly(warm).text() == emit_assembly(cold).text(), cell
+            assert emit_expanded(warm, 6).text() == emit_expanded(cold, 6).text(), cell
+    assert store.stats.invalid == 0
 
 
 def test_corrupted_store_recovers_by_recompiling(tmp_path, corpus, baseline):
