@@ -35,7 +35,7 @@ def connected_components(
     # partitioner); traversal order cannot affect the result — membership
     # is symmetric and every component is sorted before it is reported.
     g = rcg.freeze()
-    _index_of, _rids, offsets, nbr, wgt = g.flat_adjacency()
+    offsets, nbr, wgt = g.csr()
     nodes = g.nodes()  # ascending rid, aligned with the CSR indices
     components = [
         [nodes[i] for i in sorted(comp)]

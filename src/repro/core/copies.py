@@ -38,8 +38,12 @@ class PartitionedLoop:
     ``loop`` is a fresh Loop (cloned operations, fresh factory) with every
     operation's ``cluster`` set and all cross-bank reads rewritten through
     copy registers.  ``partition`` extends the input partition with the
-    copy destinations.  ``op_map`` links original op_ids to their clones
-    so metrics can correlate ideal and partitioned schedules.
+    copy destinations.  Body positions link the rewrite to its source:
+    ``origin[j]`` is the position in the source loop of the operation
+    body op ``j`` clones (-1 for a body copy), and ``copy_at`` maps
+    (source register rid, consuming cluster) to the body position of the
+    copy serving it (preheader copies have no entry);
+    :func:`repro.ddg.builder.derive_partitioned_ddg` reads both.
     """
 
     loop: Loop
@@ -48,15 +52,12 @@ class PartitionedLoop:
     preheader_copies: list[tuple[SymbolicRegister, SymbolicRegister]] = field(
         default_factory=list
     )
-    op_map: dict[int, Operation] = field(default_factory=dict)
     #: rid of a copy-destination register -> the original register it
     #: shadows (used e.g. to translate spill candidates back to the
     #: pre-partition loop)
     copy_origin: dict[int, SymbolicRegister] = field(default_factory=dict)
-    #: (source register rid, consuming cluster) -> the body copy serving
-    #: it; :func:`repro.ddg.builder.derive_partitioned_ddg` splits flow
-    #: edges with it.  Preheader copies have no entry.
-    copy_for: dict[tuple[int, int], Operation] = field(default_factory=dict)
+    origin: list[int] = field(default_factory=list)
+    copy_at: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def n_body_copies(self) -> int:
@@ -74,9 +75,11 @@ def insert_copies(
     """Pin operations to clusters and insert the required copies.
 
     The input ``loop`` and ``partition`` are not modified; the result
-    carries extended copies of both.  ``tracer`` (an opt-in
-    :mod:`repro.obs` hook, None = disabled) records one span with the
-    copy counts; it never affects the rewrite.
+    carries extended copies of both.  A copy register is named
+    ``<value>.c<cluster>``, with ``_`` appended until the name is free in
+    the loop.  ``tracer`` (an opt-in :mod:`repro.obs` hook, None =
+    disabled) records one span with the copy counts; it never affects
+    the rewrite.
     """
     if tracer is not None:
         with tracer.span("insert_copies", cat="substep") as sp:
@@ -90,67 +93,92 @@ def insert_copies(
             f"{machine.name!r} has {machine.n_clusters} clusters"
         )
 
+    # 1. one pass: clone each op pinned to its home cluster (its
+    #    destination's bank, else its first register source's, else 0)
+    #    and collect the cross-bank reads (source register, cluster)
+    assignment = partition.assignment
+    new_ops: list[Operation] = []
+    defined_at: dict[int, int] = {}
+    needed: dict[tuple[int, int], SymbolicRegister] = {}
+    crossing: list[int] = []  # positions of ops reading across banks
+    try:
+        for idx, op in enumerate(loop.ops):
+            dest = op.dest
+            if dest is not None:
+                home = assignment[dest.rid]
+                defined_at[dest.rid] = idx
+            else:
+                home = 0
+                for s in op.sources:
+                    if type(s) is SymbolicRegister:
+                        home = assignment[s.rid]
+                        break
+            crosses = False
+            for s in op.sources:
+                if type(s) is SymbolicRegister and assignment[s.rid] != home:
+                    needed[(s.rid, home)] = s
+                    crosses = True
+            if crosses:
+                crossing.append(idx)
+            new_ops.append(op.pinned_clone(home))
+    except KeyError as exc:
+        raise KeyError(f"register rid {exc.args[0]} has no bank assignment") from None
+
+    # 2. mint copy registers and create the copies, in (rid, cluster) order
     part = partition.copy()
     factory = RegisterFactory()
-
-    # 1. clone operations and pin clusters
-    new_ops: list[Operation] = []
-    op_map: dict[int, Operation] = {}
-    for op in loop.ops:
-        clone = op.clone()
-        clone.cluster = _home_cluster(clone, part)
-        op_map[op.op_id] = clone
-        new_ops.append(clone)
-
-    # 2. collect cross-bank reads: (source register, consuming cluster)
-    needed: dict[tuple[int, int], list[Operation]] = {}
-    reg_by_rid: dict[int, SymbolicRegister] = {}
-    for op in new_ops:
-        for src in op.used():
-            reg_by_rid[src.rid] = src
-            if part.bank_of(src) != op.cluster:
-                needed.setdefault((src.rid, op.cluster), []).append(op)
-
-    defined_at: dict[int, int] = {
-        op.dest.rid: idx for idx, op in enumerate(new_ops) if op.dest is not None
-    }
-
-    # 3. mint copy registers, create copies, rewrite consumers
     body_copies: list[Operation] = []
     preheader_copies: list[tuple[SymbolicRegister, SymbolicRegister]] = []
-    insertions: dict[int, list[Operation]] = {}
+    insertions: dict[int, list[tuple[tuple[int, int], Operation]]] = {}
     new_live_in = set(loop.live_in)
-
     copy_origin: dict[int, SymbolicRegister] = {}
-    copy_for: dict[tuple[int, int], Operation] = {}
-    for (src_rid, cluster), consumers in sorted(needed.items()):
-        src = reg_by_rid[src_rid]
-        copy_reg = factory.new(src.dtype, name=f"{src.name}.c{cluster}")
+    copy_reg_for: dict[tuple[int, int], SymbolicRegister] = {}
+    taken = _register_names(loop) if needed else None
+    for key in sorted(needed):
+        src_rid, cluster = key
+        src = needed[key]
+        name = f"{src.name}.c{cluster}"
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        copy_reg = factory.new(src.dtype, name=name)
         part.assign(copy_reg, cluster)
         copy_origin[copy_reg.rid] = src
+        copy_reg_for[key] = copy_reg
         if src_rid in defined_at:
             cp = make_copy(copy_reg, src, cluster=cluster)
-            insertions.setdefault(defined_at[src_rid], []).append(cp)
+            insertions.setdefault(defined_at[src_rid], []).append((key, cp))
             body_copies.append(cp)
-            copy_for[(src_rid, cluster)] = cp
         else:
             # loop-invariant live-in: one preheader copy, no kernel cost
             preheader_copies.append((src, copy_reg))
             new_live_in.add(copy_reg)
-        for consumer in consumers:
-            consumer.sources = tuple(
-                copy_reg
-                if isinstance(s, SymbolicRegister) and s.rid == src_rid
-                else s
-                for s in consumer.sources
-            )
 
-    # 4. assemble the rewritten body (copies right after their def)
-    body: list[Operation] = []
-    for idx, op in enumerate(new_ops):
-        body.append(op)
-        for cp in sorted(insertions.get(idx, ()), key=lambda c: c.dest.rid):
-            body.append(cp)
+    # 3. rewrite the sources of the ops that read across banks
+    for idx in crossing:
+        op = new_ops[idx]
+        cluster = op.cluster
+        op.sources = tuple(
+            copy_reg_for.get((s.rid, cluster), s) if type(s) is SymbolicRegister else s
+            for s in op.sources
+        )
+
+    # 4. assemble the body, each def's copies right after it (in cluster
+    #    order, which is also their register order)
+    copy_at: dict[tuple[int, int], int] = {}
+    if insertions:
+        body: list[Operation] = []
+        origin: list[int] = []
+        for idx, op in enumerate(new_ops):
+            body.append(op)
+            origin.append(idx)
+            for key, cp in insertions.get(idx, ()):
+                copy_at[key] = len(body)
+                body.append(cp)
+                origin.append(-1)
+    else:
+        body = new_ops
+        origin = list(range(len(new_ops)))
 
     new_loop = Loop(
         name=loop.name,
@@ -166,10 +194,23 @@ def insert_copies(
         partition=part,
         body_copies=body_copies,
         preheader_copies=preheader_copies,
-        op_map=op_map,
         copy_origin=copy_origin,
-        copy_for=copy_for,
+        origin=origin,
+        copy_at=copy_at,
     )
+
+
+def _register_names(loop: Loop) -> set[str]:
+    """Every register name the loop uses, live-ins and live-outs included."""
+    names = {reg.name for reg in loop.live_in}
+    names.update(reg.name for reg in loop.live_out)
+    for op in loop.ops:
+        if op.dest is not None:
+            names.add(op.dest.name)
+        for s in op.sources:
+            if type(s) is SymbolicRegister:
+                names.add(s.name)
+    return names
 
 
 def _home_cluster(op: Operation, partition: Partition) -> int:

@@ -93,11 +93,11 @@ def greedy_partition(
     historically-literal variant is used (see
     :class:`~repro.core.weights.HeuristicConfig`).
 
-    Each node is placed with a single pass over its adjacency list,
-    accumulating per-bank benefit (instead of a banks x neighbors scan),
-    against incrementally-maintained bank sizes — O(V log V + E) overall.
-    The direct transcription is the golden-equivalence oracle in
-    ``tests/golden.py``.
+    Each node is placed with a single pass over its slice of the frozen
+    CSR adjacency, accumulating per-bank benefit (instead of a banks x
+    neighbors scan), minus a per-bank penalty row that is refreshed as
+    bank sizes grow — O(V log V + E) overall.  The direct transcription
+    is the golden-equivalence oracle in ``tests/golden.py``.
 
     ``tracer``/``metrics`` are the opt-in observability hooks
     (:mod:`repro.obs`): one span around the whole sweep with the final
@@ -137,86 +137,63 @@ def greedy_partition(
     if slots_per_bank is not None and config.capacity_alpha > 0:
         capacity = config.capacity_alpha * slots_per_bank
 
-    # CSR adjacency + dense bank array: the inner benefit loop indexes two
-    # flat arrays instead of hashing rids, and the per-node visit order
-    # (ascending neighbor rid) matches adjacency(), so every benefit sum
-    # accumulates bit-identically to the reference
-    index_of, _rids, offsets, nbr, wgt = rcg.flat_adjacency()
+    # One pass over the frozen CSR per node: neighbors are visited in
+    # ascending-rid order, so each bank's benefit sums in exactly the
+    # order of the per-bank rescan in ``tests/golden.py``, and
+    # bit-identical benefits give identical tie-breaks.  The balance term
+    # is a per-bank penalty row: under capacity balancing only the bank
+    # that just grew changes, under the average rule every bank does.
+    offsets, nbr, wgt = (table.tolist() for table in rcg.csr())
     regs = rcg.nodes()
     bank_arr = [-1] * len(regs)
+    sizes = [0] * n_banks
     for rid, bank in partition.assignment.items():  # precolored
-        bank_arr[index_of[rid]] = bank
-    sizes = partition.bank_sizes()  # then maintained incrementally
-    placed = 0
+        bank_arr[rcg.index_of(rid)] = bank
+        sizes[bank] += 1
+    if capacity is not None:
+        pen = [penalty * max(0.0, size + 1 - capacity) for size in sizes]
+    else:
+        average = sum(sizes) / n_banks
+        pen = [penalty * max(0.0, size - average) for size in sizes]
+    assignment = partition.assignment
+    registers = partition._registers
+    literal = config.literal_figure4
     for i in rcg.placement_order:
         if bank_arr[i] >= 0:
             continue
-        bank = _choose_best_bank_flat(
-            nbr, wgt, offsets[i], offsets[i + 1], bank_arr, sizes, n_banks,
-            penalty, capacity, config,
-        )
-        partition.assign(regs[i], bank)
+        benefits = [0.0] * n_banks
+        for k in range(offsets[i], offsets[i + 1]):
+            b = bank_arr[nbr[k]]
+            if b >= 0:
+                benefits[b] += wgt[k]
+        # Intent reading: argmax over banks (first bank wins ties), so
+        # the balance penalty can steer isolated nodes toward emptier banks
+        bank = 0
+        best = benefits[0] - pen[0]
+        for b in range(1, n_banks):
+            value = benefits[b] - pen[b]
+            if value > best:
+                best = value
+                bank = b
+        if literal and not best > 0.0:
+            # Verbatim Figure 4: BestBenefit starts at 0 and BestBank at
+            # 0, and only a strictly positive improvement moves the choice.
+            bank = 0
+        reg = regs[i]
+        assignment[reg.rid] = bank
+        registers[reg.rid] = reg
         bank_arr[i] = bank
         sizes[bank] += 1
-        placed += 1
+        if capacity is not None:
+            # capacity-aware: free while the bank has spare issue slots,
+            # then steeply more expensive per register beyond capacity
+            pen[bank] = penalty * max(0.0, sizes[bank] + 1 - capacity)
+        else:
+            # "spread somewhat evenly": penalize above-average occupancy,
+            # so joining a small cluster of collaborators stays cheap
+            average = sum(sizes) / n_banks
+            pen = [penalty * max(0.0, size - average) for size in sizes]
     if metrics is not None:
-        metrics.counter("greedy.placements").inc(placed)
+        metrics.counter("greedy.placements").inc(len(assignment) - len(precolored or ()))
         metrics.counter("greedy.precolored").inc(len(precolored or ()))
     return partition
-
-
-def _choose_best_bank_flat(
-    nbr,
-    wgt,
-    lo: int,
-    hi: int,
-    bank_arr: list[int],
-    sizes: list[int],
-    n_banks: int,
-    penalty: float,
-    capacity: float | None,
-    config: HeuristicConfig = DEFAULT_HEURISTIC,
-) -> int:
-    """One pass over the node's CSR slice, accumulating per-bank benefit.
-
-    Neighbors are visited in ascending-rid order, so each bank's partial
-    sums accumulate in exactly the order the reference (per-bank rescan)
-    produced — bit-identical benefits, hence identical tie-breaks.
-    """
-    benefits = [0.0] * n_banks
-    for k in range(lo, hi):
-        bank = bank_arr[nbr[k]]
-        if bank >= 0:
-            benefits[bank] += wgt[k]
-
-    if capacity is not None:
-        # capacity-aware: free while the bank has spare issue slots,
-        # then steeply more expensive per register beyond capacity
-        for bank in range(n_banks):
-            benefits[bank] -= penalty * max(0.0, sizes[bank] + 1 - capacity)
-    else:
-        # "spread somewhat evenly": penalize above-average occupancy,
-        # so joining a small cluster of collaborators stays cheap
-        average = sum(sizes) / n_banks
-        for bank in range(n_banks):
-            benefits[bank] -= penalty * max(0.0, sizes[bank] - average)
-
-    if config.literal_figure4:
-        # Verbatim Figure 4: BestBenefit starts at 0 and BestBank at 0, and
-        # only a strictly positive improvement moves the choice.
-        best_bank, best_benefit = 0, 0.0
-        for bank, benefit in enumerate(benefits):
-            if benefit > best_benefit:
-                best_benefit = benefit
-                best_bank = bank
-        return best_bank
-
-    # Intent reading: argmax over banks (first bank wins ties), so the
-    # balance penalty can steer isolated nodes toward emptier banks.
-    best_bank = 0
-    best_benefit = benefits[0]
-    for bank in range(1, n_banks):
-        if benefits[bank] > best_benefit:
-            best_benefit = benefits[bank]
-            best_bank = bank
-    return best_bank

@@ -28,6 +28,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Iterator
 
@@ -157,35 +158,25 @@ class RegisterComponentGraph:
         so query the frozen graph instead of calling it repeatedly.
         """
         rids = sorted(self._nodes)
-        n = len(rids)
         index_of = {rid: i for i, rid in enumerate(rids)}
         # One pass over the edge keys sorted by (low rid, high rid) fills
-        # every node's slice already ascending: a node's lower neighbors
+        # every node's list already ascending: a node's lower neighbors
         # all arrive (in order) before its higher ones, because every key
         # led by a smaller rid sorts first.
-        edge_items = sorted(self._edges.items())
-        deg = [0] * n
-        for (a, b), _w in edge_items:
-            deg[index_of[a]] += 1
-            deg[index_of[b]] += 1
-        offsets = [0] * (n + 1)
-        total = 0
-        for i in range(n):
-            offsets[i + 1] = total = total + deg[i]
-        nbr = [0] * total
-        wgt = [0.0] * total
-        fill = offsets[:n]
-        for (a, b), w in edge_items:
-            ia = index_of[a]
-            ib = index_of[b]
-            k = fill[ia]
-            nbr[k] = ib
-            wgt[k] = w
-            fill[ia] = k + 1
-            k = fill[ib]
-            nbr[k] = ia
-            wgt[k] = w
-            fill[ib] = k + 1
+        edges = self._edges
+        nbr_of: list[list[int]] = [[] for _ in rids]
+        wgt_of: list[list[float]] = [[] for _ in rids]
+        for key in sorted(edges):
+            w = edges[key]
+            ia = index_of[key[0]]
+            ib = index_of[key[1]]
+            nbr_of[ia].append(ib)
+            wgt_of[ia].append(w)
+            nbr_of[ib].append(ia)
+            wgt_of[ib].append(w)
+        offsets = [0, *accumulate(map(len, nbr_of))]
+        nbr = list(chain.from_iterable(nbr_of))
+        wgt = list(chain.from_iterable(wgt_of))
         return index_of, rids, offsets, nbr, wgt
 
     def freeze(self) -> "FrozenRCG":
@@ -328,7 +319,7 @@ class FrozenRCG:
     def freeze(self) -> "FrozenRCG":
         return self
 
-    def _index(self, rid: int) -> int:
+    def index_of(self, rid: int) -> int:
         """Dense index of ``rid``, or -1 if it is not a node."""
         regs = self._regs
         i = bisect_left(regs, rid, key=_rid)
@@ -341,20 +332,20 @@ class FrozenRCG:
         return len(self._regs)
 
     def __contains__(self, reg: SymbolicRegister) -> bool:
-        return self._index(reg.rid) >= 0
+        return self.index_of(reg.rid) >= 0
 
     def nodes(self) -> list[SymbolicRegister]:
         """Registers in deterministic (rid) order."""
         return list(self._regs)
 
     def node_weight(self, reg: SymbolicRegister) -> float:
-        i = self._index(reg.rid)
+        i = self.index_of(reg.rid)
         if i < 0:
             raise KeyError(reg.rid)
         return self._weights[i]
 
     def edge_weight(self, a: SymbolicRegister, b: SymbolicRegister) -> float:
-        ia, ib = self._index(a.rid), self._index(b.rid)
+        ia, ib = self.index_of(a.rid), self.index_of(b.rid)
         if ia < 0 or ib < 0:
             return 0.0
         hi = self._offsets[ia + 1]
@@ -370,17 +361,15 @@ class FrozenRCG:
             for i, rid in enumerate(rids)
         }
 
-    def flat_adjacency(self) -> tuple[dict[int, int], list[int], array, array, array]:
-        """The CSR adjacency as ``(index_of, rids, offsets, nbr, wgt)``;
-        see :meth:`RegisterComponentGraph.flat_adjacency`.  The arrays are
-        shared and must not be written."""
-        rids = [reg.rid for reg in self._regs]
-        index_of = {rid: i for i, rid in enumerate(rids)}
-        return index_of, rids, self._offsets, self._nbr, self._wgt
+    def csr(self) -> tuple[array, array, array]:
+        """The CSR adjacency as ``(offsets, nbr, wgt)`` over the dense
+        indices of :meth:`nodes`.  The arrays are shared and must not be
+        written; :meth:`index_of` maps a rid to its index."""
+        return self._offsets, self._nbr, self._wgt
 
     def neighbors(self, reg: SymbolicRegister) -> Iterator[tuple[SymbolicRegister, float]]:
         """(neighbor, edge weight) pairs in deterministic order."""
-        i = self._index(reg.rid)
+        i = self.index_of(reg.rid)
         if i < 0:
             return
         regs, nbr, wgt = self._regs, self._nbr, self._wgt

@@ -24,13 +24,13 @@ exposes every constant, the defaults reproduce the published shape, and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.core.rcg import RegisterComponentGraph
 from repro.ddg.analysis import schedule_slack
 from repro.ddg.graph import DDG
 from repro.ir.operations import Operation
+from repro.ir.registers import SymbolicRegister
 from repro.sched.schedule import KernelSchedule, LinearSchedule
 
 
@@ -112,76 +112,68 @@ def _ingest_schedule(
     density_factor = density if config.use_density else 1.0
     scale = depth_factor * density_factor
     affinity = config.affinity_scale * scale
-    antiaffinity = config.antiaffinity_scale * scale
+    neg_antiaffinity = -(config.antiaffinity_scale * scale)
+    critical_boost = config.critical_boost
 
     # This is the partition path's hottest writer (tens of thousands of
     # edge updates per evaluation), so it writes the RCG tables directly.
-    # The write sequence below is an exact inlining of the
-    # add_edge_weight / add_node_weight / add_node calls it replaces —
-    # same dict-insertion and float-accumulation order, hence the same
-    # bytes everywhere downstream.  Self-edges never reach the edge
-    # writes: both passes skip equal-rid pairs first.
+    # The edge and weight writes below are those of the add_edge_weight /
+    # add_node_weight calls they replace, in the same order — same
+    # edge-insertion and float-accumulation order, hence the same bytes
+    # everywhere downstream.  Every register an op mentions is made a
+    # node (at weight 0.0) before its edges are written; node insertion
+    # order is never read.  Self-edges never reach the edge writes: both
+    # passes skip equal-rid pairs first.
     nodes, node_weight, edges = rcg.ingest_tables()
     edges_get = edges.get
 
     for instr in instructions:
-        # positive: def-use pairs within each operation.  Defined/used
-        # tuples and the flexibility weight are computed once per op here
-        # and reused by the quadratic def-def pass below.
-        per_op: list[tuple[tuple, float]] = []
+        # positive: def-use pairs within each operation.  The defining
+        # ops' registers and flexibility weights are kept, in op order,
+        # for the quadratic def-def pass below.
+        defs: list[tuple[int, float]] = []
         for op in instr:
-            defined = op.defined()
-            used = op.used()
-            fw = config.flexibility_weight(slack[op.op_id])
-            per_op.append((defined, fw))
+            # the 1/Flexibility term of HeuristicConfig.flexibility_weight
+            slack_op = slack[op.op_id]
+            fw = 1.0 / (slack_op + 1)
+            if slack_op == 0:
+                fw *= critical_boost
+            used = [s for s in op.sources if type(s) is SymbolicRegister]
+            for u in used:
+                if u.rid not in nodes:
+                    nodes[u.rid] = u
+                    node_weight[u.rid] = 0.0
+            d = op.dest
+            if d is None:
+                continue
+            drid = d.rid
+            if drid not in nodes:
+                nodes[drid] = d
+                node_weight[drid] = 0.0
+            defs.append((drid, fw))
             w = affinity * fw
-            for d in defined:
-                drid = d.rid
-                for u in used:
-                    urid = u.rid
-                    if drid == urid:
-                        continue  # accumulator: same register, no self-edge
-                    if drid not in nodes:
-                        nodes[drid] = d
-                        node_weight[drid] = 0.0
-                    if urid not in nodes:
-                        nodes[urid] = u
-                        node_weight[urid] = 0.0
-                    key = (drid, urid) if drid <= urid else (urid, drid)
-                    edges[key] = edges_get(key, 0.0) + w
-                    node_weight[drid] += w
-                    node_weight[urid] += w
-            # ensure every register is an RCG node even if isolated
-            for r in defined:
-                rid = r.rid
-                if rid not in nodes:
-                    nodes[rid] = r
-                    node_weight[rid] = 0.0
-            for r in used:
-                rid = r.rid
-                if rid not in nodes:
-                    nodes[rid] = r
-                    node_weight[rid] = 0.0
+            for u in used:
+                urid = u.rid
+                if drid == urid:
+                    continue  # accumulator: same register, no self-edge
+                key = (drid, urid) if drid <= urid else (urid, drid)
+                edges[key] = edges_get(key, 0.0) + w
+                node_weight[drid] += w
+                node_weight[urid] += w
 
         # negative: def-def pairs across distinct operations of the same
-        # instruction (they proved co-issuable in the ideal schedule)
-        for (defs_a, fw_a), (defs_b, fw_b) in itertools.combinations(per_op, 2):
-            fw = fw_a if fw_a <= fw_b else fw_b
-            w = -antiaffinity * fw
-            for d1 in defs_a:
-                arid = d1.rid
-                for d2 in defs_b:
-                    brid = d2.rid
-                    if arid == brid:
-                        continue
-                    if arid not in nodes:
-                        nodes[arid] = d1
-                        node_weight[arid] = 0.0
-                    if brid not in nodes:
-                        nodes[brid] = d2
-                        node_weight[brid] = 0.0
-                    key = (arid, brid) if arid <= brid else (brid, arid)
-                    edges[key] = edges_get(key, 0.0) + w
+        # instruction (they proved co-issuable in the ideal schedule),
+        # in the pair order of itertools.combinations
+        n_defs = len(defs)
+        for a in range(n_defs - 1):
+            arid, fw_a = defs[a]
+            for b in range(a + 1, n_defs):
+                brid, fw_b = defs[b]
+                if arid == brid:
+                    continue
+                w = neg_antiaffinity * (fw_a if fw_a <= fw_b else fw_b)
+                key = (arid, brid) if arid <= brid else (brid, arid)
+                edges[key] = edges_get(key, 0.0) + w
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +204,12 @@ def build_rcg_from_kernel(
         kernel.loop.depth,
         config,
     )
-    for reg in kernel.loop.registers():
-        rcg.add_node(reg)
+    # the ingest made every register of every op a node; only live-ins
+    # and live-outs the body never mentions are left
+    loop = kernel.loop
+    for regs in (loop.live_in, loop.live_out):
+        for reg in regs:
+            rcg.add_node(reg)
     return rcg
 
 

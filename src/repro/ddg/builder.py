@@ -67,57 +67,68 @@ def derive_partitioned_ddg(
     Its analysis index is built with ``source``'s SCC membership, so
     Tarjan does not run: a clone keeps its source's SCC, and a copy joins
     its def's SCC if one of its consumers is in it (the split edge lies on
-    a cycle), else it is a singleton.
+    a cycle), else it is a singleton.  ``source``'s per-op flow
+    predecessors and its memory rows are split out once per graph
+    version and memoised on its index, since every cluster count derives
+    from the same source.
     """
-    op_map = partitioned.op_map
-    if len(op_map) != len(source.ops):
+    origin = partitioned.origin
+    src_index = source.index()
+    if len(origin) - partitioned.n_body_copies != src_index.n:
         raise ValueError("source DDG is not the DDG of the partitioned loop's source")
     ddg = DDG(ops=list(partitioned.loop.ops))
-    pos = ddg._index
-    src_index = source.index()
-    src_rows = source.rows
-    n = len(ddg.ops)
-    new_of = [pos[op_map[op.op_id].op_id] for op in source.ops]
-    origin = [-1] * n  # derived index -> source index (-1: a copy)
+    n = len(origin)
+    new_of = [0] * src_index.n  # source index -> derived index
     scc_of = [-1] * n
-    for i, j in enumerate(new_of):
-        origin[j] = i
-        scc_of[j] = src_index.scc_of[i]
-    flow_in: list[list[Row]] = [[] for _ in source.ops]
-    for row in src_rows:
-        if row[2] is FLOW:
-            flow_in[row[1]].append(row)
+    src_scc = src_index.scc_of
+    for j, i in enumerate(origin):
+        if i >= 0:
+            new_of[i] = j
+            scc_of[j] = src_scc[i]
+    # per-op flow rows in insertion order, and the other rows in edges()
+    # order: the same for every partition of this source graph version
+    if src_index.derive_rows is None:
+        src_rows = source.rows
+        flow_in: list[list[Row]] = [[] for _ in range(src_index.n)]
+        for row in src_rows:
+            if row[2] is FLOW:
+                flow_in[row[1]].append(row)
+        src_index.derive_rows = (flow_in, [
+            src_rows[r][:5] for r in src_index.edge_row if src_rows[r][2] is not FLOW
+        ])
+    flow_in, mem_rows = src_index.derive_rows
 
+    ops = ddg.ops
     rows = ddg.rows
     append = rows.append
-    copy_for = partitioned.copy_for
+    copy_at = partitioned.copy_at
     def_of: dict[int, int] = {}  # copy -> its def
     copy_uses: list[tuple[int, int]] = []  # (copy, consumer)
     owner = -1  # the last clone: a copy's def
-    for j, op in enumerate(ddg.ops):
-        i = origin[j]
+    for j, i in enumerate(origin):
         if i < 0:
             def_of[j] = owner
-            append((owner, j, FLOW, latencies.of(ddg.ops[owner]), 0, op.sources[0]))
+            append((owner, j, FLOW, latencies.of(ops[owner]), 0, ops[j].sources[0]))
             continue
         owner = j
-        cluster = op.cluster
-        for s, _, _, delay, distance, reg in flow_in[i]:
-            cp = copy_for.get((reg.rid, cluster))
-            if cp is None:
+        rows_in = flow_in[i]
+        if not rows_in:
+            continue
+        cluster = ops[j].cluster
+        for s, _, _, delay, distance, reg in rows_in:
+            c = copy_at.get((reg.rid, cluster))
+            if c is None:
                 append((new_of[s], j, FLOW, delay, distance, reg))
             else:
-                c = pos[cp.op_id]
                 copy_uses.append((c, j))
+                cp = ops[c]
                 append((c, j, FLOW, latencies.of(cp), distance, cp.dest))
-    for r in src_index.edge_row:
-        s, d, kind, delay, distance, _ = src_rows[r]
-        if kind is not FLOW:
-            append((new_of[s], new_of[d], kind, delay, distance, None))
+    for s, d, kind, delay, distance in mem_rows:
+        append((new_of[s], new_of[d], kind, delay, distance, None))
     ddg._keys = None  # built from the rows if an edge is ever added
 
     joined = {c for c, j in copy_uses if scc_of[j] == scc_of[def_of[c]]}
-    fresh = max(src_index.scc_of, default=-1) + 1
+    fresh = max(src_scc, default=-1) + 1
     for c, def_idx in def_of.items():
         if c in joined:
             scc_of[c] = scc_of[def_idx]

@@ -218,11 +218,13 @@ class AnalysisIndex:
     smallest member, so any labelling of the same partition yields the
     same index.  ``rec_ii`` and ``res_ii`` (per machine shape) memoise
     :func:`repro.ddg.analysis.recurrence_ii` (once it has succeeded) and
-    :func:`~repro.ddg.analysis.resource_ii`.
+    :func:`~repro.ddg.analysis.resource_ii`, and ``derive_rows`` the rows
+    :func:`repro.ddg.builder.derive_partitioned_ddg` reads.
     """
 
     __slots__ = ("n", "m", "op_ids", "edge_row", "src", "dst", "delay", "dist",
-                 "out_edges", "rev_topo0", "scc_of", "cyclic_sccs", "rec_ii", "res_ii")
+                 "out_edges", "rev_topo0", "scc_of", "cyclic_sccs", "rec_ii", "res_ii",
+                 "derive_rows")
 
     def __init__(self, ddg: DDG, scc_of: list[int] | None = None) -> None:
         self.n = n = len(ddg.ops)
@@ -243,6 +245,7 @@ class AnalysisIndex:
         self.cyclic_sccs = self._condense()
         self.rec_ii: int | None = None
         self.res_ii: dict[tuple, int] = {}
+        self.derive_rows: tuple | None = None
 
     # ------------------------------------------------------------------
     def _reverse_topo_distance0(self) -> list[int] | None:

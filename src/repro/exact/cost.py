@@ -18,9 +18,11 @@ live-ins cost nothing per iteration (paper Section 4) and are free here
 too.  ``OVERFLOW_WEIGHT`` makes the objective lexicographic: no number
 of saved copies justifies an unschedulable bank.
 
-Homing follows :func:`repro.core.copies._home_cluster` exactly: an
-operation executes on its destination's bank; stores on the bank of the
-first register source; operations touching no registers on cluster 0.
+Homing follows :func:`~repro.core.copies.insert_copies` exactly (and
+:func:`repro.core.copies._home_cluster`, the rule spelled out for the
+copy-consistency oracle): an operation executes on its destination's
+bank; stores on the bank of the first register source; operations
+touching no registers on cluster 0.
 
 :class:`ExactProblem` precomputes the loop structure both the
 branch-and-bound solver (:mod:`repro.exact.bnb`) and the brute-force

@@ -233,13 +233,23 @@ class Operation:
 
     def clone(self) -> "Operation":
         """A structural copy with a fresh ``op_id``."""
-        return Operation(
-            opcode=self.opcode,
-            dest=self.dest,
-            sources=self.sources,
-            mem=self.mem,
-            cluster=self.cluster,
-        )
+        return self.pinned_clone(self.cluster)
+
+    def pinned_clone(self, cluster: int | None) -> "Operation":
+        """A structural copy with a fresh ``op_id``, pinned to ``cluster``.
+
+        The fields of a validated operation stay valid, so the copy is
+        filled in directly instead of through ``__init__`` and
+        ``__post_init__``.
+        """
+        clone = _new_operation(Operation)
+        clone.opcode = self.opcode
+        clone.dest = self.dest
+        clone.sources = self.sources
+        clone.mem = self.mem
+        clone.op_id = _fresh_op_id()
+        clone.cluster = cluster
+        return clone
 
     def __hash__(self) -> int:
         return hash(self.op_id)
@@ -248,6 +258,9 @@ class Operation:
         from repro.ir.printer import format_operation
 
         return f"<op#{self.op_id} {format_operation(self)}>"
+
+
+_new_operation = object.__new__
 
 
 def make_copy(dest: SymbolicRegister, src: SymbolicRegister, cluster: int | None = None) -> Operation:

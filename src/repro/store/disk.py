@@ -20,7 +20,7 @@ the two lines after it.  Blank lines separate records, so a record torn
 by a crash mid-append can never swallow the header of one appended
 after it; any other line is stray.  Reading a file splits it into
 records by digest without decoding them; a torn or corrupt record fails
-:meth:`StoreEntry.from_bytes`, and the reader counts it as an invalid
+:meth:`StoreEntry.from_lines`, and the reader counts it as an invalid
 miss and drops it (:meth:`DiskStore.delete`), so it is never served.
 Two writers of the same key may leave duplicate records; they are
 interchangeable (entry content is a deterministic function of the key)
@@ -81,8 +81,10 @@ def _stamp(path: Path) -> tuple[int, int, int] | None:
 class LoopFile:
     """One loop file split into records, none of them decoded."""
 
-    #: digest -> raw record: the first complete one, else a torn one
-    records: dict[str, bytes] = field(default_factory=dict)
+    #: digest -> raw record as its lines, split as
+    #: :meth:`StoreEntry.from_bytes` splits (a newline-terminated record
+    #: ends with an empty line): the first complete one, else a torn one
+    records: dict[str, list[bytes]] = field(default_factory=dict)
     #: digests whose only record is incomplete (a torn append)
     torn: set[str] = field(default_factory=set)
     #: non-blank lines outside any record
@@ -107,9 +109,10 @@ class LoopFile:
             digest = line[len(RECORD_PREFIX):_DIGEST_END].decode("ascii", "replace")
             complete = j - i == 3 and j <= last
             if digest not in out.records or (complete and digest in out.torn):
-                out.records[digest] = b"\n".join(lines[i:j]) + (
-                    b"\n" if j <= last else b""
-                )
+                record = lines[i:j]
+                if j <= last:
+                    record.append(b"")  # the newline ending the record
+                out.records[digest] = record
                 if complete:
                     out.torn.discard(digest)
                 else:
@@ -215,9 +218,10 @@ class DiskStore:
     # ------------------------------------------------------------------
     # read / write
     # ------------------------------------------------------------------
-    def read(self, key: StoreKey) -> tuple[bytes | None, dict[str, bytes]]:
+    def read(self, key: StoreKey) -> tuple[list[bytes] | None, dict[str, list[bytes]]]:
         """``key``'s raw record (``None`` if absent) and the loop file's
-        other complete records, all undecoded — one file read per loop.
+        other complete records, all undecoded and as their lines
+        (:attr:`LoopFile.records`) — one file read per loop.
 
         Raises :class:`~repro.store.entry.StoreEntryError` when the file
         exists but cannot be read.
@@ -243,7 +247,7 @@ class DiskStore:
         callers treat that as a miss and usually :meth:`delete` it.
         """
         raw, _others = self.read(key)
-        return None if raw is None else StoreEntry.from_bytes(raw, key)
+        return None if raw is None else StoreEntry.from_lines(raw, key)
 
     def put(self, key: StoreKey, entry: StoreEntry) -> int:
         """Append ``entry`` to its loop file under ``key.digest`` in one
@@ -284,7 +288,7 @@ class DiskStore:
             if not dropped and not loaded.stray:
                 return []
             kept = b"".join(
-                b"\n" + raw for d, raw in loaded.records.items() if not drop(d)
+                b"\n" + b"\n".join(raw) for d, raw in loaded.records.items() if not drop(d)
             )
             tmp = self._write_temp(kept) if kept else None
             if len(data) == stamp[1] and _stamp(path) == stamp:
@@ -343,7 +347,7 @@ class DiskStore:
             for digest, raw in loaded.records.items():
                 report.checked += 1
                 try:
-                    entry = StoreEntry.from_bytes(raw)
+                    entry = StoreEntry.from_lines(raw)
                 except StoreEntryError as exc:
                     bad.add(digest)
                     report.bad.append((digest, str(exc)))

@@ -239,7 +239,12 @@ class StoreEntry:
         meta and payload lines, which checks the key, magic, schema and
         both checksums in one comparison.
         """
-        parts = data.split(b"\n")
+        return cls.from_lines(data.split(b"\n"), key)
+
+    @classmethod
+    def from_lines(cls, parts: list[bytes], key: StoreKey | None = None) -> "StoreEntry":
+        """:meth:`from_bytes` of a record already split into its lines
+        (``data.split(b"\\n")``), as the disk tier reads them."""
         if len(parts) != 4 or parts[3]:
             raise StoreEntryError(
                 "truncated entry (expected 3 newline-terminated lines)"

@@ -98,9 +98,9 @@ class ArtifactStore:
         self.disk = disk
         self.l1_capacity = l1_capacity
         self.stats = StoreStats()
-        #: digest -> decoded entry, or the raw record of a loop-file
-        #: neighbour not yet served (decoded on its first hit)
-        self._l1: dict[str, StoreEntry | bytes] = {}
+        #: digest -> decoded entry, or the raw record (its lines) of a
+        #: loop-file neighbour not yet served (decoded on its first hit)
+        self._l1: dict[str, StoreEntry | list[bytes]] = {}
         #: (digest, tier) of the most recent hit, so a late hydration
         #: failure (:meth:`reject`) can reclassify the right counter
         self._last_hit: tuple[str, str] | None = None
@@ -122,7 +122,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # L1 bookkeeping
     # ------------------------------------------------------------------
-    def _l1_put(self, digest: str, entry: StoreEntry | bytes) -> None:
+    def _l1_put(self, digest: str, entry: StoreEntry | list[bytes]) -> None:
         self._l1.pop(digest, None)
         self._l1[digest] = entry
         while self.l1_capacity is not None and len(self._l1) > self.l1_capacity:
@@ -159,7 +159,7 @@ class ArtifactStore:
             if entry is None:
                 self.stats.misses += 1
                 return None
-        if isinstance(entry, bytes):
+        if isinstance(entry, list):
             entry = self._admit(key, entry)
             if entry is None:
                 self._l1.pop(digest, None)
@@ -179,11 +179,12 @@ class ArtifactStore:
         return entry
 
     @staticmethod
-    def _admit(key: StoreKey, raw: bytes) -> StoreEntry | None:
-        """Check ``raw`` is ``key``'s record and decode it; ``None`` if not
-        (a digest collision, tampered key fields or a corrupt record)."""
+    def _admit(key: StoreKey, raw: list[bytes]) -> StoreEntry | None:
+        """Check ``raw`` (a record's lines) is ``key``'s record and decode
+        it; ``None`` if not (a digest collision, tampered key fields or a
+        corrupt record)."""
         try:
-            return StoreEntry.from_bytes(raw, key)
+            return StoreEntry.from_lines(raw, key)
         except StoreEntryError:
             return None
 

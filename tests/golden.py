@@ -16,6 +16,10 @@ builds the golden table, and ``ModuloScheduler._try_ii`` becomes the
 golden attempt on the golden table.  :func:`add_node` and
 :func:`add_edge` build interference graphs by hand, for the
 interference oracle and the colouring tests.
+:func:`_reference_build_rcg_from_kernel` weights the RCG through its
+method calls and :func:`_reference_insert_copies` inserts copies over
+op objects; :func:`frozen_tables` and :func:`partitioned_listing` turn
+their results into comparable plain values.
 
 The module name matches neither ``test_*.py`` nor ``bench_*.py``, so
 pytest does not collect it.
@@ -30,13 +34,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.copies import PartitionedLoop, _home_cluster
 from repro.core.greedy import Partition
 from repro.core.rcg import RegisterComponentGraph
 from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
-from repro.ddg.analysis import longest_path_heights
+from repro.ddg.analysis import longest_path_heights, schedule_slack
 from repro.ddg.graph import DDG
-from repro.ir.operations import Operation
-from repro.ir.registers import SymbolicRegister
+from repro.ir.block import BasicBlock, Loop
+from repro.ir.operations import Operation, make_copy
+from repro.ir.printer import format_loop
+from repro.ir.registers import RegisterFactory, SymbolicRegister
 from repro.machine.machine import CopyModel, MachineDescription
 from repro.regalloc.coloring import ColoringResult
 from repro.regalloc.interference import InterferenceGraph, Name
@@ -519,6 +526,188 @@ def _reference_choose_best_bank(
             best_benefit = benefits[bank]
             best_bank = bank
     return best_bank
+
+
+# ----------------------------------------------------------------------
+# RCG weighting (repro.core.weights)
+# ----------------------------------------------------------------------
+def _reference_build_rcg_from_kernel(
+    kernel: KernelSchedule,
+    ddg: DDG,
+    config: HeuristicConfig = DEFAULT_HEURISTIC,
+) -> RegisterComponentGraph:
+    """The Section-5 weighting through the graph's method calls: per
+    kernel row, ``add_edge_weight`` and ``add_node_weight`` for every
+    def-use pair, ``add_node`` for every register an op mentions, then
+    ``add_edge_weight`` for every def-def pair of two distinct ops, and
+    finally ``add_node`` over ``loop.registers()``.  The oracle for
+    :func:`~repro.core.weights.build_rcg_from_kernel`, which writes the
+    graph's tables directly."""
+    rcg = RegisterComponentGraph()
+    slack = schedule_slack(ddg, kernel.times, kernel.flat_length, kernel.machine.latencies)
+    density = len(kernel.loop.ops) / kernel.ii
+    scale = config.depth_base ** kernel.loop.depth * (density if config.use_density else 1.0)
+    affinity = config.affinity_scale * scale
+    antiaffinity = config.antiaffinity_scale * scale
+    for instr in kernel.kernel_rows():
+        per_op = []
+        for op in instr:
+            fw = config.flexibility_weight(slack[op.op_id])
+            per_op.append((op.defined(), fw))
+            for d in op.defined():
+                for u in op.used():
+                    if d.rid != u.rid:
+                        rcg.add_edge_weight(d, u, affinity * fw)
+                        rcg.add_node_weight(d, affinity * fw)
+                        rcg.add_node_weight(u, affinity * fw)
+            for reg in op.registers():
+                rcg.add_node(reg)
+        for (defs_a, fw_a), (defs_b, fw_b) in itertools.combinations(per_op, 2):
+            for d1 in defs_a:
+                for d2 in defs_b:
+                    if d1.rid != d2.rid:
+                        rcg.add_edge_weight(d1, d2, -antiaffinity * min(fw_a, fw_b))
+    for reg in kernel.loop.registers():
+        rcg.add_node(reg)
+    return rcg
+
+
+# ----------------------------------------------------------------------
+# Copy insertion (repro.core.copies)
+# ----------------------------------------------------------------------
+def _reference_insert_copies(
+    loop: Loop, partition: Partition, machine: MachineDescription,
+) -> PartitionedLoop:
+    """Copy insertion in four passes over op objects: clone every op
+    (through the validating constructor) and pin it with
+    :func:`~repro.core.copies._home_cluster`; collect the cross-bank
+    reads per consumer; mint the copies in (rid, cluster) order and
+    rewrite every consumer; assemble the body with each def's copies
+    sorted by register.  The op-keyed maps it builds are turned into
+    the result's positions at the end.  The oracle for
+    :func:`~repro.core.copies.insert_copies`."""
+    part = partition.copy()
+    factory = RegisterFactory()
+    taken = {r.name for r in loop.registers()}
+
+    new_ops: list[Operation] = []
+    op_map: dict[int, Operation] = {}
+    for op in loop.ops:
+        clone = Operation(opcode=op.opcode, dest=op.dest, sources=op.sources,
+                          mem=op.mem, cluster=op.cluster)
+        clone.cluster = _home_cluster(clone, part)
+        op_map[op.op_id] = clone
+        new_ops.append(clone)
+
+    needed: dict[tuple[int, int], list[Operation]] = {}
+    reg_by_rid: dict[int, SymbolicRegister] = {}
+    for op in new_ops:
+        for src in op.used():
+            reg_by_rid[src.rid] = src
+            if part.bank_of(src) != op.cluster:
+                needed.setdefault((src.rid, op.cluster), []).append(op)
+    defined_at = {op.dest.rid: i for i, op in enumerate(new_ops) if op.dest is not None}
+
+    body_copies: list[Operation] = []
+    preheader_copies: list[tuple[SymbolicRegister, SymbolicRegister]] = []
+    insertions: dict[int, list[Operation]] = {}
+    new_live_in = set(loop.live_in)
+    copy_origin: dict[int, SymbolicRegister] = {}
+    copy_for: dict[tuple[int, int], Operation] = {}
+    for (src_rid, cluster), consumers in sorted(needed.items()):
+        src = reg_by_rid[src_rid]
+        name = f"{src.name}.c{cluster}"
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        copy_reg = factory.new(src.dtype, name=name)
+        part.assign(copy_reg, cluster)
+        copy_origin[copy_reg.rid] = src
+        if src_rid in defined_at:
+            cp = make_copy(copy_reg, src, cluster=cluster)
+            insertions.setdefault(defined_at[src_rid], []).append(cp)
+            body_copies.append(cp)
+            copy_for[(src_rid, cluster)] = cp
+        else:
+            preheader_copies.append((src, copy_reg))
+            new_live_in.add(copy_reg)
+        for consumer in consumers:
+            consumer.sources = tuple(
+                copy_reg if isinstance(s, SymbolicRegister) and s.rid == src_rid else s
+                for s in consumer.sources
+            )
+
+    body: list[Operation] = []
+    for i, op in enumerate(new_ops):
+        body.append(op)
+        body.extend(sorted(insertions.get(i, ()), key=lambda c: c.dest.rid))
+
+    position = {op.op_id: j for j, op in enumerate(body)}
+    source_of = {clone.op_id: i for i, clone in enumerate(op_map[op.op_id] for op in loop.ops)}
+    return PartitionedLoop(
+        loop=Loop(
+            name=loop.name,
+            body=BasicBlock(name=f"{loop.name}.body", ops=body, depth=loop.depth),
+            depth=loop.depth,
+            factory=factory,
+            live_in=new_live_in,
+            live_out=set(loop.live_out),
+            trip_count_hint=loop.trip_count_hint,
+        ),
+        partition=part,
+        body_copies=body_copies,
+        preheader_copies=preheader_copies,
+        copy_origin=copy_origin,
+        origin=[source_of.get(op.op_id, -1) for op in body],
+        copy_at={key: position[cp.op_id] for key, cp in copy_for.items()},
+    )
+
+
+def partitioned_listing(partitioned: PartitionedLoop) -> dict[str, object]:
+    """Everything the compiler reads of a copy-inserted loop, as plain
+    values that do not depend on how many ids the process minted before:
+    the listing, each op's id rank and cluster, the partition by name in
+    insertion order, the copies, live-ins and ``copy_origin`` by name,
+    the copy registers' rid ranks, and the body positions."""
+    loop = partitioned.loop
+    ids = sorted(op.op_id for op in loop.ops)
+    regs = partitioned.partition._registers
+    copy_rids = sorted(partitioned.copy_origin)
+    return {
+        "listing": format_loop(loop),
+        "op_id_rank": [ids.index(op.op_id) for op in loop.ops],
+        "clusters": [op.cluster for op in loop.ops],
+        "partition": [(regs[rid].name, bank)
+                      for rid, bank in partitioned.partition.assignment.items()],
+        "body_copies": [(cp.dest.name, cp.sources[0].name, cp.cluster)
+                        for cp in partitioned.body_copies],
+        "preheader_copies": [(src.name, dst.name)
+                             for src, dst in partitioned.preheader_copies],
+        "live_in": sorted(reg.name for reg in loop.live_in),
+        "live_out": sorted(reg.name for reg in loop.live_out),
+        "copy_origin": [(regs[rid].name, origin.name)
+                        for rid, origin in partitioned.copy_origin.items()],
+        "copy_rid_rank": [regs[rid].name for rid in copy_rids],
+        "origin": partitioned.origin,
+        "copy_at": partitioned.copy_at,
+    }
+
+
+def frozen_tables(rcg) -> dict[str, object]:
+    """Every table of a :class:`~repro.core.rcg.FrozenRCG`, as plain
+    values (registers by rid)."""
+    frozen = rcg.freeze()
+    return {
+        "regs": [reg.rid for reg in frozen.nodes()],
+        "weights": list(frozen._weights),
+        "offsets": list(frozen._offsets),
+        "nbr": list(frozen._nbr),
+        "wgt": list(frozen._wgt),
+        "edge_pos": list(frozen._edge_pos),
+        "placement_order": list(frozen.placement_order),
+        "weight_scale": frozen.weight_scale,
+        "n_positive_components": frozen.n_positive_components,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.codegen import emit_assembly
 from repro.core.copies import count_cross_bank_reads, insert_copies
 from repro.core.greedy import Partition
+from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.ir.builder import LoopBuilder
+from repro.ir.parser import parse_loop
+from repro.ir.printer import format_loop
 from repro.ir.verify import verify_loop
 from repro.machine.machine import CopyModel
 from repro.machine.presets import paper_machine
+from repro.store.tiered import ArtifactStore
 
 
 def partition_for(loop, mapping, n_banks=2):
@@ -26,8 +31,9 @@ class TestClusterPinning:
     def test_ops_pinned_to_dest_bank(self, daxpy_loop, machine2):
         p = partition_for(daxpy_loop, {"f3": 1, "f4": 1})
         result = insert_copies(daxpy_loop, p, machine2)
-        for orig, clone in result.op_map.items():
-            if clone.dest is not None and not clone.is_copy:
+        for clone, i in zip(result.loop.ops, result.origin):
+            if i >= 0 and clone.dest is not None:
+                assert clone.dest is daxpy_loop.ops[i].dest
                 assert clone.cluster == result.partition.bank_of(clone.dest)
 
     def test_store_runs_where_value_lives(self, daxpy_loop, machine2):
@@ -139,3 +145,50 @@ class TestCrossBankCounting:
     def test_zero_for_single_bank(self, daxpy_loop):
         p = partition_for(daxpy_loop, {})
         assert count_cross_bank_reads(daxpy_loop, p) == 0
+
+
+#: a loop that defines both ``f1`` and ``f1.c1`` (dotted names parse) and
+#: reads every value on other clusters, so the default copy name of
+#: ``f1`` on cluster 1 is already taken by a register of the loop
+CLASH = """\
+loop clash depth=1 trip=8
+  fload f1, x[i]
+  fload f1.c1, x[i+1]
+  fload f2, x[i+2]
+  fload f2.c1, x[i+3]
+  fmul f3, f1, f2
+  fmul f3.c1, f1.c1, f2.c1
+  fadd f4, f3, f1.c1
+  fadd f4.c1, f3.c1, f1
+  fadd f5, f4, f2.c1
+  fadd f5.c1, f4.c1, f2
+  fstore f5, y[i]
+  fstore f5.c1, z[i]
+end
+"""
+
+
+class TestCopyNames:
+    @pytest.mark.parametrize("model", [CopyModel.EMBEDDED, CopyModel.COPY_UNIT],
+                             ids=["embedded", "copy_unit"])
+    @pytest.mark.parametrize("n_clusters", [2, 4, 8])
+    def test_copy_names_stay_unique(self, tmp_path, n_clusters, model):
+        """A copy takes a name no register of the loop uses, so the
+        partitioned loop's listing parses back, and a warm store hit
+        (whose bank assignment is filed by register name) emits the cold
+        compile's assembly."""
+        loop = parse_loop(CLASH)
+        machine = paper_machine(n_clusters, model)
+        store = ArtifactStore.open(tmp_path / "store")
+        cold = compile_loop(loop, machine, PipelineConfig(), store=store)
+        partitioned = cold.partitioned
+        names = [reg.name for reg in partitioned.loop.registers()]
+        assert len(names) == len(set(names))
+        copies = [cp.dest for cp in partitioned.body_copies]
+        copies += [dst for _src, dst in partitioned.preheader_copies]
+        assert any(reg.name.endswith("_") for reg in copies)  # the clash occurred
+        text = format_loop(partitioned.loop)
+        assert format_loop(parse_loop(text)) == text
+        warm = compile_loop(loop, machine, PipelineConfig(), store=store)
+        assert warm.store_hit
+        assert emit_assembly(warm).text() == emit_assembly(cold).text()

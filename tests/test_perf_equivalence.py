@@ -24,9 +24,13 @@ import random
 
 import pytest
 
+from repro.core.baselines import random_partition
+from repro.core.cache import ArtifactCache
+from repro.core.copies import insert_copies
 from repro.core.greedy import greedy_partition
+from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.rcg import RegisterComponentGraph
-from repro.core.weights import HeuristicConfig
+from repro.core.weights import HeuristicConfig, build_rcg_from_kernel
 from repro.ddg.analysis import (
     critical_cycle_ratio,
     estart_lstart,
@@ -36,23 +40,30 @@ from repro.ddg.analysis import (
 )
 from repro.ddg.dependence import DepKind, Dependence
 from repro.ddg.graph import DDG
+from repro.evalx.runner import PAPER_CONFIG_ORDER
+from repro.ir.builder import LoopBuilder
 from repro.ir.operations import Opcode, Operation, make_copy
 from repro.ir.registers import RegisterFactory
 from repro.ir.types import DataType
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
 from repro.sched.resources import demand_words
+from repro.workloads.corpus import spec95_corpus
 from tests.golden import (
     ReferenceModuloReservationTable,
     _reference_build_interference,
+    _reference_build_rcg_from_kernel,
     _reference_critical_cycle_ratio,
     _reference_estart_lstart,
     _reference_greedy_partition,
+    _reference_insert_copies,
     _reference_longest_path_heights,
     _reference_pressure_rows,
     _reference_recurrence_ii,
     _reference_resource_ii,
     ddg_rows,
+    frozen_tables,
+    partitioned_listing,
     rebuilt_ddg_rows,
     reference_try_ii,
     use_reference_mrt,
@@ -304,6 +315,99 @@ def test_greedy_partition_matches_reference(seed):
                                        precolored=precolored,
                                        slots_per_bank=slots_per_bank)
     assert fast.assignment == slow.assignment
+
+
+# ----------------------------------------------------------------------
+# steps 3-4 on the corpus: RCG weighting, greedy placement, copy insertion
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def quick40_cells():
+    """``(machine, result)`` for every quick-40 cell on the six paper
+    configurations, compiled loop-major with one cache as ``repro
+    evaluate`` runs them (no register allocation)."""
+    config = PipelineConfig(run_regalloc=False)
+    cache = ArtifactCache()
+    machines = [paper_machine(n, model) for n, model in PAPER_CONFIG_ORDER]
+    return [
+        (machine, compile_loop(loop, machine, config, cache=cache))
+        for loop in spec95_corpus(n=40)
+        for machine in machines
+    ]
+
+
+def test_rcg_build_matches_reference_on_corpus(quick40_cells):
+    heuristics = [*CONFIGS, HeuristicConfig(use_density=False, depth_base=3.0)]
+    for _machine, result in quick40_cells[::len(PAPER_CONFIG_ORDER)]:
+        for heuristic in heuristics:
+            fast = build_rcg_from_kernel(result.ideal, result.ddg, heuristic)
+            slow = _reference_build_rcg_from_kernel(result.ideal, result.ddg, heuristic)
+            assert frozen_tables(fast) == frozen_tables(slow), result.loop.name
+            assert fast._node_weight == slow._node_weight
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=["default", "literal", "average", "unbalanced"])
+def test_greedy_partition_matches_reference_on_corpus(quick40_cells, config):
+    """The frozen RCG of every quick-40 loop, with ``slots_per_bank`` as
+    the pipeline passes it and without it."""
+    for machine, result in quick40_cells:
+        for slots in (machine.fus_per_cluster * result.ideal.ii, None):
+            fast = greedy_partition(result.rcg, machine.n_clusters, config,
+                                    slots_per_bank=slots)
+            slow = _reference_greedy_partition(result.rcg, machine.n_clusters, config,
+                                               slots_per_bank=slots)
+            assert list(fast.assignment.items()) == list(slow.assignment.items())
+
+
+def test_insert_copies_matches_reference_on_corpus(quick40_cells):
+    """Every quick-40 cell's greedy partition, and the same partition
+    recomputed around a few precoloured pins."""
+    rng = random.Random(3)
+    for machine, result in quick40_cells:
+        loop, rcg = result.precopy_loop, result.rcg
+        pins = rng.sample(rcg.nodes(), min(3, len(rcg)))
+        pinned = greedy_partition(
+            rcg, machine.n_clusters, precolored={reg: rng.randrange(machine.n_clusters)
+                                                 for reg in pins},
+            slots_per_bank=machine.fus_per_cluster * result.ideal.ii,
+        )
+        expected = partitioned_listing(result.partitioned)
+        assert partitioned_listing(insert_copies(loop, result.partition, machine)) == expected
+        assert partitioned_listing(
+            _reference_insert_copies(loop, result.partition, machine)) == expected
+        assert partitioned_listing(insert_copies(loop, pinned, machine)) == \
+            partitioned_listing(_reference_insert_copies(loop, pinned, machine))
+
+
+def _edge_case_loop():
+    """Live-in reads, an accumulator, stores homed by their value, and a
+    store of an immediate (no register: homed on cluster 0)."""
+    b = LoopBuilder("edge_cases")
+    b.live_in("fa", "fb", "r9")
+    b.fload("f1", "x")
+    b.fmul("f2", "f1", "fa")
+    b.fadd("f3", "f3", "f2")
+    b.fmul("f4", "f1", "f1")
+    b.store(7, "z")
+    b.add("r1", "r9", 1)
+    b.store("r1", "q")
+    b.fadd("f5", "f4", "fb")
+    b.fstore("f5", "w")
+    b.fstore("f3", "y")
+    b.live_out("f3")
+    return b.build()
+
+
+@pytest.mark.parametrize("n_banks", [2, 4, 8])
+@pytest.mark.parametrize("model", [CopyModel.EMBEDDED, CopyModel.COPY_UNIT],
+                         ids=["embedded", "copy_unit"])
+def test_insert_copies_matches_reference_on_random_partitions(n_banks, model):
+    machine = paper_machine(n_banks, model)
+    for loop in [_edge_case_loop(), *spec95_corpus(n=40)]:
+        for seed in range(4):
+            partition = random_partition(loop, n_banks, seed)
+            fast = insert_copies(loop, partition, machine)
+            slow = _reference_insert_copies(loop, partition, machine)
+            assert partitioned_listing(fast) == partitioned_listing(slow), (loop.name, seed)
 
 
 # ----------------------------------------------------------------------

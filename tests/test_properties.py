@@ -315,7 +315,10 @@ def test_copy_on_recurrence_joins_its_scc():
     source = build_loop_ddg(loop, machine.latencies)
     partitioned = insert_copies(loop, part, machine)
     assert partitioned.n_body_copies == 2 and partitioned.n_preheader_copies == 1
-    assert set(partitioned.copy_for) == {(fx.rid, 1), (fy.rid, 0)}
+    assert {key: partitioned.loop.ops[j].dest.name
+            for key, j in partitioned.copy_at.items()} == {
+        (fx.rid, 1): "fx.c1", (fy.rid, 0): "fy.c0"}
+    assert partitioned.origin == [0, -1, 1, -1]
     derived = derive_partitioned_ddg(source, partitioned, machine.latencies)
     assert ddg_rows(derived) == rebuilt_ddg_rows(partitioned.loop, machine.latencies)
 
