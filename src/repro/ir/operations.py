@@ -267,9 +267,17 @@ def make_copy(dest: SymbolicRegister, src: SymbolicRegister, cluster: int | None
     """Build an inter-cluster copy moving ``src`` into ``dest``.
 
     The opcode (and hence the 2- vs 3-cycle latency) follows the value's
-    data type, as in Section 6.1 of the paper.
+    data type, as in Section 6.1 of the paper.  A copy with a typed
+    ``dest`` passes every ``__post_init__`` check, so it is filled in
+    directly, like :meth:`Operation.pinned_clone`.
     """
     if dest.dtype is not src.dtype:
         raise ValueError(f"copy across types: {src} -> {dest}")
-    opcode = Opcode.FCOPY if src.dtype.is_float else Opcode.COPY
-    return Operation(opcode=opcode, dest=dest, sources=(src,), cluster=cluster)
+    cp = _new_operation(Operation)
+    cp.opcode = Opcode.FCOPY if src.dtype.is_float else Opcode.COPY
+    cp.dest = dest
+    cp.sources = (src,)
+    cp.mem = None
+    cp.op_id = _fresh_op_id()
+    cp.cluster = cluster
+    return cp

@@ -47,6 +47,12 @@ class SymbolicRegister:
         return self.dtype.is_float
 
 
+_new_register = object.__new__
+_set_rid = SymbolicRegister.rid.__set__
+_set_name = SymbolicRegister.name.__set__
+_set_dtype = SymbolicRegister.dtype.__set__
+
+
 @dataclass
 class RegisterFactory:
     """Allocates fresh :class:`SymbolicRegister` objects with unique ids.
@@ -66,7 +72,12 @@ class RegisterFactory:
             name = f"{dtype.short}{rid}"
         if name in self._by_name:
             raise ValueError(f"register name already in use: {name!r}")
-        reg = SymbolicRegister(rid=rid, name=name, dtype=dtype)
+        # filled through the slots, not the frozen dataclass constructor:
+        # copy insertion mints thousands of registers per evaluation
+        reg = _new_register(SymbolicRegister)
+        _set_rid(reg, rid)
+        _set_name(reg, name)
+        _set_dtype(reg, dtype)
         self._by_name[name] = reg
         return reg
 

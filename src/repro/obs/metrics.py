@@ -17,12 +17,25 @@ float, or a name reused as a different kind, is a bug worth failing on):
 * **Counter** — monotonically increasing event count (``int`` only).
 * **Gauge** — last-set numeric value (``int``/``float``; ``bool``
   rejected).  Gauges aggregate into count/min/max/mean summaries.
-* **Histogram** — streaming summary (count/sum/min/max) of observations.
+* **Histogram** — streaming summary (count/sum/min/max) of observations
+  plus fixed log-spaced bucket counts, from which snapshots estimate the
+  p50/p99.  The buckets are the same in every process, so merging
+  per-worker histograms gives the same quantiles in any order.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+
+#: buckets per doubling: bucket ``k`` holds the values in
+#: (2^((k-1)/4), 2^(k/4)], so a quantile read off the buckets is within
+#: one bucket ratio, 2^(1/4), of the sample's
+BUCKETS_PER_OCTAVE = 4
+#: the bucket of zero and negative values, below every positive float's
+_NONPOSITIVE = -4300
+#: the quantiles a histogram snapshot reports
+QUANTILES = (("p50", 0.5), ("p99", 0.99))
 
 
 class MetricTypeError(TypeError):
@@ -75,10 +88,36 @@ class Gauge:
         self.value = int(v) if isinstance(value, int) else v
 
 
-class Histogram:
-    """Streaming summary of observed values."""
+def _bucket(value: float) -> int:
+    if value <= 0:
+        return _NONPOSITIVE
+    return math.ceil(math.log2(value) * BUCKETS_PER_OCTAVE)
 
-    __slots__ = ("name", "count", "sum", "min", "max")
+
+def _summary(count: int, total: float, lo, hi, buckets: dict[int, int]) -> dict:
+    """A histogram snapshot.  Each quantile is the nearest-rank one, read
+    as its bucket's geometric midpoint clamped to the observed range
+    (``None`` when empty)."""
+    out = {"count": count, "sum": total, "min": lo, "max": hi}
+    ranked = sorted(buckets.items())
+    for key, q in QUANTILES:
+        out[key] = None
+        rank, seen = max(1, math.ceil(q * count)), 0
+        for k, n in ranked:
+            seen += n
+            if seen >= rank:
+                estimate = 0.0 if k == _NONPOSITIVE else 2.0 ** (
+                    (k - 0.5) / BUCKETS_PER_OCTAVE)
+                out[key] = min(max(estimate, lo), hi)
+                break
+    out["buckets"] = [[k, n] for k, n in ranked]
+    return out
+
+
+class Histogram:
+    """Streaming summary of observed finite values, with bucket counts."""
+
+    __slots__ = ("name", "count", "sum", "min", "max", "buckets")
     kind = "histogram"
 
     def __init__(self, name: str):
@@ -87,13 +126,24 @@ class Histogram:
         self.sum = 0.0
         self.min: float | None = None
         self.max: float | None = None
+        #: bucket index -> observations in it
+        self.buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         v = _check_number(self.name, value)
+        if not math.isfinite(v):
+            raise MetricTypeError(
+                f"histogram {self.name!r} expects a finite value, got {value!r}"
+            )
         self.count += 1
         self.sum += v
         self.min = v if self.min is None else min(self.min, v)
         self.max = v if self.max is None else max(self.max, v)
+        k = _bucket(v)
+        self.buckets[k] = self.buckets.get(k, 0) + 1
+
+    def snapshot(self) -> dict:
+        return _summary(self.count, self.sum, self.min, self.max, self.buckets)
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -147,12 +197,7 @@ class MetricsRegistry:
                 if metric.value is not None:
                     gauges[name] = metric.value
             else:
-                histograms[name] = {
-                    "count": metric.count,
-                    "sum": metric.sum,
-                    "min": metric.min,
-                    "max": metric.max,
-                }
+                histograms[name] = metric.snapshot()
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 
@@ -162,8 +207,11 @@ def merge_snapshots(snapshots) -> dict:
 
     Counters sum; each gauge becomes a ``{count, min, max, mean}``
     summary over the cells that set it; histograms merge their streaming
-    summaries.  The input may carry extra keys (e.g. the runner's
-    ``loop`` tag); only the three metric sections are read.
+    summaries and sum their buckets, and the merged quantiles are read
+    off the summed buckets.  Sums are added exactly (``math.fsum``), so
+    the result does not depend on the order of ``snapshots``.  The input
+    may carry extra keys (e.g. the runner's ``loop`` tag); only the three
+    metric sections are read.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, dict] = {}
@@ -186,18 +234,24 @@ def merge_snapshots(snapshots) -> dict:
         for name, h in snap.get("histograms", {}).items():
             agg = histograms.get(name)
             if agg is None:
-                histograms[name] = dict(h)
-            else:
-                agg["count"] += h["count"]
-                agg["sum"] += h["sum"]
-                for key, pick in (("min", min), ("max", max)):
-                    if h[key] is not None:
-                        agg[key] = h[key] if agg[key] is None else pick(
-                            agg[key], h[key])
+                agg = histograms[name] = {"count": 0, "sums": [], "min": None,
+                                          "max": None, "buckets": {}}
+            agg["count"] += h["count"]
+            agg["sums"].append(h["sum"])
+            for key, pick in (("min", min), ("max", max)):
+                if h[key] is not None:
+                    agg[key] = h[key] if agg[key] is None else pick(
+                        agg[key], h[key])
+            buckets = agg["buckets"]
+            for k, count in h.get("buckets", ()):
+                buckets[k] = buckets.get(k, 0) + count
     for agg in gauges.values():
         agg["mean"] = agg.pop("sum") / agg["count"]
-    for agg in histograms.values():
-        agg["mean"] = agg["sum"] / agg["count"] if agg["count"] else None
+    for name, agg in histograms.items():
+        merged = _summary(agg["count"], math.fsum(agg["sums"]), agg["min"],
+                          agg["max"], agg["buckets"])
+        merged["mean"] = merged["sum"] / agg["count"] if agg["count"] else None
+        histograms[name] = merged
     return {
         "cells": n,
         "counters": dict(sorted(counters.items())),

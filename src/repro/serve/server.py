@@ -5,6 +5,8 @@ long-running service.  Clients connect over TCP, submit loop text plus
 configuration labels (:mod:`repro.serve.protocol`), and the
 :class:`CompileService`:
 
+* parses each distinct loop text **once**: a bounded table maps the
+  texts it has seen to their parsed (and fingerprinted) loops;
 * answers **warm** cells straight from the
   :class:`~repro.store.ArtifactStore` metrics fast path (a two-line
   disk read, no worker round-trip);
@@ -27,8 +29,10 @@ configuration labels (:mod:`repro.serve.protocol`), and the
   refused, and the process exits 0 once idle.
 
 Observability rides along: a :class:`~repro.obs.MetricsRegistry` counts
-requests, refusals, per-source cell outcomes and the pool's watchdog
-reaps and breaks (exposed by the ``stats`` op and ``--metrics-out``).
+requests, refusals, loop texts parsed and reused, per-source cell
+outcomes and the pool's watchdog reaps and breaks, and keeps latency
+histograms of all requests and of those answered wholly from the store
+(exposed by the ``stats`` op and ``--metrics-out``).
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ from repro.serve.worker import compile_serve_chunk
 from repro.store.entry import StoreEntryError
 from repro.store.tiered import ArtifactStore, StoreStats
 
+#: loop texts the daemon keeps parsed; past it, the oldest text is dropped
+LOOP_TABLE_LIMIT = 512
+
 
 class CompileService:
     """State and request handling of one ``repro serve`` daemon."""
@@ -102,6 +109,10 @@ class CompileService:
         self._drained = asyncio.Event()
         self._machines: dict[str, MachineDescription] = {}
         self._prefixes: dict[str, StoreKeyPrefix] = {}
+        #: loop text -> the loop it parsed to, oldest first.  Nothing here
+        #: writes to a loop, so its fingerprint memo stays valid and every
+        #: pickle sent to a worker is the same as a fresh parse's.
+        self._loops: dict[str, Loop] = {}
         #: running chunk tasks (the event loop holds tasks weakly)
         self._chunk_tasks: set[asyncio.Task] = set()
         #: open connections: handler task -> its writer
@@ -218,6 +229,20 @@ class CompileService:
             self._prefixes[label] = key_prefix(machine, self.pipeline_config)
         return machine, self._prefixes[label]
 
+    def _loop_for(self, text: str) -> Loop:
+        """The loop ``text`` parses to, parsed on its first sight only.
+        A text that does not parse raises and is not remembered."""
+        loop = self._loops.get(text)
+        if loop is not None:
+            self.metrics.counter("serve.loops_reused").inc()
+            return loop
+        loop = parse_loop(text)
+        self.metrics.counter("serve.loops_parsed").inc()
+        self._loops[text] = loop
+        if len(self._loops) > LOOP_TABLE_LIMIT:
+            del self._loops[next(iter(self._loops))]
+        return loop
+
     async def _handle_submit(
         self, doc: dict, writer: asyncio.StreamWriter
     ) -> None:
@@ -261,7 +286,7 @@ class CompileService:
                 await refuse(f"loop {i}: no IR text")
                 return
             try:
-                loops.append(parse_loop(text))
+                loops.append(self._loop_for(text))
             except Exception as exc:
                 await refuse(f"loop {i} does not parse: {exc}")
                 return
@@ -300,9 +325,10 @@ class CompileService:
         writer: asyncio.StreamWriter,
         t0: float,
     ) -> None:
+        n_cells = len(loops) * len(labels)
         await self._send(writer, {
             "type": "accepted", "id": req_id,
-            "cells": len(loops) * len(labels), "configs": labels,
+            "cells": n_cells, "configs": labels,
         })
         counts = {"store": 0, "inflight": 0, "compiled": 0, "failures": 0}
 
@@ -406,9 +432,11 @@ class CompileService:
 
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         self.metrics.histogram("serve.request_ms").observe(elapsed_ms)
+        if counts["store"] == n_cells:
+            self.metrics.histogram("serve.warm_request_ms").observe(elapsed_ms)
         await self._send(writer, {
             "type": "done", "id": req_id,
-            "cells": len(loops) * len(labels),
+            "cells": n_cells,
             "store_hits": counts["store"],
             "inflight_hits": counts["inflight"],
             "compiled": counts["compiled"],

@@ -2,6 +2,8 @@
 evaluation: exported metrics must match the rendered paper tables."""
 
 import json
+import math
+import random
 
 import pytest
 
@@ -64,12 +66,43 @@ class TestHistogram:
         for v in (3, 1, 2):
             h.observe(v)
         stats = reg.snapshot()["histograms"]["lat"]
-        assert stats == {"count": 3, "sum": 6, "min": 1, "max": 3}
+        summary = {k: stats[k] for k in ("count", "sum", "min", "max")}
+        assert summary == {"count": 3, "sum": 6, "min": 1, "max": 3}
+        assert 1 <= stats["p50"] <= 3 and 1 <= stats["p99"] <= 3
 
     def test_rejects_non_numbers(self):
         h = MetricsRegistry().histogram("h")
         with pytest.raises(MetricTypeError):
             h.observe("fast")
+        with pytest.raises(MetricTypeError):
+            h.observe(float("nan"))
+
+    def test_empty_histogram_has_no_quantiles(self):
+        reg = MetricsRegistry()
+        reg.histogram("h")
+        stats = reg.snapshot()["histograms"]["h"]
+        assert stats["count"] == 0
+        assert stats["p50"] is None and stats["p99"] is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_quantiles_within_one_bucket_of_the_sample(self, seed):
+        """p50/p99 lie within one bucket ratio, 2^(1/4), of the exact
+        nearest-rank sample quantile."""
+        rng = random.Random(seed)
+        values = [rng.lognormvariate(0.5, 1.5) for _ in range(1 + 400 * seed)]
+        if seed == 0:
+            values += [0.0, -2.5]  # non-positive values have a bucket too
+        reg = MetricsRegistry()
+        for v in values:
+            reg.histogram("lat").observe(v)
+        stats = reg.snapshot()["histograms"]["lat"]
+        ordered = sorted(values)
+        for key, q in (("p50", 0.5), ("p99", 0.99)):
+            exact = ordered[max(1, math.ceil(q * len(values))) - 1]
+            if exact > 0:
+                assert abs(math.log2(stats[key] / exact)) <= 0.25, key
+            else:
+                assert stats[key] <= 0
 
 
 class TestRegistry:
@@ -117,6 +150,40 @@ class TestMergeSnapshots:
     def test_empty(self):
         agg = merge_snapshots([])
         assert agg["cells"] == 0
+
+    def test_histogram_merge_is_order_independent(self):
+        rng = random.Random(42)
+        snaps = []
+        for _ in range(12):
+            reg = MetricsRegistry()
+            for _ in range(rng.randrange(0, 30)):
+                reg.histogram("lat").observe(rng.uniform(0.01, 90.0))
+            snaps.append(reg.snapshot())
+        first = merge_snapshots(snaps)
+        for _ in range(5):
+            rng.shuffle(snaps)
+            assert merge_snapshots(snaps) == first
+        merged = first["histograms"]["lat"]
+        assert merged["count"] == sum(n for _k, n in merged["buckets"])
+        assert merged["p50"] <= merged["p99"]
+
+    def test_histogram_merge_equals_one_histogram(self):
+        """Merging per-worker snapshots gives the buckets and quantiles
+        of one histogram that saw every value."""
+        rng = random.Random(3)
+        values = [rng.expovariate(0.2) for _ in range(300)]
+        whole, parts = MetricsRegistry(), []
+        for i in range(0, 300, 70):
+            reg = MetricsRegistry()
+            for v in values[i:i + 70]:
+                reg.histogram("lat").observe(v)
+                whole.histogram("lat").observe(v)
+            parts.append(json.loads(json.dumps(reg.snapshot())))
+        merged = merge_snapshots(parts)["histograms"]["lat"]
+        one = whole.snapshot()["histograms"]["lat"]
+        for key in ("count", "min", "max", "p50", "p99", "buckets"):
+            assert merged[key] == one[key], key
+        assert merged["sum"] == pytest.approx(one["sum"])
 
 
 class TestEvaluationMetricsMatchTables:

@@ -413,6 +413,152 @@ class TestServeEndToEnd:
         assert doc["worker_store"]["writes"] == len(PAPER_CONFIG_ORDER)
 
 
+class TestLoopTable:
+    """The daemon parses each distinct loop text once.  The counters are
+    read off a real daemon; the table's bound and the stored loop's
+    contents are internal state, checked on an in-process service."""
+
+    @staticmethod
+    def _texts(n: int) -> list[str]:
+        from repro.ir.printer import format_loop
+
+        return [format_loop(loop) for loop in spec95_corpus(n=n)]
+
+    def test_repeated_texts_are_parsed_once(self, daemon_factory):
+        written = self._texts(3)
+        reads = [written[0], written[2], written[0], written[1]]
+        daemon = daemon_factory("--jobs", "1")
+        with daemon.client(timeout=120.0) as client:
+            client.submit(written)
+            warm = [client.submit([text]) for text in reads]
+            stats = client.stats()
+        assert daemon.stop() == 0
+        assert all(r.store_hits == len(PAPER_CONFIG_ORDER) for r in warm)
+        metrics = stats["metrics"]
+        assert metrics["counters"]["serve.loops_parsed"] == len(written)
+        assert metrics["counters"]["serve.loops_reused"] == len(reads)
+        hist = metrics["histograms"]
+        assert hist["serve.request_ms"]["count"] == 1 + len(reads)
+        assert hist["serve.warm_request_ms"]["count"] == len(reads)
+        assert hist["serve.warm_request_ms"]["p50"] > 0
+
+    def test_whitespace_variant_is_parsed_again_but_warm(self, daemon_factory):
+        text = self._texts(1)[0]
+        variant = "# the same loop, re-indented\n" + "\n".join(
+            "   " + line for line in text.splitlines()) + "\n\n"
+        daemon = daemon_factory("--jobs", "1")
+        with daemon.client(timeout=120.0) as client:
+            cold = client.submit([text])
+            warm = client.submit([variant])
+            stats = client.stats()
+        assert daemon.stop() == 0
+        assert cold.compiled == len(PAPER_CONFIG_ORDER)
+        assert warm.store_hits == len(PAPER_CONFIG_ORDER)
+        cold_metrics = {c.config: c.metrics for c in cold.cells}
+        assert {c.config: c.metrics for c in warm.cells} == cold_metrics
+        counters = stats["metrics"]["counters"]
+        assert counters["serve.loops_parsed"] == 2
+        assert "serve.loops_reused" not in counters
+
+    def test_unparseable_text_is_refused_every_time(self, daemon_factory):
+        daemon = daemon_factory("--jobs", "1")
+        with daemon.client(timeout=120.0) as client:
+            for _ in range(2):
+                with pytest.raises(ServeError, match="does not parse"):
+                    client.submit(["this is not ir"])
+            client.submit(self._texts(1))
+            stats = client.stats()
+        assert daemon.stop() == 0
+        counters = stats["metrics"]["counters"]
+        assert counters["serve.refused"] == 2
+        assert counters["serve.loops_parsed"] == 1
+
+    def test_same_text_twice_in_one_request_compiles_once(
+        self, daemon_factory
+    ):
+        text = self._texts(1)[0]
+        daemon = daemon_factory("--jobs", "1")
+        with daemon.client(timeout=120.0) as client:
+            result = client.submit([text, text])
+            stats = client.stats()
+        assert daemon.stop() == 0
+        n_configs = len(PAPER_CONFIG_ORDER)
+        assert result.failures == 0
+        assert result.compiled == n_configs
+        assert result.inflight_hits == n_configs
+        counters = stats["metrics"]["counters"]
+        assert counters["serve.loops_parsed"] == 1
+        assert counters["serve.loops_reused"] == 1
+        assert counters["serve.cells.compiled"] == n_configs
+
+    @staticmethod
+    def _submit_in_process(service, texts: list[str]) -> list[dict]:
+        """One ``submit`` through ``service``; returns its reply lines."""
+        import asyncio
+
+        class Writer:
+            def __init__(self):
+                self.replies: list[dict] = []
+
+            def write(self, data: bytes) -> None:
+                self.replies.append(decode_line(data))
+
+            async def drain(self) -> None:
+                pass
+
+        writer = Writer()
+        doc = {"op": "submit", "loops": [{"text": t} for t in texts]}
+        asyncio.run(service._handle_submit(doc, writer))
+        return writer.replies
+
+    def test_stored_loop_is_unchanged_by_a_cold_compile(self, tmp_path):
+        import hashlib
+
+        from repro.core.fingerprint import loop_fingerprint
+        from repro.ir.printer import format_loop
+        from repro.serve.server import CompileService
+
+        text = self._texts(1)[0]
+        service = CompileService(str(tmp_path / "store"))
+        try:
+            loop = service._loop_for(text)
+            before = (format_loop(loop), loop_fingerprint(loop),
+                      [op.op_id for op in loop.ops],
+                      sorted(r.rid for r in loop.registers()))
+            replies = self._submit_in_process(service, [text])
+        finally:
+            service.close()
+        assert replies[-1]["type"] == "done"
+        assert replies[-1]["compiled"] == len(PAPER_CONFIG_ORDER)
+        assert service._loops[text] is loop
+        after = (format_loop(loop), loop._fingerprint,
+                 [op.op_id for op in loop.ops],
+                 sorted(r.rid for r in loop.registers()))
+        assert after == before
+        assert loop._fingerprint == hashlib.sha256(
+            format_loop(loop).encode("utf-8")).hexdigest()
+
+    def test_bound_evicts_the_oldest_text_first(self, tmp_path, monkeypatch):
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "LOOP_TABLE_LIMIT", 2)
+        a, b, c = self._texts(3)
+        service = server.CompileService(str(tmp_path / "store"))
+        try:
+            first = service._loop_for(a)
+            service._loop_for(b)
+            assert service._loop_for(a) is first  # a hit does not reorder
+            service._loop_for(c)
+            assert list(service._loops) == [b, c]
+            assert service._loop_for(a) is not first
+            assert list(service._loops) == [c, a]
+        finally:
+            service.close()
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["serve.loops_parsed"] == 4
+        assert counters["serve.loops_reused"] == 1
+
+
 class TestSubmitCli:
     """The ``repro submit`` subcommand against a live daemon."""
 
