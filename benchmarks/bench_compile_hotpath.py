@@ -75,8 +75,9 @@ def disabled_hook_ns(samples: int = 200_000) -> float:
 def micro_benchmark(repeats: int = REPEATS) -> dict:
     """Scheduler/partitioner microbenchmark leg.
 
-    Measures raw modulo-reservation-table throughput (placements/sec:
-    one ``first_free`` probe + ``place`` + eventual ``remove``) on the
+    Measures raw modulo-reservation throughput (placements/sec: one
+    first-free-row probe of packed occupancy words, as an IMS attempt runs
+    it, + the occupancy add + its eventual subtract) on the
     same op mix the clustered scheduler sees (ALU ops plus copy-unit
     copies), and greedy-partitioner throughput (nodes/sec over a seeded
     dense RCG).  Best-of-N rates; absolute numbers are host-dependent.
@@ -90,7 +91,7 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
     from repro.ir.types import DataType
     from repro.machine.machine import CopyModel
     from repro.machine.presets import paper_machine
-    from repro.sched.resources import ModuloReservationTable
+    from repro.sched.resources import demand_words, resource_geometry
 
     machine = paper_machine(4, CopyModel.COPY_UNIT)
     rng = random.Random(2026)
@@ -107,22 +108,34 @@ def micro_benchmark(repeats: int = REPEATS) -> dict:
             op.cluster = cluster
             ops.append(op)
 
+    # the packed row probe of an IMS attempt: one occupancy word per
+    # kernel row, demand words, and the geometry's bias/guard fit test
     ii = 16
+    words = demand_words(ops, machine)
+    starts = [op.op_id % ii for op in ops]
+    geom = resource_geometry(machine)
+    bias, guard = geom.bias, geom.guard
     best_mrt = 0.0
     for _ in range(repeats):
-        mrt = ModuloReservationTable(machine, ii)
+        occ = [0] * ii
         placements = 0
         t0 = time.perf_counter()
         for round_no in range(60):
             placed = []
-            for op in ops:
-                slot = mrt.first_free(op, (op.op_id + round_no) % ii)
-                if slot is not None:
-                    mrt.place(op, slot)
-                    placed.append(op)
-                    placements += 1
-            for op in placed:
-                mrt.remove(op)
+            for word, start in zip(words, starts):
+                probe = word + bias
+                r = (start + round_no) % ii
+                for _k in range(ii):
+                    if not ((occ[r] + probe) & guard):
+                        occ[r] += word
+                        placed.append((r, word))
+                        placements += 1
+                        break
+                    r += 1
+                    if r == ii:
+                        r = 0
+            for r, word in placed:
+                occ[r] -= word
         best_mrt = max(best_mrt, placements / (time.perf_counter() - t0))
 
     regs = [factory.new(DataType.INT) for _ in range(160)]

@@ -25,6 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.core.pipeline import CompilationResult
+from repro.ddg.analysis import source_distances
 from repro.ir.operations import Operation
 from repro.ir.registers import SymbolicRegister
 from repro.ir.types import Immediate
@@ -60,11 +61,7 @@ class _Renamer:
         self.replica_count: dict[int, int] = defaultdict(int)
         for rid, replica in self.assignment.physical:
             self.replica_count[rid] = max(self.replica_count[rid], replica + 1)
-        # per-op source distances from the partitioned DDG's flow edges
-        self.src_distance: dict[int, dict[int, int]] = defaultdict(dict)
-        for e in result.partitioned_ddg.edges():
-            if e.reg is not None:
-                self.src_distance[e.dst.op_id][e.reg.rid] = e.distance
+        self.src_distance = source_distances(result.partitioned_ddg)
 
     def name_def(self, reg: SymbolicRegister, j: int) -> str:
         q = self.replica_count[reg.rid]

@@ -76,27 +76,33 @@ def bug_partition(
     lat = machine.latencies
 
     cluster_load = [0.0] * n
-    op_cluster: dict[int, int] = {}
     reg_bank: dict[int, int] = {}
-    done_time: dict[int, float] = {}
 
     copy_latency = {
         DataType.INT: lat.of_class(OpClass.COPY_INT),
         DataType.FLOAT: lat.of_class(OpClass.COPY_FLOAT),
     }
 
-    for op in ddg.topological_order():
+    # each op's distance-0 operands: (source position, the copy latency
+    # the edge adds when the source sits in another cluster)
+    ddg.verify_acyclic_at_distance_zero()
+    idx = ddg.index()
+    operands: list[list[tuple[int, float]]] = [[] for _ in range(idx.n)]
+    for k, r in enumerate(idx.edge_row):
+        if idx.dist[k] == 0:
+            reg = ddg.rows[r][5]
+            penalty = 0.0 if reg is None else copy_latency[reg.dtype]
+            operands[idx.dst[k]].append((idx.src[k], penalty))
+    cluster_of = [0] * idx.n
+    done_time = [0.0] * idx.n
+
+    for v in reversed(idx.rev_topo0):
+        op = ddg.ops[v]
         best_cluster, best_cost = 0, float("inf")
         for c in range(n):
             ready = 0.0
-            for dep in ddg.predecessors(op):
-                if dep.distance != 0:
-                    continue
-                src_c = op_cluster.get(dep.src.op_id, c)
-                penalty = 0.0
-                if src_c != c and dep.reg is not None:
-                    penalty = copy_latency[dep.reg.dtype]
-                ready = max(ready, done_time.get(dep.src.op_id, 0.0) + penalty)
+            for u, penalty in operands[v]:
+                ready = max(ready, done_time[u] + (penalty if cluster_of[u] != c else 0.0))
             # operand registers produced outside the DAG (live-ins) that
             # already have a bank also pay the copy penalty
             for src in op.used():
@@ -106,14 +112,14 @@ def bug_partition(
             cost = ready + cluster_load[c] / machine.fus_per_cluster
             if cost < best_cost:
                 best_cost, best_cluster = cost, c
-        op_cluster[op.op_id] = best_cluster
+        cluster_of[v] = best_cluster
         cluster_load[best_cluster] += 1.0
-        done_time[op.op_id] = best_cost + lat.of(op)
+        done_time[v] = best_cost + lat.of(op)
         if op.dest is not None:
             part.assign(op.dest, best_cluster)
             reg_bank[op.dest.rid] = best_cluster
 
-    _place_live_ins(loop, part, op_cluster)
+    _place_live_ins(loop, part, dict(zip(idx.op_ids, cluster_of)))
     return part
 
 

@@ -83,7 +83,7 @@ def uas_partition(
     cap = max(start_ii, sum(lat.of(op) for op in ddg.ops) + len(ddg.ops))
 
     for ii in range(start_ii, cap + 1):
-        assignment = _try_uas_ii(loop, ddg, machine, ii, budget_ratio, copy_latency)
+        assignment = _try_uas_ii(ddg, machine, ii, budget_ratio, copy_latency)
         if assignment is not None:
             break
     else:  # pragma: no cover - sequential fallback always succeeds
@@ -97,51 +97,50 @@ def uas_partition(
     return part
 
 
-def _try_uas_ii(loop, ddg, machine, ii, budget_ratio, copy_latency):
+def _try_uas_ii(ddg, machine, ii, budget_ratio, copy_latency):
+    """One joint attempt at ``ii`` on op positions and index edge ids;
+    returns op id -> cluster, or None."""
     try:
         heights = longest_path_heights(ddg, ii=ii)
     except ValueError:
         return None
 
-    order_index = {op.op_id: i for i, op in enumerate(ddg.ops)}
-    by_id = {op.op_id: op for op in ddg.ops}
+    idx = ddg.index()
+    n, src, dst, in_edges = idx.n, idx.src, idx.dst, idx.in_edges()
+    lag = [delay - ii * dist for delay, dist in zip(idx.delay, idx.dist)]
+    # the copy latency a register edge adds when it crosses clusters
+    cross = [
+        0 if reg is None else copy_latency[reg.dtype]
+        for reg in (ddg.rows[r][5] for r in idx.edge_row)
+    ]
     mrt = _ClusterMRT(machine.n_clusters, machine.fus_per_cluster, ii)
     times: dict[int, int] = {}
     clusters: dict[int, int] = {}
     prev_time: dict[int, int] = {}
-    budget = budget_ratio * len(ddg.ops)
+    budget = budget_ratio * n
 
-    def push(heap, op):
-        i = order_index[op.op_id]
-        heapq.heappush(heap, (-heights[i], i, op.op_id))
-
-    heap: list = []
-    for op in ddg.ops:
-        push(heap, op)
+    # max-heap by (height, earlier body order); entries are distinct
+    entries = [(-h, v) for v, h in enumerate(heights)]
+    heap = entries[:]
+    heapq.heapify(heap)
 
     while heap and budget > 0:
-        _, _, oid = heapq.heappop(heap)
-        if oid in times:
+        v = heapq.heappop(heap)[1]
+        if v in times:
             continue
-        op = by_id[oid]
         budget -= 1
 
         # per-cluster earliest start: cross-cluster operands pay copy latency
         best: tuple[int, int, int] | None = None  # (time, load, cluster)
         for c in range(machine.n_clusters):
             estart = 0
-            for dep in ddg.predecessors(op):
-                src_t = times.get(dep.src.op_id)
+            for k in in_edges[v]:
+                src_t = times.get(src[k])
                 if src_t is None:
                     continue
-                delay = dep.delay
-                if (
-                    dep.reg is not None
-                    and clusters.get(dep.src.op_id, c) != c
-                ):
-                    delay += copy_latency[dep.reg.dtype]
-                estart = max(estart, src_t + delay - ii * dep.distance)
-            for t in range(max(0, estart), max(0, estart) + ii):
+                delay = lag[k] + (cross[k] if clusters.get(src[k], c) != c else 0)
+                estart = max(estart, src_t + delay)
+            for t in range(estart, estart + ii):
                 if mrt.fits(t, c):
                     cand = (t, mrt.load(c), c)
                     if best is None or cand < best:
@@ -152,40 +151,34 @@ def _try_uas_ii(loop, ddg, machine, ii, budget_ratio, copy_latency):
             # forced placement on the least-loaded cluster, evicting the
             # occupants of that row (Rau-style restart pressure)
             c = min(range(machine.n_clusters), key=mrt.load)
-            prev = prev_time.get(oid)
+            prev = prev_time.get(v)
             slot = 0 if prev is None else prev + 1
             victims = [
-                vid
-                for vid, vt in times.items()
-                if vt % ii == slot % ii and clusters[vid] == c
+                u for u, t in times.items() if t % ii == slot % ii and clusters[u] == c
             ]
-            for vid in victims:
-                mrt.remove(times[vid], clusters[vid])
-                del times[vid]
-                del clusters[vid]
-                push(heap, by_id[vid])
+            for u in victims:
+                mrt.remove(times.pop(u), clusters.pop(u))
+                heapq.heappush(heap, entries[u])
             best = (slot, mrt.load(c), c)
 
         t, _, c = best
         mrt.place(t, c)
-        times[oid] = t
-        clusters[oid] = c
-        prev_time[oid] = t
+        times[v] = t
+        clusters[v] = c
+        prev_time[v] = t
 
         # evict violated successors (cluster-dependent delays rechecked)
-        for dep in ddg.successors(op):
-            dst_t = times.get(dep.dst.op_id)
-            if dst_t is None or dep.dst.op_id == oid:
+        for k in idx.out_edges[v]:
+            w = dst[k]
+            dst_t = times.get(w)
+            if dst_t is None or w == v:
                 continue
-            delay = dep.delay
-            if dep.reg is not None and clusters[dep.dst.op_id] != c:
-                delay += copy_latency[dep.reg.dtype]
-            if dst_t < t + delay - ii * dep.distance:
-                mrt.remove(dst_t, clusters[dep.dst.op_id])
-                del times[dep.dst.op_id]
-                del clusters[dep.dst.op_id]
-                push(heap, dep.dst)
+            delay = lag[k] + (cross[k] if clusters[w] != c else 0)
+            if dst_t < t + delay:
+                mrt.remove(dst_t, clusters.pop(w))
+                del times[w]
+                heapq.heappush(heap, entries[w])
 
-    if len(times) == len(ddg.ops):
-        return clusters
+    if len(times) == n:
+        return {idx.op_ids[v]: c for v, c in clusters.items()}
     return None

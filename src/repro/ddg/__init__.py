@@ -8,8 +8,7 @@ computes recurrence-constrained lower bounds (RecII), and derives the
 slack/"Flexibility" quantities the RCG weighting heuristic consumes.
 """
 
-from repro.ddg.dependence import DepKind, Dependence
-from repro.ddg.graph import DDG
+from repro.ddg.graph import DDG, DepKind
 from repro.ddg.builder import build_loop_ddg, build_block_ddg
 from repro.ddg.analysis import (
     recurrence_ii,
@@ -23,7 +22,6 @@ from repro.ddg.analysis import (
 
 __all__ = [
     "DepKind",
-    "Dependence",
     "DDG",
     "build_loop_ddg",
     "build_block_ddg",

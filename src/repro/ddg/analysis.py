@@ -22,7 +22,8 @@ pre-condensation implementations are the golden-equivalence oracles in
 
 The module also provides the *Flexibility* quantity of Section 5 — the
 slack between an operation's earliest and latest position inside a given
-ideal schedule — and height-based priorities for the schedulers.
+ideal schedule — height-based priorities for the schedulers, and the
+per-op source distances the simulator and the assembly renderer read.
 """
 
 from __future__ import annotations
@@ -341,3 +342,19 @@ def schedule_slack(
     divide-by-zero errors")."""
     estart, lstart = estart_lstart(ddg, times, length, latencies)
     return {oid: lstart[oid] - estart[oid] for oid in estart}
+
+
+def source_distances(ddg: DDG) -> dict[int, dict[int, int]]:
+    """Per op id, the iteration distance at which the op reads each
+    register (``rid -> distance``), from the register flow rows in index
+    edge order: of several edges carrying one register into one op, the
+    last one wins.  The simulator and the assembly renderer resolve a
+    source to the producing iteration with it."""
+    idx = ddg.index()
+    rows, op_ids = ddg.rows, idx.op_ids
+    distances: dict[int, dict[int, int]] = {oid: {} for oid in op_ids}
+    for r in idx.edge_row:
+        _, d, _, _, distance, reg = rows[r]
+        if reg is not None:
+            distances[op_ids[d]][reg.rid] = distance
+    return distances

@@ -9,16 +9,14 @@ the symbolic array references: ``arr[i+a]`` in iteration ``k`` and
 ``arr[i+b]`` in iteration ``k+d`` collide exactly when ``d == a - b``.
 
 Edges go straight into the graph's int rows (:meth:`DDG.add_row`, by op
-index); no :class:`~repro.ddg.dependence.Dependence` object is built
-here.
+index); no edge object is built here.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.ddg.dependence import DepKind
-from repro.ddg.graph import DDG, AnalysisIndex, Row
+from repro.ddg.graph import DDG, AnalysisIndex, DepKind, Row
 from repro.ir.block import BasicBlock, Loop
 from repro.ir.operations import Operation
 from repro.machine.latency import LatencyTable, PAPER_LATENCIES
@@ -60,7 +58,7 @@ def derive_partitioned_ddg(
     flow predecessors in stored order, each read through a copy now
     coming from that copy at the same distance (the copy sits where its
     def does relative to the use); memory edges follow, remapped in
-    source ``edges()`` order.  The rows equal those of
+    source edge (index) order.  The rows equal those of
     ``build_loop_ddg(partitioned.loop, latencies)`` in insertion order,
     without the pairwise memory search and without one edge object.
 
@@ -85,8 +83,8 @@ def derive_partitioned_ddg(
         if i >= 0:
             new_of[i] = j
             scc_of[j] = src_scc[i]
-    # per-op flow rows in insertion order, and the other rows in edges()
-    # order: the same for every partition of this source graph version
+    # per-op flow rows in insertion order, and the other rows in index
+    # edge order: the same for every partition of this source graph version
     if src_index.derive_rows is None:
         src_rows = source.rows
         flow_in: list[list[Row]] = [[] for _ in range(src_index.n)]

@@ -2,35 +2,49 @@
 
 Operations are nodes (by position in ``ops``).  Edges are stored once, as
 insertion-ordered int rows ``(src index, dst index, kind, delay,
-distance, reg)``.  Everything else is derived from the rows on first use
-and cached per graph version (a counter every mutation bumps):
+distance, reg)``.  For a row ``src -> dst`` with delay ``d`` and
+iteration distance ``k`` every modulo schedule satisfies
 
-* the :class:`AnalysisIndex` — the edges as int arrays in ``edges()``
-  order with CSR out-edge ranges, the distance-0 topological order and
-  the SCC condensation — which the analyses, the modulo scheduler and
-  the schedule validator read;
-* the :class:`~repro.ddg.dependence.Dependence` lists behind
-  :meth:`DDG.successors`, :meth:`DDG.predecessors` and :meth:`DDG.edges`,
-  built only for the consumers that ask for edge objects (Swing, the
-  list scheduler, the simulator and the check oracles).
+    time(dst) >= time(src) + d - k * II.
 
-No graph of the paper grid builds one: the source DDG is scheduled,
-weighted into the RCG (its slack comes from the index) and measured, and
-the partitioned DDG derived by
-:func:`repro.ddg.builder.derive_partitioned_ddg` is scheduled, validated,
-measured and register-allocated, all from the int rows.  The coalescing map behind
-:meth:`DDG.add_row` is dropped once a builder is done and rebuilt only
-if an edge is added later.
+Register edges are flow (true) dependences only: loop bodies are
+single-assignment per iteration, so register anti/output hazards are a
+register-allocation concern (modulo variable expansion,
+:mod:`repro.regalloc.mve`), as in Rau's formulation.  A flow row names
+its register; memory rows (all three kinds, distances derived from the
+symbolic array references) carry ``None``.
+
+The rows are the only edge view.  Everything else is derived from them on
+first use and cached per graph version (a counter every mutation bumps):
+the :class:`AnalysisIndex` holds the edges as int arrays sorted by source
+(stable, so each node's out-edges keep insertion order) with CSR
+out-edge ranges, the distance-0 topological order and the SCC
+condensation.  Every analysis, scheduler, partitioner, validator,
+simulator and the register allocator reads an edge ``k`` off those
+arrays, and its kind and register off ``rows[edge_row[k]]``.  The
+coalescing map behind :meth:`DDG.add_row` is dropped once a builder is
+done and rebuilt only if an edge is added later.
 """
 
 from __future__ import annotations
 
+import enum
 from bisect import bisect_left
-from typing import Iterable, Iterator
 
-from repro.ddg.dependence import Dependence, DepKind
 from repro.ir.operations import Operation
 from repro.ir.registers import SymbolicRegister
+
+
+class DepKind(enum.Enum):
+    FLOW = "flow"            # register true dependence
+    MEM_FLOW = "mem_flow"    # store -> load, same location
+    MEM_ANTI = "mem_anti"    # load -> store, same location
+    MEM_OUTPUT = "mem_out"   # store -> store, same location
+
+    @property
+    def is_memory(self) -> bool:
+        return self is not DepKind.FLOW
+
 
 #: one stored edge: (src index, dst index, kind, delay, distance, reg)
 Row = tuple[int, int, DepKind, int, int, "SymbolicRegister | None"]
@@ -52,7 +66,6 @@ class DDG:
         #: bumped on every mutation; every cache below is keyed by it
         self._version = 0
         self._analysis_index: tuple[int, AnalysisIndex] | None = None
-        self._deps: tuple[int, list, list, list] | None = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -64,23 +77,13 @@ class DDG:
     def index_of(self, op: Operation) -> int:
         return self._index[op.op_id]
 
-    def add_edge(self, dep: Dependence) -> Dependence | None:
-        """Insert ``dep``; duplicate (src, dst, kind, distance) edges are
-        coalesced by keeping the larger delay.  Returns ``dep`` if it was
-        stored (``None`` if an existing edge subsumed it)."""
-        s = self._index.get(dep.src.op_id)
-        d = self._index.get(dep.dst.op_id)
-        if s is None or d is None:
-            raise ValueError("dependence endpoints must be DDG operations")
-        stored = self.add_row(s, d, dep.kind, dep.delay, dep.distance, dep.reg)
-        return dep if stored else None
-
     def add_row(
         self, s: int, d: int, kind: DepKind, delay: int, distance: int,
         reg: SymbolicRegister | None,
     ) -> bool:
-        """:meth:`add_edge` on op indices; False if an existing row with
-        the same (src, dst, kind, distance) key has at least this delay."""
+        """Store an edge on op indices.  Duplicate (src, dst, kind,
+        distance) edges are coalesced by keeping the larger delay: False
+        if an existing row with the same key has at least this delay."""
         keys = self._key_rows()
         key = (s, d, kind, distance)
         k = keys.get(key)
@@ -114,67 +117,12 @@ class DDG:
         return cached[1]
 
     # ------------------------------------------------------------------
-    # Dependence objects, on demand
-    # ------------------------------------------------------------------
-    def dependence(self, row: int) -> Dependence:
-        """A fresh :class:`Dependence` for stored row ``row``."""
-        s, d, kind, delay, distance, reg = self.rows[row]
-        return Dependence(self.ops[s], self.ops[d], kind, delay, distance, reg)
-
-    def _dependences(self) -> tuple[int, list, list, list]:
-        cached = self._deps
-        if cached is not None and cached[0] == self._version:
-            return cached
-        ops = self.ops
-        succs: list[list[Dependence]] = [[] for _ in ops]
-        preds: list[list[Dependence]] = [[] for _ in ops]
-        for s, d, kind, delay, distance, reg in self.rows:
-            dep = Dependence(ops[s], ops[d], kind, delay, distance, reg)
-            succs[s].append(dep)
-            preds[d].append(dep)
-        edges = [dep for out in succs for dep in out]
-        self._deps = (self._version, succs, preds, edges)
-        return self._deps
-
-    def successors(self, op: Operation) -> list[Dependence]:
-        """Out-edges of ``op`` in insertion order."""
-        return self._dependences()[1][self._index[op.op_id]]
-
-    def predecessors(self, op: Operation) -> list[Dependence]:
-        """In-edges of ``op`` in insertion order."""
-        return self._dependences()[2][self._index[op.op_id]]
-
-    def edges(self) -> Iterator[Dependence]:
-        """Every edge, by source operation and then insertion order."""
-        return iter(self._dependences()[3])
-
-    def loop_carried_edges(self) -> list[Dependence]:
-        return [e for e in self.edges() if e.is_loop_carried]
-
-    def intra_iteration_edges(self) -> list[Dependence]:
-        return [e for e in self.edges() if not e.is_loop_carried]
-
-    # ------------------------------------------------------------------
     def verify_acyclic_at_distance_zero(self) -> None:
         """Check that distance-0 edges form a DAG (a well-formed loop body
         cannot require a value before it is produced within the same
         iteration).  Raises ``ValueError`` otherwise."""
         if self.index().rev_topo0 is None:
             raise ValueError("distance-0 dependence cycle: loop body is malformed")
-
-    def topological_order(self) -> list[Operation]:
-        """Topological order of the distance-0 subgraph."""
-        self.verify_acyclic_at_distance_zero()
-        return [self.ops[v] for v in reversed(self.index().rev_topo0)]
-
-    def subgraph_view(self, keep: Iterable[Operation]) -> "DDG":
-        """A new DDG over ``keep`` with the induced edges (used by tests)."""
-        keep_ids = {op.op_id for op in keep}
-        g = DDG(ops=[op for op in self.ops if op.op_id in keep_ids])
-        for e in self.edges():
-            if e.src.op_id in keep_ids and e.dst.op_id in keep_ids:
-                g.add_edge(e)
-        return g
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +137,7 @@ class SCC:
     def __init__(self, nodes: list[int]) -> None:
         self.nodes = nodes            # global node indices, for diagnostics
         self.esrc: list[int] = []     # internal edges, local endpoints,
-        self.edst: list[int] = []     # in global edges() order
+        self.edst: list[int] = []     # in global edge order
         self.edelay: list[int] = []
         self.edist: list[int] = []
         self.delay_sum = 0
@@ -208,9 +156,10 @@ class AnalysisIndex:
     """The edge rows of one DDG state as int arrays, plus what every
     analysis derives from them once.
 
-    Edge ``k`` is the ``k``-th edge of ``ddg.edges()`` (row
-    ``edge_row[k]``); ``out_edges[v]`` is the range of ``v``'s out-edges
-    (CSR).  ``rev_topo0`` is the one distance-0 topological sort (sinks
+    Edge ``k`` is row ``edge_row[k]``, edges sorted stably by source;
+    ``out_edges[v]`` is the range of ``v``'s out-edges (CSR), in
+    insertion order, and :meth:`in_edges` lists each node's in-edges on
+    first use.  ``rev_topo0`` is the one distance-0 topological sort (sinks
     first; ``None`` if distance-0 edges form a cycle).  ``scc_of`` (an
     SCC id per node) is Tarjan's unless the caller already knows the
     membership (:func:`repro.ddg.builder.derive_partitioned_ddg`); the ids
@@ -224,7 +173,7 @@ class AnalysisIndex:
 
     __slots__ = ("n", "m", "op_ids", "edge_row", "src", "dst", "delay", "dist",
                  "out_edges", "rev_topo0", "scc_of", "cyclic_sccs", "rec_ii", "res_ii",
-                 "derive_rows")
+                 "derive_rows", "_in_edges")
 
     def __init__(self, ddg: DDG, scc_of: list[int] | None = None) -> None:
         self.n = n = len(ddg.ops)
@@ -246,6 +195,16 @@ class AnalysisIndex:
         self.rec_ii: int | None = None
         self.res_ii: dict[tuple, int] = {}
         self.derive_rows: tuple | None = None
+        self._in_edges: list[list[int]] | None = None
+
+    def in_edges(self) -> list[list[int]]:
+        """Each node's in-edge ids, ascending; built once, on first use."""
+        if self._in_edges is None:
+            ins: list[list[int]] = [[] for _ in range(self.n)]
+            for k, d in enumerate(self.dst):
+                ins[d].append(k)
+            self._in_edges = ins
+        return self._in_edges
 
     # ------------------------------------------------------------------
     def _reverse_topo_distance0(self) -> list[int] | None:

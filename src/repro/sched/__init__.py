@@ -4,13 +4,14 @@ scheduling (Rau), over monolithic and clustered machines.
 The paper's flow schedules each loop twice: once on the monolithic
 "ideal" machine to obtain the ideal schedule the RCG weights are drawn
 from (Section 4, step 2), and once after partitioning with operations
-pinned to clusters and copies inserted (step 4).  Both passes share the
-resource model in :mod:`repro.sched.resources` and the legality checker in
-:mod:`repro.sched.validate`.
+pinned to clusters and copies inserted (step 4).  Every scheduler — IMS,
+Swing and the list scheduler — reads dependences off the DDG's analysis
+index and resources as the packed demand words of
+:mod:`repro.sched.resources`, and the legality checker in
+:mod:`repro.sched.validate` does the same.
 """
 
 from repro.sched.schedule import LinearSchedule, KernelSchedule
-from repro.sched.resources import SlotPool, ModuloReservationTable, ReservationTable
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.modulo.scheduler import modulo_schedule, SchedulingError, ModuloScheduler
 from repro.sched.modulo.swing import swing_modulo_schedule
@@ -20,9 +21,6 @@ from repro.sched.validate import validate_kernel_schedule, validate_linear_sched
 __all__ = [
     "LinearSchedule",
     "KernelSchedule",
-    "SlotPool",
-    "ModuloReservationTable",
-    "ReservationTable",
     "list_schedule",
     "modulo_schedule",
     "swing_modulo_schedule",

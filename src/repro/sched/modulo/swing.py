@@ -22,17 +22,22 @@ The reconstruction keeps SMS's two defining ideas:
 
 Times may go negative during backward placement; the final schedule is
 shifted to start at zero (a uniform shift preserves every modulo
-constraint and permutes reservation rows consistently).
+constraint and permutes reservation rows consistently).  An attempt
+reads edges off the DDG's analysis index and keeps one packed occupancy
+word per kernel row (:mod:`repro.sched.resources`), like the iterative
+scheduler.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from repro.ddg.analysis import longest_path_heights, min_ii
 from repro.ddg.graph import DDG
 from repro.ir.block import Loop
 from repro.machine.machine import MachineDescription
 from repro.sched.modulo.scheduler import SchedulingError
-from repro.sched.resources import ModuloReservationTable
+from repro.sched.resources import demand_words, resource_geometry
 from repro.sched.schedule import KernelSchedule
 
 
@@ -51,12 +56,13 @@ def swing_modulo_schedule(
     if cap < start_ii:
         raise SchedulingError(f"{loop.name!r}: max_ii={cap} below MinII={start_ii}")
 
-    demand_cache: dict = {}
+    words = demand_words(ddg.ops, machine)
+    op_ids = ddg.index().op_ids
     for ii in range(start_ii, cap + 1):
-        times = _try_ii(ddg, machine, ii, demand_cache)
+        times = _try_ii(ddg, machine, ii, words)
         if times is not None:
             shift = min(times.values())
-            times = {oid: t - shift for oid, t in times.items()}
+            times = {op_ids[v]: t - shift for v, t in times.items()}
             return KernelSchedule(machine=machine, loop=loop, ii=ii, times=times)
     raise SchedulingError(
         f"no swing schedule for {loop.name!r} up to II={cap} (MinII={start_ii})"
@@ -64,154 +70,140 @@ def swing_modulo_schedule(
 
 
 # ----------------------------------------------------------------------
-def _mobility(ddg: DDG, ii: int) -> dict[int, int]:
-    """ALAP - ASAP at this II (forward and backward height differences)."""
+# Every helper works on op positions and the DDG's index edge ids.
+def _mobility(ddg: DDG, ii: int, lag: list[int]) -> list[int] | None:
+    """ALAP - ASAP at this II (forward and backward height differences);
+    ``lag[k]`` is edge ``k``'s ``delay - II * distance``."""
     try:
-        # height to sinks
-        backward = dict(zip(ddg.index().op_ids, longest_path_heights(ddg, ii=ii)))
+        backward = longest_path_heights(ddg, ii=ii)  # height to sinks
     except ValueError:
-        return {}
-    # forward depth: longest path from sources, computed on reversed edges
-    depth = {op.op_id: 0 for op in ddg.ops}
-    edges = list(ddg.edges())
-    for _ in range(len(ddg.ops) + 1):
+        return None
+    # forward depth: longest path from sources, relaxed in edge order
+    idx = ddg.index()
+    src, dst = idx.src, idx.dst
+    depth = [0] * idx.n
+    for _ in range(idx.n + 1):
         changed = False
-        for e in edges:
-            cand = depth[e.src.op_id] + e.delay - ii * e.distance
-            if cand > depth[e.dst.op_id]:
-                depth[e.dst.op_id] = cand
+        for k in range(idx.m):
+            cand = depth[src[k]] + lag[k]
+            if cand > depth[dst[k]]:
+                depth[dst[k]] = cand
                 changed = True
         if not changed:
             break
     else:
-        return {}
-    span = max((depth[o] + backward[o]) for o in depth) if depth else 0
-    return {
-        oid: max(0, span - depth[oid] - backward[oid]) for oid in depth
-    }
-
-
-def _order_nodes(ddg: DDG, ii: int) -> list | None:
-    mobility = _mobility(ddg, ii)
-    if not mobility and len(ddg.ops) > 0:
         return None
-    index = {op.op_id: i for i, op in enumerate(ddg.ops)}
-    neighbors: dict[int, set[int]] = {op.op_id: set() for op in ddg.ops}
-    for e in ddg.edges():
-        if e.src.op_id != e.dst.op_id:
-            neighbors[e.src.op_id].add(e.dst.op_id)
-            neighbors[e.dst.op_id].add(e.src.op_id)
+    span = max(map(sum, zip(depth, backward)))
+    return [max(0, span - d - b) for d, b in zip(depth, backward)]
+
+
+def _order_nodes(ddg: DDG, ii: int, lag: list[int]) -> list[int] | None:
+    mobility = _mobility(ddg, ii, lag)
+    if mobility is None:
+        return None
+    idx = ddg.index()
+    neighbors: list[set[int]] = [set() for _ in range(idx.n)]
+    for s, d in zip(idx.src, idx.dst):
+        if s != d:
+            neighbors[s].add(d)
+            neighbors[d].add(s)
 
     ordered: list[int] = []
     placed: set[int] = set()
-    remaining = {op.op_id for op in ddg.ops}
-    by_id = {op.op_id: op for op in ddg.ops}
-
+    remaining = set(range(idx.n))
     while remaining:
         # most-connected-to-ordered first, then most critical, then stable
-        def key(oid: int):
-            return (
-                -len(neighbors[oid] & placed),
-                mobility[oid],
-                index[oid],
-            )
-
-        chosen = min(remaining, key=key)
+        chosen = min(
+            remaining, key=lambda v: (-len(neighbors[v] & placed), mobility[v], v)
+        )
         ordered.append(chosen)
         placed.add(chosen)
         remaining.discard(chosen)
-    return [by_id[oid] for oid in ordered]
+    return ordered
 
 
 def _try_ii(
-    ddg: DDG,
-    machine: MachineDescription,
-    ii: int,
-    demand_cache: dict | None = None,
+    ddg: DDG, machine: MachineDescription, ii: int, words: list[int]
 ) -> dict[int, int] | None:
-    order = _order_nodes(ddg, ii)
+    """One attempt at ``ii``: position -> issue time in placement order,
+    on one packed occupancy word per kernel row (``words[v]`` is the
+    demand word of position ``v``)."""
+    idx = ddg.index()
+    lag = [delay - ii * dist for delay, dist in zip(idx.delay, idx.dist)]
+    order = _order_nodes(ddg, ii, lag)
     if order is None:
         return None
-    mrt = ModuloReservationTable(machine, ii, demands=demand_cache)
+    src, dst, in_edges, out_edges = idx.src, idx.dst, idx.in_edges(), idx.out_edges
+    geom = resource_geometry(machine)
+    bias, guard = geom.bias, geom.guard
+    occ = [0] * ii
     times: dict[int, int] = {}
-    by_id = {op.op_id: op for op in ddg.ops}
 
     # worklist preserves the swing order; nodes evicted by the fallback
     # re-enter at the back (bounded by the budget)
-    from collections import deque
-
     work = deque(order)
-    budget = 8 * len(ddg.ops)
+    budget = 8 * idx.n
 
     while work and budget > 0:
-        op = work.popleft()
-        if op.op_id in times:
+        v = work.popleft()
+        if v in times:
             continue
         budget -= 1
 
         early: int | None = None
         late: int | None = None
-        for dep in ddg.predecessors(op):
-            t = times.get(dep.src.op_id)
-            if t is not None and dep.src.op_id != op.op_id:
-                cand = t + dep.delay - ii * dep.distance
+        for k in in_edges[v]:
+            t = times.get(src[k])
+            if t is not None and src[k] != v:
+                cand = t + lag[k]
                 early = cand if early is None else max(early, cand)
-        for dep in ddg.successors(op):
-            t = times.get(dep.dst.op_id)
-            if t is not None and dep.dst.op_id != op.op_id:
-                cand = t - dep.delay + ii * dep.distance
+        for k in out_edges[v]:
+            t = times.get(dst[k])
+            if t is not None and dst[k] != v:
+                cand = t - lag[k]
                 late = cand if late is None else min(late, cand)
 
-        slot = _place(mrt, op, early, late, ii)
+        slot = _place(occ, words[v] + bias, guard, early, late, ii)
         if slot is None:
             # empty/blocked window: evict the scheduled successors that
             # impose `late` (IMS-style pressure valve; rare, so lifetime
             # sensitivity is preserved in the common case), then retry the
             # node with its predecessors-only window
             evicted_any = False
-            for dep in ddg.successors(op):
-                if dep.dst.op_id in times and dep.dst.op_id != op.op_id:
-                    mrt.remove(by_id[dep.dst.op_id])
-                    del times[dep.dst.op_id]
-                    work.append(dep.dst)
+            for k in out_edges[v]:
+                w = dst[k]
+                if w in times and w != v:
+                    occ[times.pop(w) % ii] -= words[w]
+                    work.append(w)
                     evicted_any = True
             if not evicted_any:
                 return None  # pure resource exhaustion: need a larger II
-            work.appendleft(op)
+            work.appendleft(v)
             continue
-        mrt.place(op, slot + _OFFSET)
-        times[op.op_id] = slot
+        occ[slot % ii] += words[v]
+        times[v] = slot
 
-    if len(times) == len(ddg.ops):
+    if len(times) == idx.n:
         return times
     return None
 
 
-#: placement offset so ModuloReservationTable sees non-negative times;
-#: a multiple of every II is impossible, so we shift per-op at place time
-#: by a large multiple of the row period instead
-_OFFSET = 1 << 20
-
-
-def _place(mrt, op, early, late, ii) -> int | None:
+def _place(occ, probe, guard, early, late, ii) -> int | None:
+    """The first time of the placement window whose row fits ``probe``
+    (demand word plus bias): upward from ``early``, downward from
+    ``late``, at most II candidates.  A time may be negative; its row is
+    ``t % ii``."""
     if early is not None and late is not None:
         if late < early:
             return None
-        for t in range(early, min(late, early + ii - 1) + 1):
-            if mrt.fits(op, t + _OFFSET):
-                return t
-        return None
-    if early is not None:
-        for t in range(early, early + ii):
-            if mrt.fits(op, t + _OFFSET):
-                return t
-        return None
-    if late is not None:
-        for t in range(late, late - ii, -1):
-            if mrt.fits(op, t + _OFFSET):
-                return t
-        return None
-    for t in range(0, ii):
-        if mrt.fits(op, t + _OFFSET):
+        window = range(early, min(late, early + ii - 1) + 1)
+    elif early is not None:
+        window = range(early, early + ii)
+    elif late is not None:
+        window = range(late, late - ii, -1)
+    else:
+        window = range(ii)
+    for t in window:
+        if not ((occ[t % ii] + probe) & guard):
             return t
     return None

@@ -10,7 +10,8 @@ cannot silently leak into the paper-reproduction numbers.
 from __future__ import annotations
 
 from repro.ddg.graph import DDG
-from repro.sched.resources import ReservationTable, demand_words, resource_geometry
+from repro.machine.machine import MachineDescription
+from repro.sched.resources import demand_words, resource_geometry
 from repro.sched.schedule import KernelSchedule, LinearSchedule
 
 
@@ -20,39 +21,36 @@ class ScheduleValidationError(AssertionError):
 
 def _check_dependences(ddg: DDG, times: dict[int, int], ii: int, what: str) -> None:
     """Check every edge ``t_dst >= t_src + delay - ii * distance`` on the
-    graph's int arrays; only an offending edge is turned into a
-    :class:`~repro.ddg.dependence.Dependence`, to word the error."""
+    graph's int arrays; an offending edge is worded from its row."""
     idx = ddg.index()
     t = [times[oid] for oid in idx.op_ids]
     for k, (s, d, delay, dist) in enumerate(zip(idx.src, idx.dst, idx.delay, idx.dist)):
         if t[d] < t[s] + delay - ii * dist:
+            _, _, kind, _, _, reg = ddg.rows[idx.edge_row[k]]
+            tag = f"[{reg}]" if reg is not None else ""
             raise ScheduleValidationError(
-                f"{what}: {ddg.dependence(idx.edge_row[k])!r} (t_src={t[s]}, t_dst={t[d]})"
+                f"{what}: <dep {kind.value}{tag} op#{idx.op_ids[s]}->op#{idx.op_ids[d]} "
+                f"delay={delay} dist={dist}> (t_src={t[s]}, t_dst={t[d]})"
             )
 
 
-def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
-    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal.
-
-    Dependences are checked first, then resources in op order: each op's
-    demand word (which validates its cluster) is added to its kernel
-    row's occupancy word, and an overflowing pool fails the check.  Last,
-    every op of a clustered machine must carry a cluster.
-    """
-    ii = schedule.ii
-    times = schedule.times
-    _check_dependences(ddg, times, ii, f"dependence violated at II={ii}")
-    machine = schedule.machine
-    ops = schedule.loop.ops
+def _check_resources(
+    machine: MachineDescription, ops, times: dict[int, int], ii: int, where: str
+) -> None:
+    """Charge each op's demand word (which validates its cluster) to its
+    row in op order — kernel row ``t % ii``, or cycle ``t`` when ``ii`` is
+    0 — and fail on the first overflowing pool.  Last, every op of a
+    clustered machine must carry a cluster."""
     geom = resource_geometry(machine)
     bias, guard = geom.bias, geom.guard
-    occ = [0] * ii
-    for op, word in zip(ops, demand_words(ops, machine)):
-        t = times[op.op_id]
-        row = t % ii
+    words = demand_words(ops, machine)
+    rows = ([times[op.op_id] % ii for op in ops] if ii
+            else [times[op.op_id] for op in ops])
+    occ = [0] * (ii or max(rows, default=-1) + 1)
+    for op, row, word in zip(ops, rows, words):
         if (occ[row] + word + bias) & guard:
             raise ScheduleValidationError(
-                f"resource over-subscription in kernel row {row}: {op!r}"
+                f"resource over-subscription {where} {row}: {op!r}"
             )
         occ[row] += word
     if machine.is_clustered:
@@ -63,17 +61,20 @@ def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
                 )
 
 
+def validate_kernel_schedule(schedule: KernelSchedule, ddg: DDG) -> None:
+    """Raise :class:`ScheduleValidationError` unless ``schedule`` is legal:
+    dependences first, then resources per kernel row and clusters."""
+    ii = schedule.ii
+    _check_dependences(ddg, schedule.times, ii, f"dependence violated at II={ii}")
+    _check_resources(schedule.machine, schedule.loop.ops, schedule.times, ii,
+                     "in kernel row")
+
+
 def validate_linear_schedule(schedule: LinearSchedule, ddg: DDG) -> None:
     """Acyclic-schedule counterpart of :func:`validate_kernel_schedule`:
-    the same dependence check at II 0, on a graph without carried edges."""
+    the same checks at II 0, on a graph without carried edges, with one
+    occupancy row per cycle."""
     if any(ddg.index().dist):
         raise ScheduleValidationError("linear schedule given a cyclic DDG")
     _check_dependences(ddg, schedule.times, 0, "dependence violated")
-    table = ReservationTable(schedule.machine)
-    for op in schedule.ops:
-        t = schedule.times[op.op_id]
-        if not table.fits(op, t):
-            raise ScheduleValidationError(
-                f"resource over-subscription at cycle {t}: {op!r}"
-            )
-        table.place(op, t)
+    _check_resources(schedule.machine, schedule.ops, schedule.times, 0, "at cycle")

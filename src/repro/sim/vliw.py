@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ddg.analysis import source_distances
 from repro.ddg.graph import DDG
 from repro.ir.operations import Operation
 from repro.ir.registers import SymbolicRegister
@@ -50,11 +51,7 @@ class VLIWExecutor:
         loop = kernel.loop
         machine = kernel.machine
 
-        # per-op source distances, from register flow edges
-        src_distance: dict[int, dict[int, int]] = {op.op_id: {} for op in loop.ops}
-        for e in self.ddg.edges():
-            if e.reg is not None:
-                src_distance[e.dst.op_id][e.reg.rid] = e.distance
+        src_distance = source_distances(self.ddg)
 
         for reg in loop.registers():
             self._initial[reg.rid] = seed_register(reg)

@@ -7,19 +7,27 @@ the shipped package, so the parity tests (``test_perf_equivalence.py``,
 them value for value.  Each oracle uses only public ``repro`` APIs,
 except :func:`ddg_rows`, which also reads the edge-key map it compares.
 
-``ReferenceModuloReservationTable`` is the original dict-of-
-:class:`~repro.sched.resources.SlotPool` modulo reservation table (with
-the eviction query the shipped table no longer has), and
-:func:`reference_try_ii` the original op-keyed iterative-scheduling
-attempt driven by it.  :func:`use_reference_mrt` injects both: Swing
-builds the golden table, and ``ModuloScheduler._try_ii`` becomes the
-golden attempt on the golden table.  :func:`add_node` and
-:func:`add_edge` build interference graphs by hand, for the
-interference oracle and the colouring tests.
-:func:`_reference_build_rcg_from_kernel` weights the RCG through its
-method calls and :func:`_reference_insert_copies` inserts copies over
-op objects; :func:`frozen_tables` and :func:`partitioned_listing` turn
-their results into comparable plain values.
+The package keeps one edge view (the DDG's int rows and analysis index)
+and one resource model (packed demand words).  The object views they
+replaced live here: :class:`Dependence` edges, built from a graph's rows
+by :func:`dependences` (successor, predecessor and edge lists in the old
+orders) and stored by :func:`add_dependence`; and the per-op
+:class:`ResourceDemand` of :func:`op_resource_demand`, counted by
+:class:`SlotPool` rows in :class:`ReservationTable` (acyclic) and
+:class:`ReferenceModuloReservationTable` (modulo, with the eviction
+query the packed encoding does without).  On them run the op-keyed
+oracles: :func:`reference_try_ii` (one IMS attempt),
+:func:`_reference_swing_modulo_schedule`,
+:func:`_reference_list_schedule`, :func:`_reference_uas_partition` and
+:func:`_reference_bug_partition`.  :func:`use_reference_mrt` injects the
+first two: ``ModuloScheduler._try_ii`` becomes the golden attempt, and
+Swing the golden Swing.  :func:`add_node` and :func:`add_edge` build
+interference graphs by hand, for the interference oracle and the
+colouring tests.  :func:`_reference_build_rcg_from_kernel` weights the
+RCG through its method calls and :func:`_reference_insert_copies`
+inserts copies over op objects; :func:`frozen_tables` and
+:func:`partitioned_listing` turn their results into comparable plain
+values.
 
 The module name matches neither ``test_*.py`` nor ``bench_*.py``, so
 pytest does not collect it.
@@ -31,31 +39,204 @@ import bisect
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from repro.core.baselines import _place_live_ins
 from repro.core.copies import PartitionedLoop, _home_cluster
 from repro.core.greedy import Partition
 from repro.core.rcg import RegisterComponentGraph
+from repro.core.uas import _ClusterMRT
 from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
-from repro.ddg.analysis import longest_path_heights, schedule_slack
-from repro.ddg.graph import DDG
+from repro.ddg.analysis import longest_path_heights, min_ii, recurrence_ii, schedule_slack
+from repro.ddg.graph import DDG, DepKind
 from repro.ir.block import BasicBlock, Loop
-from repro.ir.operations import Operation, make_copy
+from repro.ir.operations import OpClass, Operation, make_copy
 from repro.ir.printer import format_loop
 from repro.ir.registers import RegisterFactory, SymbolicRegister
+from repro.ir.types import DataType
 from repro.machine.machine import CopyModel, MachineDescription
 from repro.regalloc.coloring import ColoringResult
 from repro.regalloc.interference import InterferenceGraph, Name
 from repro.regalloc.liveness import CyclicLiveness, LiveRange
 from repro.regalloc.mve import MVEPlan
-from repro.sched.modulo.scheduler import ModuloScheduler
-from repro.sched.resources import (
-    ResourceDemand,
-    SlotPool,
-    op_resource_demand,
-)
-from repro.sched.schedule import KernelSchedule
+from repro.sched.modulo.scheduler import ModuloScheduler, SchedulingError
+from repro.sched.schedule import KernelSchedule, LinearSchedule
+
+
+# ----------------------------------------------------------------------
+# Dependence objects (the DDG's old object view)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class Dependence:
+    """One DDG edge as an object.
+
+    ``delay`` is the minimum issue-cycle separation (source latency for
+    flow edges, 1 for memory ordering edges), ``distance`` the number of
+    iterations the dependence spans (0 = same iteration).  ``reg`` records
+    the register a flow edge carries.
+    """
+
+    src: Operation
+    dst: Operation
+    kind: DepKind
+    delay: int
+    distance: int = 0
+    reg: SymbolicRegister | None = None
+
+    def __post_init__(self) -> None:
+        if self.delay < 0:
+            raise ValueError("dependence delay must be non-negative")
+        if self.distance < 0:
+            raise ValueError("dependence distance must be non-negative")
+        if self.kind is DepKind.FLOW and self.reg is None:
+            raise ValueError("register flow dependences must name their register")
+
+    @property
+    def is_loop_carried(self) -> bool:
+        return self.distance > 0
+
+    def __repr__(self) -> str:
+        tag = f"[{self.reg}]" if self.reg is not None else ""
+        return (
+            f"<dep {self.kind.value}{tag} op#{self.src.op_id}->op#{self.dst.op_id} "
+            f"delay={self.delay} dist={self.distance}>"
+        )
+
+
+class Dependences(NamedTuple):
+    """A graph's edges as objects: ``succs[v]``/``preds[v]`` are position
+    ``v``'s out-/in-edges in insertion order, ``edges`` every edge by
+    source op and then insertion order (the index's edge order)."""
+
+    succs: list[list[Dependence]]
+    preds: list[list[Dependence]]
+    edges: list[Dependence]
+
+
+def dependences(ddg: DDG) -> Dependences:
+    """Fresh :class:`Dependence` lists for the current rows of ``ddg``."""
+    ops = ddg.ops
+    succs: list[list[Dependence]] = [[] for _ in ops]
+    preds: list[list[Dependence]] = [[] for _ in ops]
+    for s, d, kind, delay, distance, reg in ddg.rows:
+        dep = Dependence(ops[s], ops[d], kind, delay, distance, reg)
+        succs[s].append(dep)
+        preds[d].append(dep)
+    return Dependences(succs, preds, [dep for out in succs for dep in out])
+
+
+def add_dependence(ddg: DDG, dep: Dependence) -> Dependence | None:
+    """Insert ``dep`` (duplicate keys keep the larger delay); ``dep`` if
+    it was stored, ``None`` if an existing edge subsumed it."""
+    if dep.src not in ddg or dep.dst not in ddg:
+        raise ValueError("dependence endpoints must be DDG operations")
+    stored = ddg.add_row(ddg.index_of(dep.src), ddg.index_of(dep.dst), dep.kind,
+                         dep.delay, dep.distance, dep.reg)
+    return dep if stored else None
+
+
+# ----------------------------------------------------------------------
+# Per-op resource demands (the old object resource model)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class ResourceDemand:
+    """What one operation consumes in its issue cycle."""
+
+    fu_cluster: int | None = None     # one FU slot in this cluster
+    copy_cluster: int | None = None   # one copy port in this cluster
+    bus: bool = False                 # one machine-wide bus
+
+
+def op_resource_demand(op: Operation, machine: MachineDescription) -> ResourceDemand:
+    """Map an operation to its issue-cycle resource demand: copy-unit
+    copies take a port in their cluster and a bus, everything else an FU
+    (cluster 0 if the op has none)."""
+    cluster = op.cluster if op.cluster is not None else 0
+    machine.validate_cluster(cluster if machine.is_clustered else None)
+    if op.is_copy and machine.copy_model is CopyModel.COPY_UNIT:
+        return ResourceDemand(copy_cluster=cluster, bus=True)
+    return ResourceDemand(fu_cluster=cluster)
+
+
+@dataclass
+class SlotPool:
+    """Free-slot counters for a single cycle.
+
+    ``bus_free`` defaults to ``None`` (= take the machine's bus count) so
+    that an explicitly-passed exhausted bus count of ``0`` is honored
+    rather than silently reset.
+    """
+
+    machine: MachineDescription
+    fu_free: list[int] = field(default_factory=list)
+    copy_free: list[int] = field(default_factory=list)
+    bus_free: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.fu_free:
+            self.fu_free = [self.machine.fus_per_cluster] * self.machine.n_clusters
+        if not self.copy_free:
+            ports = (
+                self.machine.copy_ports_per_cluster
+                if self.machine.copy_model is CopyModel.COPY_UNIT
+                else 0
+            )
+            self.copy_free = [ports] * self.machine.n_clusters
+        if self.bus_free is None:
+            self.bus_free = self.machine.n_buses
+
+    def fits(self, demand: ResourceDemand) -> bool:
+        if demand.fu_cluster is not None and self.fu_free[demand.fu_cluster] < 1:
+            return False
+        if demand.copy_cluster is not None and self.copy_free[demand.copy_cluster] < 1:
+            return False
+        if demand.bus and self.bus_free < 1:
+            return False
+        return True
+
+    def take(self, demand: ResourceDemand) -> None:
+        if not self.fits(demand):
+            raise ValueError("resource over-subscription")
+        if demand.fu_cluster is not None:
+            self.fu_free[demand.fu_cluster] -= 1
+        if demand.copy_cluster is not None:
+            self.copy_free[demand.copy_cluster] -= 1
+        if demand.bus:
+            self.bus_free -= 1
+
+    def release(self, demand: ResourceDemand) -> None:
+        if demand.fu_cluster is not None:
+            self.fu_free[demand.fu_cluster] += 1
+        if demand.copy_cluster is not None:
+            self.copy_free[demand.copy_cluster] += 1
+        if demand.bus:
+            self.bus_free += 1
+
+
+@dataclass
+class ReservationTable:
+    """Growable cycle-indexed reservation table for acyclic scheduling."""
+
+    machine: MachineDescription
+    rows: list[SlotPool] = field(default_factory=list)
+    _placed: dict[int, tuple[int, ResourceDemand]] = field(default_factory=dict)
+
+    def _row(self, cycle: int) -> SlotPool:
+        while len(self.rows) <= cycle:
+            self.rows.append(SlotPool(self.machine))
+        return self.rows[cycle]
+
+    def fits(self, op: Operation, cycle: int) -> bool:
+        return self._row(cycle).fits(op_resource_demand(op, self.machine))
+
+    def place(self, op: Operation, cycle: int) -> None:
+        if op.op_id in self._placed:
+            raise ValueError(f"operation already placed: {op!r}")
+        demand = op_resource_demand(op, self.machine)
+        self._row(cycle).take(demand)
+        self._placed[op.op_id] = (cycle, demand)
 
 
 # ----------------------------------------------------------------------
@@ -66,8 +247,8 @@ from repro.sched.schedule import KernelSchedule
 @dataclass
 class ReferenceModuloReservationTable:
     """Fixed-II modulo reservation table (Rau, Section 2) — the original
-    dict-of-:class:`SlotPool` implementation, the golden oracle for
-    :class:`repro.sched.resources.ModuloReservationTable`.
+    dict-of-:class:`SlotPool` implementation, the golden oracle for the
+    packed occupancy rows the modulo schedulers keep.
 
     Row ``t mod II`` must accommodate every operation issued at absolute
     time ``t``; placement and removal support the iterative scheduler's
@@ -235,13 +416,371 @@ def _reference_attempt(self, ddg: DDG, ii: int, words: list[int]):
 
 def use_reference_mrt(monkeypatch) -> None:
     """Make both modulo schedulers run on :class:`ReferenceModuloReservationTable`
-    for the rest of the test (undone by pytest's ``monkeypatch``): Swing
-    builds it, and IMS attempts go through :func:`reference_try_ii`."""
-    monkeypatch.setattr(
-        "repro.sched.modulo.swing.ModuloReservationTable",
-        ReferenceModuloReservationTable,
-    )
+    for the rest of the test (undone by pytest's ``monkeypatch``): IMS
+    attempts go through :func:`reference_try_ii`, and the pipeline's
+    Swing (which imports it at call time) is
+    :func:`_reference_swing_modulo_schedule`."""
     monkeypatch.setattr(ModuloScheduler, "_try_ii", _reference_attempt)
+    monkeypatch.setattr("repro.sched.modulo.swing.swing_modulo_schedule",
+                        _reference_swing_modulo_schedule)
+
+
+# ----------------------------------------------------------------------
+# Swing modulo scheduling (repro.sched.modulo.swing)
+# ----------------------------------------------------------------------
+def _reference_swing_modulo_schedule(
+    loop: Loop, ddg: DDG, machine: MachineDescription, max_ii: int | None = None,
+) -> KernelSchedule:
+    """SMS over :class:`Dependence` objects and the golden table: the
+    oracle for :func:`~repro.sched.modulo.swing.swing_modulo_schedule`."""
+    if len(ddg.ops) == 0:
+        raise ValueError("cannot pipeline an empty loop")
+    start_ii = min_ii(ddg, machine)
+    guaranteed = max(start_ii, sum(machine.latency(op) for op in ddg.ops))
+    cap = max_ii if max_ii is not None else guaranteed
+    if cap < start_ii:
+        raise SchedulingError(f"{loop.name!r}: max_ii={cap} below MinII={start_ii}")
+
+    demand_cache: dict = {}
+    deps = dependences(ddg)
+    for ii in range(start_ii, cap + 1):
+        times = _reference_swing_try_ii(ddg, deps, machine, ii, demand_cache)
+        if times is not None:
+            shift = min(times.values())
+            times = {oid: t - shift for oid, t in times.items()}
+            return KernelSchedule(machine=machine, loop=loop, ii=ii, times=times)
+    raise SchedulingError(
+        f"no swing schedule for {loop.name!r} up to II={cap} (MinII={start_ii})"
+    )
+
+
+def _reference_swing_mobility(ddg: DDG, deps: Dependences, ii: int) -> dict[int, int]:
+    """ALAP - ASAP at this II (forward and backward height differences)."""
+    try:
+        backward = dict(zip(ddg.index().op_ids, longest_path_heights(ddg, ii=ii)))
+    except ValueError:
+        return {}
+    depth = {op.op_id: 0 for op in ddg.ops}
+    for _ in range(len(ddg.ops) + 1):
+        changed = False
+        for e in deps.edges:
+            cand = depth[e.src.op_id] + e.delay - ii * e.distance
+            if cand > depth[e.dst.op_id]:
+                depth[e.dst.op_id] = cand
+                changed = True
+        if not changed:
+            break
+    else:
+        return {}
+    span = max((depth[o] + backward[o]) for o in depth) if depth else 0
+    return {oid: max(0, span - depth[oid] - backward[oid]) for oid in depth}
+
+
+def _reference_swing_order(ddg: DDG, deps: Dependences, ii: int) -> list | None:
+    mobility = _reference_swing_mobility(ddg, deps, ii)
+    if not mobility and len(ddg.ops) > 0:
+        return None
+    index = {op.op_id: i for i, op in enumerate(ddg.ops)}
+    neighbors: dict[int, set[int]] = {op.op_id: set() for op in ddg.ops}
+    for e in deps.edges:
+        if e.src.op_id != e.dst.op_id:
+            neighbors[e.src.op_id].add(e.dst.op_id)
+            neighbors[e.dst.op_id].add(e.src.op_id)
+
+    ordered: list[int] = []
+    placed: set[int] = set()
+    remaining = {op.op_id for op in ddg.ops}
+    by_id = {op.op_id: op for op in ddg.ops}
+    while remaining:
+        chosen = min(remaining, key=lambda oid: (
+            -len(neighbors[oid] & placed), mobility[oid], index[oid]))
+        ordered.append(chosen)
+        placed.add(chosen)
+        remaining.discard(chosen)
+    return [by_id[oid] for oid in ordered]
+
+
+#: placement offset so the golden table sees non-negative times (every
+#: row rotates by the same amount)
+_SWING_OFFSET = 1 << 20
+
+
+def _reference_swing_try_ii(ddg, deps, machine, ii, demand_cache):
+    order = _reference_swing_order(ddg, deps, ii)
+    if order is None:
+        return None
+    mrt = ReferenceModuloReservationTable(machine, ii, demands=demand_cache)
+    times: dict[int, int] = {}
+    by_id = {op.op_id: op for op in ddg.ops}
+    pos = {op.op_id: i for i, op in enumerate(ddg.ops)}
+    work = deque(order)
+    budget = 8 * len(ddg.ops)
+
+    while work and budget > 0:
+        op = work.popleft()
+        if op.op_id in times:
+            continue
+        budget -= 1
+
+        early: int | None = None
+        late: int | None = None
+        for dep in deps.preds[pos[op.op_id]]:
+            t = times.get(dep.src.op_id)
+            if t is not None and dep.src.op_id != op.op_id:
+                cand = t + dep.delay - ii * dep.distance
+                early = cand if early is None else max(early, cand)
+        for dep in deps.succs[pos[op.op_id]]:
+            t = times.get(dep.dst.op_id)
+            if t is not None and dep.dst.op_id != op.op_id:
+                cand = t - dep.delay + ii * dep.distance
+                late = cand if late is None else min(late, cand)
+
+        slot = _reference_swing_place(mrt, op, early, late, ii)
+        if slot is None:
+            evicted_any = False
+            for dep in deps.succs[pos[op.op_id]]:
+                if dep.dst.op_id in times and dep.dst.op_id != op.op_id:
+                    mrt.remove(by_id[dep.dst.op_id])
+                    del times[dep.dst.op_id]
+                    work.append(dep.dst)
+                    evicted_any = True
+            if not evicted_any:
+                return None
+            work.appendleft(op)
+            continue
+        mrt.place(op, slot + _SWING_OFFSET)
+        times[op.op_id] = slot
+
+    if len(times) == len(ddg.ops):
+        return times
+    return None
+
+
+def _reference_swing_place(mrt, op, early, late, ii) -> int | None:
+    if early is not None and late is not None:
+        if late < early:
+            return None
+        for t in range(early, min(late, early + ii - 1) + 1):
+            if mrt.fits(op, t + _SWING_OFFSET):
+                return t
+        return None
+    if early is not None:
+        for t in range(early, early + ii):
+            if mrt.fits(op, t + _SWING_OFFSET):
+                return t
+        return None
+    if late is not None:
+        for t in range(late, late - ii, -1):
+            if mrt.fits(op, t + _SWING_OFFSET):
+                return t
+        return None
+    for t in range(0, ii):
+        if mrt.fits(op, t + _SWING_OFFSET):
+            return t
+    return None
+
+
+# ----------------------------------------------------------------------
+# List scheduling (repro.sched.list_scheduler)
+# ----------------------------------------------------------------------
+def _reference_list_schedule(ddg: DDG, machine: MachineDescription) -> LinearSchedule:
+    """Cycle-driven list scheduling over predecessor objects and a
+    :class:`ReservationTable`: the oracle for
+    :func:`~repro.sched.list_scheduler.list_schedule`."""
+    deps = dependences(ddg)
+    for e in deps.edges:
+        if e.distance != 0:
+            raise ValueError("list_schedule requires an acyclic (distance-0) DDG")
+
+    heights = longest_path_heights(ddg, ii=0)
+    order_index = {op.op_id: i for i, op in enumerate(ddg.ops)}
+    times: dict[int, int] = {}
+    table = ReservationTable(machine)
+    cycle = 0
+    max_cycles = sum(machine.latency(op) for op in ddg.ops) + len(ddg.ops) + 1
+
+    while len(times) < len(ddg.ops):
+        if cycle > max_cycles:
+            raise RuntimeError("list scheduler failed to converge (resource model bug?)")
+        ready = []
+        for i, op in enumerate(ddg.ops):
+            if op.op_id in times:
+                continue
+            preds = deps.preds[i]
+            if any(dep.src.op_id not in times for dep in preds):
+                continue
+            earliest = max((times[dep.src.op_id] + dep.delay for dep in preds), default=0)
+            if earliest <= cycle:
+                ready.append(op)
+        ready.sort(key=lambda op: (-heights[order_index[op.op_id]], order_index[op.op_id]))
+        for op in ready:
+            if table.fits(op, cycle):
+                table.place(op, cycle)
+                times[op.op_id] = cycle
+        cycle += 1
+    return LinearSchedule(machine=machine, ops=list(ddg.ops), times=times)
+
+
+# ----------------------------------------------------------------------
+# UAS and BUG partitioners (repro.core.uas, repro.core.baselines)
+# ----------------------------------------------------------------------
+def _copy_latencies(machine: MachineDescription) -> dict[DataType, int]:
+    lat = machine.latencies
+    return {DataType.INT: lat.of_class(OpClass.COPY_INT),
+            DataType.FLOAT: lat.of_class(OpClass.COPY_FLOAT)}
+
+
+def _reference_uas_partition(
+    loop: Loop, ddg: DDG, machine: MachineDescription, budget_ratio: int = 12,
+) -> Partition:
+    """The UAS joint pass over :class:`Dependence` objects and op-keyed
+    dicts: the oracle for :func:`~repro.core.uas.uas_partition`."""
+    copy_latency = _copy_latencies(machine)
+    start_ii = max(recurrence_ii(ddg), -(-len(ddg.ops) // machine.width))
+    cap = max(start_ii, sum(machine.latencies.of(op) for op in ddg.ops) + len(ddg.ops))
+    deps = dependences(ddg)
+    for ii in range(start_ii, cap + 1):
+        assignment = _reference_uas_try_ii(ddg, deps, machine, ii, budget_ratio,
+                                           copy_latency)
+        if assignment is not None:
+            break
+    else:
+        raise RuntimeError(f"UAS failed to schedule {loop.name!r}")
+    part = Partition(n_banks=machine.n_clusters)
+    for op in loop.ops:
+        if op.dest is not None:
+            part.assign(op.dest, assignment[op.op_id])
+    _place_live_ins(loop, part, assignment)
+    return part
+
+
+def _reference_uas_try_ii(ddg, deps, machine, ii, budget_ratio, copy_latency):
+    try:
+        heights = longest_path_heights(ddg, ii=ii)
+    except ValueError:
+        return None
+
+    order_index = {op.op_id: i for i, op in enumerate(ddg.ops)}
+    by_id = {op.op_id: op for op in ddg.ops}
+    mrt = _ClusterMRT(machine.n_clusters, machine.fus_per_cluster, ii)
+    times: dict[int, int] = {}
+    clusters: dict[int, int] = {}
+    prev_time: dict[int, int] = {}
+    budget = budget_ratio * len(ddg.ops)
+
+    def push(heap, op):
+        i = order_index[op.op_id]
+        heapq.heappush(heap, (-heights[i], i, op.op_id))
+
+    heap: list = []
+    for op in ddg.ops:
+        push(heap, op)
+
+    while heap and budget > 0:
+        _, i, oid = heapq.heappop(heap)
+        if oid in times:
+            continue
+        op = by_id[oid]
+        budget -= 1
+
+        best: tuple[int, int, int] | None = None  # (time, load, cluster)
+        for c in range(machine.n_clusters):
+            estart = 0
+            for dep in deps.preds[i]:
+                src_t = times.get(dep.src.op_id)
+                if src_t is None:
+                    continue
+                delay = dep.delay
+                if dep.reg is not None and clusters.get(dep.src.op_id, c) != c:
+                    delay += copy_latency[dep.reg.dtype]
+                estart = max(estart, src_t + delay - ii * dep.distance)
+            for t in range(max(0, estart), max(0, estart) + ii):
+                if mrt.fits(t, c):
+                    cand = (t, mrt.load(c), c)
+                    if best is None or cand < best:
+                        best = cand
+                    break
+
+        if best is None:
+            c = min(range(machine.n_clusters), key=mrt.load)
+            prev = prev_time.get(oid)
+            slot = 0 if prev is None else prev + 1
+            victims = [vid for vid, vt in times.items()
+                       if vt % ii == slot % ii and clusters[vid] == c]
+            for vid in victims:
+                mrt.remove(times[vid], clusters[vid])
+                del times[vid]
+                del clusters[vid]
+                push(heap, by_id[vid])
+            best = (slot, mrt.load(c), c)
+
+        t, _, c = best
+        mrt.place(t, c)
+        times[oid] = t
+        clusters[oid] = c
+        prev_time[oid] = t
+
+        for dep in deps.succs[i]:
+            dst_t = times.get(dep.dst.op_id)
+            if dst_t is None or dep.dst.op_id == oid:
+                continue
+            delay = dep.delay
+            if dep.reg is not None and clusters[dep.dst.op_id] != c:
+                delay += copy_latency[dep.reg.dtype]
+            if dst_t < t + delay - ii * dep.distance:
+                mrt.remove(dst_t, clusters[dep.dst.op_id])
+                del times[dep.dst.op_id]
+                del clusters[dep.dst.op_id]
+                push(heap, dep.dst)
+
+    if len(times) == len(ddg.ops):
+        return clusters
+    return None
+
+
+def _reference_bug_partition(loop: Loop, ddg: DDG, machine: MachineDescription) -> Partition:
+    """Bottom-up greedy over the distance-0 topological order and
+    predecessor objects: the oracle for
+    :func:`~repro.core.baselines.bug_partition`."""
+    n = machine.n_clusters
+    part = Partition(n_banks=n)
+    lat = machine.latencies
+    cluster_load = [0.0] * n
+    op_cluster: dict[int, int] = {}
+    reg_bank: dict[int, int] = {}
+    done_time: dict[int, float] = {}
+    copy_latency = _copy_latencies(machine)
+    deps = dependences(ddg)
+
+    ddg.verify_acyclic_at_distance_zero()
+    for v in reversed(ddg.index().rev_topo0):
+        op = ddg.ops[v]
+        best_cluster, best_cost = 0, float("inf")
+        for c in range(n):
+            ready = 0.0
+            for dep in deps.preds[v]:
+                if dep.distance != 0:
+                    continue
+                src_c = op_cluster.get(dep.src.op_id, c)
+                penalty = 0.0
+                if src_c != c and dep.reg is not None:
+                    penalty = copy_latency[dep.reg.dtype]
+                ready = max(ready, done_time.get(dep.src.op_id, 0.0) + penalty)
+            for src in op.used():
+                bank = reg_bank.get(src.rid)
+                if bank is not None and bank != c:
+                    ready = max(ready, copy_latency[src.dtype])
+            cost = ready + cluster_load[c] / machine.fus_per_cluster
+            if cost < best_cost:
+                best_cost, best_cluster = cost, c
+        op_cluster[op.op_id] = best_cluster
+        cluster_load[best_cluster] += 1.0
+        done_time[op.op_id] = best_cost + lat.of(op)
+        if op.dest is not None:
+            part.assign(op.dest, best_cluster)
+            reg_bank[op.dest.rid] = best_cluster
+    _place_live_ins(loop, part, op_cluster)
+    return part
 
 
 # ----------------------------------------------------------------------
@@ -249,10 +788,11 @@ def use_reference_mrt(monkeypatch) -> None:
 # ----------------------------------------------------------------------
 def ddg_rows(ddg: DDG) -> dict[str, object]:
     """Everything the compiler reads of ``ddg`` and its analysis index,
-    as plain values: the stored rows, ``edges()`` and every predecessor
-    list in insertion order, each edge as ``(src index, dst index, kind,
-    delay, distance, reg rid)``; the edge-key map; and the index's arrays
-    (whose ``out_edges`` split ``edges()`` into successor lists),
+    as plain values: the stored rows, the :func:`dependences` edge list
+    and every predecessor list in insertion order, each edge as ``(src
+    index, dst index, kind, delay, distance, reg rid)``; the edge-key
+    map; and the index's arrays
+    (whose ``out_edges`` split that edge list into successor lists),
     distance-0 order and cyclic SCCs in list order.  SCC ids are
     relabelled by first occurrence, so two labellings of the same
     components compare equal."""
@@ -263,13 +803,14 @@ def ddg_rows(ddg: DDG) -> dict[str, object]:
         return (pos[e.src.op_id], pos[e.dst.op_id], e.kind, e.delay, e.distance, rid)
 
     idx = ddg.index()
+    deps = dependences(ddg)
     relabel: dict[int, int] = {}
     for sid in idx.scc_of:
         relabel.setdefault(sid, len(relabel))
     return {
         "rows": [(*r[:5], r[5].rid if r[5] is not None else None) for r in ddg.rows],
-        "edges": [row(e) for e in ddg.edges()],
-        "preds": [[row(e) for e in ddg.predecessors(op)] for op in ddg.ops],
+        "edges": [row(e) for e in deps.edges],
+        "preds": [[row(e) for e in preds] for preds in deps.preds],
         "edge_keys": ddg._key_rows(),
         "arrays": (idx.n, idx.m, idx.op_ids, idx.edge_row, idx.src, idx.dst,
                    idx.delay, idx.dist, [list(out) for out in idx.out_edges]),
@@ -337,7 +878,8 @@ def _has_positive_cycle(ddg: DDG, ii: int) -> bool:
         return False
     dist = {op.op_id: 0 for op in ddg.ops}
     edges = [
-        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance) for e in ddg.edges()
+        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance)
+        for e in dependences(ddg).edges
     ]
     for _ in range(n):
         changed = False
@@ -355,10 +897,11 @@ def _reference_recurrence_ii(ddg: DDG) -> int:
     """The pre-condensation search (kept for golden-equivalence tests)."""
     if len(ddg) == 0 or ddg.n_edges == 0:
         return 1
-    hi = max(1, sum(e.delay for e in ddg.edges()))
+    edges = dependences(ddg).edges
+    hi = max(1, sum(e.delay for e in edges))
     lo = 1
     # tighten the lower bound with self-edges, which are common (accumulators)
-    for e in ddg.edges():
+    for e in edges:
         if e.src.op_id == e.dst.op_id and e.distance > 0:
             lo = max(lo, math.ceil(e.delay / e.distance))
     if _has_positive_cycle(ddg, hi):
@@ -376,7 +919,8 @@ def _has_positive_cycle_real(ddg: DDG, ii: float) -> bool:
     n = len(ddg)
     dist = {op.op_id: 0.0 for op in ddg.ops}
     edges = [
-        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance) for e in ddg.edges()
+        (e.src.op_id, e.dst.op_id, e.delay - ii * e.distance)
+        for e in dependences(ddg).edges
     ]
     eps = 1e-9
     for _ in range(n):
@@ -397,7 +941,7 @@ def _reference_critical_cycle_ratio(ddg: DDG, tolerance: float = 1e-6) -> float:
         return 0.0
     if not _has_positive_cycle_real(ddg, 0.0):
         return 0.0
-    lo, hi = 0.0, float(max(1, sum(e.delay for e in ddg.edges())))
+    lo, hi = 0.0, float(max(1, sum(e.delay for e in dependences(ddg).edges)))
     while hi - lo > tolerance:
         mid = (lo + hi) / 2.0
         if _has_positive_cycle_real(ddg, mid):
@@ -413,7 +957,7 @@ def _reference_longest_path_heights(ddg: DDG, ii: int = 0) -> list[int]:
     golden-equivalence oracle for
     :func:`repro.ddg.analysis.longest_path_heights`."""
     height = {op.op_id: 0 for op in ddg.ops}
-    edges = list(ddg.edges())
+    edges = dependences(ddg).edges
     for _round_no in range(len(ddg.ops) + 1):
         changed = False
         for e in edges:
@@ -431,14 +975,15 @@ def _reference_estart_lstart(ddg: DDG, times, length: int, latencies=None):
     golden-equivalence oracle for :func:`repro.ddg.analysis.estart_lstart`."""
     estart: dict[int, int] = {}
     lstart: dict[int, int] = {}
-    for op in ddg.ops:
+    deps = dependences(ddg)
+    for v, op in enumerate(ddg.ops):
         e = 0
-        for dep in ddg.predecessors(op):
+        for dep in deps.preds[v]:
             if dep.distance == 0:
                 e = max(e, times[dep.src.op_id] + dep.delay)
         estart[op.op_id] = e
         latest = length - (latencies.of(op) if latencies is not None else 1)
-        for dep in ddg.successors(op):
+        for dep in deps.succs[v]:
             if dep.distance == 0:
                 latest = min(latest, times[dep.dst.op_id] - dep.delay)
         lstart[op.op_id] = max(latest, e)
@@ -730,13 +1275,14 @@ def _reference_cyclic_liveness(kernel: KernelSchedule, ddg: DDG) -> CyclicLivene
         for r in op.used():
             use_counts[r.rid] = use_counts.get(r.rid, 0) + 1
 
+    succs = dependences(ddg).succs
     for op in loop.ops:
         if op.dest is None:
             continue
         reg = op.dest
         t_def = kernel.time_of(op)
         last = t_def + kernel.machine.latency(op)  # a dead def still owns its slot
-        for dep in ddg.successors(op):
+        for dep in succs[ddg.index_of(op)]:
             if dep.reg is not None and dep.reg.rid == reg.rid:
                 last = max(last, kernel.time_of(dep.dst) + ii * dep.distance)
         if reg in loop.live_out:

@@ -54,8 +54,8 @@ class TestStridedMemRefs:
         b.fstore("f1", "x", stride=2)
         loop = b.build()
         ddg = build_loop_ddg(loop)
-        carried = [e for e in ddg.edges() if e.is_loop_carried]
-        assert carried and carried[0].distance == 1
+        carried = [dist for dist in ddg.index().dist if dist > 0]
+        assert carried and carried[0] == 1
 
 
 class TestOpcodesSemantics:

@@ -12,8 +12,7 @@ from repro.ddg.analysis import (
     schedule_slack,
 )
 from repro.ddg.builder import build_loop_ddg
-from repro.ddg.dependence import DepKind, Dependence
-from repro.ddg.graph import DDG
+from repro.ddg.graph import DDG, DepKind
 from repro.ir.builder import LoopBuilder
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
@@ -148,9 +147,8 @@ class TestDistanceZeroCycleFallback:
         b.fstore("f1", "y")
         loop = b.build()
         ddg = DDG(ops=list(loop.ops))
-        first, second = loop.ops
-        ddg.add_edge(Dependence(first, second, DepKind.MEM_ANTI, delay, 0))
-        ddg.add_edge(Dependence(second, first, DepKind.MEM_ANTI, delay, 0))
+        ddg.add_row(0, 1, DepKind.MEM_ANTI, delay, 0, None)
+        ddg.add_row(1, 0, DepKind.MEM_ANTI, delay, 0, None)
         return ddg
 
     def test_positive_cycle_diverges(self):

@@ -1,11 +1,11 @@
-"""Tests for the DDG container itself."""
+"""Tests for the DDG container itself, and for the golden edge objects."""
 
 import pytest
 
 from repro.ddg.builder import build_loop_ddg
-from repro.ddg.dependence import DepKind, Dependence
-from repro.ddg.graph import DDG
+from repro.ddg.graph import DDG, DepKind
 from repro.ir.builder import LoopBuilder
+from tests.golden import Dependence, add_dependence
 
 
 def two_op_loop():
@@ -31,53 +31,44 @@ class TestDDGStructure:
         loop = two_op_loop()
         other = two_op_loop()
         ddg = DDG(ops=list(loop.ops))
+        assert other.ops[0] not in ddg
         with pytest.raises(ValueError):
-            ddg.add_edge(
-                Dependence(loop.ops[0], other.ops[0], DepKind.MEM_ANTI, 1, 0)
+            add_dependence(
+                ddg, Dependence(loop.ops[0], other.ops[0], DepKind.MEM_ANTI, 1, 0)
             )
 
     def test_duplicate_edge_keeps_larger_delay(self):
-        loop = two_op_loop()
-        ddg = DDG(ops=list(loop.ops))
-        a, b = loop.ops
-        ddg.add_edge(Dependence(a, b, DepKind.MEM_ANTI, 1, 0))
-        ddg.add_edge(Dependence(a, b, DepKind.MEM_ANTI, 3, 0))
+        ddg = DDG(ops=list(two_op_loop().ops))
+        assert ddg.add_row(0, 1, DepKind.MEM_ANTI, 1, 0, None)
+        assert ddg.add_row(0, 1, DepKind.MEM_ANTI, 3, 0, None)
         assert ddg.n_edges == 1
-        assert next(ddg.edges()).delay == 3
+        assert ddg.index().delay == [3]
         # smaller delay does not downgrade
-        ddg.add_edge(Dependence(a, b, DepKind.MEM_ANTI, 2, 0))
-        assert next(ddg.edges()).delay == 3
+        assert not ddg.add_row(0, 1, DepKind.MEM_ANTI, 2, 0, None)
+        assert ddg.index().delay == [3]
 
     def test_loop_carried_vs_intra_partition(self, dot_loop):
-        ddg = build_loop_ddg(dot_loop)
-        carried = ddg.loop_carried_edges()
-        intra = ddg.intra_iteration_edges()
-        assert len(carried) + len(intra) == ddg.n_edges
-        assert all(e.distance > 0 for e in carried)
-        assert all(e.distance == 0 for e in intra)
+        idx = build_loop_ddg(dot_loop).index()
+        carried = [k for k in range(idx.m) if idx.dist[k] > 0]
+        intra = [k for k in range(idx.m) if idx.dist[k] == 0]
+        assert carried and intra
+        assert len(carried) + len(intra) == idx.m
 
     def test_topological_order_respects_edges(self, daxpy_loop):
-        ddg = build_loop_ddg(daxpy_loop)
-        order = {op.op_id: i for i, op in enumerate(ddg.topological_order())}
-        for e in ddg.intra_iteration_edges():
-            assert order[e.src.op_id] < order[e.dst.op_id]
+        idx = build_loop_ddg(daxpy_loop).index()
+        order = {v: i for i, v in enumerate(reversed(idx.rev_topo0))}
+        assert sorted(order) == list(range(idx.n))
+        for k in range(idx.m):
+            if idx.dist[k] == 0:
+                assert order[idx.src[k]] < order[idx.dst[k]]
 
     def test_distance_zero_cycle_detected(self):
-        loop = two_op_loop()
-        ddg = DDG(ops=list(loop.ops))
-        a, b = loop.ops
-        ddg.add_edge(Dependence(a, b, DepKind.MEM_ANTI, 1, 0))
-        ddg.add_edge(Dependence(b, a, DepKind.MEM_ANTI, 1, 0))
+        ddg = DDG(ops=list(two_op_loop().ops))
+        ddg.add_row(0, 1, DepKind.MEM_ANTI, 1, 0, None)
+        ddg.add_row(1, 0, DepKind.MEM_ANTI, 1, 0, None)
+        assert ddg.index().rev_topo0 is None
         with pytest.raises(ValueError, match="malformed"):
-            ddg.topological_order()
-
-    def test_subgraph_view(self, daxpy_loop):
-        ddg = build_loop_ddg(daxpy_loop)
-        keep = daxpy_loop.ops[:2]
-        sub = ddg.subgraph_view(keep)
-        assert len(sub) == 2
-        for e in sub.edges():
-            assert e.src in sub and e.dst in sub
+            ddg.verify_acyclic_at_distance_zero()
 
 
 class TestDependenceValidation:

@@ -35,10 +35,11 @@ class TestCriticalCycle:
         cycle = critical_cycle(ddg)
         cycle_ids = {op.op_id for op in cycle}
         delay = dist = 0
-        for e in ddg.edges():
-            if e.src.op_id in cycle_ids and e.dst.op_id in cycle_ids:
-                delay += e.delay
-                dist += e.distance
+        idx = ddg.index()
+        for k in range(idx.m):
+            if idx.op_ids[idx.src[k]] in cycle_ids and idx.op_ids[idx.dst[k]] in cycle_ids:
+                delay += idx.delay[k]
+                dist += idx.dist[k]
         assert dist > 0
         assert -(-delay // dist) == recurrence_ii(ddg)
 

@@ -11,11 +11,12 @@ liveness/interference rows.  Each rewrite's direct transcription is a
 golden oracle in ``tests/golden.py``; these tests drive both over hundreds of seeded random inputs — self-edges, multi-SCC
 shapes, precolored nodes, copy ops, eviction sequences included — and
 assert *value identity*, not approximate agreement, because the
-evaluation tables must be byte-stable across the rewrite.  The reference
-modulo reservation table reaches Swing by monkeypatching its
-``ModuloReservationTable`` name, and IMS by replacing
-``ModuloScheduler._try_ii`` with the golden op-keyed attempt
-(``golden.use_reference_mrt``).
+evaluation tables must be byte-stable across the rewrite.  The secondary
+schedulers and partitioners (Swing, the list scheduler, UAS and BUG) run
+on the DDG's index and packed demand words; their object-walking
+originals are golden oracles too.  ``golden.use_reference_mrt`` replaces
+``ModuloScheduler._try_ii`` with the golden op-keyed attempt on the
+golden table, and the pipeline's Swing with the golden Swing.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from repro.ddg.analysis import (
     recurrence_ii,
     resource_ii,
 )
-from repro.ddg.dependence import DepKind, Dependence
-from repro.ddg.graph import DDG
+from repro.ddg.graph import DDG, DepKind
 from repro.evalx.runner import PAPER_CONFIG_ORDER
 from repro.ir.builder import LoopBuilder
 from repro.ir.operations import Opcode, Operation, make_copy
@@ -47,20 +47,26 @@ from repro.ir.registers import RegisterFactory
 from repro.ir.types import DataType
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
-from repro.sched.resources import demand_words
+from repro.sched.resources import demand_words, resource_geometry
 from repro.workloads.corpus import spec95_corpus
 from tests.golden import (
+    Dependence,
     ReferenceModuloReservationTable,
+    _reference_bug_partition,
     _reference_build_interference,
     _reference_build_rcg_from_kernel,
     _reference_critical_cycle_ratio,
     _reference_estart_lstart,
     _reference_greedy_partition,
     _reference_insert_copies,
+    _reference_list_schedule,
     _reference_longest_path_heights,
     _reference_pressure_rows,
     _reference_recurrence_ii,
     _reference_resource_ii,
+    _reference_swing_modulo_schedule,
+    _reference_uas_partition,
+    add_dependence,
     ddg_rows,
     frozen_tables,
     partitioned_listing,
@@ -99,27 +105,21 @@ def random_ddg(seed: int, copy_frac: float = 0.0) -> DDG:
     for _ in range(n_forward):
         i = rng.randrange(n - 1)
         j = rng.randrange(i + 1, n)
-        ddg.add_edge(
-            Dependence(ops[i], ops[j], DepKind.FLOW, rng.randint(1, 6), 0,
-                       reg=ops[i].dest)
-        )
+        add_dependence(ddg, Dependence(ops[i], ops[j], DepKind.FLOW,
+                                       rng.randint(1, 6), 0, reg=ops[i].dest))
     n_carried = rng.randint(0, n)
     for _ in range(n_carried):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        ddg.add_edge(
-            Dependence(ops[i], ops[j], DepKind.FLOW, rng.randint(1, 6),
-                       rng.randint(1, 3), reg=ops[i].dest)
-        )
+        add_dependence(ddg, Dependence(ops[i], ops[j], DepKind.FLOW, rng.randint(1, 6),
+                                       rng.randint(1, 3), reg=ops[i].dest))
     # self-edges: accumulator-style recurrences, sometimes several per op
     for _ in range(rng.randint(0, 3)):
         k = rng.randrange(n)
-        ddg.add_edge(
-            Dependence(ops[k], ops[k], DepKind.FLOW, rng.randint(1, 8),
-                       rng.randint(1, 3), reg=ops[k].dest)
-        )
+        add_dependence(ddg, Dependence(ops[k], ops[k], DepKind.FLOW, rng.randint(1, 8),
+                                       rng.randint(1, 3), reg=ops[k].dest))
     return ddg
 
 
@@ -277,8 +277,8 @@ def test_analysis_cache_invalidated_by_mutation():
     ddg = random_ddg(7)
     before = recurrence_ii(ddg)
     op = ddg.ops[0]
-    ddg.add_edge(Dependence(op, op, DepKind.FLOW, delay=50, distance=1,
-                            reg=op.dest))
+    add_dependence(ddg, Dependence(op, op, DepKind.FLOW, delay=50, distance=1,
+                                   reg=op.dest))
     after = recurrence_ii(ddg)
     assert after >= 50
     assert after >= before
@@ -455,13 +455,47 @@ def test_connected_components_match_naive(seed):
 
 
 # ----------------------------------------------------------------------
-# modulo reservation table vs the golden table
+# packed occupancy rows vs the golden table
 # ----------------------------------------------------------------------
-from repro.sched.resources import ModuloReservationTable  # noqa: E402
+class PackedRows:
+    """The row probe every modulo scheduler runs (``demand_words``, one
+    occupancy word per kernel row and the geometry's bias/guard test)
+    behind the golden table's fits/first_free/place/remove interface."""
 
-#: the shipped table and the golden one, in the order the parity tests
+    def __init__(self, machine, ii: int):
+        if ii < 1:
+            raise ValueError("II must be positive")
+        geom = resource_geometry(machine)
+        self.machine, self.ii, self.bias, self.guard = machine, ii, geom.bias, geom.guard
+        self.occ = [0] * ii
+        self.placed: dict[int, int] = {}
+
+    def _word(self, op) -> int:
+        return demand_words([op], self.machine)[0]
+
+    def fits(self, op, time: int) -> bool:
+        return not ((self.occ[time % self.ii] + self._word(op) + self.bias) & self.guard)
+
+    def first_free(self, op, estart: int):
+        return next((t for t in range(estart, estart + self.ii) if self.fits(op, t)), None)
+
+    def place(self, op, time: int) -> None:
+        if op.op_id in self.placed:
+            raise ValueError(f"operation already placed: {op!r}")
+        if not self.fits(op, time):
+            raise ValueError("resource over-subscription")
+        self.occ[time % self.ii] += self._word(op)
+        self.placed[op.op_id] = time
+
+    def remove(self, op) -> int:
+        time = self.placed.pop(op.op_id)
+        self.occ[time % self.ii] -= self._word(op)
+        return time
+
+
+#: the packed rows and the golden table, in the order the parity tests
 #: compare them (ids keep the historical backend names)
-MRT_TABLES = {"packed": ModuloReservationTable,
+MRT_TABLES = {"packed": PackedRows,
               "reference": ReferenceModuloReservationTable}
 
 
@@ -501,7 +535,7 @@ def _mrt_fixture(seed: int):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_mrt_backends_agree_on_random_sequences(seed):
-    """Drive the table and the golden table through one randomized script
+    """Drive the packed rows and the golden table through one randomized script
     of fits / first_free / place / remove — including the eviction-style
     churn the iterative scheduler produces — and demand identical answers
     at every step, then identical times as every placed op is removed."""
@@ -550,7 +584,7 @@ def test_mrt_backends_agree_on_random_sequences(seed):
 
 @pytest.mark.parametrize("backend", MRT_TABLES)
 def test_mrt_backend_error_parity(backend):
-    """Both tables reject double placement and over-subscription."""
+    """Both encodings reject double placement and over-subscription."""
     machine = ideal_machine(width=1)
 
     def alu():
@@ -622,8 +656,9 @@ def test_scheduler_attempts_identical_across_backends(seed):
 
 def test_corpus_schedules_identical_across_backends(monkeypatch):
     """End-to-end: modulo-schedule real corpus loops with the shipped
-    attempt and the golden attempt on the golden table (Swing: either
-    table), and require identical II and issue times in the same order."""
+    attempt and the golden attempt on the golden table, and Swing with
+    the shipped and the golden Swing, and require identical II and issue
+    times in the same order."""
     from repro.ddg.builder import build_loop_ddg
     from repro.sched.modulo.scheduler import modulo_schedule
     from repro.sched.modulo.swing import swing_modulo_schedule
@@ -632,14 +667,103 @@ def test_corpus_schedules_identical_across_backends(monkeypatch):
     machine = ideal_machine()
     for loop in spec95_corpus(n=10):
         ddg = build_loop_ddg(loop)
-        for schedule in (modulo_schedule, swing_modulo_schedule):
-            def run():
-                return schedule(loop, ddg, machine)
+        kernels = _with_each_table(monkeypatch, lambda: modulo_schedule(loop, ddg, machine))
+        kernels += [swing_modulo_schedule(loop, ddg, machine),
+                    _reference_swing_modulo_schedule(loop, ddg, machine)]
+        for a, b in (kernels[:2], kernels[2:]):
+            assert a.ii == b.ii
+            assert list(a.times.items()) == list(b.times.items())
 
-            kernels = _with_each_table(monkeypatch, run)
-            for k in kernels[1:]:
-                assert k.ii == kernels[0].ii
-                assert list(k.times.items()) == list(kernels[0].times.items())
+
+# ----------------------------------------------------------------------
+# Swing, list scheduling, UAS and BUG vs their object-walking originals
+# ----------------------------------------------------------------------
+def _outcome(run):
+    """``run()``'s result as comparable values, or its error's type and
+    text: a kernel's II and issue-time items, a linear schedule's items."""
+    try:
+        sched = run()
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return getattr(sched, "ii", None), list(sched.times.items())
+
+
+def _random_shapes(seed: int):
+    """``(machine, ddg)`` for one random DDG on the ideal machine and on
+    4x4 embedded and copy-unit machines with copies in the op mix and
+    every op pinned."""
+    rng = random.Random(seed + 2000)
+    yield ideal_machine(width=rng.choice((1, 2, 4))), random_ddg(seed)
+    for model in (CopyModel.EMBEDDED, CopyModel.COPY_UNIT):
+        ddg = random_ddg(seed, copy_frac=0.3)
+        for op in ddg.ops:
+            op.cluster = rng.randrange(4)
+        yield paper_machine(4, model), ddg
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_swing_matches_reference_on_random_ddgs(seed):
+    from repro.ir.block import BasicBlock, Loop
+    from repro.sched.modulo.swing import swing_modulo_schedule
+
+    for machine, ddg in _random_shapes(seed):
+        loop = Loop(name=f"rand{seed}", body=BasicBlock("b", ddg.ops))
+        for max_ii in (None, recurrence_ii(ddg) + 1):
+            assert _outcome(lambda: swing_modulo_schedule(loop, ddg, machine, max_ii)) == \
+                _outcome(lambda: _reference_swing_modulo_schedule(loop, ddg, machine, max_ii))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_list_schedule_matches_reference_on_random_dags(seed):
+    """The distance-0 part of each random DDG (its forward edges), and
+    the whole cyclic graph, which both refuse."""
+    from repro.sched.list_scheduler import list_schedule
+
+    for machine, ddg in _random_shapes(seed):
+        dag = DDG(ops=ddg.ops)
+        for row in ddg.rows:
+            if row[4] == 0:
+                dag.add_row(*row)
+        for graph in (dag, ddg):
+            assert _outcome(lambda: list_schedule(graph, machine)) == \
+                _outcome(lambda: _reference_list_schedule(graph, machine))
+
+
+def test_swing_and_list_schedule_match_reference_on_corpus(quick40_cells):
+    """Swing on every quick-40 cell's clustered body and derived DDG, and
+    the list scheduler on that body as a block on its machine and on the
+    source body on the ideal machine."""
+    from repro.ddg.builder import build_block_ddg
+    from repro.sched.list_scheduler import list_schedule
+    from repro.sched.modulo.swing import swing_modulo_schedule
+
+    ideal = ideal_machine()
+    for machine, result in quick40_cells:
+        loop, ddg = result.partitioned.loop, result.partitioned_ddg
+        assert _outcome(lambda: swing_modulo_schedule(loop, ddg, machine)) == \
+            _outcome(lambda: _reference_swing_modulo_schedule(loop, ddg, machine))
+        for body, target in ((loop.body, machine), (result.loop.body, ideal)):
+            block = build_block_ddg(body, target.latencies)
+            assert _outcome(lambda: list_schedule(block, target)) == \
+                _outcome(lambda: _reference_list_schedule(block, target))
+
+
+@pytest.mark.parametrize("n_clusters,model", [
+    (2, CopyModel.EMBEDDED), (2, CopyModel.COPY_UNIT),
+    (4, CopyModel.EMBEDDED), (4, CopyModel.COPY_UNIT),
+], ids=["2-embedded", "2-copy_unit", "4-embedded", "4-copy_unit"])
+def test_uas_and_bug_partitions_match_reference_on_corpus(n_clusters, model):
+    from repro.core.baselines import bug_partition
+    from repro.core.uas import uas_partition
+    from repro.ddg.builder import build_loop_ddg
+
+    machine = paper_machine(n_clusters, model)
+    for loop in spec95_corpus(n=40):
+        ddg = build_loop_ddg(loop, machine.latencies)
+        for fast, slow in ((uas_partition, _reference_uas_partition),
+                           (bug_partition, _reference_bug_partition)):
+            assert list(fast(loop, ddg, machine).assignment.items()) == \
+                list(slow(loop, ddg, machine).assignment.items()), (loop.name, fast)
 
 
 def test_evaluation_report_identical_with_reference_mrt(monkeypatch):
@@ -810,62 +934,37 @@ def test_derived_partitioned_ddg_matches_rebuild_across_spill_rounds(monkeypatch
     assert spill_rounds > 0
 
 
-def test_scheduling_path_builds_no_dependence_objects():
-    """Perf guard: without register allocation, a compile schedules,
-    validates and measures the derived partitioned DDG from its int rows
-    alone.  A consumer slipping back onto ``successors``/``predecessors``/
-    ``edges`` would build the graph's Dependence lists and undo that."""
-    from repro.core.pipeline import PipelineConfig, compile_loop
-    from repro.workloads.corpus import spec95_corpus
-
-    machine = paper_machine(4, CopyModel.EMBEDDED)
-    for loop in spec95_corpus(n=12):
-        result = compile_loop(loop, machine, PipelineConfig(run_regalloc=False))
-        assert result.partitioned_ddg.n_edges
-        assert result.partitioned_ddg._deps is None, loop.name
+#: what the package no longer defines, and the DDG object views it dropped
+REMOVED_NAMES = {"Dependence", "ResourceDemand", "op_resource_demand", "SlotPool",
+                 "ReservationTable", "ModuloReservationTable"}
+REMOVED_VIEWS = ("edges", "successors", "predecessors", "loop_carried_edges",
+                 "intra_iteration_edges", "subgraph_view", "topological_order",
+                 "dependence", "add_edge", "_deps", "_dependences")
 
 
-def test_grid_without_regalloc_builds_no_dependence_objects(monkeypatch):
-    """Perf guard for the whole grid: the source DDG's slack comes from
-    its index too, so a quick-40 evaluation without register allocation
-    constructs no Dependence at all."""
-    from repro.core.pipeline import PipelineConfig
-    from repro.evalx.runner import run_evaluation
-    from repro.workloads.corpus import spec95_corpus
+def test_package_has_one_edge_view_and_one_resource_model():
+    """Structural guard: no ``src/repro`` module defines an edge object or
+    an object resource model, or imports the test oracles, and a DDG has
+    only its rows and index (so no path can build edge objects)."""
+    import ast
+    from pathlib import Path
 
-    built: list[int] = []
-    original = Dependence.__post_init__
+    import repro
+    from repro.ddg.builder import build_loop_ddg
+    from repro.sched.resources import ResourceGeometry
+    from repro.workloads.kernels import make_kernel
 
-    def counting(self):
-        built.append(1)
-        original(self)
-
-    monkeypatch.setattr(Dependence, "__post_init__", counting)
-    run = run_evaluation(loops=spec95_corpus(n=40),
-                         config=PipelineConfig(run_regalloc=False))
-    assert not run.failures
-    assert sum(len(m) for m in run.per_config.values()) == 40 * 6
-    assert built == []
-
-
-def test_grid_with_regalloc_builds_no_dependence_objects(monkeypatch):
-    """Perf guard for step 5: liveness reads the partitioned DDG's int
-    rows, so a quick-40 evaluation with register allocation on constructs
-    no Dependence either."""
-    from repro.core.pipeline import PipelineConfig
-    from repro.evalx.runner import run_evaluation
-    from repro.workloads.corpus import spec95_corpus
-
-    built: list[int] = []
-    original = Dependence.__post_init__
-
-    def counting(self):
-        built.append(1)
-        original(self)
-
-    monkeypatch.setattr(Dependence, "__post_init__", counting)
-    run = run_evaluation(loops=spec95_corpus(n=40),
-                         config=PipelineConfig(run_regalloc=True))
-    assert not run.failures
-    assert sum(len(m) for m in run.per_config.values()) == 40 * 6
-    assert built == []
+    root = Path(repro.__file__).parent
+    assert not (root / "ddg" / "dependence.py").exists()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                assert node.name not in REMOVED_NAMES, (path, node.name)
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "tests" for a in node.names), path
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "tests", path
+    ddg = build_loop_ddg(make_kernel("daxpy"))
+    for name in REMOVED_VIEWS:
+        assert not hasattr(DDG, name) and not hasattr(ddg, name), name
+    assert not hasattr(ResourceGeometry, "demand_word")

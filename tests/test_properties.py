@@ -21,7 +21,7 @@ from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.weights import build_rcg_from_kernel
 from repro.ddg.analysis import longest_path_heights, min_ii, recurrence_ii, resource_ii
 from repro.ddg.builder import build_loop_ddg, derive_partitioned_ddg
-from repro.ddg.dependence import DepKind, Dependence
+from repro.ddg.graph import DepKind
 from repro.ir.builder import LoopBuilder
 from repro.ir.parser import parse_loop
 from repro.ir.printer import format_loop
@@ -301,7 +301,7 @@ def test_derived_partitioned_ddg_equals_rebuild(loop, n_banks, model, seed, n_sp
 def test_copy_on_recurrence_joins_its_scc():
     """A two-op recurrence split across two banks: both of its edges
     cross banks, each copy joins the SCC and RecII rises by the copies'
-    latencies.  A later ``add_edge`` invalidates the installed index."""
+    latencies.  A later ``add_row`` invalidates the installed index."""
     b = LoopBuilder("split_recurrence")
     b.fadd("fx", "fy", "fa")   # reads last iteration's fy
     b.fmul("fy", "fx", "fb")
@@ -329,7 +329,8 @@ def test_copy_on_recurrence_joins_its_scc():
 
     installed = derived.index()
     cp = partitioned.body_copies[0]
-    derived.add_edge(Dependence(cp, cp, DepKind.FLOW, 50, 1, reg=cp.dest))
+    c = derived.index_of(cp)
+    derived.add_row(c, c, DepKind.FLOW, 50, 1, cp.dest)
     assert derived.index() is not installed
     assert recurrence_ii(derived) == 50
 
@@ -343,16 +344,15 @@ def test_copy_on_recurrence_joins_its_scc():
 )
 def test_add_edge_invalidates_memoised_analyses(loop, n_banks, seed, data):
     """RecII, MinII and heights memoised on a built or a derived graph are
-    recomputed after ``add_edge`` of a larger-delay duplicate of a stored
-    key and of a new edge -- on the derived graph before its Dependence
-    lists were ever built.  The mutated graph equals a fresh
+    recomputed after ``add_row`` of a larger-delay duplicate of a stored
+    key and of a new edge, on the built and on the derived graph.  The
+    mutated graph equals a fresh
     ``build_loop_ddg`` given the same edges, and a zero-distance positive
     cycle raises on every call, not only the first."""
     machine = paper_machine(n_banks, CopyModel.EMBEDDED)
     source = build_loop_ddg(loop, machine.latencies)
     partitioned = insert_copies(loop, random_partition(loop, n_banks, seed), machine)
     derived = derive_partitioned_ddg(source, partitioned, machine.latencies)
-    assert derived._deps is None
     for ddg, body in ((source, loop), (derived, partitioned.loop)):
         rec = recurrence_ii(ddg)
         min_ii(ddg, machine)
@@ -362,15 +362,13 @@ def test_add_edge_invalidates_memoised_analyses(loop, n_banks, seed, data):
         edits = []
         if ddg.rows:
             s, d, kind, delay, distance, reg = data.draw(st.sampled_from(ddg.rows))
-            edits.append(Dependence(ops[s], ops[d], kind,
-                                    delay + data.draw(st.integers(1, 9)), distance, reg))
-        edits.append(Dependence(ops[data.draw(pick)], ops[data.draw(pick)],
-                                DepKind.MEM_OUTPUT, data.draw(st.integers(0, 9)),
-                                data.draw(st.integers(1, 3))))
+            edits.append((s, d, kind, delay + data.draw(st.integers(1, 9)), distance, reg))
+        edits.append((data.draw(pick), data.draw(pick), DepKind.MEM_OUTPUT,
+                      data.draw(st.integers(0, 9)), data.draw(st.integers(1, 3)), None))
         fresh = build_loop_ddg(body, machine.latencies)
-        for dep in edits:
-            ddg.add_edge(dep)
-            fresh.add_edge(dep)
+        for row in edits:
+            ddg.add_row(*row)
+            fresh.add_row(*row)
         assert ddg_rows(ddg) == ddg_rows(fresh)
         rec = recurrence_ii(ddg)
         assert rec == _reference_recurrence_ii(ddg)
@@ -379,8 +377,8 @@ def test_add_edge_invalidates_memoised_analyses(loop, n_banks, seed, data):
             ddg, ii=rec
         )
 
-        op = ops[data.draw(pick)]
-        ddg.add_edge(Dependence(op, op, DepKind.MEM_OUTPUT, 1, 0))
+        v = data.draw(pick)
+        ddg.add_row(v, v, DepKind.MEM_OUTPUT, 1, 0, None)
         for _ in range(2):
             with pytest.raises(ValueError, match="zero-distance"):
                 recurrence_ii(ddg)

@@ -24,7 +24,7 @@ from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.modulo.scheduler import modulo_schedule
-from repro.sched.resources import demand_words, op_resource_demand, resource_geometry
+from repro.sched.resources import demand_words
 from repro.sched.schedule import KernelSchedule, LinearSchedule
 from repro.sched.validate import (
     ScheduleValidationError,
@@ -34,6 +34,7 @@ from repro.sched.validate import (
 from repro.sim.equivalence import check_loop_equivalence
 from repro.workloads.kernels import make_kernel
 from repro.workloads.synthetic import PROFILES, SyntheticLoopGenerator
+from tests.golden import dependences, op_resource_demand
 
 
 def legal_kernel(name="lfk1_hydro"):
@@ -47,7 +48,7 @@ class TestDependenceMutations:
     def test_pulling_a_consumer_early_is_caught(self):
         loop, ddg, m, ks = legal_kernel()
         # find any intra-iteration flow edge and violate it
-        edge = next(e for e in ddg.edges() if e.distance == 0 and e.delay > 0)
+        edge = next(e for e in dependences(ddg).edges if e.distance == 0 and e.delay > 0)
         bad_times = dict(ks.times)
         bad_times[edge.dst.op_id] = max(0, ks.times[edge.src.op_id] + edge.delay - 1)
         bad = KernelSchedule(machine=m, loop=loop, ii=ks.ii, times=bad_times)
@@ -56,7 +57,8 @@ class TestDependenceMutations:
 
     def test_violating_a_carried_edge_is_caught(self):
         loop, ddg, m, ks = legal_kernel("lfk5_tridiag")
-        carried = [e for e in ddg.edges() if e.distance > 0 and e.src is not e.dst]
+        carried = [e for e in dependences(ddg).edges
+                   if e.distance > 0 and e.src is not e.dst]
         edge = carried[0]
         bad_times = dict(ks.times)
         # push the source so late that even the carried slack cannot absorb it
@@ -68,15 +70,19 @@ class TestDependenceMutations:
             validate_kernel_schedule(bad, ddg)
 
 
-def legal_block_schedule(width=16):
-    """Two independent loads feeding an add and a store, list-scheduled."""
+def legal_block_schedule(width=16, machine=None):
+    """Two independent loads feeding an add and a store, list-scheduled
+    (on a clustered ``machine``, every op in cluster 0)."""
     b = LoopBuilder("blk", depth=0)
     b.load("r1", "a", scalar=True)
     b.load("r2", "b", scalar=True)
     b.add("r3", "r1", "r2")
     b.store("r3", "c", scalar=True)
     block = b.build_block(depth=0)
-    m = ideal_machine(width=width)
+    m = machine or ideal_machine(width=width)
+    if m.is_clustered:
+        for op in block.ops:
+            op.cluster = 0
     ddg = build_block_ddg(block, m.latencies)
     sched = list_schedule(ddg, m)
     validate_linear_schedule(sched, ddg)
@@ -86,7 +92,7 @@ def legal_block_schedule(width=16):
 class TestLinearScheduleMutations:
     def test_pulling_a_consumer_early_is_caught(self):
         block, ddg, m, sched = legal_block_schedule()
-        edge = next(e for e in ddg.edges() if e.delay > 0)
+        edge = next(e for e in dependences(ddg).edges if e.delay > 0)
         bad_times = dict(sched.times)
         bad_times[edge.dst.op_id] = sched.times[edge.src.op_id] + edge.delay - 1
         bad = LinearSchedule(machine=m, ops=sched.ops, times=bad_times)
@@ -95,7 +101,7 @@ class TestLinearScheduleMutations:
 
     def test_cyclic_ddg_is_rejected(self):
         loop, ddg, m, ks = legal_kernel("lfk5_tridiag")
-        assert any(e.distance > 0 for e in ddg.edges())
+        assert any(ddg.index().dist)
         flat = LinearSchedule(machine=m, ops=loop.ops, times=dict(ks.times))
         with pytest.raises(ScheduleValidationError, match="cyclic DDG"):
             validate_linear_schedule(flat, ddg)
@@ -109,6 +115,15 @@ class TestLinearScheduleMutations:
         bad = LinearSchedule(machine=m, ops=sched.ops, times=bad_times)
         with pytest.raises(ScheduleValidationError, match="over-subscription at cycle"):
             validate_linear_schedule(bad, ddg)
+
+
+    def test_unclustered_op_on_clustered_machine_is_caught(self):
+        # the kernel validator's cluster check holds for blocks too
+        block, ddg, m, sched = legal_block_schedule(
+            machine=paper_machine(4, CopyModel.EMBEDDED))
+        block.ops[0].cluster = None
+        with pytest.raises(ScheduleValidationError, match="without cluster"):
+            validate_linear_schedule(sched, ddg)
 
 
 class TestResourceMutations:
@@ -200,8 +215,8 @@ def golden_word(demand, n_clusters):
       for model in (CopyModel.EMBEDDED, CopyModel.COPY_UNIT)),
 ], ids=lambda m: m.describe())
 def test_demand_words_match_per_op_words_and_golden_demands(machine):
-    """``demand_words`` agrees with the per-op ``demand_word`` and with the
-    golden ``op_resource_demand`` mapping, for ALU ops and copies in
+    """``demand_words`` of a body agrees with each op's own word and with
+    the golden ``op_resource_demand`` mapping, for ALU ops and copies in
     every cluster (and without a cluster, which draws from cluster 0)."""
     f = RegisterFactory()
     clusters = range(machine.n_clusters) if machine.is_clustered else [None]
@@ -212,9 +227,8 @@ def test_demand_words_match_per_op_words_and_golden_demands(machine):
         alu.cluster = cluster
         ops += [alu, make_copy(f.new(DataType.FLOAT), f.new(DataType.FLOAT),
                                cluster=cluster)]
-    geom = resource_geometry(machine)
     words = demand_words(ops, machine)
-    assert words == [geom.demand_word(op, machine) for op in ops]
+    assert words == [demand_words([op], machine)[0] for op in ops]
     assert words == [golden_word(op_resource_demand(op, machine), machine.n_clusters)
                      for op in ops]
 
@@ -268,7 +282,7 @@ def break_only(ks, ddg, edge):
         times[moved.op_id] = t
         if t < 0:
             continue
-        violated = [e for e in ddg.edges()
+        violated = [e for e in dependences(ddg).edges
                     if times[e.dst.op_id] < times[e.src.op_id] + e.delay - ks.ii * e.distance]
         if violated == [edge]:
             return KernelSchedule(machine=ks.machine, loop=ks.loop, ii=ks.ii, times=times)
@@ -284,7 +298,7 @@ class TestDerivedDependenceMutations:
     def test_breaking_one_edge_names_it(self, category, pick):
         _, ddg, ks = derived_kernel(make_kernel("daxpy4"))
         validate_kernel_schedule(ks, ddg)
-        broken = [(e, bad) for e in ddg.edges() if pick(e)
+        broken = [(e, bad) for e in dependences(ddg).edges if pick(e)
                   for bad in [break_only(ks, ddg, e)] if bad is not None]
         assert broken, f"no isolated {category} edge to break"
         for edge, bad in broken:
