@@ -41,7 +41,13 @@ def list_schedule(ddg: DDG, machine: MachineDescription) -> LinearSchedule:
 
     times: dict[int, int] = {}
     cycle = 0
-    max_cycles = sum(machine.latency(op) for op in ddg.ops) + n + 1
+    # each placed op holds the schedule back by at most its longest wait:
+    # its latency, or a longer out-edge delay
+    span = [machine.latency(op) for op in ddg.ops]
+    for s, d in zip(idx.src, delay):
+        if d > span[s]:
+            span[s] = d
+    max_cycles = sum(span) + n + 1
 
     while len(times) < n:
         if cycle > max_cycles:

@@ -27,6 +27,9 @@ Server → client lines for a ``submit``::
 plus ``{"type": "error", "error": "..."}`` for refused admissions
 (draining daemon, full queue) and malformed requests; ``ping``/
 ``stats``/``shutdown`` answer with ``pong``/``stats``/``draining``.
+``cell`` lines arrive in completion order.  The server sends the lines
+that are ready together in one write, so one read may return several
+lines: read line by line, never one message per ``recv``.
 
 Config specifiers accept both the short ``"4/embedded"`` form and the
 report labels the runner prints (``"4 Clusters / Embedded"``); omitted
@@ -79,11 +82,18 @@ def parse_config_spec(spec: str) -> tuple[int, CopyModel]:
     return n_clusters, model
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, built once
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def encode_json(value) -> bytes:
+    """One JSON value as the wire writes it: keys sorted, no spaces."""
+    return _ENCODER.encode(value).encode("utf-8")
+
+
 def encode_line(doc: dict) -> bytes:
     """One message → one terminated wire line."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    ) + b"\n"
+    return encode_json(doc) + b"\n"
 
 
 def decode_line(line: bytes | str) -> dict:

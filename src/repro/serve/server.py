@@ -20,7 +20,10 @@ configuration labels (:mod:`repro.serve.protocol`), and the
   typed failure cells;
 * **streams** per-cell results as they land, in completion order, under
   an optional per-request deadline that the workers enforce as the
-  chunk budget of :func:`~repro.evalx.runner.compile_chunk`;
+  chunk budget of :func:`~repro.evalx.runner.compile_chunk`; the lines
+  that are ready together (the ``accepted`` line and the warm cells, each
+  batch of finished futures, the tail and ``done``) share one socket
+  write, split at :data:`WRITE_BATCH_BYTES`;
 * applies **backpressure** through a bounded admission queue — pending
   cold cells beyond ``queue_limit`` refuse the submission instead of
   buffering without bound;
@@ -64,6 +67,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     decode_line,
+    encode_json,
     encode_line,
     parse_config_spec,
 )
@@ -73,6 +77,44 @@ from repro.store.tiered import ArtifactStore, StoreStats
 
 #: loop texts the daemon keeps parsed; past it, the oldest text is dropped
 LOOP_TABLE_LIMIT = 512
+
+#: a reply batch this large is written at once (asyncio's default write
+#: high-water mark), so a large reply streams under backpressure
+WRITE_BATCH_BYTES = 64 * 1024
+
+#: a warm ``cell`` line, keys in the sorted order :func:`encode_line`
+#: writes; the fields are the JSON of config, id, loop name, loop index
+#: and the stored metrics
+_WARM_CELL = (
+    b'{"config":%s,"id":%s,"loop":%s,"loop_index":%d,"metrics":%s,'
+    b'"ok":true,"source":"store","type":"cell"}\n'
+)
+
+
+class _ReplyBatch:
+    """Reply lines that are ready together, sent as one write and one
+    drain; a batch that reaches :data:`WRITE_BATCH_BYTES` goes out early."""
+
+    __slots__ = ("_writer", "_lines", "_size")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self._writer = writer
+        self._lines: list[bytes] = []
+        self._size = 0
+
+    async def put(self, line: bytes) -> None:
+        self._lines.append(line)
+        self._size += len(line)
+        if self._size >= WRITE_BATCH_BYTES:
+            await self.flush()
+
+    async def flush(self) -> None:
+        if self._lines:
+            data = b"".join(self._lines)
+            self._lines = []
+            self._size = 0
+            self._writer.write(data)
+            await self._writer.drain()
 
 
 class CompileService:
@@ -326,16 +368,17 @@ class CompileService:
         t0: float,
     ) -> None:
         n_cells = len(loops) * len(labels)
-        await self._send(writer, {
+        batch = _ReplyBatch(writer)
+        await batch.put(encode_line({
             "type": "accepted", "id": req_id,
             "cells": n_cells, "configs": labels,
-        })
+        }))
         counts = {"store": 0, "inflight": 0, "compiled": 0, "failures": 0}
 
-        async def stream_cell(
+        def cell_line(
             loop_index: int, loop: Loop, label: str, source: str,
             metrics: LoopMetrics | None, failure: LoopFailure | None,
-        ) -> None:
+        ) -> bytes:
             out = {
                 "type": "cell", "id": req_id, "loop_index": loop_index,
                 "loop": loop.name, "config": label, "source": source,
@@ -350,7 +393,7 @@ class CompileService:
                 self.metrics.counter("serve.cells.failed").inc()
                 out["failure"] = dataclasses.asdict(failure)
             self.metrics.counter("serve.cells").inc()
-            await self._send(writer, out)
+            return encode_line(out)
 
         # ---- plan: warm cells answered now, cold cells admitted -----
         #: future -> [(loop_index, loop, label, source)] attached cells
@@ -365,7 +408,8 @@ class CompileService:
                 entry = self.store.lookup(key)
                 if entry is not None:
                     try:
-                        warm.append((loop_index, loop, label, entry.metrics()))
+                        entry.metrics()
+                        warm.append((loop_index, loop, label, entry))
                         continue
                     except StoreEntryError:
                         self.store.reject(key)  # undecodable metrics: recompile
@@ -385,17 +429,27 @@ class CompileService:
                 )
         self.metrics.gauge("serve.queue_depth").set(len(self._inflight))
 
-        # warm cells stream first — the client sees store hits immediately
-        for loop_index, loop, label, metrics in warm:
-            await stream_cell(loop_index, loop, label, "store", metrics, None)
-
         # ---- shard cold cells over the pool, evalx-style ------------
+        # before the first write, so a failed write strands no future
         for chunk in chunk_cells(cold, self.jobs):
             task = asyncio.get_running_loop().create_task(
                 self._run_chunk(chunk, cold_digests, budget)
             )
             self._chunk_tasks.add(task)
             task.add_done_callback(self._chunk_tasks.discard)
+
+        # warm cells go out with the accepted line: the client sees store
+        # hits at once.  Their metrics JSON is the stored record's own.
+        if warm:
+            counts["store"] = len(warm)
+            self.metrics.counter("serve.cells.store").inc(len(warm))
+            self.metrics.counter("serve.cells").inc(len(warm))
+            id_json = encode_json(req_id)
+            for loop_index, loop, label, entry in warm:
+                await batch.put(_WARM_CELL % (
+                    encode_json(label), id_json, encode_json(loop.name),
+                    loop_index, entry.metrics_json(),
+                ))
 
         # ---- stream the rest in completion order --------------------
         # workers enforce the request budget; the server-side cutoff is
@@ -405,6 +459,7 @@ class CompileService:
         cutoff = t0 + budget + 0.5 if budget is not None else None
         pending = set(waiting)
         while pending:
+            await batch.flush()  # what is ready goes out before the wait
             timeout = (
                 None if cutoff is None
                 else max(cutoff - time.perf_counter(), 0.0)
@@ -417,10 +472,10 @@ class CompileService:
             for fut in done:
                 cell: Cell = fut.result()
                 for loop_index, loop, label, source in waiting[fut]:
-                    await stream_cell(
+                    await batch.put(cell_line(
                         loop_index, loop, label, source,
                         cell.metrics, self._relabel(cell.failure, loop, label),
-                    )
+                    ))
         for fut in pending:
             for loop_index, loop, label, _source in waiting[fut]:
                 failure = LoopFailure(
@@ -428,13 +483,13 @@ class CompileService:
                     error=f"request deadline of {budget:g}s exceeded",
                     kind="timeout",
                 )
-                await stream_cell(loop_index, loop, label, "", None, failure)
+                await batch.put(cell_line(loop_index, loop, label, "", None, failure))
 
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         self.metrics.histogram("serve.request_ms").observe(elapsed_ms)
         if counts["store"] == n_cells:
             self.metrics.histogram("serve.warm_request_ms").observe(elapsed_ms)
-        await self._send(writer, {
+        await batch.put(encode_line({
             "type": "done", "id": req_id,
             "cells": n_cells,
             "store_hits": counts["store"],
@@ -442,7 +497,8 @@ class CompileService:
             "compiled": counts["compiled"],
             "failures": counts["failures"],
             "elapsed_ms": int(elapsed_ms),
-        })
+        }))
+        await batch.flush()
 
     @staticmethod
     def _relabel(

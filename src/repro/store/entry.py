@@ -158,11 +158,14 @@ class StoreEntry:
         meta: dict,
         payload: dict | None = None,
         payload_raw: bytes | None = None,
+        meta_line: bytes | None = None,
     ):
         self.digest = digest
         #: the key the entry is filed under, or its decoded JSON fields
         self._key = key
         self.meta = meta
+        #: the meta line as read, or ``None`` for an entry built here
+        self._meta_line = meta_line
         self._payload = payload
         self._payload_raw = payload_raw
         self._metrics: LoopMetrics | None = None
@@ -257,7 +260,8 @@ class StoreEntry:
             raise StoreEntryError(
                 "header does not match the key, schema or checksums of this record"
             )
-        return cls(digest, key, _loads(parts[1], "meta"), payload_raw=parts[2])
+        return cls(digest, key, _loads(parts[1], "meta"), payload_raw=parts[2],
+                   meta_line=parts[1])
 
     @staticmethod
     def _parse_header(parts: list[bytes]) -> tuple[str, dict]:
@@ -304,6 +308,20 @@ class StoreEntry:
             except (KeyError, TypeError) as exc:
                 raise StoreEntryError(f"bad metrics record: {exc}") from exc
         return self._metrics
+
+    def metrics_json(self) -> bytes:
+        """The stored metrics object as JSON, keys sorted: for a record
+        read from disk, the slice of its meta line that :func:`_dumps`
+        wrote there, else (or if the line is not the
+        ``{"loop_name":...,"metrics":...}`` that :func:`_dumps` writes
+        for ``meta``) ``_dumps`` of the decoded metrics.  Call
+        :meth:`metrics` first: it checks the field set."""
+        line, meta = self._meta_line, self.meta
+        if line is not None and meta.keys() == {"loop_name", "metrics"}:
+            head = b'{"loop_name":' + _dumps(meta["loop_name"]) + b',"metrics":'
+            if line.startswith(head) and line.endswith(b"}"):
+                return line[len(head):-1]
+        return _dumps(meta["metrics"])
 
     def payload(self) -> dict:
         if self._payload is None:

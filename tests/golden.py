@@ -5,7 +5,9 @@ transcription of its algorithm.  Those transcriptions live here, outside
 the shipped package, so the parity tests (``test_perf_equivalence.py``,
 ``test_regalloc_bitset_parity.py``) can compare the fast path against
 them value for value.  Each oracle uses only public ``repro`` APIs,
-except :func:`ddg_rows`, which also reads the edge-key map it compares.
+except :func:`ddg_rows`, which also reads the edge-key map it compares,
+and :func:`_reference_submit_admitted`, the compile service's reply path
+with one write per line, which runs on a service's own state.
 
 The package keeps one edge view (the DDG's int rows and analysis index)
 and one resource model (packed demand words).  The object views they
@@ -39,8 +41,9 @@ import bisect
 import heapq
 import itertools
 import math
+import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 from repro.core.baselines import _place_live_ins
@@ -597,7 +600,10 @@ def _reference_list_schedule(ddg: DDG, machine: MachineDescription) -> LinearSch
     times: dict[int, int] = {}
     table = ReservationTable(machine)
     cycle = 0
-    max_cycles = sum(machine.latency(op) for op in ddg.ops) + len(ddg.ops) + 1
+    max_cycles = sum(
+        max([machine.latency(op)] + [dep.delay for dep in deps.succs[i]])
+        for i, op in enumerate(ddg.ops)
+    ) + len(ddg.ops) + 1
 
     while len(times) < len(ddg.ops):
         if cycle > max_cycles:
@@ -1465,3 +1471,118 @@ def _reference_pressure_rows(liveness: CyclicLiveness) -> list[int]:
         for age in range(lr.lifetime):
             window[(lr.start + age) % liveness.ii] += 1
     return window
+
+
+# ----------------------------------------------------------------------
+# Compile service replies (repro.serve.server)
+# ----------------------------------------------------------------------
+async def _reference_submit_admitted(
+    service, req_id, loops, configs, labels, budget, writer, t0,
+) -> None:
+    """``CompileService._submit_admitted`` sending every reply line with
+    its own ``write`` and ``drain`` (``service._send``): the oracle for
+    the batched replies, whose joined bytes must equal these lines."""
+    import asyncio
+
+    from repro.core.fingerprint import store_key
+    from repro.core.results import LoopFailure
+    from repro.evalx.runner import chunk_cells
+    from repro.store.entry import StoreEntryError
+
+    n_cells = len(loops) * len(labels)
+    await service._send(writer, {
+        "type": "accepted", "id": req_id,
+        "cells": n_cells, "configs": labels,
+    })
+    counts = {"store": 0, "inflight": 0, "compiled": 0, "failures": 0}
+
+    async def stream_cell(loop_index, loop, label, source, metrics, failure):
+        out = {
+            "type": "cell", "id": req_id, "loop_index": loop_index,
+            "loop": loop.name, "config": label, "source": source,
+            "ok": failure is None,
+        }
+        if failure is None:
+            counts[source] += 1
+            service.metrics.counter(f"serve.cells.{source}").inc()
+            out["metrics"] = metrics.to_dict()
+        else:
+            counts["failures"] += 1
+            service.metrics.counter("serve.cells.failed").inc()
+            out["failure"] = asdict(failure)
+        service.metrics.counter("serve.cells").inc()
+        await service._send(writer, out)
+
+    waiting: dict = {}
+    cold: list = []
+    cold_digests: list[str] = []
+    warm: list = []
+    for loop_index, loop in enumerate(loops):
+        for (n_clusters, model), label in zip(configs, labels):
+            machine, prefix = service._machine_for(label, n_clusters, model)
+            key = store_key(loop, machine, service.pipeline_config, prefix)
+            entry = service.store.lookup(key)
+            if entry is not None:
+                try:
+                    warm.append((loop_index, loop, label, entry.metrics()))
+                    continue
+                except StoreEntryError:
+                    service.store.reject(key)
+            fut = service._inflight.get(key.digest)
+            if fut is not None:
+                waiting.setdefault(fut, []).append((loop_index, loop, label, "inflight"))
+                continue
+            fut = asyncio.get_running_loop().create_future()
+            service._inflight[key.digest] = fut
+            cold.append((len(cold), loop, n_clusters, model.value))
+            cold_digests.append(key.digest)
+            waiting.setdefault(fut, []).append((loop_index, loop, label, "compiled"))
+    service.metrics.gauge("serve.queue_depth").set(len(service._inflight))
+
+    for loop_index, loop, label, metrics in warm:
+        await stream_cell(loop_index, loop, label, "store", metrics, None)
+
+    for chunk in chunk_cells(cold, service.jobs):
+        task = asyncio.get_running_loop().create_task(
+            service._run_chunk(chunk, cold_digests, budget)
+        )
+        service._chunk_tasks.add(task)
+        task.add_done_callback(service._chunk_tasks.discard)
+
+    cutoff = t0 + budget + 0.5 if budget is not None else None
+    pending = set(waiting)
+    while pending:
+        timeout = None if cutoff is None else max(cutoff - time.perf_counter(), 0.0)
+        done, pending = await asyncio.wait(
+            pending, return_when=asyncio.FIRST_COMPLETED, timeout=timeout,
+        )
+        if not done:
+            break
+        for fut in done:
+            cell = fut.result()
+            for loop_index, loop, label, source in waiting[fut]:
+                await stream_cell(
+                    loop_index, loop, label, source,
+                    cell.metrics, service._relabel(cell.failure, loop, label),
+                )
+    for fut in pending:
+        for loop_index, loop, label, _source in waiting[fut]:
+            failure = LoopFailure(
+                config=label, loop_name=loop.name,
+                error=f"request deadline of {budget:g}s exceeded", kind="timeout",
+            )
+            await stream_cell(loop_index, loop, label, "", None, failure)
+
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    service.metrics.histogram("serve.request_ms").observe(elapsed_ms)
+    if counts["store"] == n_cells:
+        service.metrics.histogram("serve.warm_request_ms").observe(elapsed_ms)
+    await service._send(writer, {
+        "type": "done", "id": req_id,
+        "cells": n_cells,
+        "store_hits": counts["store"],
+        "inflight_hits": counts["inflight"],
+        "compiled": counts["compiled"],
+        "failures": counts["failures"],
+        "elapsed_ms": int(elapsed_ms),
+    })

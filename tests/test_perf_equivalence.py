@@ -729,6 +729,24 @@ def test_list_schedule_matches_reference_on_random_dags(seed):
                 _outcome(lambda: _reference_list_schedule(graph, machine))
 
 
+def test_list_schedule_waits_out_delays_longer_than_latency():
+    """Seed 49's distance-0 DDG on its 4-wide ideal machine has edge
+    delays above their sources' latencies and a critical path of 12
+    cycles; a bound of latencies alone (9 cycles) gave up on it."""
+    from repro.sched.list_scheduler import list_schedule
+    from repro.sched.validate import validate_linear_schedule
+
+    machine, ddg = next(_random_shapes(49))
+    assert machine.width == 4
+    dag = DDG(ops=ddg.ops)
+    for row in ddg.rows:
+        if row[4] == 0:
+            dag.add_row(*row)
+    schedule = list_schedule(dag, machine)
+    validate_linear_schedule(schedule, dag)
+    assert max(schedule.times.values()) >= 12
+
+
 def test_swing_and_list_schedule_match_reference_on_corpus(quick40_cells):
     """Swing on every quick-40 cell's clustered body and derived DDG, and
     the list scheduler on that body as a block on its machine and on the

@@ -501,7 +501,7 @@ class TestLoopTable:
                 self.replies: list[dict] = []
 
             def write(self, data: bytes) -> None:
-                self.replies.append(decode_line(data))
+                self.replies.extend(map(decode_line, data.splitlines()))
 
             async def drain(self) -> None:
                 pass
@@ -557,6 +557,203 @@ class TestLoopTable:
         counters = service.metrics.snapshot()["counters"]
         assert counters["serve.loops_parsed"] == 4
         assert counters["serve.loops_reused"] == 1
+
+
+class _RecordingWriter:
+    """A stream writer that keeps each ``write`` as one bytes object."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        pass
+
+
+def _submit_writes(service, texts: list[str], configs: list[str] | None = None,
+                   req_id="r1") -> list[bytes]:
+    """The writes of one ``submit`` through an in-process ``service``."""
+    import asyncio
+
+    writer = _RecordingWriter()
+    doc = {"op": "submit", "id": req_id, "loops": [{"text": t} for t in texts]}
+    if configs is not None:
+        doc["configs"] = configs
+    asyncio.run(service._handle_submit(doc, writer))
+    return writer.writes
+
+
+@pytest.fixture(scope="class")
+def warm_service(tmp_path_factory):
+    """An in-process service whose store holds 12 corpus loops × the six
+    paper configs, and those loops' texts."""
+    from repro.serve.server import CompileService
+
+    texts = TestLoopTable._texts(12)
+    service = CompileService(str(tmp_path_factory.mktemp("warm") / "store"))
+    try:
+        done = decode_line(_submit_writes(service, texts)[-1].splitlines()[-1])
+        assert done["compiled"] == len(texts) * len(PAPER_CONFIG_ORDER)
+        yield service, texts
+    finally:
+        service.close()
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    """Stop the request clock of the service and of its oracle, so two
+    runs of one request report the same ``elapsed_ms``."""
+    import types
+
+    from repro.serve import server
+    from tests import golden
+
+    clock = types.SimpleNamespace(perf_counter=lambda: 0.0)
+    monkeypatch.setattr(server, "time", clock)
+    monkeypatch.setattr(golden, "time", clock)
+
+
+def _per_line_path(monkeypatch) -> None:
+    """Send every reply line with its own write, as the oracle does."""
+    from repro.serve.server import CompileService
+    from tests.golden import _reference_submit_admitted
+
+    monkeypatch.setattr(CompileService, "_submit_admitted",
+                        _reference_submit_admitted)
+
+
+class TestReplyBatches:
+    """Reply lines that are ready together go out in one write; the
+    bytes on the wire are those of one write per line."""
+
+    def test_all_warm_request_is_one_write(self, warm_service):
+        service, texts = warm_service
+        writes = _submit_writes(service, texts[:1])
+        assert len(writes) == 1
+        replies = [decode_line(line) for line in writes[0].splitlines()]
+        n_configs = len(PAPER_CONFIG_ORDER)
+        assert [r["type"] for r in replies] == (
+            ["accepted"] + ["cell"] * n_configs + ["done"])
+        assert replies[-1]["store_hits"] == n_configs
+
+    def test_large_reply_is_split_at_the_bound(
+        self, warm_service, frozen_clock, monkeypatch
+    ):
+        from repro.serve import server
+
+        service, texts = warm_service
+        (whole,) = _submit_writes(service, texts)
+        bound = 2048
+        monkeypatch.setattr(server, "WRITE_BATCH_BYTES", bound)
+        writes = _submit_writes(service, texts)
+        assert len(writes) > 1
+        assert b"".join(writes) == whole
+        for data in writes:
+            assert data.endswith(b"\n")
+            # the bound is passed by the last line only
+            assert len(data) - len(data.splitlines(keepends=True)[-1]) < bound
+        assert all(len(data) >= bound for data in writes[:-1])
+
+    def test_warm_replies_equal_the_per_line_path(
+        self, warm_service, frozen_clock, monkeypatch
+    ):
+        service, texts = warm_service
+        requests = [
+            (texts[:1], None, "r1"),
+            (texts[:5], ["2/embedded", "8 Clusters / Copy Unit"],
+             {"b": ["\u00e9", 2.5], "a": None}),
+        ]
+        batched = [_submit_writes(service, *req) for req in requests]
+        _per_line_path(monkeypatch)
+        per_line = [_submit_writes(service, *req) for req in requests]
+        for new, old in zip(batched, per_line):
+            assert all(data.count(b"\n") == 1 for data in old)
+            assert len(new) == 1 < len(old)
+            assert b"".join(new) == b"".join(old)
+
+    def test_cold_replies_equal_the_per_line_path(
+        self, tmp_path, frozen_clock, monkeypatch
+    ):
+        """A warm cell, a compiled one and one attached to it in flight
+        (one config, so every batch of futures holds one future and the
+        order is fixed)."""
+        from repro.serve.server import CompileService
+
+        a, b = TestLoopTable._texts(2)
+
+        def run(name: str) -> list[bytes]:
+            service = CompileService(str(tmp_path / name))
+            try:
+                _submit_writes(service, [a], ["4/embedded"])
+                return _submit_writes(service, [a, b, b], ["4/embedded"])
+            finally:
+                service.close()
+
+        batched = run("batched")
+        _per_line_path(monkeypatch)
+        per_line = run("per-line")
+        assert [decode_line(line)["type"] for line in b"".join(batched).splitlines()] \
+            == ["accepted", "cell", "cell", "cell", "done"]
+        # accepted + the warm cell; then the compiled cells and done
+        assert [data.count(b"\n") for data in batched] == [2, 3]
+        assert len(per_line) == 5
+        assert b"".join(batched) == b"".join(per_line)
+
+    def test_warm_line_is_encode_line_on_every_quick40_record(self, tmp_path):
+        """The warm ``cell`` line spliced from a record's meta line (read
+        from disk), or from re-encoded metrics (an entry built in this
+        process), equals ``encode_line`` of the cell document."""
+        from repro.core.fingerprint import key_prefix, store_key
+        from repro.serve.protocol import encode_json
+        from repro.serve.server import _WARM_CELL
+        from repro.store.tiered import ArtifactStore
+
+        config = PipelineConfig(run_regalloc=False)
+        loops = spec95_corpus(n=40)
+        built = ArtifactStore.open(tmp_path / "st", l1_capacity=None)
+        run_evaluation(loops, config=config, store=built)
+        read = ArtifactStore.open(tmp_path / "st")
+        req_id = "r\u00e9"
+        sources = {"spliced": 0, "encoded": 0}
+        for n_clusters, model in PAPER_CONFIG_ORDER:
+            machine = paper_machine(n_clusters, model)
+            label = config_label(n_clusters, model)
+            prefix = key_prefix(machine, config)
+            for i, loop in enumerate(loops):
+                key = store_key(loop, machine, config, prefix)
+                for store in (read, built):
+                    entry = store.lookup(key)
+                    sources["encoded" if entry._meta_line is None else "spliced"] += 1
+                    doc = {
+                        "type": "cell", "id": req_id, "loop_index": i,
+                        "loop": loop.name, "config": label, "source": "store",
+                        "ok": True, "metrics": entry.metrics().to_dict(),
+                    }
+                    line = _WARM_CELL % (
+                        encode_json(label), encode_json(req_id),
+                        encode_json(loop.name), i, entry.metrics_json(),
+                    )
+                    assert line == encode_line(doc)
+        n_records = len(loops) * len(PAPER_CONFIG_ORDER)
+        assert sources == {"spliced": n_records, "encoded": n_records}
+
+    def test_metrics_json_re_encodes_an_unexpected_meta_line(self):
+        from repro.store.entry import StoreEntry, _dumps
+
+        metrics = {"ii": 3, "ipc": 1.5}
+        for meta, line in (
+            ({"loop_name": "x", "metrics": metrics, "note": 1},
+             b'{"loop_name":"x","metrics":{"ii":3,"ipc":1.5},"note":1}'),
+            ({"loop_name": "x", "metrics": metrics},
+             b'{"loop_name": "x", "metrics": {"ii": 3, "ipc": 1.5}}'),
+        ):
+            entry = StoreEntry("d", {}, meta, meta_line=line)
+            assert entry.metrics_json() == _dumps(metrics)
+        spliced = StoreEntry("d", {}, {"loop_name": "x", "metrics": metrics},
+                             meta_line=b'{"loop_name":"x","metrics":{"ipc":1.5,"ii":3}}')
+        assert spliced.metrics_json() == b'{"ipc":1.5,"ii":3}'
 
 
 class TestSubmitCli:
