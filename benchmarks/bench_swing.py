@@ -29,7 +29,7 @@ def run_scheduler(loops, scheduler):
         liv = cyclic_liveness(kernel, ddg)
         graph = build_interference(plan_mve(liv))
         iis.append(kernel.ii)
-        pressures.append(graph.max_clique_lower_bound())
+        pressures.append(graph.max_pressure)
     return statistics.mean(iis), statistics.mean(pressures)
 
 

@@ -51,7 +51,7 @@ def study_swing(loops):
             ddg = build_loop_ddg(loop)
             ks = scheduler(loop, ddg, m)
             liv = cyclic_liveness(ks, ddg)
-            pressure.append(build_interference(plan_mve(liv)).max_clique_lower_bound())
+            pressure.append(build_interference(plan_mve(liv)).max_pressure)
             iis.append(ks.ii)
         print(f"   {label:6s} mean II {statistics.mean(iis):5.2f}   "
               f"mean MaxLive {statistics.mean(pressure):5.1f}")

@@ -2,15 +2,15 @@
 
 ROADMAP item 2 made concrete: a pure-python branch-and-bound partitioner
 (:mod:`repro.exact.bnb`) over the objective defined once in
-:mod:`repro.exact.cost`, a brute-force enumerator
-(:mod:`repro.exact.brute`) that keeps the solver honest in tests, and
-the pipeline strategy (:mod:`repro.exact.strategy`) registered as
-partitioner ``"exact"``.  The greedy-vs-optimal gap report built on top
-lives in :mod:`repro.evalx.gap` (CLI: ``repro gap``).
+:mod:`repro.exact.cost`, and the pipeline strategy
+(:mod:`repro.exact.strategy`) registered as partitioner ``"exact"``.
+The greedy-vs-optimal gap report built on top lives in
+:mod:`repro.evalx.gap` (CLI: ``repro gap``).  The brute-force
+enumeration that checks the solver lives with the tests' oracles
+(``tests/golden.py``).
 """
 
 from repro.exact.bnb import ExactProof, SearchBudgetExhausted, solve_exact
-from repro.exact.brute import brute_force_cost, enumerate_assignments
 from repro.exact.cost import (
     OVERFLOW_WEIGHT,
     ExactProblem,
@@ -27,9 +27,7 @@ __all__ = [
     "ExactProof",
     "SearchBudgetExhausted",
     "assignment_cost",
-    "brute_force_cost",
     "build_problem",
-    "enumerate_assignments",
     "exact_partition_context",
     "partition_cost",
     "partition_from_assignment",

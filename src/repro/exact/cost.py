@@ -25,9 +25,9 @@ bank; stores on the bank of the first register source; operations
 touching no registers on cluster 0.
 
 :class:`ExactProblem` precomputes the loop structure both the
-branch-and-bound solver (:mod:`repro.exact.bnb`) and the brute-force
-enumerator (:mod:`repro.exact.brute`) consume, so the two can never
-disagree about what they are optimising.
+branch-and-bound solver (:mod:`repro.exact.bnb`) and the tests'
+brute-force enumerator (``tests/golden.py``) consume, so the two can
+never disagree about what they are optimising.
 """
 
 from __future__ import annotations

@@ -10,8 +10,11 @@ initiation interval would be clobbered by the next iteration's definition;
 unrolling with register renaming) so that interference can be computed on
 a cyclic timeline — each name's occupancy mask and each bank's pressure
 follow arithmetically from the live ranges, with no per-iteration window
-expanded — after which each bank's interference graph is colored
-independently with the Chaitin/Briggs optimistic allocator.  Banks that
+expanded — after which each bank is colored independently with the
+Chaitin/Briggs optimistic allocator.  Two names interfere iff their
+masks meet, so select works on one union mask per colour; only a bank
+with more names than registers builds neighbour bitsets for simplify's
+degrees.  Banks that
 fail to color surface spill candidates; :mod:`repro.regalloc.spill`
 rewrites the loop with spill code and the pipeline recompiles.
 """

@@ -1,7 +1,7 @@
 """Per-bank register assignment driver.
 
 Runs cyclic liveness + MVE once per kernel, sweeps the MVE plan once
-into every bank's interference graph, then colors each bank
+into every bank's names and occupancy masks, then colors each bank
 independently with ``regs_per_bank`` colors — the banks are
 architecturally separate, so their assignments never interact (that
 separation is the entire point of the partitioned organization).

@@ -13,17 +13,21 @@ The classic discipline the paper cites ([9] Chaitin, [6] Briggs et al.):
 Costs follow Chaitin: ``spill_cost(v) / degree(v)``, with the cost
 supplied by the caller (use counts weighted by loop depth).
 
-Both phases run on the graph's neighbour bitsets over sorted node
-indices: degree is a popcount, simplify takes the lowest set bit of
-"remaining and degree < k" (the smallest such name), and select takes
-the lowest color whose class bitset misses the node's colored
-neighbours.  The original set-based colourer is the parity-test oracle
-in ``tests/golden.py``.
+Select runs on the names' occupancy masks (:mod:`repro.regalloc.interference`):
+each colour keeps the union of its names' masks, and a colour is free for
+a name iff that union misses the name's mask.  A graph of at most ``k``
+names has every degree below ``k``, so simplify removes them in ascending
+order and no neighbour bitset is built; a larger graph is simplified on
+its neighbour bitsets over sorted node indices (degree is a popcount, the
+lowest set bit of "remaining and degree < k" is the smallest such name).
+The original set-based colourer is the parity-test oracle in
+``tests/golden.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 from repro.regalloc.interference import InterferenceGraph, Name, set_bits
@@ -44,27 +48,35 @@ class ColoringResult:
 
     def verify(self, graph: InterferenceGraph) -> None:
         """Assert the colored and spilled names partition the graph's
-        nodes and the coloring is proper over the non-spilled subgraph
-        (checked by position: ``graph.nodes`` is sorted)."""
+        nodes and the coloring is proper over the non-spilled subgraph:
+        the names of a colour have disjoint masks, so the union's
+        popcount is the sum of theirs (checked by position:
+        ``graph.nodes`` is sorted)."""
         nodes = graph.nodes
         if sorted([*self.colors, *self.spilled]) != nodes:
             raise AssertionError(
                 "colored and spilled names do not partition the graph's nodes"
             )
+        masks = graph.masks
         color_at = list(map(self.colors.get, nodes))  # None: spilled
-        classes = [0] * self.k
-        for i, color in enumerate(color_at):
+        unions: dict[int, int] = {}
+        total = 0
+        for mask, color in zip(masks, color_at):
             if color is not None:
                 if not (0 <= color < self.k):
                     raise AssertionError(f"color {color} out of range for k={self.k}")
-                classes[color] |= 1 << i
-        for i, color in enumerate(color_at):
-            clash = color is not None and graph.adj[i] & classes[color]
-            if clash:
-                nb = nodes[(clash & -clash).bit_length() - 1]
-                raise AssertionError(
-                    f"improper coloring: {nodes[i]} and {nb} share color {color}"
-                )
+                unions[color] = unions.get(color, 0) | mask
+                total += mask.bit_count()
+        # no union counts more bits than its members, so the totals are
+        # equal iff every colour's are
+        if sum(map(int.bit_count, unions.values())) != total:
+            for a, b in combinations(range(len(nodes)), 2):
+                if color_at[a] is not None and color_at[a] == color_at[b] \
+                        and masks[a] & masks[b]:
+                    raise AssertionError(
+                        f"improper coloring: {nodes[a]} and {nodes[b]} "
+                        f"share color {color_at[a]}"
+                    )
 
 
 def chaitin_briggs_color(
@@ -81,6 +93,41 @@ def chaitin_briggs_color(
     if k < 1:
         raise ValueError("k must be positive")
     nodes = graph.nodes
+    if len(nodes) <= k:
+        # every degree is below k: simplify pushes the names in order
+        stack, optimistic_picks = range(len(nodes)), 0
+    else:
+        stack, optimistic_picks = _simplify(graph, k, spill_cost)
+
+    result = ColoringResult(k=k)
+    masks = graph.masks
+    classes: list[int] = []  # color -> union of its names' masks
+    for i in reversed(stack):
+        mask = masks[i]
+        for color, occupied in enumerate(classes):
+            if not occupied & mask:
+                classes[color] = occupied | mask
+                break
+        else:
+            color = len(classes)
+            if color == k:
+                result.spilled.append(nodes[i])
+                continue
+            classes.append(mask)
+        result.colors[nodes[i]] = color
+        if optimistic_picks >> i & 1:
+            result.optimistic_saves += 1
+    return result
+
+
+def _simplify(
+    graph: InterferenceGraph,
+    k: int,
+    spill_cost: Callable[[Name], float] | None,
+) -> tuple[list[int], int]:
+    """The simplify stack of node positions, and the bitset of the nodes
+    pushed optimistically."""
+    nodes = graph.nodes
     adj = graph.adj
     degrees = [row.bit_count() for row in adj]
     remaining = (1 << len(nodes)) - 1
@@ -90,7 +137,7 @@ def chaitin_briggs_color(
             below_k |= 1 << i
     costs: list[float] | None = None
     stack: list[int] = []
-    optimistic_picks = 0  # bitset of the nodes pushed optimistically
+    optimistic_picks = 0
 
     while remaining:
         candidates = remaining & below_k
@@ -125,36 +172,4 @@ def chaitin_briggs_color(
         stack.append(pick)
         if optimistic:
             optimistic_picks |= 1 << pick
-
-    result = ColoringResult(k=k)
-    # Colours open lowest first and never empty, so a colour in use is
-    # free for a node iff its class holds only non-neighbours: only the
-    # classes of coloured non-neighbours are probed (few, as MVE graphs
-    # are dense), and failing those the node opens the next colour.
-    classes: list[int] = []  # color -> bitset of nodes holding it
-    color_of = [0] * len(nodes)
-    colored = 0
-    for i in reversed(stack):
-        blocked = adj[i] & colored
-        color = len(classes)
-        probe = colored & ~blocked
-        while probe:
-            c = color_of[(probe & -probe).bit_length() - 1]
-            members = classes[c]
-            if c < color and not members & blocked:
-                color = c
-            probe &= ~members
-        if color == k:
-            result.spilled.append(nodes[i])
-            continue
-        bit = 1 << i
-        if color == len(classes):
-            classes.append(bit)
-        else:
-            classes[color] |= bit
-        colored |= bit
-        color_of[i] = color
-        result.colors[nodes[i]] = color
-        if optimistic_picks & bit:
-            result.optimistic_saves += 1
-    return result
+    return stack, optimistic_picks

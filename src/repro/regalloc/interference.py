@@ -1,4 +1,4 @@
-"""Interference graphs over MVE names, on bank-local int bitsets.
+"""Interference among MVE names, on cyclic occupancy masks.
 
 Two names interfere when their occupancy windows overlap anywhere on the
 cyclic timeline.  Each name's cyclic occupancy is packed into one Python
@@ -10,11 +10,14 @@ birth, so the per-iteration windows are never expanded.  A bank's peak
 pressure is read off its II kernel rows
 (:func:`repro.regalloc.liveness.row_pressure`).
 
-A graph numbers its names densely in sorted order and keeps each name's
-neighbours as one int (bit ``j`` set = interferes with ``nodes[j]``):
-degree is a popcount, and the colourer (:mod:`repro.regalloc.coloring`)
-simplifies and selects on these bitsets.  No consumer depends on the
-order edges were discovered in.
+A graph numbers its names densely in sorted order and keeps one mask per
+name; the colourer (:mod:`repro.regalloc.coloring`) selects on them
+directly.  The neighbour bitsets (``adj[i]``, bit ``j`` set = interferes
+with ``nodes[j]``) are derived from the masks on first read, which only
+a bank with more names than registers needs (simplify reads degrees).
+A hand-built graph is the other way round: its ``adj`` is as written and
+its masks are derived from it (one bit per edge, one private bit per
+node), so the same colourer runs on arbitrary graphs.
 
 :func:`bank_interference` sweeps an MVE plan once and returns the graph
 of every register bank; :func:`build_interference` is its one-bank
@@ -25,7 +28,6 @@ form.  The original cycle-by-cycle sweep over Lam's expanded windows
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.regalloc.liveness import row_pressure
@@ -34,18 +36,59 @@ from repro.regalloc.mve import MVEPlan
 Name = tuple[int, int]  # (rid, replica)
 
 
-@dataclass
 class InterferenceGraph:
     """Undirected interference graph over (rid, replica) names.
 
-    ``nodes`` is kept sorted and ``adj[i]`` is the neighbour bitset of
-    ``nodes[i]``.  ``max_pressure`` is the most names live at once on the
-    cyclic timeline, set by the builders (0 for a hand-built graph).
+    ``nodes`` is kept sorted; ``masks[i]`` is the occupancy mask of
+    ``nodes[i]`` and ``adj[i]`` its neighbour bitset.  A graph built
+    without masks starts empty and its ``adj`` is written by hand; either
+    list is derived from the other on first read.  ``max_pressure`` is
+    the most names live at once on the cyclic timeline, set by the
+    builders (0 for a hand-built graph).
     """
 
-    nodes: list[Name] = field(default_factory=list)
-    adj: list[int] = field(default_factory=list)
-    max_pressure: int = 0
+    def __init__(
+        self,
+        nodes: list[Name] | None = None,
+        masks: list[int] | None = None,
+        max_pressure: int = 0,
+    ) -> None:
+        self.nodes = [] if nodes is None else nodes
+        if masks is None:
+            self.adj = []
+        else:
+            self.masks = masks
+        self.max_pressure = max_pressure
+
+    @cached_property
+    def adj(self) -> list[int]:
+        """Neighbour bitsets: names interfere iff their masks meet.
+        Distinct replicas of one register do interfere: MVE gave
+        coexisting iterations' instances different names precisely so
+        they can get different colours."""
+        masks = self.masks
+        adj = [0] * len(masks)
+        for i, mask in enumerate(masks):
+            bit = 1 << i
+            for j in range(i):
+                if mask & masks[j]:
+                    adj[i] |= 1 << j
+                    adj[j] |= bit
+        return adj
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Masks of a hand-built graph: node ``i`` owns bit ``i`` and each
+        edge one further bit shared by its ends, so masks meet exactly
+        along edges and never vanish."""
+        masks = [1 << i for i in range(len(self.adj))]
+        bit = len(masks)
+        for i, row in enumerate(self.adj):
+            for j in set_bits(row >> (i + 1)):
+                masks[i] |= 1 << bit
+                masks[i + 1 + j] |= 1 << bit
+                bit += 1
+        return masks
 
     @cached_property
     def index(self) -> dict[Name, int]:
@@ -65,10 +108,6 @@ class InterferenceGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def max_clique_lower_bound(self) -> int:
-        """Max simultaneous liveness observed during construction."""
-        return self.max_pressure
-
 
 def set_bits(mask: int):
     """Indices of the set bits of ``mask``, ascending."""
@@ -81,16 +120,15 @@ def set_bits(mask: int):
 def bank_interference(
     plan: MVEPlan, bank_of: Mapping[int, int]
 ) -> dict[int, InterferenceGraph]:
-    """One sweep of ``plan``: the interference graph of every bank that
-    holds a name, in ascending bank order.  ``bank_of`` maps rid -> bank;
-    names of other rids are left out."""
+    """One sweep of ``plan``: the graph of every bank that holds a name,
+    in ascending bank order.  ``bank_of`` maps rid -> bank; names of
+    other rids are left out."""
     ii = plan.ii
     timeline = plan.timeline
     full = (1 << timeline) - 1
     # comb[q]: one bit at the start of every q*II period of the timeline
     comb: dict[int, int] = {}
-    # bank -> (names, misses, candidates, spans); see _bank_graph
-    sweeps: dict[int, tuple[list, list, list, list]] = {}
+    sweeps: dict[int, tuple[list, list, list]] = {}  # bank -> names, masks, spans
     invariants: dict[int, int] = {}
     for rid, start, lifetime, q, invariant in zip(
         plan.rids, plan.starts, plan.lifetimes, plan.replicas, plan.invariant
@@ -100,76 +138,39 @@ def bank_interference(
             continue
         sweep = sweeps.get(bank)
         if sweep is None:
-            sweep = sweeps[bank] = ([], [], [], [])
+            sweep = sweeps[bank] = ([], [], [])
             invariants[bank] = 0
-        names, misses, candidates, spans = sweep
-        if invariant:
-            masks = (full,)
-            invariants[bank] += 1
-        else:
-            spans.append((start, lifetime))
-            # Name r holds iterations r, r+q, r+2q, ...: a window of
-            # ``lifetime`` cycles every q*II, rotated to its first birth.
-            # The blocks cannot carry into each other: lifetime <= q*II.
-            c = comb.get(q)
-            if c is None:
-                c = comb[q] = full // ((1 << (q * ii)) - 1)
-            pattern = ((1 << lifetime) - 1) * c
-            masks = []
-            for r in range(q):
-                k = (start + r * ii) % timeline
-                masks.append(((pattern << k) | (pattern >> (timeline - k))) & full)
-        # Every mask is non-empty (lifetimes are at least one cycle), so
-        # a full mask meets them all; only the others are ever tested.
+        names, masks, spans = sweep
         # Plans list rids in ascending order, so names arrive sorted.
-        for r, mask in enumerate(masks):
-            bit = 1 << len(names)
-            miss = 0
-            if mask != full:
-                for other, other_bit in candidates:
-                    if not mask & other:
-                        miss |= other_bit
-                candidates.append((mask, bit))
+        if invariant:
+            names.append((rid, 0))
+            masks.append(full)
+            invariants[bank] += 1
+            continue
+        spans.append((start, lifetime))
+        # Name r holds iterations r, r+q, r+2q, ...: a window of
+        # ``lifetime`` cycles every q*II, rotated to its first birth.
+        # The blocks cannot carry into each other: lifetime <= q*II.
+        c = comb.get(q)
+        if c is None:
+            c = comb[q] = full // ((1 << (q * ii)) - 1)
+        pattern = ((1 << lifetime) - 1) * c
+        for r in range(q):
+            k = (start + r * ii) % timeline
             names.append((rid, r))
-            misses.append(miss)
+            masks.append(((pattern << k) | (pattern >> (timeline - k))) & full)
     # Coverage is periodic in II (a shift by II maps iteration j to j+1
     # mod unroll), so the busiest cycle of the timeline is the busiest
     # kernel row.  Counting windows per row equals counting *names* per
     # cycle (what the reference's per-cycle sets measure) because two
     # windows of one name never overlap.
     return {
-        bank: _bank_graph(
-            sweeps[bank][0], sweeps[bank][1],
-            max(row_pressure(ii, sweeps[bank][3], invariants[bank])),
+        bank: InterferenceGraph(
+            nodes=names, masks=masks,
+            max_pressure=max(row_pressure(ii, spans, invariants[bank])),
         )
-        for bank in sorted(sweeps)
+        for bank, (names, masks, spans) in sorted(sweeps.items())
     }
-
-
-def _bank_graph(
-    names: list[Name], misses: list[int], max_pressure: int
-) -> InterferenceGraph:
-    """The graph whose ``misses[i]`` holds the earlier names that name
-    ``i`` does *not* interfere with.  MVE graphs are dense (nine in ten
-    pairs interfere on the paper corpus), so the sweep records the rare
-    non-edges below the diagonal and this mirrors them above it."""
-    # Distinct replicas of the same register DO interfere: when a lifetime
-    # exceeds II, consecutive iterations' instances coexist and MVE gave
-    # them different names precisely so they can get different colors.
-    above = [0] * len(names)
-    bit = 1
-    for miss in misses:
-        while miss:
-            low = miss & -miss
-            above[low.bit_length() - 1] |= bit
-            miss ^= low
-        bit <<= 1
-    everyone = (1 << len(names)) - 1
-    adj = [
-        everyone & ~(below | over | (1 << i))
-        for i, (below, over) in enumerate(zip(misses, above))
-    ]
-    return InterferenceGraph(nodes=names, adj=adj, max_pressure=max_pressure)
 
 
 def build_interference(plan: MVEPlan, rids: set[int] | None = None) -> InterferenceGraph:

@@ -457,6 +457,8 @@ class CompileService:
         # budget future (plus a little grace so worker-reported timeout
         # failures win the race against the cutoff)
         cutoff = t0 + budget + 0.5 if budget is not None else None
+        # a batch of futures goes out in plan order, not the set's order
+        plan_order = {fut: i for i, fut in enumerate(waiting)}
         pending = set(waiting)
         while pending:
             await batch.flush()  # what is ready goes out before the wait
@@ -469,14 +471,14 @@ class CompileService:
             )
             if not done:
                 break  # request deadline passed server-side
-            for fut in done:
+            for fut in sorted(done, key=plan_order.__getitem__):
                 cell: Cell = fut.result()
                 for loop_index, loop, label, source in waiting[fut]:
                     await batch.put(cell_line(
                         loop_index, loop, label, source,
                         cell.metrics, self._relabel(cell.failure, loop, label),
                     ))
-        for fut in pending:
+        for fut in sorted(pending, key=plan_order.__getitem__):
             for loop_index, loop, label, _source in waiting[fut]:
                 failure = LoopFailure(
                     config=label, loop_name=loop.name,

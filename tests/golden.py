@@ -29,7 +29,9 @@ colouring tests.  :func:`_reference_build_rcg_from_kernel` weights the
 RCG through its method calls and :func:`_reference_insert_copies`
 inserts copies over op objects; :func:`frozen_tables` and
 :func:`partitioned_listing` turn their results into comparable plain
-values.
+values.  :func:`brute_force_cost` enumerates every bank assignment of a
+small ``repro.exact`` problem, the oracle of the branch-and-bound
+solver.
 
 The module name matches neither ``test_*.py`` nor ``bench_*.py``, so
 pytest does not collect it.
@@ -54,6 +56,7 @@ from repro.core.uas import _ClusterMRT
 from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
 from repro.ddg.analysis import longest_path_heights, min_ii, recurrence_ii, schedule_slack
 from repro.ddg.graph import DDG, DepKind
+from repro.exact.cost import ExactProblem, assignment_cost
 from repro.ir.block import BasicBlock, Loop
 from repro.ir.operations import OpClass, Operation, make_copy
 from repro.ir.printer import format_loop
@@ -1349,9 +1352,11 @@ def mve_windows(plan: MVEPlan) -> list[ReplicaWindow]:
 
 def add_node(graph: InterferenceGraph, name: Name) -> None:
     """Insert ``name`` into a hand-built graph, keeping ``nodes`` sorted
-    (an open zero bit is spliced into every neighbour row)."""
+    (an open zero bit is spliced into every neighbour row; masks derived
+    from the old rows are dropped)."""
     if name in graph.index:
         return
+    vars(graph).pop("masks", None)
     pos = bisect.bisect(graph.nodes, name)
     graph.nodes.insert(pos, name)
     low = (1 << pos) - 1
@@ -1367,6 +1372,7 @@ def add_edge(graph: InterferenceGraph, a: Name, b: Name) -> None:
     add_node(graph, a)
     add_node(graph, b)
     ia, ib = graph.index[a], graph.index[b]
+    vars(graph).pop("masks", None)
     graph.adj[ia] |= 1 << ib
     graph.adj[ib] |= 1 << ia
 
@@ -1550,6 +1556,7 @@ async def _reference_submit_admitted(
         task.add_done_callback(service._chunk_tasks.discard)
 
     cutoff = t0 + budget + 0.5 if budget is not None else None
+    plan_order = {fut: i for i, fut in enumerate(waiting)}
     pending = set(waiting)
     while pending:
         timeout = None if cutoff is None else max(cutoff - time.perf_counter(), 0.0)
@@ -1558,14 +1565,14 @@ async def _reference_submit_admitted(
         )
         if not done:
             break
-        for fut in done:
+        for fut in sorted(done, key=plan_order.__getitem__):
             cell = fut.result()
             for loop_index, loop, label, source in waiting[fut]:
                 await stream_cell(
                     loop_index, loop, label, source,
                     cell.metrics, service._relabel(cell.failure, loop, label),
                 )
-    for fut in pending:
+    for fut in sorted(pending, key=plan_order.__getitem__):
         for loop_index, loop, label, _source in waiting[fut]:
             failure = LoopFailure(
                 config=label, loop_name=loop.name,
@@ -1586,3 +1593,37 @@ async def _reference_submit_admitted(
         "failures": counts["failures"],
         "elapsed_ms": int(elapsed_ms),
     })
+
+
+# ----------------------------------------------------------------------
+# Exact bank assignment (repro.exact)
+# ----------------------------------------------------------------------
+#: refuse enumerations beyond this many assignments: a silent week-long
+#: loop helps nobody
+ENUMERATION_LIMIT = 5_000_000
+
+
+def enumerate_assignments(problem: ExactProblem):
+    """Yield every complete ``{rid: bank}`` assignment (pins respected)."""
+    free = [rid for rid in problem.regs if rid not in problem.precolored]
+    total = problem.n_banks ** len(free)
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"{problem.loop_name}: {problem.n_banks}^{len(free)} = {total} "
+            f"assignments exceeds the brute-force limit ({ENUMERATION_LIMIT})"
+        )
+    base = dict(problem.precolored)
+    for combo in itertools.product(range(problem.n_banks), repeat=len(free)):
+        assignment = dict(base)
+        assignment.update(zip(free, combo))
+        yield assignment
+
+
+def brute_force_cost(problem: ExactProblem) -> int:
+    """The provably-optimal objective value, by exhaustive enumeration
+    under :func:`repro.exact.cost.assignment_cost`: any bound, symmetry or
+    dominance bug in :mod:`repro.exact.bnb` shows up as a cost mismatch."""
+    return min(
+        assignment_cost(problem, assignment)
+        for assignment in enumerate_assignments(problem)
+    )

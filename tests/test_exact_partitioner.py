@@ -31,7 +31,6 @@ from repro.core.passes import PARTITIONERS
 from repro.core.pipeline import compile_loop
 from repro.core.weights import DEFAULT_HEURISTIC, build_rcg_from_kernel
 from repro.ddg.builder import build_loop_ddg
-from repro.exact.brute import brute_force_cost, enumerate_assignments
 from repro.exact.cost import (
     OVERFLOW_WEIGHT,
     assignment_cost,
@@ -44,6 +43,7 @@ from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
 from repro.sched.modulo.scheduler import modulo_schedule
 from repro.workloads.corpus import spec95_corpus
+from tests.golden import brute_force_cost, enumerate_assignments
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 

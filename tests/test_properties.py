@@ -29,7 +29,7 @@ from repro.ir.registers import RegisterFactory
 from repro.machine.machine import CopyModel
 from repro.machine.presets import ideal_machine, paper_machine
 from repro.regalloc.assignment import assign_banks
-from repro.regalloc.interference import bank_interference
+from repro.regalloc.interference import InterferenceGraph, bank_interference
 from repro.regalloc.liveness import CyclicLiveness, LiveRange, cyclic_liveness
 from repro.regalloc.mve import plan_mve
 from repro.regalloc.spill import spill_registers
@@ -387,16 +387,12 @@ def test_add_edge_invalidates_memoised_analyses(loop, n_banks, seed, data):
 # ----------------------------------------------------------------------
 # MVE name masks and bank pressure
 # ----------------------------------------------------------------------
-@settings(SETTINGS, max_examples=200)  # no scheduling: cheap per example
-@given(data=st.data())
-def test_bank_interference_matches_window_oracle(data):
-    """The arithmetic name masks and per-row bank pressure of
-    ``bank_interference`` equal the cycle sweep over Lam's expanded
-    windows (``golden.mve_windows``), bank by bank: same nodes, same
-    adjacency, same max pressure.  Lifetimes run up to several II (exact
-    multiples included), so replica counts are rounded up to divisors of
-    the unroll factor; starts run past the timeline; some rids are left
-    out of the bank map and some banks hold only invariants."""
+def _draw_plan_and_banks(data):
+    """A random MVE plan and rid -> bank map.  Lifetimes run up to
+    several II (exact multiples included), so replica counts are rounded
+    up to divisors of the unroll factor; starts run past the timeline;
+    some rids are left out of the bank map and some banks hold only
+    invariants."""
     ii = data.draw(st.integers(1, 8), label="ii")
     lifetimes = data.draw(
         st.lists(
@@ -436,6 +432,17 @@ def test_bank_interference_matches_window_oracle(data):
         if bank is not None:
             bank_of[rid] = bank
 
+    return plan, bank_of
+
+
+@settings(SETTINGS, max_examples=200)  # no scheduling: cheap per example
+@given(data=st.data())
+def test_bank_interference_matches_window_oracle(data):
+    """The arithmetic name masks and per-row bank pressure of
+    ``bank_interference`` equal the cycle sweep over Lam's expanded
+    windows (``golden.mve_windows``), bank by bank: same nodes, same
+    adjacency, same max pressure."""
+    plan, bank_of = _draw_plan_and_banks(data)
     fast = bank_interference(plan, bank_of)
     assert list(fast) == sorted(set(bank_of.values()))
     for bank, graph in fast.items():
@@ -444,3 +451,26 @@ def test_bank_interference_matches_window_oracle(data):
         assert graph.nodes == slow.nodes
         assert graph.adj == slow.adj
         assert graph.max_pressure == slow.max_pressure
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_name_masks_are_their_windows_cycles(data):
+    """Each name's occupancy mask is the set of cycles its expanded
+    windows cover, the neighbour bitsets are derived from the masks only
+    when read and equal the cycle sweep's graph, and a hand-built
+    graph's edge-bit masks give its own adjacency back."""
+    plan, bank_of = _draw_plan_and_banks(data)
+    cycles: dict = {}
+    for w in mve_windows(plan):
+        name = (w.rid, w.replica)
+        for off in range(w.length):
+            cycles[name] = cycles.get(name, 0) | 1 << (w.start + off) % plan.timeline
+    for bank, graph in bank_interference(plan, bank_of).items():
+        assert "adj" not in vars(graph)
+        assert graph.masks == [cycles[name] for name in graph.nodes]
+        slow = _reference_build_interference(
+            plan, {rid for rid, b in bank_of.items() if b == bank}
+        )
+        assert graph.adj == slow.adj
+        assert InterferenceGraph(nodes=slow.nodes, masks=slow.masks).adj == slow.adj

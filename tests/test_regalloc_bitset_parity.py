@@ -1,7 +1,8 @@
 """Parity of the bitset register-assignment layer with its oracles.
 
 ``assign_banks`` reads liveness off the DDG's int rows, sweeps the MVE
-plan once into per-bank bitset graphs and colours them on bitsets; the
+plan once into per-bank occupancy masks and colours them on the masks
+(neighbour bitsets only for a bank of more names than registers); the
 whole ``BankAssignments`` must equal the composition of the golden
 ``_reference_cyclic_liveness`` (the walk over ``Dependence`` objects),
 ``_reference_build_interference`` (one cycle sweep per bank) and
@@ -61,7 +62,7 @@ def reference_assign_banks(kernel, ddg, partition, machine) -> BankAssignments:
         if not rids:
             continue
         graph = _reference_build_interference(plan, rids)
-        result.max_pressure = max(result.max_pressure, graph.max_clique_lower_bound())
+        result.max_pressure = max(result.max_pressure, graph.max_pressure)
 
         def spill_cost(name):
             lr = liveness.ranges[name[0]]
@@ -133,7 +134,20 @@ def test_assign_banks_matches_reference_composition(
         stats["spilled"] += sum(len(c.spilled) for c in out.per_bank.values())
         return out
 
+    colour = assignment.chaitin_briggs_color
+    paths = {"adj": 0, "masks": 0}
+
+    def colour_and_count(graph, k, spill_cost):
+        result = colour(graph, k, spill_cost)
+        # a bank of more names than registers needs degrees; no other
+        # bank builds its neighbour bitsets
+        read_adj = "adj" in vars(graph)
+        assert read_adj == (len(graph.nodes) > k)
+        paths["adj" if read_adj else "masks"] += 1
+        return result
+
     monkeypatch.setattr(assignment, "assign_banks", checked)
+    monkeypatch.setattr(assignment, "chaitin_briggs_color", colour_and_count)
     config = PipelineConfig(scheduler=scheduler, run_regalloc=True)
     for n_clusters, model in PAPER_CONFIG_ORDER:
         machine = paper_machine(n_clusters, model)
@@ -153,6 +167,7 @@ def test_assign_banks_matches_reference_composition(
         assert stats["failed"] > 0
         assert stats["spilled"] > 0
         assert stats["optimistic"] > 0
+        assert paths["adj"] > 0 and paths["masks"] > 0
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> InterferenceGraph:
@@ -262,3 +277,28 @@ def test_allocation_builds_no_name_index(corpus_slice, monkeypatch):
                     compile_loop(loop, machine, config)
                 except RuntimeError as exc:
                     assert "spill rounds" in str(exc)
+
+
+def test_paper_banks_colour_without_neighbour_bitsets(monkeypatch):
+    """No quick-40 bank holds more names than the paper's 64 registers,
+    so register allocation over quick-40 x the six configs colours every
+    bank on its occupancy masks and never builds ``adj``."""
+    def refuse(graph):
+        raise AssertionError("neighbour bitsets built")
+
+    monkeypatch.setattr(InterferenceGraph, "adj", property(refuse))
+    fast = assignment.assign_banks
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fast(*args)
+
+    monkeypatch.setattr(assignment, "assign_banks", counted)
+    config = PipelineConfig(run_regalloc=True)
+    loops = spec95_corpus(n=40)
+    for n_clusters, model in PAPER_CONFIG_ORDER:
+        machine = paper_machine(n_clusters, model)
+        for loop in loops:
+            compile_loop(loop, machine, config)
+    assert len(calls) == len(loops) * len(PAPER_CONFIG_ORDER)

@@ -676,18 +676,18 @@ class TestReplyBatches:
     def test_cold_replies_equal_the_per_line_path(
         self, tmp_path, frozen_clock, monkeypatch
     ):
-        """A warm cell, a compiled one and one attached to it in flight
-        (one config, so every batch of futures holds one future and the
-        order is fixed)."""
+        """Warm cells, compiled ones and ones attached to them in flight,
+        on all six configs: a batch of futures goes out in plan order."""
         from repro.serve.server import CompileService
 
         a, b = TestLoopTable._texts(2)
+        n_configs = len(PAPER_CONFIG_ORDER)
 
         def run(name: str) -> list[bytes]:
             service = CompileService(str(tmp_path / name))
             try:
-                _submit_writes(service, [a], ["4/embedded"])
-                return _submit_writes(service, [a, b, b], ["4/embedded"])
+                _submit_writes(service, [a])
+                return _submit_writes(service, [a, b, b])
             finally:
                 service.close()
 
@@ -695,11 +695,29 @@ class TestReplyBatches:
         _per_line_path(monkeypatch)
         per_line = run("per-line")
         assert [decode_line(line)["type"] for line in b"".join(batched).splitlines()] \
-            == ["accepted", "cell", "cell", "cell", "done"]
-        # accepted + the warm cell; then the compiled cells and done
-        assert [data.count(b"\n") for data in batched] == [2, 3]
-        assert len(per_line) == 5
+            == ["accepted"] + ["cell"] * 3 * n_configs + ["done"]
+        # accepted + the warm cells; then the compiled cells and done
+        assert [data.count(b"\n") for data in batched] == [1 + n_configs, 1 + 2 * n_configs]
+        assert len(per_line) == 2 + 3 * n_configs
         assert b"".join(batched) == b"".join(per_line)
+
+    def test_cold_reply_bytes_are_reproducible(self, tmp_path, frozen_clock):
+        """Cold submissions of one 2-loop × 6-config request on fresh
+        stores send the same bytes: cells whose futures finish together
+        go out in plan order."""
+        from repro.serve.server import CompileService
+
+        texts = TestLoopTable._texts(2)
+        replies = []
+        for run in range(6):
+            service = CompileService(str(tmp_path / f"st{run}"))
+            try:
+                replies.append(b"".join(_submit_writes(service, texts)))
+            finally:
+                service.close()
+        done = decode_line(replies[0].splitlines()[-1])
+        assert done["compiled"] == 2 * len(PAPER_CONFIG_ORDER)
+        assert replies == [replies[0]] * 6
 
     def test_warm_line_is_encode_line_on_every_quick40_record(self, tmp_path):
         """The warm ``cell`` line spliced from a record's meta line (read

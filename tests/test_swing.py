@@ -18,7 +18,7 @@ from repro.workloads.kernels import NAMED_KERNELS, make_kernel
 
 def pressure_of(kernel, ddg):
     liv = cyclic_liveness(kernel, ddg)
-    return build_interference(plan_mve(liv)).max_clique_lower_bound()
+    return build_interference(plan_mve(liv)).max_pressure
 
 
 class TestSwingLegality:
