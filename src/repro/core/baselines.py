@@ -26,8 +26,6 @@ import random
 from repro.core.greedy import Partition
 from repro.ddg.graph import DDG
 from repro.ir.block import Loop
-from repro.ir.operations import OpClass
-from repro.ir.types import DataType
 from repro.machine.machine import MachineDescription
 
 
@@ -78,10 +76,7 @@ def bug_partition(
     cluster_load = [0.0] * n
     reg_bank: dict[int, int] = {}
 
-    copy_latency = {
-        DataType.INT: lat.of_class(OpClass.COPY_INT),
-        DataType.FLOAT: lat.of_class(OpClass.COPY_FLOAT),
-    }
+    copy_latency = lat.copy_latencies()
 
     # each op's distance-0 operands: (source position, the copy latency
     # the edge adds when the source sits in another cluster)

@@ -35,8 +35,6 @@ from repro.core.greedy import Partition
 from repro.ddg.analysis import longest_path_heights, recurrence_ii
 from repro.ddg.graph import DDG
 from repro.ir.block import Loop
-from repro.ir.operations import OpClass
-from repro.ir.types import DataType
 from repro.machine.machine import MachineDescription
 
 
@@ -73,10 +71,7 @@ def uas_partition(
     """Run the UAS joint pass and return the induced register partition."""
     n = machine.n_clusters
     lat = machine.latencies
-    copy_latency = {
-        DataType.INT: lat.of_class(OpClass.COPY_INT),
-        DataType.FLOAT: lat.of_class(OpClass.COPY_FLOAT),
-    }
+    copy_latency = lat.copy_latencies()
 
     rec_ii = recurrence_ii(ddg)
     start_ii = max(rec_ii, -(-len(ddg.ops) // machine.width))

@@ -3,7 +3,8 @@
 :class:`SupervisedPool` runs chunks of cells on worker processes and
 turns every worker fault into typed failure cells, so every entry point
 gets the same guarantees.  It is generic over the chunk: a payload
-exposes ``cells``, ``cell_timeout``, ``budget``, ``split()`` (one
+exposes ``cells``, ``cell_timeout``, ``time_left()`` (the seconds left
+before its deadline, ``None`` without one), ``split()`` (one
 payload per loop, stamped as the second attempt) and ``failed(kind,
 error)`` (a result holding every cell as a failure);
 :class:`repro.evalx.runner.ChunkPayload` is the one implementation.
@@ -68,9 +69,12 @@ class SupervisedPool:
     ) -> float | None:
         """How long a *running* chunk may take before it is reaped: the
         bound its worker-side deadlines put on it plus the grace, or
-        ``None`` (unsupervised) when it has no positive deadline."""
-        bounds = [b for b in (budget, cell_timeout and cell_timeout * n_cells)
-                  if b is not None and b > 0]
+        ``None`` (unsupervised) when it has no deadline.  ``budget`` is
+        the time left before the chunk's deadline; a deadline that has
+        passed leaves the grace alone."""
+        bounds = [cell_timeout * n_cells] if cell_timeout and cell_timeout > 0 else []
+        if budget is not None:
+            bounds.append(max(budget, 0.0))
         return min(bounds) + self.grace if bounds else None
 
     def run(self, entry, payload) -> list:
@@ -122,7 +126,7 @@ class SupervisedPool:
         """
         with _FORK_LOCK:
             cf = pool.submit(entry, payload)
-        limit = self.limit(len(payload.cells), payload.cell_timeout, payload.budget)
+        limit = self.limit(len(payload.cells), payload.cell_timeout, payload.time_left())
         if limit is None:
             return cf.result()
         poll = min(0.1, limit / 4)

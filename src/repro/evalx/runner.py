@@ -57,6 +57,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -73,6 +74,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import PassClock, Span, Tracer
 from repro.store.tiered import ArtifactStore, StoreStats
 from repro.workloads.corpus import spec95_corpus
+
+#: the scope of a cell without a timeout (entering :func:`deadline` with
+#: none costs a generator per cell)
+_UNBOUNDED = nullcontext()
 
 #: the paper's column order: (clusters, copy model) pairs of Tables 1-2
 PAPER_CONFIG_ORDER: tuple[tuple[int, CopyModel], ...] = (
@@ -213,9 +218,11 @@ def _compile_cells(
     :class:`~repro.obs.MetricsRegistry`; an exception becomes a failure
     cell stamped with ``attempt``.  Machines, the store key's
     loop-independent prefix and the fault-injection names are read once
-    per chunk, so warm cells hash only the (memoized) loop.  ``budget``
-    bounds the whole chunk; when it expires, the cell it interrupted and
-    every later cell become ``timeout`` failures.
+    per chunk, so warm cells hash only the (memoized) loop.  The time
+    left before ``deadline_at`` when the chunk starts bounds the whole
+    chunk; when it expires, the cell it interrupted and every later cell
+    become ``timeout`` failures, and a chunk that starts after it
+    compiles nothing.
     """
     machines = {
         config_label(n, CopyModel(model)): paper_machine(n, CopyModel(model))
@@ -226,19 +233,21 @@ def _compile_cells(
         for label, machine in machines.items()
     } if store is not None else {}
     faults = fault_names()
-    timeout, budget = payload.cell_timeout, payload.budget
+    timeout, budget = payload.cell_timeout, payload.time_left()
     cells = payload.labelled()
     cache0 = dataclasses.replace(cache.stats)
     store0 = dataclasses.replace(store.stats) if store is not None else None
     done: list[Cell] = []
     snapshots: list[tuple[CellKey, dict]] = []
     try:
+        if budget is not None and budget <= 0:
+            raise DeadlineExceeded(0.0)
         with deadline(budget):
             for idx, loop, label in cells:
                 registry = MetricsRegistry() if payload.metrics else None
                 with clock.cell(idx, label, loop_name=loop.name):
                     try:
-                        with deadline(timeout):
+                        with deadline(timeout) if timeout else _UNBOUNDED:
                             maybe_inject_fault(loop.name, faults)
                             # store hits hydrate metrics only: a warm
                             # cell is a two-line read
@@ -418,20 +427,28 @@ class ChunkPayload:
 
     A cell's key becomes its ``Cell.loop_index``: the loop index in an
     evaluation, a position among one request's cold cells in the daemon.
-    ``cell_timeout`` bounds each cell and ``budget`` the whole chunk;
-    ``attempt`` is stamped into the failures the chunk produces.
-    ``store_path`` and ``trace`` tell a worker which store to open and
-    which clock to start.
+    ``cell_timeout`` bounds each cell.  ``deadline_at`` is an absolute
+    :func:`time.monotonic` reading (a system-wide clock on Linux, so it
+    means the same in every worker): the deadline of the daemon request
+    the chunk belongs to, shared by all its chunks, each of which gets
+    the time left when it starts.  ``attempt`` is stamped into the
+    failures the chunk produces.  ``store_path`` and ``trace`` tell a
+    worker which store to open and which clock to start.
     """
 
     cells: list[WorkCell]
     config: PipelineConfig
     cell_timeout: float | None = None
-    budget: float | None = None
+    deadline_at: float | None = None
     store_path: str | None = None
     trace: bool = False
     metrics: bool = False
     attempt: int = 1
+
+    def time_left(self) -> float | None:
+        """Seconds left before ``deadline_at`` (negative once it passed);
+        ``None`` without a deadline."""
+        return None if self.deadline_at is None else self.deadline_at - time.monotonic()
 
     def labelled(self) -> list[tuple[int, Loop, str]]:
         return [

@@ -15,6 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from repro.ir.operations import OPCODE_INFO, OpClass, Operation
+from repro.ir.types import DataType
 
 
 _PAPER_TABLE: Mapping[OpClass, int] = MappingProxyType(
@@ -74,6 +75,12 @@ class LatencyTable:
         # ``_value_`` is the member's plain attribute; ``.value`` goes
         # through a Python-level enum descriptor
         return self._by_opcode[op.opcode._value_]
+
+    def copy_latencies(self) -> dict[DataType, int]:
+        """The latency of a copy of a value of each data type: what an
+        operand read from another cluster adds."""
+        return {DataType.INT: self.table[OpClass.COPY_INT],
+                DataType.FLOAT: self.table[OpClass.COPY_FLOAT]}
 
     def replaced(self, **overrides: int) -> "LatencyTable":
         """A copy with classes (named by their ``value``) overridden."""

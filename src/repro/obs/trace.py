@@ -121,6 +121,24 @@ class _PassSpan:
         return False
 
 
+class _CellScope:
+    """A pass clock's cell scope: swaps in a fresh open-pass stack on
+    entry and puts the saved one back on exit."""
+
+    __slots__ = ("_clock", "_saved")
+
+    def __init__(self, clock: "PassClock"):
+        self._clock = clock
+
+    def __enter__(self) -> None:
+        clock = self._clock
+        self._saved, clock._open = clock._open, []
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._clock._open = self._saved
+        return False
+
+
 class PassClock:
     """The disabled tracer: it records no spans, but times passes.
 
@@ -141,16 +159,11 @@ class PassClock:
     def span(self, name: str, cat: str = "pass", **_args) -> "_PassSpan | _NullSpan":
         return _PassSpan(self, name) if cat == "pass" else _NULL_SPAN
 
-    @contextmanager
     def cell(self, loop_index: int, config: str,
-             loop_name: str | None = None) -> Iterator[None]:
+             loop_name: str | None = None) -> "_CellScope":
         """Scope one (loop, config) cell: a fresh open-pass stack for its
         duration, so a span an interrupt left open cannot skew the next."""
-        saved, self._open = self._open, []
-        try:
-            yield
-        finally:
-            self._open = saved
+        return _CellScope(self)
 
     def _close_pass(self, name: str, dur_ns: int) -> None:
         opened = self._open

@@ -19,8 +19,10 @@ configuration labels (:mod:`repro.serve.protocol`), and the
   pool's watchdog and crash isolation turn every worker fault into
   typed failure cells;
 * **streams** per-cell results as they land, in completion order, under
-  an optional per-request deadline that the workers enforce as the
-  chunk budget of :func:`~repro.evalx.runner.compile_chunk`; the lines
+  an optional per-request deadline: one absolute ``time.monotonic``
+  reading that every chunk of the request carries, so each chunk gets
+  the time left when it starts and one that starts after the deadline
+  compiles nothing (:func:`~repro.evalx.runner.compile_chunk`); the lines
   that are ready together (the ``accepted`` line and the warm cells, each
   batch of finished futures, the tail and ``done``) share one socket
   write, split at :data:`WRITE_BATCH_BYTES`;
@@ -430,10 +432,12 @@ class CompileService:
         self.metrics.gauge("serve.queue_depth").set(len(self._inflight))
 
         # ---- shard cold cells over the pool, evalx-style ------------
-        # before the first write, so a failed write strands no future
+        # before the first write, so a failed write strands no future.
+        # The chunks share the request's one deadline.
+        deadline_at = time.monotonic() + budget if budget is not None else None
         for chunk in chunk_cells(cold, self.jobs):
             task = asyncio.get_running_loop().create_task(
-                self._run_chunk(chunk, cold_digests, budget)
+                self._run_chunk(chunk, cold_digests, deadline_at)
             )
             self._chunk_tasks.add(task)
             task.add_done_callback(self._chunk_tasks.discard)
@@ -452,9 +456,9 @@ class CompileService:
                 ))
 
         # ---- stream the rest in completion order --------------------
-        # workers enforce the request budget; the server-side cutoff is
-        # the backstop for cells attached to another request's longer-
-        # budget future (plus a little grace so worker-reported timeout
+        # workers enforce the request deadline; the server-side cutoff is
+        # the backstop for cells attached to another request's later-
+        # deadline future (plus a little grace so worker-reported timeout
         # failures win the race against the cutoff)
         cutoff = t0 + budget + 0.5 if budget is not None else None
         # a batch of futures goes out in plan order, not the set's order
@@ -518,11 +522,11 @@ class CompileService:
     # ------------------------------------------------------------------
     async def _run_chunk(
         self, cells: list[tuple[int, Loop, int, str]], digests: list[str],
-        budget: float | None,
+        deadline_at: float | None,
     ) -> None:
         payload = ChunkPayload(
             cells=cells, config=self.pipeline_config,
-            cell_timeout=self.cell_timeout, budget=budget,
+            cell_timeout=self.cell_timeout, deadline_at=deadline_at,
             store_path=self.store_path,
         )
         results = await asyncio.to_thread(self._pool.run, self._entry, payload)

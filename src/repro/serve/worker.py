@@ -2,8 +2,8 @@
 
 The daemon's workers run the evaluation runner's one worker entry point,
 :func:`repro.evalx.runner.compile_chunk`: a chunk of one request's cells
-under the service's per-cell timeout nested inside the request's
-remaining budget.
+under the service's per-cell timeout nested inside the time left
+before the request's deadline.
 """
 
 from repro.evalx.runner import compile_chunk

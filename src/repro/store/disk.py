@@ -18,7 +18,11 @@ record (:meth:`StoreEntry.to_bytes`, preceded by a blank line) in one
 A record is a header line — it begins ``{"digest":"<64 hex>"`` — and
 the two lines after it.  Blank lines separate records, so a record torn
 by a crash mid-append can never swallow the header of one appended
-after it; any other line is stray.  Reading a file splits it into
+after it; any other line is stray.  Every read takes the file's stamp
+(inode, size, mtime) with ``fstat`` on its descriptor before reading,
+and every append returns the stamp right after its write, so the tiered
+store can tell an unchanged file from one that moved without reading
+it.  Reading a file splits it into
 records by digest without decoding them; a torn or corrupt record fails
 :meth:`StoreEntry.from_lines`, and the reader counts it as an invalid
 miss and drops it (:meth:`DiskStore.delete`), so it is never served.
@@ -42,6 +46,7 @@ is refused the same way.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -68,13 +73,43 @@ class StoreFormatError(RuntimeError):
     """The store directory is not usable as an artifact store."""
 
 
-def _stamp(path: Path) -> tuple[int, int, int] | None:
-    """(inode, size, mtime) of ``path``: any append or rewrite moves it."""
+#: (inode, size, mtime in ns) of a loop file: an append moves its size,
+#: a rewrite (temp file + replace) its inode
+Stamp = tuple[int, int, int]
+
+
+def _stamp_of(st: os.stat_result) -> Stamp:
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _stamp(path: str | os.PathLike) -> Stamp | None:
+    """``path``'s stamp; ``None`` if it does not exist."""
     try:
-        st = os.stat(path)
+        return _stamp_of(os.stat(path))
     except FileNotFoundError:
         return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read(path: str | os.PathLike) -> tuple[Stamp, bytes] | None:
+    """``path``'s bytes and its stamp, taken on the open descriptor before
+    reading (so the bytes hold at least what the stamp describes);
+    ``None`` if the file does not exist."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return None
+    try:
+        st = os.fstat(fd)
+        want = st.st_size + 1
+        data = os.read(fd, want)
+        if len(data) == want:  # appended since the stat: read to the end
+            parts = [data]
+            while chunk := os.read(fd, 1 << 16):
+                parts.append(chunk)
+            data = b"".join(parts)
+    finally:
+        os.close(fd)
+    return _stamp_of(st), data
 
 
 @dataclass
@@ -151,6 +186,8 @@ class DiskStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self._objects = self.root / "objects"
+        #: the loop files' directory as the prefix of their path strings
+        self._prefix = os.path.join(self._objects, "")
         self._init_root()
 
     # ------------------------------------------------------------------
@@ -185,9 +222,10 @@ class DiskStore:
             )
         self._objects.mkdir(exist_ok=True)
 
-    def _path_for(self, key: StoreKey) -> Path:
-        """The loop file ``key``'s record lives in."""
-        return self._objects / f"{key.loop_fp}{_LOOP_SUFFIX}"
+    def _path_for(self, key: StoreKey) -> str:
+        """The loop file ``key``'s record lives in, as a plain string for
+        the os-level calls."""
+        return self._prefix + key.loop_fp + _LOOP_SUFFIX
 
     def loop_files(self) -> list[Path]:
         """Every loop file, sorted (stable iteration for verify/gc)."""
@@ -197,11 +235,9 @@ class DiskStore:
             p for p in self._objects.iterdir() if p.suffix == _LOOP_SUFFIX
         )
 
-    def _load(self, path: Path) -> LoopFile | None:
-        try:
-            return LoopFile.parse(path.read_bytes())
-        except FileNotFoundError:
-            return None
+    def _load(self, path: str | os.PathLike) -> LoopFile | None:
+        read = _read(path)
+        return None if read is None else LoopFile.parse(read[1])
 
     def digests(self) -> list[str]:
         """All stored digests, sorted."""
@@ -218,26 +254,28 @@ class DiskStore:
     # ------------------------------------------------------------------
     # read / write
     # ------------------------------------------------------------------
-    def read(self, key: StoreKey) -> tuple[list[bytes] | None, dict[str, list[bytes]]]:
-        """``key``'s raw record (``None`` if absent) and the loop file's
-        other complete records, all undecoded and as their lines
-        (:attr:`LoopFile.records`) — one file read per loop.
+    def read(self, key: StoreKey) -> tuple[Stamp | None, LoopFile | None]:
+        """``key``'s loop file split into undecoded records (``None`` if
+        absent), with the stamp it had when it was opened — one file read
+        per loop.
 
         Raises :class:`~repro.store.entry.StoreEntryError` when the file
         exists but cannot be read.
         """
         path = self._path_for(key)
         try:
-            loaded = self._load(path)
+            read = _read(path)
         except OSError as exc:
-            raise StoreEntryError(f"unreadable loop file {path.name}: {exc}") from exc
-        if loaded is None:
-            return None, {}
-        raw = loaded.records.pop(key.digest, None)
-        others = {
-            d: r for d, r in loaded.records.items() if d not in loaded.torn
-        }
-        return raw, others
+            raise StoreEntryError(
+                f"unreadable loop file {os.path.basename(path)}: {exc}"
+            ) from exc
+        if read is None:
+            return None, None
+        return read[0], LoopFile.parse(read[1])
+
+    def stamp(self, key: StoreKey) -> Stamp | None:
+        """The stamp of ``key``'s loop file now; ``None`` if absent."""
+        return _stamp(self._path_for(key))
 
     def get(self, key: StoreKey) -> StoreEntry | None:
         """Decode ``key``'s record; ``None`` if absent.
@@ -246,25 +284,28 @@ class DiskStore:
         exists but does not decode (torn, bit-flipped, foreign);
         callers treat that as a miss and usually :meth:`delete` it.
         """
-        raw, _others = self.read(key)
+        _, loaded = self.read(key)
+        raw = None if loaded is None else loaded.records.get(key.digest)
         return None if raw is None else StoreEntry.from_lines(raw, key)
 
-    def put(self, key: StoreKey, entry: StoreEntry) -> int:
+    def put(self, key: StoreKey, entry: StoreEntry) -> tuple[int, Stamp]:
         """Append ``entry`` to its loop file under ``key.digest`` in one
-        ``O_APPEND`` write; returns the byte size."""
+        ``O_APPEND`` write; returns the bytes written and the file's
+        stamp right after the write."""
         data = b"\n" + entry.to_bytes(key.digest)
         fd = os.open(self._path_for(key), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
         try:
             os.write(fd, data)
+            st = os.fstat(fd)
         finally:
             os.close(fd)
-        return len(data)
+        return len(data), _stamp_of(st)
 
     def delete(self, key: StoreKey) -> bool:
         """Drop every record of ``key`` from its loop file."""
         return bool(self._rewrite(self._path_for(key), lambda d: d == key.digest))
 
-    def _rewrite(self, path: Path, drop: Callable[[str], bool],
+    def _rewrite(self, path: str | os.PathLike, drop: Callable[[str], bool],
                  seen_mtime_ns: int | None = None) -> list[str]:
         """Rewrite ``path`` without the records ``drop`` selects and
         without stray lines; returns the dropped digests.
@@ -274,14 +315,11 @@ class DiskStore:
         (gc), a file whose mtime moved since it was judged is left alone.
         """
         while True:
-            stamp = _stamp(path)
-            if stamp is None or (
-                seen_mtime_ns is not None and stamp[2] != seen_mtime_ns
-            ):
+            read = _read(path)
+            if read is None:
                 return []
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
+            stamp, data = read
+            if seen_mtime_ns is not None and stamp[2] != seen_mtime_ns:
                 return []
             loaded = LoopFile.parse(data)
             dropped = [d for d in loaded.records if drop(d)]
@@ -293,7 +331,8 @@ class DiskStore:
             tmp = self._write_temp(kept) if kept else None
             if len(data) == stamp[1] and _stamp(path) == stamp:
                 if tmp is None:
-                    path.unlink(missing_ok=True)
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(path)
                 else:
                     os.replace(tmp, path)
                 return dropped

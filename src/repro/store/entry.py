@@ -24,6 +24,11 @@ cells of its loop file without parsing them, and a read that knows the
 key compares the whole header line with the one :meth:`StoreEntry.to_bytes`
 would write instead of parsing it.
 
+A payload line is assembled from JSON fragments by
+:class:`PayloadEncoder`, which keeps the fragments a loop's cells share
+(the ideal schedule, and a copy-model pair's partition and copies), so
+a cold cell encodes only what is new in its record.
+
 No live :class:`~repro.ir.operations.Operation` graph is ever pickled.
 The source loop is not stored at all: hydration takes the caller's
 loop, whose fingerprint is part of the key.  A spill-rewritten
@@ -142,6 +147,67 @@ def _hydrate_partition(doc: dict, loop: Loop):
     return partition
 
 
+def _schedule_json(schedule, ops) -> bytes:
+    """A schedule as ``{"ii", "times"}``, times by position in ``ops``."""
+    times = schedule.times
+    return _dumps({"ii": schedule.ii, "times": [times[op.op_id] for op in ops]})
+
+
+class PayloadEncoder:
+    """Encodes payload lines, keeping the last loop's shared fragments.
+
+    A payload line is :func:`_dumps` of the payload dict, assembled from
+    the JSON of each value in sorted key order.  A loop's six cells share
+    one ideal schedule (the artifact cache's) and copy-model siblings one
+    partition and partitioned loop (the step-4 share), so those fragments
+    are encoded once.  They are keyed by the objects themselves, which the
+    encoder holds, so no identity can be reused while it compares.
+    """
+
+    __slots__ = ("_held", "_ideal", "_partition", "_copies")
+
+    def __init__(self) -> None:
+        #: (ideal schedule, loop, partition, partitioned loop) last encoded
+        self._held: tuple = (None, None, None, None)
+        self._ideal = self._partition = self._copies = b""
+
+    def encode(self, result: "CompilationResult") -> bytes:
+        """``result``'s payload line."""
+        loop, partitioned = result.loop, result.partitioned
+        held = (result.ideal, loop, result.partition, partitioned)
+        last, self._held = self._held, held
+        if held[0] is not last[0] or loop is not last[1]:
+            self._ideal = _schedule_json(result.ideal, loop.ops)
+        if held[2] is not last[2]:
+            self._partition = _dumps(_partition_doc(result.partition))
+        if partitioned is not last[3]:
+            self._copies = _dumps(_copies_doc(partitioned))
+        precopy = result.precopy_loop
+        ba = result.bank_assignment
+        if ba is None:
+            ba_text = b"null"
+        else:
+            regs = partitioned.partition._registers
+            ba_text = _dumps({
+                "unroll": ba.unroll,
+                "max_pressure": ba.max_pressure,
+                "physical": sorted(
+                    [regs[rid].name, replica, bank, idx]
+                    for (rid, replica), (bank, idx) in ba.physical.items()
+                ),
+            })
+        return b"".join((
+            b'{"bank_assignment":', ba_text,
+            b',"copies":', self._copies,
+            b',"ideal":', self._ideal,
+            b',"kernel":', _schedule_json(result.kernel, partitioned.loop.ops),
+            b',"partition":', self._partition,
+            b',"precopy":',
+            b"null" if precopy is None or precopy is loop else _dumps(format_loop(precopy)),
+            b"}",
+        ))
+
+
 class StoreEntry:
     """One decoded (or decodable) store entry.
 
@@ -174,43 +240,16 @@ class StoreEntry:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_result(cls, key: StoreKey, result: "CompilationResult") -> "StoreEntry":
-        """Serialize a successful compilation under its content key."""
-        loop = result.loop
-        partitioned = result.partitioned
-        precopy = result.precopy_loop
-        payload: dict = {
-            "ideal": {
-                "ii": result.ideal.ii,
-                "times": [result.ideal.times[op.op_id] for op in loop.ops],
-            },
-            "precopy": (
-                None if precopy is None or precopy is loop else format_loop(precopy)
-            ),
-            "partition": _partition_doc(result.partition),
-            "copies": _copies_doc(partitioned),
-            "kernel": {
-                "ii": result.kernel.ii,
-                "times": [result.kernel.times[op.op_id] for op in partitioned.loop.ops],
-            },
-            "bank_assignment": None,
-        }
-        ba = result.bank_assignment
-        if ba is not None:
-            regs = partitioned.partition._registers
-            payload["bank_assignment"] = {
-                "unroll": ba.unroll,
-                "max_pressure": ba.max_pressure,
-                "physical": sorted(
-                    [regs[rid].name, replica, bank, idx]
-                    for (rid, replica), (bank, idx) in ba.physical.items()
-                ),
-            }
+    def from_result(cls, key: StoreKey, result: "CompilationResult",
+                    encoder: "PayloadEncoder | None" = None) -> "StoreEntry":
+        """Serialize a successful compilation under its content key;
+        ``encoder`` reuses the fragments it encoded for earlier cells."""
         meta = {
-            "loop_name": loop.name,
+            "loop_name": result.loop.name,
             "metrics": result.metrics.to_dict(),
         }
-        return cls(key.digest, key, meta, payload=payload)
+        payload_line = (encoder if encoder is not None else PayloadEncoder()).encode(result)
+        return cls(key.digest, key, meta, payload_raw=payload_line)
 
     # ------------------------------------------------------------------
     # wire format

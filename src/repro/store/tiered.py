@@ -3,11 +3,16 @@
 :class:`ArtifactStore` is what the compilation pipeline and the
 evaluation runner talk to.  A lookup consults the in-memory tier (L1,
 keyed by digest), then the disk tier (L2).  A disk read returns the
-whole loop file, so an L2 hit also moves the loop's other records into
-L1, still undecoded: the paper's six configurations of one loop cost
-one file read.  A record is checksum-verified and revalidated against
-the caller's full :class:`~repro.core.fingerprint.StoreKey` when it is
-first served, from either tier — a torn record, a digest collision or
+whole loop file, so a read, hit or miss, also moves the loop's other
+records into L1, still undecoded: the paper's six configurations of one
+loop cost one file read.  The store remembers each loop file's stamp
+(inode, size, mtime) from a moment when L1 held every complete record
+in it, so a miss on an unchanged file is one ``stat``, not a read-back;
+its own appends keep the stamp, and anything else that touches the file
+moves it (see :meth:`ArtifactStore._read`).  A record is
+checksum-verified and revalidated against the caller's full
+:class:`~repro.core.fingerprint.StoreKey` when it is first served,
+from either tier — a torn record, a digest collision or
 a tampered key field degrades to a recorded ``invalid`` + miss, never a
 wrong artifact.  All outcome accounting lives in :class:`StoreStats`,
 which is picklable so parallel workers can report their counters back
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.fingerprint import StoreKey
-from repro.store.disk import DiskStore
-from repro.store.entry import StoreEntry, StoreEntryError
+from repro.store.disk import DiskStore, Stamp
+from repro.store.entry import PayloadEncoder, StoreEntry, StoreEntryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import CompilationResult
@@ -104,6 +109,12 @@ class ArtifactStore:
         #: (digest, tier) of the most recent hit, so a late hydration
         #: failure (:meth:`reject`) can reclassify the right counter
         self._last_hit: tuple[str, str] | None = None
+        #: loop fingerprint -> (stamp, torn digests) of its loop file as of
+        #: a moment when L1 held every complete record in it; stamp
+        #: ``None``: the file was absent
+        self._stamps: dict[str, tuple[Stamp | None, frozenset[str]]] = {}
+        #: the last loop's shared payload fragments, for :meth:`put_result`
+        self._encoder = PayloadEncoder()
 
     @classmethod
     def open(cls, path: str | os.PathLike,
@@ -128,6 +139,16 @@ class ArtifactStore:
         while self.l1_capacity is not None and len(self._l1) > self.l1_capacity:
             del self._l1[next(iter(self._l1))]
             self.stats.evictions += 1
+            self._stamps.clear()  # L1 no longer holds every stamped record
+
+    def _remember(self, loop_fp: str, stamp: Stamp | None,
+                  torn: frozenset[str] = frozenset()) -> None:
+        """Stamp ``loop_fp``'s file; the stamps are bounded like L1 (a
+        daemon whose requests only miss would add one per loop)."""
+        stamps = self._stamps
+        if self.l1_capacity is not None and len(stamps) >= self.l1_capacity:
+            stamps.clear()
+        stamps[loop_fp] = (stamp, torn)
 
     # ------------------------------------------------------------------
     # lookup / write
@@ -137,7 +158,7 @@ class ArtifactStore:
 
         A decoded L1 entry was revalidated when it was first served, so
         it is served as-is.  A raw record — from disk, or a neighbour an
-        earlier disk hit left in L1 — is decoded (checksums) and its
+        earlier disk read left in L1 — is decoded (checksums) and its
         stored key compared with ``key`` here; only this record is
         decoded.  A record that is absent yields a plain miss; one that
         fails either check is dropped from disk — the slot holds
@@ -150,7 +171,7 @@ class ArtifactStore:
         if entry is None:
             tier = "l2"
             try:
-                entry, neighbours = self.disk.read(key)
+                entry = self._read(key)
             except StoreEntryError:
                 # an unreadable loop file cannot be rewritten either
                 self.stats.invalid += 1
@@ -162,8 +183,7 @@ class ArtifactStore:
         if isinstance(entry, list):
             entry = self._admit(key, entry)
             if entry is None:
-                self._l1.pop(digest, None)
-                self.disk.delete(key)
+                self.invalidate(key)
                 self.stats.invalid += 1
                 self.stats.misses += 1
                 return None
@@ -171,12 +191,37 @@ class ArtifactStore:
             self.stats.hits_l1 += 1
         else:
             self.stats.hits_l2 += 1
-            for other, raw in neighbours.items():
-                if other not in self._l1:
-                    self._l1_put(other, raw)
         self._last_hit = (digest, tier)
         self._l1_put(digest, entry)
         return entry
+
+    def _read(self, key: StoreKey) -> list[bytes] | None:
+        """``key``'s raw record from its loop file, after moving the file's
+        other complete records into L1.
+
+        The file is not read when its stamp shows it unchanged since L1
+        last held all of it and ``key``'s record is not torn there: the
+        record is then absent.  An append by any process moves the size,
+        a rewrite the inode, so a stale stamp costs one read, never a
+        wrong record.
+        """
+        known = self._stamps.get(key.loop_fp)
+        if (known is not None and key.digest not in known[1]
+                and self.disk.stamp(key) == known[0]):
+            return None
+        stamp, loaded = self.disk.read(key)
+        if loaded is None:
+            self._remember(key.loop_fp, None)
+            return None
+        raw = loaded.records.pop(key.digest, None)
+        torn = loaded.torn
+        evictions = self.stats.evictions
+        for other, record in loaded.records.items():
+            if other not in torn and other not in self._l1:
+                self._l1_put(other, record)
+        if self.stats.evictions == evictions:
+            self._remember(key.loop_fp, stamp, frozenset(torn))
+        return raw
 
     @staticmethod
     def _admit(key: StoreKey, raw: list[bytes]) -> StoreEntry | None:
@@ -190,15 +235,23 @@ class ArtifactStore:
 
     def put_result(self, key: StoreKey, result: "CompilationResult") -> StoreEntry:
         """Serialize ``result`` under ``key`` into both tiers."""
-        entry = StoreEntry.from_result(key, result)
-        self.disk.put(key, entry)
+        entry = StoreEntry.from_result(key, result, self._encoder)
+        written, stamp = self.disk.put(key, entry)
         self.stats.writes += 1
+        # the append keeps a stamp only if nothing else changed the file
+        known = self._stamps.pop(key.loop_fp, None)
+        if known is not None and (
+            stamp[1] == written if known[0] is None
+            else stamp[0] == known[0][0] and stamp[1] == known[0][1] + written
+        ):
+            self._remember(key.loop_fp, stamp, known[1])
         self._l1_put(key.digest, entry)
         return entry
 
     def invalidate(self, key: StoreKey) -> None:
         """Drop ``key`` from both tiers (e.g. hydration-time corruption)."""
         self._l1.pop(key.digest, None)
+        self._stamps.pop(key.loop_fp, None)
         self.disk.delete(key)
 
     def reject(self, key: StoreKey) -> None:

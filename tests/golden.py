@@ -1480,6 +1480,76 @@ def _reference_pressure_rows(liveness: CyclicLiveness) -> list[int]:
 
 
 # ----------------------------------------------------------------------
+# Store records (repro.store.entry)
+# ----------------------------------------------------------------------
+def _reference_record_bytes(key, result) -> bytes:
+    """The store record of ``result`` under ``key``, encoded whole: the
+    payload as one dict with every part built for this cell, each line
+    and the header by ``json.dumps`` (sorted keys, no spaces).  The
+    oracle for :class:`repro.store.entry.PayloadEncoder`, which
+    assembles the payload from fragments it reuses across cells."""
+    import hashlib
+    import json
+
+    from repro.store.entry import SCHEMA_VERSION
+
+    def dumps(doc) -> bytes:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+    loop, partitioned = result.loop, result.partitioned
+    precopy = result.precopy_loop
+    partition = result.partition
+    names = dict(partition._registers)
+    body = set(map(id, partitioned.body_copies))
+    bank_of = partitioned.partition.assignment
+    payload = {
+        "ideal": {
+            "ii": result.ideal.ii,
+            "times": [result.ideal.times[op.op_id] for op in loop.ops],
+        },
+        "precopy": None if precopy is None or precopy is loop else format_loop(precopy),
+        "partition": {
+            "n_banks": partition.n_banks,
+            "banks": sorted(
+                [names[rid].name, bank] for rid, bank in partition.assignment.items()
+            ),
+        },
+        "copies": [
+            [op.sources[0].name, op.cluster]
+            for op in partitioned.loop.ops if id(op) in body
+        ] + sorted([src.name, bank_of[dst.rid]]
+                   for src, dst in partitioned.preheader_copies),
+        "kernel": {
+            "ii": result.kernel.ii,
+            "times": [result.kernel.times[op.op_id] for op in partitioned.loop.ops],
+        },
+        "bank_assignment": None,
+    }
+    ba = result.bank_assignment
+    if ba is not None:
+        regs = partitioned.partition._registers
+        payload["bank_assignment"] = {
+            "unroll": ba.unroll,
+            "max_pressure": ba.max_pressure,
+            "physical": sorted(
+                [regs[rid].name, replica, bank, idx]
+                for (rid, replica), (bank, idx) in ba.physical.items()
+            ),
+        }
+    meta_line = dumps({"loop_name": loop.name, "metrics": result.metrics.to_dict()})
+    payload_line = dumps(payload)
+    header = dumps({
+        "digest": key.digest,
+        "key": json.loads(key.canonical_json),
+        "magic": "repro-store",
+        "meta_sha256": hashlib.sha256(meta_line).hexdigest(),
+        "payload_sha256": hashlib.sha256(payload_line).hexdigest(),
+        "schema": SCHEMA_VERSION,
+    })
+    return b"\n".join((header, meta_line, payload_line, b""))
+
+
+# ----------------------------------------------------------------------
 # Compile service replies (repro.serve.server)
 # ----------------------------------------------------------------------
 async def _reference_submit_admitted(
@@ -1548,9 +1618,10 @@ async def _reference_submit_admitted(
     for loop_index, loop, label, metrics in warm:
         await stream_cell(loop_index, loop, label, "store", metrics, None)
 
+    deadline_at = time.monotonic() + budget if budget is not None else None
     for chunk in chunk_cells(cold, service.jobs):
         task = asyncio.get_running_loop().create_task(
-            service._run_chunk(chunk, cold_digests, budget)
+            service._run_chunk(chunk, cold_digests, deadline_at)
         )
         service._chunk_tasks.add(task)
         task.add_done_callback(service._chunk_tasks.discard)

@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from repro.core.faults import FAULT_CRASH_ENV, FAULT_STUCK_ENV
+from repro.core.faults import FAULT_CRASH_ENV, FAULT_HANG_ENV, FAULT_STUCK_ENV
 from repro.core.pipeline import PipelineConfig
 from repro.evalx.export import run_to_csv
 from repro.evalx.runner import (
@@ -286,17 +286,39 @@ class TestServeEndToEnd:
             assert by_label[label].metrics == local.metrics, label
 
     def test_request_deadline_times_out(self, daemon_factory):
-        daemon = daemon_factory("--jobs", "1")
         loops = spec95_corpus(n=4)
+        daemon = daemon_factory("--jobs", "1", env={FAULT_HANG_ENV: loops[1].name})
         with daemon.client(timeout=120.0) as client:
-            result = client.submit(loops, deadline=0.005, request_id="rushed")
-        # the budget is far too small for four loops: the request still
+            result = client.submit(loops, deadline=1.0, request_id="rushed")
+        # the second loop hangs past the deadline: the request still
         # answers every cell, the unfinished ones as timeout failures
         assert len(result.cells) == len(loops) * len(PAPER_CONFIG_ORDER)
         assert result.failures > 0
         for cell in result.cells:
             if not cell.ok:
                 assert cell.failure.kind == "timeout"
+        assert not any(c.ok for c in result.cells if c.loop_name == loops[1].name)
+        assert daemon.stop() == 0
+
+    def test_request_deadline_is_shared_by_its_chunks(self, daemon_factory):
+        """With --jobs 1 the four one-loop chunks of a request run one
+        after another under the request's one deadline: once the hung
+        second loop has spent it, the loops after it come back as
+        timeouts without being compiled."""
+        loops = spec95_corpus(n=4)
+        daemon = daemon_factory("--jobs", "1", env={FAULT_HANG_ENV: loops[1].name})
+        with daemon.client(timeout=120.0) as client:
+            result = client.submit(loops, deadline=1.0)
+            stats = client.stats()
+        later = {loop.name for loop in loops[1:]}
+        assert len(result.cells) == len(loops) * len(PAPER_CONFIG_ORDER)
+        for cell in result.cells:
+            if cell.loop_name in later:
+                assert not cell.ok and cell.failure.kind == "timeout", cell
+        # only cells that came back ok were compiled and stored
+        compiled = sum(cell.ok for cell in result.cells)
+        assert stats["worker_store"]["writes"] == compiled
+        assert stats["worker_store"]["misses"] == compiled
         assert daemon.stop() == 0
 
     def test_queue_full_refuses_admission(self, daemon_factory):

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pathlib
 
 import pytest
 
@@ -207,15 +208,68 @@ def test_corrupt_entries_raise(compiled, machine):
         StoreEntry.from_bytes(b'{"some": "json"}\n{}\n{}\n')
 
 
-def test_record_lines_are_json_dumps_bytes(compiled, machine):
+def _store_cells(store: ArtifactStore, cells: str) -> None:
+    """Compile ``cells`` into ``store``: daxpy on one machine, quick-40 x 6
+    through the runner with and without register allocation (loop-major,
+    so the encoder reuses the fragments a loop's cells share), or 12
+    corpus loops x 6 with register allocation on 6-register banks, where
+    some cells run a spill round."""
+    from repro.core.cache import ArtifactCache
+    from repro.evalx.runner import PAPER_CONFIG_ORDER, run_evaluation
+
+    if cells == "daxpy":
+        compile_loop(build_daxpy(), paper_machine(4, CopyModel.EMBEDDED), CONFIG,
+                     store=store)
+    elif cells == "spill":
+        config = PipelineConfig(run_regalloc=True)
+        machines = [dataclasses.replace(paper_machine(n, model), regs_per_bank=6)
+                    for n, model in PAPER_CONFIG_ORDER]
+        cache = ArtifactCache()
+        for loop in spec95_corpus(n=12):
+            for machine in machines:
+                try:
+                    compile_loop(loop, machine, config, cache=cache, store=store)
+                except RuntimeError:
+                    continue  # spilling did not converge within the round limit
+    else:
+        config = PipelineConfig(run_regalloc=cells == "quick40-regalloc")
+        run_evaluation(spec95_corpus(n=40), config=config, store=store)
+
+
+def test_record_lines_are_json_dumps_bytes(tmp_path, monkeypatch):
     """The shared encoder writes what ``json.dumps(sort_keys=True,
-    separators=(",", ":"))`` writes, so records keep their bytes."""
+    separators=(",", ":"))`` writes, so records keep their bytes: every
+    stored cell's record equals the one the whole-record oracle encodes,
+    and its payload round-trips through both encoders unchanged."""
     from repro.store.entry import _dumps
 
-    loop, result = compiled
-    entry = StoreEntry.from_result(store_key(loop, machine, CONFIG), result)
-    for doc in (entry.meta, entry.payload(), {"f": [1.5, -0.0, 1e-7], "u": "\u00e9"}):
-        assert _dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    from .golden import _reference_record_bytes
+
+    stored: list[tuple] = []
+    put_result = ArtifactStore.put_result
+
+    def recording_put(self, key, result):
+        entry = put_result(self, key, result)
+        stored.append((key, result, entry))
+        return entry
+
+    monkeypatch.setattr(ArtifactStore, "put_result", recording_put)
+    for cells in ("daxpy", "quick40-plain", "quick40-regalloc", "spill"):
+        stored.clear()
+        _store_cells(ArtifactStore.open(tmp_path / cells), cells)
+        if cells == "spill":
+            stored[:] = [c for c in stored if c[1].precopy_loop is not c[1].loop]
+            assert stored, "no cell ran a spill round"
+        elif cells != "daxpy":
+            assert len(stored) == 40 * len(PAPER_MACHINES), cells
+        for key, result, entry in stored:
+            assert entry.to_bytes() == _reference_record_bytes(key, result), (
+                cells, key.digest)
+            for doc in (entry.meta, entry.payload()):
+                assert _dumps(doc) == json.dumps(
+                    doc, sort_keys=True, separators=(",", ":")).encode()
+    doc = {"f": [1.5, -0.0, 1e-7], "u": "\u00e9"}
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def test_keyed_decode_matches_full_parse(compiled, machine):
@@ -532,6 +586,137 @@ def test_truncated_loop_file_costs_one_invalid_miss(tmp_path):
     assert len(fresh.disk) == 6
 
 
+def _daxpy_cells(n: int = 3) -> list[tuple]:
+    """(key, result) of daxpy compiled on the first ``n`` paper machines:
+    cells of one loop file."""
+    loop = build_daxpy()
+    return [(store_key(loop, m, CONFIG), compile_loop(loop, m, CONFIG))
+            for m in PAPER_MACHINES[:n]]
+
+
+def _count_opens(monkeypatch) -> list:
+    """Record every path opened through ``os.open`` or ``io.open`` (which
+    ``pathlib`` reads through) from now on."""
+    import io
+
+    opened: list = []
+    for module in (os, io):
+        real = module.open
+
+        def counting(path, *args, _real=real, **kwargs):
+            opened.append(path)
+            return _real(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, "open", counting)
+    return opened
+
+
+def test_miss_on_a_stamped_loop_file_opens_no_file(tmp_path, monkeypatch):
+    """Once this store found a loop file absent, or appended to it, a
+    miss on that loop is one ``stat``: the file is not read back."""
+    (k0, r0), (k1, _r1), (k2, _r2) = _daxpy_cells()
+    store = ArtifactStore.open(tmp_path / "store")
+    opened = _count_opens(monkeypatch)
+    assert store.lookup(k0) is None  # the one read: the file is absent
+    assert len(opened) == 1
+    assert store.lookup(k1) is None
+    assert len(opened) == 1
+    store.put_result(k0, r0)
+    assert len(opened) == 2  # the append
+    assert store.lookup(k1) is None and store.lookup(k2) is None
+    assert len(opened) == 2
+    assert store.lookup(k0) is not None
+    s = store.stats
+    assert (s.hits_l1, s.hits_l2, s.misses, s.invalid, s.writes) == (1, 0, 4, 0, 1)
+
+
+def test_record_appended_by_another_store_is_a_hit(tmp_path):
+    (k0, r0), (k1, r1), (k2, r2), (k3, r3) = _daxpy_cells(4)
+    first = ArtifactStore.open(tmp_path / "store")
+    second = ArtifactStore.open(tmp_path / "store")
+    assert first.lookup(k0) is None
+    first.put_result(k0, r0)
+    assert first.lookup(k1) is None  # stamped: a plain miss
+    second.put_result(k1, r1)  # the append moves the file's size
+    assert first.lookup(k1) is not None
+    # an append by the other store just before this store's own: the
+    # file grew by more than this store wrote, so its stamp is dropped
+    assert first.lookup(k2) is None
+    second.put_result(k3, r3)
+    first.put_result(k2, r2)
+    assert first.lookup(k3) is not None
+    assert (first.stats.hits_l2, first.stats.misses) == (2, 3)
+
+
+def test_record_deleted_or_rewritten_by_another_store_is_read_again(
+    tmp_path, monkeypatch
+):
+    (k0, r0), (k1, r1), (k2, r2), (k3, r3) = _daxpy_cells(4)
+    first = ArtifactStore.open(tmp_path / "store")
+    second = ArtifactStore.open(tmp_path / "store")
+    opened = _count_opens(monkeypatch)
+    assert first.lookup(k0) is None
+    first.put_result(k0, r0)
+    first.put_result(k1, r1)
+    assert first.lookup(k2) is None  # stamped
+    # rewritten: a new file (another inode) holding k1 and k2
+    second.put_result(k2, r2)
+    second.invalidate(k0)
+    opened.clear()
+    assert first.lookup(k2) is not None
+    assert len(opened) == 1
+    # deleted: the file is gone, so a miss reads again and finds it absent
+    second.invalidate(k1)
+    second.invalidate(k2)
+    assert not second.disk.loop_files()
+    opened.clear()
+    assert first.lookup(k3) is None
+    assert len(opened) == 1
+    second.put_result(k3, r3)  # recreated after first found it absent
+    opened.clear()
+    assert first.lookup(k3) is not None
+    assert len(opened) == 1
+    s = first.stats
+    assert (s.hits_l2, s.misses, s.invalid) == (2, 3, 0)
+
+
+def test_torn_record_in_a_stamped_file_costs_one_invalid_miss(tmp_path):
+    """A miss stamps the file with its torn digests, so a lookup of the
+    torn one still reads the file, counts it invalid and rewrites it."""
+    path = tmp_path / "store"
+    store = ArtifactStore.open(path)
+    for machine in PAPER_MACHINES:
+        compile_loop(build_daxpy(), machine, CONFIG, store=store)
+    [loop_file] = store.disk.loop_files()
+    data = loop_file.read_bytes()
+    last = data.rfind(b'\n{"digest":"') + 1  # the last config's record
+    loop_file.write_bytes(data[: (last + len(data)) // 2])
+
+    fresh = ArtifactStore.open(path)
+    other = PipelineConfig(budget_ratio=13)  # same loop, so the same file
+    assert fresh.lookup(store_key(build_daxpy(), PAPER_MACHINES[0], other)) is None
+    torn = store_key(build_daxpy(), PAPER_MACHINES[-1], CONFIG)
+    assert fresh.lookup(torn) is None
+    s = fresh.stats
+    assert (s.hits_l1, s.hits_l2, s.misses, s.invalid) == (0, 0, 2, 1)
+    assert fresh.disk.verify().ok and len(fresh.disk) == 5
+    compile_loop(build_daxpy(), PAPER_MACHINES[-1], CONFIG, store=fresh)
+    assert fresh.stats.writes == 1 and len(fresh.disk) == 6
+
+
+def test_l1_eviction_drops_the_stamps(tmp_path):
+    """A stamp vouches that L1 holds every record of its file; once L1
+    evicts one, a lookup of it reads the file again and hits."""
+    (k0, r0), (k1, r1), (k2, r2) = _daxpy_cells()
+    store = ArtifactStore.open(tmp_path / "store", l1_capacity=2)
+    assert store.lookup(k0) is None
+    for key, result in ((k0, r0), (k1, r1), (k2, r2)):
+        store.put_result(key, result)
+    assert store.stats.evictions == 1  # k0 fell out of L1
+    assert store.lookup(k0) is not None
+    assert (store.stats.hits_l2, store.stats.misses) == (1, 1)
+
+
 def test_cold_store_holds_one_file_per_loop(tmp_path):
     from repro.evalx.runner import run_evaluation
 
@@ -589,7 +774,7 @@ def test_tiered_invalid_entries_degrade_to_recorded_miss(
     store.put_result(key, result)
 
     # bit-flip the on-disk file; use a fresh store so L1 cannot mask it
-    path = store.disk._path_for(key)
+    path = pathlib.Path(store.disk._path_for(key))
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0x01
     path.write_bytes(bytes(blob))
