@@ -53,14 +53,14 @@ def test_bench_rcg_build(benchmark, big_loop):
     ddg = build_loop_ddg(big_loop)
     ks = modulo_schedule(big_loop, ddg, m)
     rcg = benchmark(build_rcg_from_kernel, ks, ddg)
-    assert len(rcg) > 0
+    assert rcg.n_edges > 0
 
 
 def test_bench_greedy_partition(benchmark, big_loop):
     m = ideal_machine()
     ddg = build_loop_ddg(big_loop)
     ks = modulo_schedule(big_loop, ddg, m)
-    rcg = build_rcg_from_kernel(ks, ddg)
+    rcg = build_rcg_from_kernel(ks, ddg).freeze()
     part = benchmark(greedy_partition, rcg, 4)
     assert len(part) == len(rcg)
 
@@ -69,7 +69,7 @@ def test_bench_copy_insertion(benchmark, big_loop, machine4):
     m = ideal_machine()
     ddg = build_loop_ddg(big_loop)
     ks = modulo_schedule(big_loop, ddg, m)
-    rcg = build_rcg_from_kernel(ks, ddg)
+    rcg = build_rcg_from_kernel(ks, ddg).freeze()
     part = greedy_partition(rcg, 4)
     ploop = benchmark(insert_copies, big_loop, part, machine4)
     assert len(ploop.loop.ops) >= len(big_loop.ops)

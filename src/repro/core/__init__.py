@@ -8,7 +8,8 @@ register component graph partitioning" (Section 1).
 Modules
 -------
 * :mod:`repro.core.rcg` -- the weighted undirected graph over symbolic
-  registers (a mutable builder and its frozen, shareable form),
+  registers: a write-only builder and the frozen, shareable graph every
+  reader takes,
 * :mod:`repro.core.weights` -- heuristic node/edge weighting drawn from the
   ideal schedule (Section 5),
 * :mod:`repro.core.greedy` -- the Figure-4 greedy bank assignment,

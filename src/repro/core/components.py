@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.rcg import FrozenRCG, RegisterComponentGraph, csr_components
+from repro.core.rcg import FrozenRCG, csr_components
 from repro.ir.registers import SymbolicRegister
 
 
 def connected_components(
-    rcg: RegisterComponentGraph | FrozenRCG, positive_only: bool = False
+    rcg: FrozenRCG, positive_only: bool = False
 ) -> list[list[SymbolicRegister]]:
     """Components of the RCG, each sorted by rid; components ordered by
     descending total node weight then by smallest rid.
@@ -34,9 +34,8 @@ def connected_components(
     # Flood-fill over the frozen CSR adjacency (shared with the
     # partitioner); traversal order cannot affect the result — membership
     # is symmetric and every component is sorted before it is reported.
-    g = rcg.freeze()
-    offsets, nbr, wgt = g.csr()
-    nodes = g.nodes()  # ascending rid, aligned with the CSR indices
+    offsets, nbr, wgt = rcg.csr()
+    nodes = rcg.nodes()  # ascending rid, aligned with the CSR indices
     components = [
         [nodes[i] for i in sorted(comp)]
         for comp in csr_components(offsets, nbr, wgt, positive_only)
@@ -58,15 +57,9 @@ class ComponentSummary:
     smallest: int
     singleton_count: int
 
-    @property
-    def splittable(self) -> bool:
-        """True when at least one component must be split to use > 1 bank,
-        i.e. registers do not naturally separate."""
-        return self.n_components == 1
-
 
 def component_summary(
-    rcg: RegisterComponentGraph | FrozenRCG, positive_only: bool = True
+    rcg: FrozenRCG, positive_only: bool = True
 ) -> ComponentSummary:
     comps = connected_components(rcg, positive_only=positive_only)
     sizes = [len(c) for c in comps] or [0]

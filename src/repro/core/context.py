@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.copies import PartitionedLoop
     from repro.core.fingerprint import StoreKey, StoreKeyPrefix
     from repro.core.greedy import Partition
-    from repro.core.rcg import FrozenRCG, RegisterComponentGraph
+    from repro.core.rcg import FrozenRCG
     from repro.core.results import LoopMetrics
     from repro.ddg.graph import DDG
     from repro.obs.metrics import MetricsRegistry
@@ -96,7 +96,7 @@ class CompilationContext:
     ideal: "KernelSchedule | None" = None
 
     # step 3 artifacts
-    rcg: "FrozenRCG | RegisterComponentGraph | None" = None
+    rcg: "FrozenRCG | None" = None
     partition: "Partition | None" = None
     #: optimality certificate when the ``exact`` partitioner ran
     #: (:class:`repro.exact.bnb.ExactProof`); None for every heuristic

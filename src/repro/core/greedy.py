@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.rcg import FrozenRCG, RegisterComponentGraph
+from repro.core.rcg import FrozenRCG
 from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
 from repro.ir.registers import SymbolicRegister
 
@@ -73,7 +73,7 @@ class Partition:
 
 
 def greedy_partition(
-    rcg: RegisterComponentGraph | FrozenRCG,
+    rcg: FrozenRCG,
     n_banks: int,
     config: HeuristicConfig = DEFAULT_HEURISTIC,
     precolored: dict[SymbolicRegister, int] | None = None,
@@ -104,7 +104,6 @@ def greedy_partition(
     bank sizes, plus placement counters.  Both default to None and cost
     nothing disabled; neither influences the assignment.
     """
-    rcg = rcg.freeze()
     if tracer is not None:
         with tracer.span(
             "greedy_partition", cat="substep",

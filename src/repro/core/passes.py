@@ -617,7 +617,7 @@ class SpillRetryLoop:
         sddg = build_loop_ddg(ctx.current_loop, ctx.machine.latencies)
         ctx.current_ddg = sddg
         sideal = ctx.schedule(ctx.current_loop, sddg, ctx.ideal_target)
-        srcg = build_rcg_from_kernel(sideal, sddg, ctx.config.heuristic)
+        srcg = build_rcg_from_kernel(sideal, sddg, ctx.config.heuristic).freeze()
         ctx.current_partition = greedy_partition(
             srcg,
             ctx.machine.n_clusters,
@@ -680,7 +680,7 @@ class ComputeMetrics:
     def run(self, ctx: CompilationContext) -> None:
         ideal_for_width = ctx.ideal_target
         n_components = (
-            ctx.rcg.freeze().n_positive_components if ctx.rcg is not None else 0
+            ctx.rcg.n_positive_components if ctx.rcg is not None else 0
         )
         max_pressure = (
             ctx.bank_assignment.max_pressure if ctx.bank_assignment is not None else 0

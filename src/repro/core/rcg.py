@@ -8,14 +8,13 @@ details into costs associated with the nodes and edges of the graph"
 (Section 4.1) — nothing in this structure knows about clusters, latencies
 or schedules; those are encoded entirely by the weighting pass.
 
-Two classes share one query interface:
-
-* :class:`RegisterComponentGraph` is the mutable accumulator the
-  weighting pass (and the whole-function / mixed paths) write into;
-* :meth:`RegisterComponentGraph.freeze` packs it into a
-  :class:`FrozenRCG` — read-only, array-backed, and carrying the
-  derivations every partitioner needs (CSR adjacency, greedy placement
-  order, balance-penalty weight scale, positive-edge component count).
+There is one graph that partitioners read, :class:`FrozenRCG`: read-only,
+array-backed, and carrying the derivations every partitioner needs (CSR
+adjacency, greedy placement order, balance-penalty weight scale,
+positive-edge component count).  :class:`RegisterComponentGraph` is the
+write-only builder the weighting pass (and the whole-function path)
+accumulates into; it answers no queries, and its ``freeze`` packs it
+into a :class:`FrozenRCG`.
 
 Because the RCG is built from the machine-independent ideal schedule
 (Section 4, step 3), the frozen graph of a loop is the same for every
@@ -36,10 +35,6 @@ from repro.ir.registers import SymbolicRegister
 
 
 _rid = attrgetter("rid")
-
-
-def _edge_key(a: SymbolicRegister, b: SymbolicRegister) -> tuple[int, int]:
-    return (a.rid, b.rid) if a.rid <= b.rid else (b.rid, a.rid)
 
 
 def _index_array(values: list[int], bound: int) -> array:
@@ -78,18 +73,13 @@ def csr_components(offsets, nbr, wgt, positive_only: bool) -> list[list[int]]:
 
 @dataclass
 class RegisterComponentGraph:
-    """Weighted undirected graph over symbolic registers, under construction.
-
-    Node and edge lookups read the construction tables directly; every
-    other query answers from :meth:`freeze`, whose snapshot is cached
-    until the next mutation.
-    """
+    """Weighted undirected graph over symbolic registers, under
+    construction: it takes writes only, and :meth:`freeze` packs it into
+    the :class:`FrozenRCG` every reader takes."""
 
     _nodes: dict[int, SymbolicRegister] = field(default_factory=dict)
     _node_weight: dict[int, float] = field(default_factory=dict)
     _edges: dict[tuple[int, int], float] = field(default_factory=dict)
-    #: the :meth:`freeze` snapshot, dropped on every mutation
-    _frozen: "FrozenRCG | None" = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # construction
@@ -98,7 +88,6 @@ class RegisterComponentGraph:
         if reg.rid not in self._nodes:
             self._nodes[reg.rid] = reg
             self._node_weight[reg.rid] = 0.0
-            self._frozen = None
 
     def add_node_weight(self, reg: SymbolicRegister, weight: float) -> None:
         rid = reg.rid
@@ -107,7 +96,6 @@ class RegisterComponentGraph:
             self._nodes[rid] = reg
             weights[rid] = 0.0
         weights[rid] += weight
-        self._frozen = None
 
     def add_edge_weight(self, a: SymbolicRegister, b: SymbolicRegister, weight: float) -> None:
         """Add ``weight`` to edge (a, b), creating it at 0 if absent.
@@ -128,7 +116,6 @@ class RegisterComponentGraph:
         key = (arid, brid) if arid <= brid else (brid, arid)
         edges = self._edges
         edges[key] = edges.get(key, 0.0) + weight
-        self._frozen = None
 
     def ingest_tables(self):
         """Direct references to the node/weight/edge tables, for the
@@ -138,10 +125,8 @@ class RegisterComponentGraph:
         :meth:`add_edge_weight`/:meth:`add_node_weight` would — dict
         insertion orders feed order-dependent float accumulations
         downstream (the greedy weight scale, ``cut_weight``) — but skips
-        per-call method dispatch; the frozen snapshot is dropped here,
-        once, up front.
+        per-call method dispatch.
         """
-        self._frozen = None
         return self._nodes, self._node_weight, self._edges
 
     def flat_adjacency(self) -> tuple[
@@ -154,8 +139,7 @@ class RegisterComponentGraph:
         occupy ``neighbor_index[offsets[i]:offsets[i+1]]`` (as indices
         into ``rids``) in ascending-rid order with matching weights, so
         per-node benefit sums accumulate in a fixed order.  This is the
-        construction :meth:`freeze` packs into arrays; it is not cached,
-        so query the frozen graph instead of calling it repeatedly.
+        construction :meth:`freeze` packs into arrays.
         """
         rids = sorted(self._nodes)
         index_of = {rid: i for i, rid in enumerate(rids)}
@@ -179,12 +163,14 @@ class RegisterComponentGraph:
         wgt = list(chain.from_iterable(wgt_of))
         return index_of, rids, offsets, nbr, wgt
 
+    @property
+    def n_edges(self) -> int:
+        return len(self._edges)
+
     def freeze(self) -> "FrozenRCG":
-        """The read-only, array-backed form of this graph (cached until
-        the next mutation)."""
-        if self._frozen is None:
-            self._frozen = self._pack()
-        return self._frozen
+        """The read-only, array-backed form of this graph, packed anew on
+        every call."""
+        return self._pack()
 
     def _pack(self) -> "FrozenRCG":
         index_of, rids, offsets, nbr, wgt = self.flat_adjacency()
@@ -228,54 +214,6 @@ class RegisterComponentGraph:
             n_positive_components=len(csr_components(offsets, nbr, wgt, True)),
         )
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, reg: SymbolicRegister) -> bool:
-        return reg.rid in self._nodes
-
-    def nodes(self) -> list[SymbolicRegister]:
-        """Registers in deterministic (rid) order."""
-        return [self._nodes[rid] for rid in sorted(self._nodes)]
-
-    def node_weight(self, reg: SymbolicRegister) -> float:
-        return self._node_weight[reg.rid]
-
-    def edge_weight(self, a: SymbolicRegister, b: SymbolicRegister) -> float:
-        return self._edges.get(_edge_key(a, b), 0.0)
-
-    def edge_weight_values(self):
-        """Edge weights in insertion order, without the ``edges()`` sort."""
-        return self._edges.values()
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        return self.freeze().adjacency()
-
-    def neighbors(self, reg: SymbolicRegister) -> Iterator[tuple[SymbolicRegister, float]]:
-        return self.freeze().neighbors(reg)
-
-    def edges(self) -> Iterator[tuple[SymbolicRegister, SymbolicRegister, float]]:
-        return self.freeze().edges()
-
-    def nodes_by_weight(self) -> list[SymbolicRegister]:
-        return self.freeze().nodes_by_weight()
-
-    def cut_weight(self, assignment: dict[int, int]) -> float:
-        return self.freeze().cut_weight(assignment)
-
-    def internal_weight(self, assignment: dict[int, int]) -> float:
-        return self.freeze().internal_weight(assignment)
-
-    def to_networkx(self):
-        return self.freeze().to_networkx()
-
 
 class FrozenRCG:
     """Read-only register component graph over dense node indices.
@@ -316,9 +254,6 @@ class FrozenRCG:
     def __delattr__(self, name):
         raise AttributeError(f"FrozenRCG is read-only (cannot delete {name!r})")
 
-    def freeze(self) -> "FrozenRCG":
-        return self
-
     def index_of(self, rid: int) -> int:
         """Dense index of ``rid``, or -1 if it is not a node."""
         regs = self._regs
@@ -352,15 +287,6 @@ class FrozenRCG:
         k = bisect_left(self._nbr, ib, self._offsets[ia], hi)
         return self._wgt[k] if k < hi and self._nbr[k] == ib else 0.0
 
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        """rid -> [(neighbor rid, weight)] in ascending-rid order."""
-        rids = [reg.rid for reg in self._regs]
-        offsets, nbr, wgt = self._offsets, self._nbr, self._wgt
-        return {
-            rid: [(rids[nbr[k]], wgt[k]) for k in range(offsets[i], offsets[i + 1])]
-            for i, rid in enumerate(rids)
-        }
-
     def csr(self) -> tuple[array, array, array]:
         """The CSR adjacency as ``(offsets, nbr, wgt)`` over the dense
         indices of :meth:`nodes`.  The arrays are shared and must not be
@@ -385,11 +311,6 @@ class FrozenRCG:
                 if j > i:
                     yield regs[i], regs[j], wgt[k]
 
-    def edge_weight_values(self) -> list[float]:
-        """Edge weights in the builder's insertion order."""
-        wgt = self._wgt
-        return [wgt[k] for k in self._edge_pos]
-
     @property
     def n_edges(self) -> int:
         return len(self._edge_pos)
@@ -400,40 +321,18 @@ class FrozenRCG:
         regs = self._regs
         return [regs[i] for i in self.placement_order]
 
-    def _insertion_edges(self) -> Iterator[tuple[int, int, float]]:
-        """(rid, rid, weight) per edge in the builder's insertion order."""
-        regs, offsets, nbr, wgt = self._regs, self._offsets, self._nbr, self._wgt
-        for k in self._edge_pos:
-            yield regs[bisect_right(offsets, k) - 1].rid, regs[nbr[k]].rid, wgt[k]
-
     # ------------------------------------------------------------------
     # partition-quality accounting (used by reports and tests)
     # ------------------------------------------------------------------
     def cut_weight(self, assignment: dict[int, int]) -> float:
         """Sum of weights of edges whose endpoints land in different banks
-        under ``assignment`` (rid -> bank).  A good partition cuts little
-        positive weight and much negative weight."""
+        under ``assignment`` (rid -> bank), in the builder's insertion
+        order.  A good partition cuts little positive weight and much
+        negative weight."""
+        regs, offsets, nbr, wgt = self._regs, self._offsets, self._nbr, self._wgt
         total = 0.0
-        for ra, rb, w in self._insertion_edges():
-            if assignment.get(ra) != assignment.get(rb):
-                total += w
+        for k in self._edge_pos:
+            ra = regs[bisect_right(offsets, k) - 1].rid
+            if assignment.get(ra) != assignment.get(regs[nbr[k]].rid):
+                total += wgt[k]
         return total
-
-    def internal_weight(self, assignment: dict[int, int]) -> float:
-        """Sum of weights kept inside banks."""
-        total = 0.0
-        for ra, rb, w in self._insertion_edges():
-            if assignment.get(ra) == assignment.get(rb):
-                total += w
-        return total
-
-    def to_networkx(self):
-        """Export to a networkx graph for ad-hoc analysis and plotting."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for reg, weight in zip(self._regs, self._weights):
-            g.add_node(reg.rid, name=reg.name, weight=weight)
-        for ra, rb, w in self._insertion_edges():
-            g.add_edge(ra, rb, weight=w)
-        return g

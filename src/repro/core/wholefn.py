@@ -35,7 +35,7 @@ from typing import Iterable
 
 from repro.core.copies import PartitionedLoop, insert_copies
 from repro.core.greedy import Partition, greedy_partition
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG, RegisterComponentGraph
 from repro.core.weights import (
     DEFAULT_HEURISTIC,
     HeuristicConfig,
@@ -77,7 +77,7 @@ class FunctionCompilation:
 
     function: Function
     machine: MachineDescription
-    rcg: RegisterComponentGraph
+    rcg: FrozenRCG
     partition: Partition
     ideal_schedules: dict[str, LinearSchedule]
     clustered_blocks: dict[str, BasicBlock]
@@ -154,14 +154,14 @@ def compile_function(
     ideal = ideal_machine(width=machine.width, latencies=machine.latencies)
 
     # step 2: ideal schedules of blocks and loops, one function-wide RCG
-    rcg = RegisterComponentGraph()
+    builder = RegisterComponentGraph()
     ideal_schedules: dict[str, LinearSchedule] = {}
     for block in fn.blocks:
         ddg = build_block_ddg(block, machine.latencies)
         sched = list_schedule(ddg, ideal)
         validate_linear_schedule(sched, ddg)
         ideal_schedules[block.name] = sched
-        build_rcg_from_linear(sched, ddg, depth=block.depth, config=config, rcg=rcg)
+        build_rcg_from_linear(sched, ddg, depth=block.depth, config=config, rcg=builder)
     ideal_kernels: dict[str, KernelSchedule] = {}
     loop_ddgs = {}
     slots_per_bank = 0
@@ -172,12 +172,13 @@ def compile_function(
         ideal_kernels[loop.name] = ks
         loop_ddgs[loop.name] = ddg
         slots_per_bank = max(slots_per_bank, machine.fus_per_cluster * ks.ii)
-        build_rcg_from_kernel(ks, ddg, config=config, rcg=rcg)
+        build_rcg_from_kernel(ks, ddg, config=config, rcg=builder)
     registers = fn.registers()
     for loop in loops:
         registers |= loop.registers()
     for reg in registers:
-        rcg.add_node(reg)
+        builder.add_node(reg)
+    rcg = builder.freeze()
 
     # step 3: one partition for the whole function; per-bank issue capacity
     # is the larger of the loops' kernel slots and the cluster's slots

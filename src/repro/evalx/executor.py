@@ -13,6 +13,7 @@ error)`` (a result holding every cell as a failure);
 from __future__ import annotations
 
 import concurrent.futures
+import signal
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
@@ -31,8 +32,18 @@ class _Reaped(Exception):
     """A chunk outlived its watchdog limit; its pool's workers are dead."""
 
 
+def _reset_signals() -> None:
+    """Give a forked worker default SIGTERM/SIGINT handling.  A daemon's
+    worker otherwise inherits asyncio's handlers and its signal wakeup
+    fd: a SIGTERM sent to the worker would be ignored there and written
+    into the daemon's self-pipe, draining the daemon instead."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
 def _new_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=workers, initializer=_reset_signals)
 
 
 class SupervisedPool:

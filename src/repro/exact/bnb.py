@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.greedy import Partition
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG
 from repro.exact.cost import (
     OVERFLOW_WEIGHT,
     ExactProblem,
@@ -86,7 +86,7 @@ def solve_exact(
     problem: ExactProblem,
     *,
     warm: Partition | None = None,
-    rcg: RegisterComponentGraph | None = None,
+    rcg: FrozenRCG | None = None,
     node_limit: int | None = None,
     time_budget: float | None = None,
 ) -> tuple[Partition, ExactProof]:
@@ -110,7 +110,7 @@ class _Search:
         self,
         problem: ExactProblem,
         warm: Partition | None,
-        rcg: RegisterComponentGraph | None,
+        rcg: FrozenRCG | None,
         node_limit: int | None,
         time_budget: float | None,
     ):
@@ -196,7 +196,7 @@ class _Search:
             self.best_cost = self.warm_cost
 
     # ------------------------------------------------------------------
-    def _decision_order(self, rcg: RegisterComponentGraph | None) -> list[int]:
+    def _decision_order(self, rcg: FrozenRCG | None) -> list[int]:
         """Decision order: grow outward from the heaviest RCG node along
         op pin<->source ties, heaviest frontier register first.
 

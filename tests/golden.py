@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 from repro.core.baselines import _place_live_ins
 from repro.core.copies import PartitionedLoop, _home_cluster
 from repro.core.greedy import Partition
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG, RegisterComponentGraph
 from repro.core.uas import _ClusterMRT
 from repro.core.weights import DEFAULT_HEURISTIC, HeuristicConfig
 from repro.ddg.analysis import longest_path_heights, min_ii, recurrence_ii, schedule_slack
@@ -1003,7 +1003,7 @@ def _reference_estart_lstart(ddg: DDG, times, length: int, latencies=None):
 # Greedy partitioner (repro.core.greedy)
 # ----------------------------------------------------------------------
 def _reference_greedy_partition(
-    rcg: RegisterComponentGraph,
+    rcg: FrozenRCG,
     n_banks: int,
     config: HeuristicConfig = DEFAULT_HEURISTIC,
     precolored: dict[SymbolicRegister, int] | None = None,
@@ -1043,7 +1043,7 @@ def _reference_greedy_partition(
 
 
 def _reference_choose_best_bank(
-    rcg: RegisterComponentGraph,
+    rcg: FrozenRCG,
     partition: Partition,
     node: SymbolicRegister,
     n_banks: int,
@@ -1247,10 +1247,10 @@ def partitioned_listing(partitioned: PartitionedLoop) -> dict[str, object]:
     }
 
 
-def frozen_tables(rcg) -> dict[str, object]:
-    """Every table of a :class:`~repro.core.rcg.FrozenRCG`, as plain
-    values (registers by rid)."""
-    frozen = rcg.freeze()
+def frozen_tables(builder: RegisterComponentGraph) -> dict[str, object]:
+    """Every table of the :class:`~repro.core.rcg.FrozenRCG` that
+    ``builder`` packs, as plain values (registers by rid)."""
+    frozen = builder.freeze()
     return {
         "regs": [reg.rid for reg in frozen.nodes()],
         "weights": list(frozen._weights),

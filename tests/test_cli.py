@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -221,3 +226,41 @@ class TestTuneCommand:
         out = capsys.readouterr().out
         assert "incumbent objective" in out
         assert "best config" in out
+
+
+class TestNoRuntimeDependency:
+    """The package declares no runtime dependency: the CLI runs with every
+    module outside the standard library and ``repro`` made unimportable."""
+
+    BLOCKER = (
+        "import runpy, sys\n"
+        "class StdlibOnly:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        top = name.partition('.')[0]\n"
+        "        if top != 'repro' and top not in sys.stdlib_module_names:\n"
+        "            raise ModuleNotFoundError(f'blocked import of {name}')\n"
+        "sys.meta_path.insert(0, StdlibOnly())\n"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "daxpy", "--clusters", "2", "--check"],
+        ["evaluate", "--quick", "8"],
+    ], ids=["compile", "evaluate"])
+    def test_cli_runs_on_the_standard_library_alone(self, argv):
+        src = pathlib.Path(__file__).parent.parent / "src"
+        script = self.BLOCKER + (
+            f"sys.argv = ['repro', *{argv!r}]\n"
+            "runpy.run_module('repro', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_blocker_refuses_a_third_party_import(self):
+        script = self.BLOCKER + "import pytest\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "blocked import of pytest" in proc.stderr

@@ -176,7 +176,7 @@ class TestGreedyEdgeCases:
         from repro.core.greedy import greedy_partition
         from repro.core.rcg import RegisterComponentGraph
 
-        part = greedy_partition(RegisterComponentGraph(), 4)
+        part = greedy_partition(RegisterComponentGraph().freeze(), 4)
         assert len(part) == 0
         assert part.bank_sizes() == [0, 0, 0, 0]
 

@@ -52,7 +52,7 @@ def _warm_and_problem(loop, n_clusters, slots=None):
     """Greedy warm start + problem, the way the pipeline builds them."""
     ddg = build_loop_ddg(loop)
     ideal = modulo_schedule(loop, ddg, ideal_machine())
-    rcg = build_rcg_from_kernel(ideal, ddg, DEFAULT_HEURISTIC)
+    rcg = build_rcg_from_kernel(ideal, ddg, DEFAULT_HEURISTIC).freeze()
     warm = greedy_partition(rcg, n_clusters, slots_per_bank=slots,
                             precolored=None)
     problem = build_problem(loop, n_clusters, slots, None)
@@ -155,7 +155,7 @@ class TestWarmStartDominance:
             ddg = build_loop_ddg(loop)
             ideal = modulo_schedule(loop, ddg, ideal_machine())
             slots = (16 // n_clusters) * ideal.ii
-            rcg = build_rcg_from_kernel(ideal, ddg, DEFAULT_HEURISTIC)
+            rcg = build_rcg_from_kernel(ideal, ddg, DEFAULT_HEURISTIC).freeze()
             warm = greedy_partition(rcg, n_clusters, slots_per_bank=slots,
                                     precolored=None)
             problem = build_problem(loop, n_clusters, slots, None)

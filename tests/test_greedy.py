@@ -58,7 +58,7 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         for i in range(9):
             g.add_edge_weight(regs[i], regs[i + 1], 1.0)
-        p = greedy_partition(g, 4)
+        p = greedy_partition(g.freeze(), 4)
         assert len(p) == 10
         assert all(0 <= b < 4 for b in p.assignment.values())
 
@@ -67,7 +67,7 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], 10.0)
         g.add_node_weight(regs[0], 10.0)
-        p = greedy_partition(g, 2)
+        p = greedy_partition(g.freeze(), 2)
         assert p.bank_of(regs[0]) == p.bank_of(regs[1])
 
     def test_antiaffine_pair_splits(self):
@@ -75,7 +75,7 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], -5.0)
         g.add_node_weight(regs[0], 1.0)
-        p = greedy_partition(g, 2)
+        p = greedy_partition(g.freeze(), 2)
         assert p.bank_of(regs[0]) != p.bank_of(regs[1])
 
     def test_two_components_separate_under_pressure(self):
@@ -85,7 +85,7 @@ class TestGreedyPartition:
             g.add_edge_weight(regs[i], regs[i + 1], 3.0)
         # capacity 1 register per bank forces spreading of the 3 pairs
         p = greedy_partition(
-            g, 3, HeuristicConfig(balance_penalty=5.0), slots_per_bank=2
+            g.freeze(), 3, HeuristicConfig(balance_penalty=5.0), slots_per_bank=2
         )
         banks_used = {p.bank_of(r) for r in regs}
         assert len(banks_used) >= 2
@@ -95,7 +95,7 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], 1.0)
         g.add_node(regs[2])
-        p = greedy_partition(g, 2, precolored={regs[0]: 1})
+        p = greedy_partition(g.freeze(), 2, precolored={regs[0]: 1})
         assert p.bank_of(regs[0]) == 1
         assert p.bank_of(regs[1]) == 1  # follows its precolored neighbor
 
@@ -104,19 +104,19 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         g.add_node(regs[0])
         with pytest.raises(ValueError):
-            greedy_partition(g, 2, precolored={regs[1]: 0})
+            greedy_partition(g.freeze(), 2, precolored={regs[1]: 0})
 
     def test_single_bank(self):
         regs = make_regs(3)
         g = RegisterComponentGraph()
         for r in regs:
             g.add_node(r)
-        p = greedy_partition(g, 1)
+        p = greedy_partition(g.freeze(), 1)
         assert all(p.bank_of(r) == 0 for r in regs)
 
     def test_zero_banks_rejected(self):
         with pytest.raises(ValueError):
-            greedy_partition(RegisterComponentGraph(), 0)
+            greedy_partition(RegisterComponentGraph().freeze(), 0)
 
     def test_literal_figure4_defaults_to_bank_zero(self):
         """The verbatim pseudocode sends isolated nodes to bank 0."""
@@ -124,7 +124,7 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         for r in regs:
             g.add_node(r)
-        p = greedy_partition(g, 4, HeuristicConfig(literal_figure4=True))
+        p = greedy_partition(g.freeze(), 4, HeuristicConfig(literal_figure4=True))
         assert all(p.bank_of(r) == 0 for r in regs)
 
     def test_capacity_awareness_keeps_small_groups_whole(self):
@@ -133,7 +133,7 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         for i in range(5):
             g.add_edge_weight(regs[i], regs[i + 1], 2.0)
-        p = greedy_partition(g, 4, slots_per_bank=100)
+        p = greedy_partition(g.freeze(), 4, slots_per_bank=100)
         assert len({p.bank_of(r) for r in regs}) == 1
 
     def test_determinism(self):
@@ -141,6 +141,6 @@ class TestGreedyPartition:
         g = RegisterComponentGraph()
         for i in range(11):
             g.add_edge_weight(regs[i], regs[i + 1], float(i % 3) - 1.0)
-        p1 = greedy_partition(g, 4)
-        p2 = greedy_partition(g, 4)
+        p1 = greedy_partition(g.freeze(), 4)
+        p2 = greedy_partition(g.freeze(), 4)
         assert p1.assignment == p2.assignment

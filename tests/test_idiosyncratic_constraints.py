@@ -32,7 +32,7 @@ class TestInfiniteNegativeEdges:
         g.add_edge_weight(b, c, NEG_INF)
         # some ordinary affinity trying (and failing) to merge them
         g.add_edge_weight(a, b, 5.0)
-        part = greedy_partition(g, 4)
+        part = greedy_partition(g.freeze(), 4)
         banks = {part.bank_of(a), part.bank_of(b), part.bank_of(c)}
         assert len(banks) == 3
 
@@ -43,7 +43,7 @@ class TestInfiniteNegativeEdges:
         for i in range(3):
             g.add_edge_weight(regs[i], regs[i + 1], 10.0)
         g.add_edge_weight(regs[0], regs[3], NEG_INF)
-        part = greedy_partition(g, 2)
+        part = greedy_partition(g.freeze(), 2)
         assert part.bank_of(regs[0]) != part.bank_of(regs[3])
 
 

@@ -17,7 +17,7 @@ def greedy_seed(loop, machine):
     ddg = build_loop_ddg(loop, machine.latencies)
     ideal = ideal_machine(width=machine.width, latencies=machine.latencies)
     ks = modulo_schedule(loop, ddg, ideal)
-    rcg = build_rcg_from_kernel(ks, ddg)
+    rcg = build_rcg_from_kernel(ks, ddg).freeze()
     return greedy_partition(
         rcg, machine.n_clusters, slots_per_bank=machine.fus_per_cluster * ks.ii
     )

@@ -30,7 +30,7 @@ from repro.core.cache import ArtifactCache
 from repro.core.copies import insert_copies
 from repro.core.greedy import greedy_partition
 from repro.core.pipeline import PipelineConfig, compile_loop
-from repro.core.rcg import RegisterComponentGraph
+from repro.core.rcg import FrozenRCG, RegisterComponentGraph
 from repro.core.weights import HeuristicConfig, build_rcg_from_kernel
 from repro.ddg.analysis import (
     critical_cycle_ratio,
@@ -123,7 +123,7 @@ def random_ddg(seed: int, copy_frac: float = 0.0) -> DDG:
     return ddg
 
 
-def random_rcg(seed: int) -> tuple[RegisterComponentGraph, list]:
+def random_rcg(seed: int) -> tuple[FrozenRCG, list]:
     rng = random.Random(seed)
     factory = RegisterFactory()
     n = rng.randint(2, 30)
@@ -134,7 +134,7 @@ def random_rcg(seed: int) -> tuple[RegisterComponentGraph, list]:
     for _ in range(rng.randint(0, 3 * n)):
         a, b = rng.sample(regs, 2)
         rcg.add_edge_weight(a, b, rng.uniform(-4.0, 8.0))
-    return rcg, regs
+    return rcg.freeze(), regs
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +415,8 @@ def test_insert_copies_matches_reference_on_random_partitions(n_banks, model):
 # ----------------------------------------------------------------------
 def _naive_components(rcg, positive_only):
     """Set-based flood fill straight off the public edge iterator."""
-    adj: dict[int, set[int]] = {reg.rid: set() for reg in rcg.nodes()}
+    regs = {reg.rid: reg for reg in rcg.nodes()}
+    adj: dict[int, set[int]] = {rid: set() for rid in regs}
     for a, b, w in rcg.edges():
         if positive_only and w <= 0:
             continue
@@ -437,7 +438,7 @@ def _naive_components(rcg, positive_only):
                     stack.append(n)
         comps.append(sorted(comp))
     comps.sort(
-        key=lambda c: (-sum(rcg.node_weight(rcg._nodes[r]) for r in c), c[0])
+        key=lambda c: (-sum(rcg.node_weight(regs[r]) for r in c), c[0])
     )
     return comps
 

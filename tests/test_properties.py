@@ -94,7 +94,7 @@ def test_partition_total_and_disjoint(loop, n_banks):
     m = ideal_machine()
     ddg = build_loop_ddg(loop)
     ks = modulo_schedule(loop, ddg, m)
-    rcg = build_rcg_from_kernel(ks, ddg)
+    rcg = build_rcg_from_kernel(ks, ddg).freeze()
     part = greedy_partition(rcg, n_banks)
     regs = loop.registers()
     for reg in regs:

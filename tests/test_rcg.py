@@ -19,16 +19,17 @@ class TestRCGStructure:
         g = RegisterComponentGraph()
         g.add_node_weight(regs[0], 2.0)
         g.add_node_weight(regs[0], 3.0)
-        assert g.node_weight(regs[0]) == 5.0
-        assert len(g) == 1
-        assert regs[0] in g and regs[1] not in g
+        frozen = g.freeze()
+        assert frozen.node_weight(regs[0]) == 5.0
+        assert len(frozen) == 1
+        assert regs[0] in frozen and regs[1] not in frozen
 
     def test_edges_accumulate(self, regs):
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], 1.5)
         g.add_edge_weight(regs[1], regs[0], 0.5)  # undirected: same edge
-        assert g.edge_weight(regs[0], regs[1]) == 2.0
         assert g.n_edges == 1
+        assert g.freeze().edge_weight(regs[0], regs[1]) == 2.0
 
     def test_self_edge_rejected(self, regs):
         g = RegisterComponentGraph()
@@ -39,7 +40,7 @@ class TestRCGStructure:
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[2], 1.0)
         g.add_edge_weight(regs[0], regs[1], -1.0)
-        names = [n.name for n, _w in g.neighbors(regs[0])]
+        names = [n.name for n, _w in g.freeze().neighbors(regs[0])]
         assert names == ["v1", "v2"]
 
     def test_nodes_by_weight_order(self, regs):
@@ -47,25 +48,26 @@ class TestRCGStructure:
         g.add_node_weight(regs[0], 1.0)
         g.add_node_weight(regs[1], 5.0)
         g.add_node_weight(regs[2], 5.0)
-        order = g.nodes_by_weight()
+        order = g.freeze().nodes_by_weight()
         assert order[0].name == "v1"  # highest weight
         assert order[1].name == "v2"  # tie broken by rid
         assert order[2].name == "v0"
 
-    def test_cut_and_internal_weight(self, regs):
+    def test_cut_weight(self, regs):
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], 4.0)
         g.add_edge_weight(regs[1], regs[2], 3.0)
         assign = {regs[0].rid: 0, regs[1].rid: 0, regs[2].rid: 1}
-        assert g.cut_weight(assign) == 3.0
-        assert g.internal_weight(assign) == 4.0
+        assert g.freeze().cut_weight(assign) == 3.0
 
-    def test_to_networkx(self, regs):
+    def test_builder_answers_no_queries(self, regs):
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], 2.0)
-        nx_graph = g.to_networkx()
-        assert nx_graph.number_of_nodes() == 2
-        assert nx_graph.number_of_edges() == 1
+        for name in ("nodes", "node_weight", "edge_weight", "neighbors", "edges",
+                     "nodes_by_weight", "cut_weight"):
+            assert not hasattr(g, name), name
+        with pytest.raises(TypeError):
+            len(g)
 
 
 class TestComponents:
@@ -73,7 +75,7 @@ class TestComponents:
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], 1.0)
         g.add_edge_weight(regs[2], regs[3], 1.0)
-        comps = connected_components(g)
+        comps = connected_components(g.freeze())
         assert len(comps) == 2
         assert all(len(c) == 2 for c in comps)
 
@@ -81,14 +83,15 @@ class TestComponents:
         g = RegisterComponentGraph()
         g.add_node(regs[0])
         g.add_node(regs[1])
-        comps = connected_components(g)
+        comps = connected_components(g.freeze())
         assert len(comps) == 2
 
     def test_positive_only_skips_antiaffinity(self, regs):
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], -2.0)  # anti edge only
-        assert len(connected_components(g, positive_only=False)) == 1
-        assert len(connected_components(g, positive_only=True)) == 2
+        frozen = g.freeze()
+        assert len(connected_components(frozen, positive_only=False)) == 1
+        assert len(connected_components(frozen, positive_only=True)) == 2
 
     def test_component_ordering_by_weight(self, regs):
         g = RegisterComponentGraph()
@@ -96,16 +99,15 @@ class TestComponents:
         g.add_node_weight(regs[0], 1.0)
         g.add_edge_weight(regs[2], regs[3], 1.0)
         g.add_node_weight(regs[2], 10.0)
-        comps = connected_components(g)
+        comps = connected_components(g.freeze())
         assert regs[2] in comps[0]  # heavier component first
 
     def test_summary(self, regs):
         g = RegisterComponentGraph()
         g.add_edge_weight(regs[0], regs[1], 1.0)
         g.add_node(regs[2])
-        s = component_summary(g)
+        s = component_summary(g.freeze())
         assert s.n_components == 2
         assert s.largest == 2
         assert s.smallest == 1
         assert s.singleton_count == 1
-        assert not s.splittable

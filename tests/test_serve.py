@@ -62,11 +62,12 @@ class Daemon:
             "PYTHONPATH": str(REPO_ROOT / "src"),
             **(env or {}),
         }
+        # its own session, so kill() reaches the pool workers too
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--store", str(store), "--port", "0", *extra],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=full_env,
+            text=True, env=full_env, start_new_session=True,
         )
         line = self.proc.stdout.readline()
         m = _LISTEN_RE.search(line)
@@ -83,16 +84,33 @@ class Daemon:
         try:
             self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+            self.kill()
         self.proc.stdout.close()
         return self.proc.returncode
 
     def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
+        """SIGKILL the daemon's process group: the daemon and any pool
+        worker it leaves behind."""
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait()
         self.proc.stdout.close()
+
+    def workers(self) -> list[int]:
+        """Pids of the daemon's child processes, read off the ppid field
+        of ``/proc/<pid>/stat`` (``task/*/children`` needs a kernel built
+        with CONFIG_PROC_CHILDREN)."""
+        pids = []
+        for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+            try:
+                fields = stat.read_text().rsplit(")", 1)[1].split()
+            except (OSError, IndexError):
+                continue  # the process exited while we looked
+            if int(fields[1]) == self.proc.pid:
+                pids.append(int(stat.parent.name))
+        return sorted(pids)
 
 
 @pytest.fixture
@@ -284,6 +302,28 @@ class TestServeEndToEnd:
                                  paper_machine(n_clusters, model), config)
             label = config_label(n_clusters, model)
             assert by_label[label].metrics == local.metrics, label
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(),
+                        reason="reads worker pids from /proc")
+    def test_signal_to_a_worker_leaves_the_daemon_serving(self, daemon_factory):
+        """SIGTERM to one pool worker ends that worker alone: the daemon
+        keeps answering, and compiles the next request on a fresh pool."""
+        daemon = daemon_factory("--jobs", "2")
+        with daemon.client(timeout=120.0) as client:
+            client.submit(spec95_corpus(n=1))
+        workers = daemon.workers()
+        assert workers
+        os.kill(workers[0], signal.SIGTERM)
+        deadline = time.monotonic() + 30.0
+        while workers[0] in daemon.workers() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert workers[0] not in daemon.workers()
+        with daemon.client(timeout=120.0) as client:
+            assert not client.ping()["draining"]
+            result = client.submit(spec95_corpus(n=2)[1:])
+        assert result.failures == 0
+        assert len(result.cells) == len(PAPER_CONFIG_ORDER)
+        assert daemon.stop() == 0
 
     def test_request_deadline_times_out(self, daemon_factory):
         loops = spec95_corpus(n=4)

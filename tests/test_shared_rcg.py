@@ -11,7 +11,8 @@ it.  These tests pin the contract:
 * the build really runs once per (loop, heuristic), and the cache
   counters do not see it;
 * the frozen graph is read-only and answers every query exactly as the
-  builder's tables say (same orders, same float sums);
+  builder's tables say (same orders, same float sums), and each freeze
+  packs a new graph;
 * the retained form stays compact.
 """
 
@@ -130,7 +131,7 @@ def test_shared_graph_is_heuristic_specific():
     other = PipelineConfig(heuristic=HeuristicConfig(affinity_scale=2.0))
     b = shared_rcg(_prepared(loop, cache, other))
     assert b is not a
-    assert list(b.edge_weight_values()) != list(a.edge_weight_values())
+    assert [w for _a, _b, w in b.edges()] != [w for _a, _b, w in a.edges()]
 
 
 # ----------------------------------------------------------------------
@@ -176,17 +177,14 @@ def test_frozen_queries_match_builder_tables(loop):
     assert [(a.rid, b.rid, w) for a, b, w in frozen.edges()] == [
         (a, b, w) for (a, b), w in sorted(edges.items())
     ]
-    assert frozen.edge_weight_values() == list(edges.values())
     for (a, b), w in edges.items():
         assert frozen.edge_weight(nodes[a], nodes[b]) == w
         assert frozen.edge_weight(nodes[b], nodes[a]) == w
-    adjacency = frozen.adjacency()
     for reg in regs:
         expected = sorted(
             (b if a == reg.rid else a, w)
             for (a, b), w in edges.items() if reg.rid in (a, b)
         )
-        assert adjacency[reg.rid] == expected
         assert [(n.rid, w) for n, w in frozen.neighbors(reg)] == expected
     assert frozen.nodes_by_weight() == sorted(
         regs, key=lambda r: (-weights[r.rid], r.rid)
@@ -194,16 +192,13 @@ def test_frozen_queries_match_builder_tables(loop):
     assert frozen.weight_scale == _naive_weight_scale(list(edges.values()))
     assert frozen.n_positive_components == _naive_positive_components(builder)
 
-    # cut / internal weight sum in the builder's edge insertion order
+    # the cut weight sums in the builder's edge insertion order
     assignment = {reg.rid: i % 3 for i, reg in enumerate(regs)}
-    cut = internal = 0.0
+    cut = 0.0
     for (a, b), w in edges.items():
         if assignment[a] != assignment[b]:
             cut += w
-        else:
-            internal += w
     assert frozen.cut_weight(assignment) == cut
-    assert frozen.internal_weight(assignment) == internal
 
 
 def test_frozen_graph_rejects_mutation():
@@ -218,14 +213,12 @@ def test_frozen_graph_rejects_mutation():
         frozen.weight_scale = 0.0
     with pytest.raises(AttributeError):
         del frozen.placement_order
-    assert frozen.freeze() is frozen
 
 
 def test_builder_mutation_refreezes():
     builder = _builder(spec95_corpus(n=1)[0])
     frozen = builder.freeze()
-    assert builder.freeze() is frozen
-    a, b = builder.nodes()[:2]
+    a, b = frozen.nodes()[:2]
     before = frozen.edge_weight(a, b)
     builder.add_edge_weight(a, b, 1.0)
     refrozen = builder.freeze()

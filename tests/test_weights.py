@@ -18,7 +18,7 @@ def rcg_for(loop, machine=None, config=DEFAULT_HEURISTIC):
     machine = machine or ideal_machine()
     ddg = build_loop_ddg(loop, machine.latencies)
     ks = modulo_schedule(loop, ddg, machine)
-    return build_rcg_from_kernel(ks, ddg, config), ks
+    return build_rcg_from_kernel(ks, ddg, config).freeze(), ks
 
 
 class TestAffinityEdges:
@@ -112,7 +112,7 @@ class TestLinearBuilder:
         m = ideal_machine(width=2)
         ddg = build_block_ddg(block, m.latencies)
         sched = list_schedule(ddg, m)
-        rcg = build_rcg_from_linear(sched, ddg, depth=0)
+        rcg = build_rcg_from_linear(sched, ddg, depth=0).freeze()
         r1 = next(r for r in rcg.nodes() if r.name == "r1")
         r2 = next(r for r in rcg.nodes() if r.name == "r2")
         assert rcg.edge_weight(r1, r2) > 0
@@ -130,4 +130,4 @@ class TestLinearBuilder:
             from repro.core.weights import build_rcg_from_linear
 
             rcg = build_rcg_from_linear(sched, ddg, depth=i, rcg=rcg)
-        assert len(rcg) == 2  # two blocks, two different r1/r2 registers each... per factory
+        assert len(rcg.freeze()) == 2  # two blocks, two different r1/r2 registers each... per factory
