@@ -170,9 +170,6 @@ class RegisterComponentGraph:
     def freeze(self) -> "FrozenRCG":
         """The read-only, array-backed form of this graph, packed anew on
         every call."""
-        return self._pack()
-
-    def _pack(self) -> "FrozenRCG":
         index_of, rids, offsets, nbr, wgt = self.flat_adjacency()
         node_weight = self._node_weight
         weights = [node_weight[rid] for rid in rids]

@@ -33,13 +33,15 @@ class _Reaped(Exception):
 
 
 def _reset_signals() -> None:
-    """Give a forked worker default SIGTERM/SIGINT handling.  A daemon's
-    worker otherwise inherits asyncio's handlers and its signal wakeup
-    fd: a SIGTERM sent to the worker would be ignored there and written
-    into the daemon's self-pipe, draining the daemon instead."""
+    """Give a forked worker default SIGTERM handling and no signal wakeup
+    fd.  A daemon's worker otherwise inherits asyncio's handlers and its
+    wakeup fd: a SIGTERM sent to the worker would be ignored there and
+    written into the daemon's self-pipe, draining the daemon instead.
+    SIGINT keeps the inherited handler, a no-op in a daemon's worker, so
+    a Ctrl-C sent to the whole process group drains the daemon without
+    interrupting the chunks its workers are compiling."""
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 def _new_pool(workers: int) -> ProcessPoolExecutor:

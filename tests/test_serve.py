@@ -325,6 +325,32 @@ class TestServeEndToEnd:
         assert len(result.cells) == len(PAPER_CONFIG_ORDER)
         assert daemon.stop() == 0
 
+    def test_sigint_to_the_group_drains_the_daemon(self, daemon_factory):
+        """A Ctrl-C signals the daemon and its pool workers at once.  The
+        worker hung on the first loop is mid-chunk when it arrives and
+        keeps running to the request's deadline; the other loops
+        compile, every cell streams, and the daemon drains and exits 0."""
+        loops = spec95_corpus(n=4)
+        hung = loops[0].name
+        daemon = daemon_factory("--jobs", "2", env={FAULT_HANG_ENV: hung})
+        sent = []
+
+        def interrupt(_cell) -> None:
+            if not sent:
+                os.killpg(daemon.proc.pid, signal.SIGINT)
+                sent.append(True)
+
+        with daemon.client(timeout=120.0) as client:
+            result = client.submit(loops, deadline=3.0, on_cell=interrupt)
+        assert sent
+        assert len(result.cells) == len(loops) * len(PAPER_CONFIG_ORDER)
+        for cell in result.cells:
+            if cell.loop_name == hung:
+                assert cell.failure.kind == "timeout"
+            else:
+                assert cell.ok
+        assert daemon.stop() == 0
+
     def test_request_deadline_times_out(self, daemon_factory):
         loops = spec95_corpus(n=4)
         daemon = daemon_factory("--jobs", "1", env={FAULT_HANG_ENV: loops[1].name})
